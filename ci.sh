@@ -75,6 +75,12 @@ echo "== wire-smoke: protocol negotiation + E19 quick run =="
 # binary sweep plus the four-arm dedup trace, with winner parity and
 # the dedup collapse asserted by the binary itself.
 cargo test --release -q -p fm-serve --test protocol_negotiation
+# The codec's own properties in release, where the optimiser could
+# expose what debug builds hide: round trips and adversarial frames
+# (wire_proptests), and the direct writers/readers byte- and
+# acceptance-identical to the tree path on every variant, truncation
+# and byte flip (wire_differential).
+cargo test --release -q -p fm-serve --test wire_proptests --test wire_differential
 e19_dir="$(mktemp -d)"
 cargo run --release -q -p fm-bench --bin table_e19_wire -- --quick --json "$e19_dir/BENCH_e19.json" >/dev/null
 [ -s "$e19_dir/BENCH_e19.json" ] || { echo "wire-smoke: E19 emitted no JSON"; exit 1; }
@@ -119,6 +125,12 @@ e22_dir="$(mktemp -d)"
 cargo run --release -q -p fm-bench --bin table_e22_evalperf -- --quick --json "$e22_dir/BENCH_e22.json" >/dev/null
 [ -s "$e22_dir/BENCH_e22.json" ] || { echo "evalperf-smoke: E22 emitted no JSON"; exit 1; }
 rm -rf "$e22_dir"
+
+echo "== e2e benchmark package: build + unit tests =="
+# The benchmark is its own Cargo workspace on top of fm-serve's public
+# API; building and testing it here makes an API change that breaks it
+# fail locally instead of at benchmark time.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== serve-smoke: daemon + example over the wire =="
 # Launch the real daemon on an ephemeral port, run the example against

@@ -21,7 +21,7 @@
 //! (per their [`InputPlacement`]); their movement is charged but not
 //! NoC-simulated, matching the evaluator's accounting.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::Serialize;
 
@@ -223,8 +223,11 @@ impl Simulator {
         let mut ledger = EnergyLedger::new();
         let mut dram_seen: std::collections::HashSet<(u32, u32)> = Default::default();
 
-        // Per-PE issue queues, sorted by (scheduled time, id).
-        let mut queues: HashMap<(u32, u32), Vec<NodeId>> = HashMap::new();
+        // Per-PE issue queues, sorted by (scheduled time, id). Phase 2
+        // visits the PEs in coordinate order: which PE's message claims
+        // a contended link first, and the order energy is summed in,
+        // must not depend on a hash seed.
+        let mut queues: BTreeMap<(u32, u32), Vec<NodeId>> = BTreeMap::new();
         for id in 0..graph.len() {
             let (x, y) = rm.place[id];
             queues

@@ -38,6 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use serde::Serialize;
 
 use fm_autotune::{Budget, CacheStatus, CancelToken, Tuner, TuningCache};
 use fm_core::cost::Evaluator;
@@ -147,9 +148,9 @@ struct Job {
     deadline: Option<Instant>,
     cancel: CancelToken,
     /// Dedup key for queued `Tune` coalescing: content hash plus the
-    /// full canonical string (equality is checked on the string, so an
+    /// full canonical bytes (equality is checked on the bytes, so an
     /// FNV collision can never merge two different searches).
-    fingerprint: Option<(u64, Arc<String>)>,
+    fingerprint: Option<(u64, Arc<Vec<u8>>)>,
     reply: Reply,
 }
 
@@ -227,10 +228,10 @@ impl Shared {
     }
 
     /// Remove every queued job whose dedup fingerprint equals `key`
-    /// (hash *and* canonical string — a hash collision never merges
+    /// (hash *and* canonical bytes — a hash collision never merges
     /// two different searches). The caller answers them all from one
     /// execution.
-    fn take_matching(&self, key: &(u64, Arc<String>)) -> Vec<Job> {
+    fn take_matching(&self, key: &(u64, Arc<Vec<u8>>)) -> Vec<Job> {
         let mut taken = Vec::new();
         let depth = {
             let mut q = self.queue.lock();
@@ -239,7 +240,7 @@ impl Shared {
                 let dup = job
                     .fingerprint
                     .as_ref()
-                    .is_some_and(|(h, s)| *h == key.0 && **s == *key.1);
+                    .is_some_and(|(h, b)| *h == key.0 && **b == *key.1);
                 if dup {
                     taken.push(job);
                 } else {
@@ -256,28 +257,26 @@ impl Shared {
     }
 }
 
-/// Dedup key for a queued `Tune`: FNV-1a over a canonical rendering of
+/// Dedup key for a queued `Tune`: FNV-1a over the binary encoding of
 /// everything that determines the search result — the same components
 /// the tuning cache fingerprints — plus the admission knobs that shape
 /// the reply. Deadlines are deliberately excluded: two callers asking
 /// the same question with different patience still share one search.
-fn tune_dedup_key(req: &TuneRequest) -> (u64, Arc<String>) {
-    let mut text = String::new();
-    for part in [
-        serde_json::to_string(&req.graph).expect("graph serializes"),
-        serde_json::to_string(&req.machine).expect("machine serializes"),
-        serde_json::to_string(&req.fom).expect("fom serializes"),
-        serde_json::to_string(&req.candidates).expect("candidates serialize"),
-        serde_json::to_string(&req.max_candidates).expect("budget serializes"),
-        serde_json::to_string(&req.convergence_window).expect("budget serializes"),
-        serde_json::to_string(&req.refinement).expect("refinement serializes"),
-        serde_json::to_string(&req.use_cache).expect("flag serializes"),
-        serde_json::to_string(&req.cost_model).expect("cost model serializes"),
-    ] {
-        text.push_str(&part);
-        text.push('\u{1}');
-    }
-    (crate::protocol::fnv1a64(text.as_bytes()), Arc::new(text))
+/// Each component's encoding is self-delimiting, so their
+/// concatenation needs no separator, and it keeps every float's bits:
+/// two requests share a key only if every component is bit-identical.
+fn tune_dedup_key(req: &TuneRequest) -> (u64, Arc<Vec<u8>>) {
+    let mut bytes = Vec::new();
+    req.graph.write_binary(&mut bytes);
+    req.machine.write_binary(&mut bytes);
+    req.fom.write_binary(&mut bytes);
+    req.candidates.write_binary(&mut bytes);
+    req.max_candidates.write_binary(&mut bytes);
+    req.convergence_window.write_binary(&mut bytes);
+    req.refinement.write_binary(&mut bytes);
+    req.use_cache.write_binary(&mut bytes);
+    req.cost_model.write_binary(&mut bytes);
+    (crate::protocol::fnv1a64(&bytes), Arc::new(bytes))
 }
 
 /// Resolve a request's optional `cost_model` name. Unknown names are a

@@ -17,6 +17,7 @@ use fm_core::affine::IdxExpr;
 use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
 use fm_core::mapping::{AffineMap, Mapping, PlaceExpr, ResolvedMapping};
+use fm_core::mutate::GraphEdit;
 use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
 
@@ -65,6 +66,38 @@ fn candidates(n: usize) -> Vec<WireCandidate> {
             },
         })
         .collect()
+}
+
+/// A `SessionOpen` and a sealed `SessionEdit` whose batch holds one
+/// edit of every kind, values drawn from `seed`.
+fn session_frames(corr: u64, seed: u64) -> (Request, SessionEditRequest) {
+    let open = Request::SessionOpen(SessionOpenRequest {
+        graph: wide(3),
+        machine: MachineConfig::linear(2),
+        fom: fom_from(seed as u8),
+        candidates: candidates(2),
+        max_candidates: Some(seed % 7),
+        convergence_window: None,
+        cost_model: Some("roofline".to_string()),
+    });
+    let edits = vec![
+        GraphEdit::AddNode {
+            expr: CExpr::dep(0).sub(CExpr::konst(Value::real(seed as f64 / 8.0))),
+            deps: vec![(seed % 3) as u32],
+            index: vec![3],
+            output: seed.is_multiple_of(2),
+        },
+        GraphEdit::RetargetEdge {
+            node: 3,
+            slot: 0,
+            new_dep: (seed % 2) as u32,
+        },
+        GraphEdit::RemoveNode { id: 3 },
+        GraphEdit::ResizeTile {
+            tile_bits: 64 + seed % 4096,
+        },
+    ];
+    (open, SessionEditRequest::seal(corr, seed, edits))
 }
 
 /// encode → decode → encode must be byte-identical.
@@ -539,6 +572,54 @@ proptest! {
             Err(WireError::Malformed(msg)) => prop_assert!(!msg.is_empty()),
             Err(other) => prop_assert!(false, "unexpected error kind {}", other),
             Ok(_) => {} // a value-level flip can still be a valid request
+        }
+    }
+
+    #[test]
+    fn truncated_session_frames_are_typed_errors(
+        corr in any::<u64>(),
+        seed in any::<u64>(),
+        cut_seed in any::<usize>(),
+    ) {
+        let (open, edit) = session_frames(corr, seed);
+        for req in [open, Request::SessionEdit(edit)] {
+            let frame = encode_request_binary(corr, &req);
+            let cut = cut_seed % frame.len();
+            match decode_request_any(&frame[..cut]) {
+                Err(WireError::Malformed(msg)) => prop_assert!(!msg.is_empty()),
+                Err(other) => prop_assert!(false, "unexpected error kind {}", other),
+                Ok(_) => prop_assert!(false, "a cut envelope cannot decode whole"),
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_session_frames_never_panic(
+        corr in any::<u64>(),
+        seed in any::<u64>(),
+        flip_at in any::<usize>(),
+        flip_bits in 1u8..=255,
+    ) {
+        // A flipped byte in a session frame decodes to a typed error or
+        // some valid request. An edit batch that still decodes with
+        // other content than was sealed must fail its checksum, so the
+        // server refuses it before applying any edit.
+        let (open, edit) = session_frames(corr, seed);
+        let sealed = edit.clone();
+        for req in [open, Request::SessionEdit(edit)] {
+            let mut frame = encode_request_binary(corr, &req);
+            let at = flip_at % frame.len();
+            frame[at] ^= flip_bits;
+            match decode_request_any(&frame) {
+                Err(WireError::Malformed(msg)) => prop_assert!(!msg.is_empty()),
+                Err(other) => prop_assert!(false, "unexpected error kind {}", other),
+                Ok((_, Request::SessionEdit(got), _))
+                    if got.epoch != sealed.epoch || got.edits != sealed.edits =>
+                {
+                    prop_assert!(got.verify().is_err(), "altered batch passed its checksum");
+                }
+                Ok(_) => {}
+            }
         }
     }
 

@@ -319,3 +319,32 @@ fn contention_only_adds_cycles() {
         .unwrap();
     assert_eq!(without.cycles_actual, without.cycles_scheduled);
 }
+
+#[test]
+fn contended_simulation_repeats_exactly() {
+    // Link arbitration under contention depends on the order PEs issue
+    // in each cycle; fresh simulators must agree on every count and on
+    // every energy bit.
+    let n = 64;
+    let g = fft_graph(n, FftVariant::Dit);
+    let machine = MachineConfig::linear(8);
+    let rm = fft_mapping(&g, n, 8, LanePlacement::Cyclic, &machine);
+    let x: Vec<_> = (0..n)
+        .map(|i| fm_repro::core::value::Value::real(i as f64))
+        .collect();
+    let run = || {
+        Simulator::new(machine.clone())
+            .run(&g, &rm, std::slice::from_ref(&x), &[InputPlacement::AtUse])
+            .unwrap()
+    };
+    let first = run();
+    assert!(first.link_wait_cycles > 0, "the case must actually contend");
+    for _ in 0..8 {
+        let again = run();
+        assert_eq!(format!("{again:?}"), format!("{first:?}"));
+        assert_eq!(
+            again.ledger.energy.total().raw().to_bits(),
+            first.ledger.energy.total().raw().to_bits()
+        );
+    }
+}
