@@ -75,6 +75,9 @@ echo "== wire-smoke: protocol negotiation + E19 quick run =="
 # binary sweep plus the four-arm dedup trace, with winner parity and
 # the dedup collapse asserted by the binary itself.
 cargo test --release -q -p fm-serve --test protocol_negotiation
+# The serving basics over real TCP: deadlines (one cancellation rule
+# on every connection), saturation, drain, and both framings.
+cargo test --release -q -p fm-serve --test serve_integration
 # The codec's own properties in release, where the optimiser could
 # expose what debug builds hide: round trips and adversarial frames
 # (wire_proptests), and the direct writers/readers byte- and

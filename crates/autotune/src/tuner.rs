@@ -474,72 +474,23 @@ impl<'a> Tuner<'a> {
                 evals
             }
         };
-        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-
-        let evaluated = evals.len();
-        let best_idx = frontier.best_idx;
-        let trajectory = frontier.trajectory;
-        let mut best = match best_idx {
-            Some(i) => {
-                let CandidateEval::Legal {
-                    resolved,
-                    report,
-                    score,
-                } = evals[i].clone()
-                else {
-                    unreachable!("best index always points at a legal eval")
-                };
-                Some(TunedMapping {
-                    label: candidates[i].label.clone(),
-                    resolved,
-                    report,
-                    score,
-                })
-            }
-            // Nothing legal in budget: fall back to the default mapper,
-            // which is legal by construction for any graph.
-            None => self.fallback(),
-        };
-        let fell_back = best_idx.is_none() && best.is_some();
-
-        // A cancelled run neither refines (more cores burned for a
-        // result nobody wants) nor caches (the evaluated prefix is
-        // schedule-dependent, so its winner is not reproducible).
-        if let Some(b) = best.as_mut() {
-            if !cancelled {
-                self.refine(b);
-            }
-        }
-
-        let outcome = assemble_outcome(&candidates[..evaluated], evals);
-        if let (Some(cache), Some(best)) = (&self.cache, &best) {
-            if !fell_back && !cancelled {
+        let mut report = self.finish(candidates, evals, frontier, cache_status);
+        if let (Some(cache), Some(best)) = (&self.cache, &report.best) {
+            if !report.fell_back && !report.cancelled {
                 let _ = cache.store(&CacheEntry {
                     version: CACHE_SCHEMA_VERSION,
                     fingerprint: fp,
                     best: best.clone(),
-                    evaluated,
-                    complete: evaluated == offered,
-                    outcome: outcome.clone(),
-                    trajectory: trajectory.clone(),
+                    evaluated: report.evaluated,
+                    complete: report.evaluated == offered,
+                    outcome: report.outcome.clone(),
+                    trajectory: report.trajectory.clone(),
                 });
+                // The store is part of the call.
+                report.wall = start.elapsed();
             }
         }
-
-        TuneReport {
-            fom: self.fom,
-            offered,
-            evaluated,
-            pruned: offered - evaluated,
-            cache: cache_status,
-            fell_back,
-            cancelled,
-            wall: start.elapsed(),
-            trajectory,
-            outcome,
-            best_index: best_idx,
-            best,
-        }
+        report
     }
 
     /// Warm re-tune: like [`Tuner::tune`], but candidate evaluations
@@ -596,11 +547,23 @@ impl<'a> Tuner<'a> {
                 break;
             }
         }
-        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        self.finish(candidates, evals, frontier, CacheStatus::Disabled)
+    }
 
+    /// What both tunes do after evaluation: pick the winner (the default
+    /// mapper when nothing in budget was legal), refine it, and report
+    /// over the evaluated prefix.
+    fn finish(
+        &self,
+        candidates: &[MappingCandidate],
+        evals: Vec<CandidateEval>,
+        frontier: Frontier<'_>,
+        cache: CacheStatus,
+    ) -> TuneReport {
+        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        let offered = candidates.len();
         let evaluated = evals.len();
         let best_idx = frontier.best_idx;
-        let trajectory = frontier.trajectory;
         let mut best = match best_idx {
             Some(i) => {
                 let CandidateEval::Legal {
@@ -618,29 +581,32 @@ impl<'a> Tuner<'a> {
                     score,
                 })
             }
+            // Nothing legal in budget: fall back to the default mapper,
+            // which is legal by construction for any graph.
             None => self.fallback(),
         };
         let fell_back = best_idx.is_none() && best.is_some();
 
+        // A cancelled run neither refines (more cores burned for a
+        // result nobody wants) nor caches (the evaluated prefix is
+        // schedule-dependent, so its winner is not reproducible).
         if let Some(b) = best.as_mut() {
             if !cancelled {
                 self.refine(b);
             }
         }
 
-        let outcome = assemble_outcome(&candidates[..evaluated], evals);
-
         TuneReport {
             fom: self.fom,
             offered,
             evaluated,
             pruned: offered - evaluated,
-            cache: CacheStatus::Disabled,
+            cache,
             fell_back,
             cancelled,
-            wall: start.elapsed(),
-            trajectory,
-            outcome,
+            wall: frontier.start.elapsed(),
+            trajectory: frontier.trajectory,
+            outcome: assemble_outcome(&candidates[..evaluated], evals),
             best_index: best_idx,
             best,
         }

@@ -17,7 +17,8 @@
 //!    dedup-on/off) hands back the **bit-identical** winner, asserted
 //!    here, not eyeballed.
 
-use std::time::Instant;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 use fm_autotune::TunedMapping;
 use fm_core::affine::IdxExpr;
@@ -27,8 +28,10 @@ use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
 use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
 use fm_serve::client::Client;
+use fm_serve::metrics::StatsReply;
 use fm_serve::protocol::{
-    EvaluateRequest, Request, Response, SimulateRequest, TuneRequest, WireCandidate,
+    read_frame, write_request, EvaluateRequest, Request, Response, SimulateRequest, TuneRequest,
+    TuneShardRequest, WireCandidate, DEFAULT_MAX_FRAME,
 };
 use fm_serve::server::{Server, ServerConfig};
 use serde::Serialize;
@@ -75,7 +78,8 @@ pub struct DedupRow {
     pub waiters_served: u64,
     /// Dedup batches the server formed.
     pub dedup_batches: u64,
-    /// Wall time to answer all duplicates, ms.
+    /// Wall time from the filler's reply to the last duplicate's
+    /// answer, ms.
     pub wall_ms: f64,
     /// Winning candidate label (identical across every arm).
     pub winner: String,
@@ -267,15 +271,36 @@ fn assert_same_winner(got: &TunedMapping, expected: &TunedMapping, arm: &str) {
     );
 }
 
-/// One arm of part B. A non-duplicate filler Tune occupies the single
-/// worker first so every duplicate is *queued* when the worker gets to
-/// them — the scenario dedup batching exists for.
+/// Poll `Stats` until `ready` holds, and return that snapshot.
+fn await_stats(watch: &mut Client, arm: &str, ready: impl Fn(&StatsReply) -> bool) -> StatsReply {
+    let t0 = Instant::now();
+    loop {
+        let stats = watch.stats().expect("stats");
+        if ready(&stats) {
+            return stats;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "{arm}: the server never reached the awaited state: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// One arm of part B. A filler holds the single worker until every
+/// duplicate is queued behind it — the scenario dedup batching exists
+/// for — and `Stats`, not timing, gates each step: the duplicates go
+/// out once the worker has taken the filler, and the filler is released
+/// once they are all queued. The filler is a one-candidate `TuneShard`
+/// the server straggles on (a cancellable sleep) until its client hangs
+/// up.
 fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> DedupRow {
     let graph = wide(32);
     let machine = MachineConfig::linear(8);
     let config = ServerConfig {
         workers: 1,
         dedup_tunes: dedup,
+        straggle_ms_per_candidate: Some(600_000),
         ..ServerConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config).expect("bind");
@@ -285,72 +310,83 @@ fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> 
         if binary { "binary" } else { "json" },
         if dedup { "on" } else { "off" }
     );
+    let mut watch = Client::connect(addr).expect("connect stats watcher");
 
-    // Filler: same shape, different candidate count, so it shares no
-    // dedup fingerprint with the duplicates.
-    let filler = Request::Tune(tune_request(&graph, &machine, 40));
+    let mut filler = TcpStream::connect(addr).expect("connect filler");
+    let filler_request = Request::TuneShard(TuneShardRequest {
+        graph: graph.clone(),
+        machine: machine.clone(),
+        fom: FigureOfMerit::Time,
+        candidates: candidates(1, machine.cols),
+        start_index: 0,
+        epoch: 0,
+        deadline_ms: None,
+        stream_every: None,
+        cost_model: None,
+    });
+    write_request(&mut filler, &filler_request).expect("send filler");
+    // The filler was queued, and the worker took it.
+    await_stats(&mut watch, &arm, |s| {
+        s.queue_peak == 1 && s.queue_depth == 0
+    });
+
     let dupe = Request::Tune(tune_request(&graph, &machine, 24));
-
-    let t0 = Instant::now();
-    let wall_ms;
-    if binary {
+    let answers: Vec<std::thread::JoinHandle<Vec<TunedMapping>>> = if binary {
+        // One pipelined connection carries every duplicate.
         let mut client = Client::connect(addr).expect("connect");
         assert!(client.is_pipelined());
-        client.send_request(&filler).expect("send filler");
-        for _ in 0..dupes {
-            client.send_request(&dupe).expect("send dupe");
-        }
-        for _ in 0..=dupes {
-            let (_corr, resp) = client.recv_response().expect("recv");
-            match resp {
-                Response::Tuned(r) => {
-                    assert_same_winner(&winner_of(r.best), expected, &arm);
-                }
-                other => panic!("{arm}: unexpected reply {}", other.kind()),
+        vec![std::thread::spawn(move || {
+            for _ in 0..dupes {
+                client.send_request(&dupe).expect("send dupe");
             }
-        }
-        wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            (0..dupes)
+                .map(|_| match client.recv_response().expect("recv").1 {
+                    Response::Tuned(r) => winner_of(r.best),
+                    other => panic!("unexpected reply {}", other.kind()),
+                })
+                .collect()
+        })]
     } else {
-        // The old client's shape: one JSON connection per duplicate,
-        // all released together while the filler holds the worker.
-        let mut filler_client = Client::connect_json(addr).expect("connect filler");
-        let filler_join = {
-            let filler = filler.clone();
-            std::thread::spawn(move || {
-                let corr = filler_client.send_request(&filler).unwrap();
-                let (rcorr, resp) = filler_client.recv_response().unwrap();
-                assert_eq!(corr, rcorr);
-                assert!(matches!(resp, Response::Tuned(_)));
-            })
-        };
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(dupes as usize));
-        let joins: Vec<_> = (0..dupes)
+        // The old client's shape: one JSON connection per duplicate.
+        (0..dupes)
             .map(|_| {
                 let dupe = dupe.clone();
-                let barrier = barrier.clone();
                 let mut client = Client::connect_json(addr).expect("connect dupe");
                 std::thread::spawn(move || {
-                    barrier.wait();
                     let corr = client.send_request(&dupe).unwrap();
                     let (rcorr, resp) = client.recv_response().unwrap();
                     assert_eq!(corr, rcorr);
                     match resp {
-                        Response::Tuned(r) => winner_of(r.best),
+                        Response::Tuned(r) => vec![winner_of(r.best)],
                         other => panic!("unexpected reply {}", other.kind()),
                     }
                 })
             })
-            .collect();
-        for j in joins {
-            let winner = j.join().expect("dupe thread");
+            .collect()
+    };
+    let queued = await_stats(&mut watch, &arm, |s| {
+        s.queue_peak >= dupes || s.tune.completed > 0
+    });
+    assert!(
+        queued.tune.completed == 0 && queued.queue_peak >= dupes,
+        "{arm}: all {dupes} duplicates must be queued behind the filler, \
+         got {queued:?}"
+    );
+
+    // Hanging up the filler's write half cancels it; its (cancelled)
+    // reply marks the moment the worker turns to the duplicates.
+    filler.shutdown(Shutdown::Write).expect("release filler");
+    read_frame(&mut filler, DEFAULT_MAX_FRAME).expect("filler reply");
+    let t0 = Instant::now();
+    for answer in answers {
+        for winner in answer.join().expect("dupe thread") {
             assert_same_winner(&winner, expected, &arm);
         }
-        wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        filler_join.join().expect("filler thread");
     }
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let stats = server.shutdown_and_join();
-    let tunes = stats.tune.completed.saturating_sub(1); // minus the filler
+    let tunes = stats.tune.completed;
     assert_eq!(tunes, dupes, "{arm}: every duplicate must be answered");
     if !dedup {
         assert_eq!(stats.dedup_batches, 0, "{arm}: dedup was off");

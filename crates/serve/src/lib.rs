@@ -40,7 +40,9 @@
 //! On a negotiated pipelined connection the client may keep many
 //! requests in flight; replies carry the request's correlation id and
 //! return in completion order, so a cheap `Ping` overtakes a long
-//! `Tune` queued ahead of it. Queued `Tune` requests with identical
+//! `Tune` queued ahead of it. A connection that never negotiated keeps
+//! one request in flight and gets each reply in its request's
+//! encoding, in request order. Queued `Tune` requests with identical
 //! bodies are deduplicated into one search whose answer fans out to
 //! every waiter (`--dedup off` disables this).
 //!

@@ -174,7 +174,8 @@ pub struct Metrics {
     /// Request frames decoded from binary envelopes.
     pub binary_requests: AtomicU64,
     /// High-water mark of concurrently in-flight requests on any one
-    /// pipelined connection (admitted or executing, not yet replied).
+    /// connection (admitted or executing, not yet replied); at most 1
+    /// on a connection that did not negotiate pipelining.
     pub inflight_peak: AtomicU64,
     /// Dedup batches executed: one queued `Tune` ran on behalf of
     /// itself plus at least one fingerprint-identical waiter.
@@ -1042,8 +1043,7 @@ pub struct StatsReply {
     pub json_requests: u64,
     /// Request frames decoded from binary envelopes.
     pub binary_requests: u64,
-    /// Peak concurrently in-flight requests on one pipelined
-    /// connection.
+    /// Peak concurrently in-flight requests on one connection.
     pub inflight_peak: u64,
     /// Dedup batches executed (one search served 2+ identical tunes).
     pub dedup_batches: u64,

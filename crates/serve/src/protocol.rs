@@ -932,42 +932,78 @@ pub const READ_CHUNK: usize = 64 << 10;
 /// [`WireError::Truncated`]. A length prefix over `max` is rejected
 /// before any payload byte is read or buffered, and payload memory is
 /// reserved incrementally ([`READ_CHUNK`]) as bytes arrive — never all
-/// up front on the strength of the prefix alone.
+/// up front on the strength of the prefix alone. A read that times out
+/// (a socket read timeout) is a [`WireError::Io`].
 pub fn read_frame(r: &mut impl std::io::Read, max: usize) -> Result<Vec<u8>, WireError> {
+    read_frame_polled(r, max, |timed_out| timed_out.map(WireError::Io))
+}
+
+/// [`read_frame`] for readers that also watch something besides the
+/// socket: a shutdown flag, deadlines, a cancel token. `poll` runs
+/// before every read and returns `Some(stop)` to give up on the frame.
+/// A read that times out (`WouldBlock`/`TimedOut`, from a socket read
+/// timeout) is handed to the next `poll` and then retried, so the read
+/// timeout sets how often a silent peer's reader wakes to poll. Framing
+/// and transport failures convert into the caller's stop type.
+pub(crate) fn read_frame_polled<E: From<WireError>>(
+    r: &mut impl std::io::Read,
+    max: usize,
+    mut poll: impl FnMut(Option<std::io::Error>) -> Option<E>,
+) -> Result<Vec<u8>, E> {
     let mut header = [0u8; 4];
-    let mut have = 0;
-    while have < 4 {
-        match r.read(&mut header[have..]) {
-            Ok(0) if have == 0 => return Err(WireError::Closed),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    expected: 4,
-                    got: have,
-                })
-            }
-            Ok(n) => have += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > max {
-        return Err(WireError::Oversized { len, max });
-    }
-    let mut payload = vec![0u8; len.min(READ_CHUNK)];
+    let mut payload = Vec::new();
+    // Bytes of the header, then of the payload, received so far; the
+    // payload length is known once the header is complete.
     let mut got = 0;
-    while got < len {
-        if got == payload.len() {
-            payload.resize(len.min(got + READ_CHUNK), 0);
+    let mut len: Option<usize> = None;
+    let mut timed_out = None;
+    loop {
+        if let Some(stop) = poll(timed_out.take()) {
+            return Err(stop);
         }
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(WireError::Truncated { expected: len, got }),
+        let buf = match len {
+            None => &mut header[got..],
+            Some(len) => {
+                if got == payload.len() {
+                    payload.resize(len.min(got + READ_CHUNK), 0);
+                }
+                &mut payload[got..]
+            }
+        };
+        match r.read(buf) {
+            Ok(0) => {
+                return Err(match len {
+                    None if got == 0 => WireError::Closed,
+                    None => WireError::Truncated { expected: 4, got },
+                    Some(expected) => WireError::Truncated { expected, got },
+                }
+                .into())
+            }
             Ok(n) => got += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                timed_out = Some(e);
+                continue;
+            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
+            Err(e) => return Err(WireError::Io(e).into()),
+        }
+        if len.is_none() && got == header.len() {
+            let claimed = u32::from_be_bytes(header) as usize;
+            if claimed > max {
+                return Err(WireError::Oversized { len: claimed, max }.into());
+            }
+            len = Some(claimed);
+            got = 0;
+        }
+        if len == Some(got) {
+            return Ok(payload);
         }
     }
-    Ok(payload)
 }
 
 /// Serialize a request to frame-payload bytes.
@@ -1222,6 +1258,58 @@ mod tests {
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// A peer that sends a header claiming 8 MiB, three payload bytes,
+    /// then nothing: every later read times out, like a socket with a
+    /// read timeout. Records the largest buffer it was offered.
+    struct StallingPeer {
+        sent: Vec<u8>,
+        at: usize,
+        largest_offer: usize,
+    }
+
+    impl std::io::Read for StallingPeer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_offer = self.largest_offer.max(buf.len());
+            if self.at == self.sent.len() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.sent.len() - self.at);
+            buf[..n].copy_from_slice(&self.sent[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn poll_hook_stops_a_stalled_frame_holding_one_chunk() {
+        let mut sent = (8u32 << 20).to_be_bytes().to_vec();
+        sent.extend_from_slice(b"abc");
+        let mut peer = StallingPeer {
+            sent,
+            at: 0,
+            largest_offer: 0,
+        };
+        let mut timeouts = 0;
+        let stop = read_frame_polled(&mut peer, DEFAULT_MAX_FRAME, |timed_out| {
+            timeouts += usize::from(timed_out.is_some());
+            (timeouts == 3).then_some(WireError::Closed)
+        });
+        assert!(matches!(stop, Err(WireError::Closed)), "got {stop:?}");
+        assert_eq!(timeouts, 3, "each timed-out read reaches the hook");
+        assert!(
+            peer.largest_offer <= READ_CHUNK,
+            "reader reserved {} bytes for a frame that sent 3",
+            peer.largest_offer
+        );
+        // Without a hook that stops, the blocking entry point reports
+        // the timeout itself.
+        peer.at = 0;
+        assert!(matches!(
+            read_frame(&mut peer, DEFAULT_MAX_FRAME),
+            Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock
+        ));
     }
 
     #[test]

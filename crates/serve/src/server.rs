@@ -1,14 +1,15 @@
-//! The daemon: acceptor, bounded admission queue, worker pool,
-//! deadlines, cancellation, and graceful drain.
+//! The daemon: acceptor, one loop per connection, bounded admission
+//! queue, worker pool, deadlines, cancellation, and graceful drain.
 //!
 //! ```text
-//!                    ┌────────────────────────── Shared ───────────────────────────┐
-//!  client ──TCP──▶ acceptor ──▶ connection thread ──try_admit──▶ [bounded queue]   │
-//!                    │           │  ▲                              │                │
-//!                    │           │  └── reply (mpsc) ◀── worker ◀──┘               │
-//!                    │           └── full → `Busy` (never buffered)                │
-//!                    │               metrics ◀── everyone                          │
-//!                    └──────────────────────────────────────────────────────────────┘
+//!                 ┌─────────────────────────── Shared ────────────────────────────┐
+//! client ──TCP──▶ acceptor ──▶ reader ──try_admit──▶ [bounded queue] ──▶ worker   │
+//!   ▲             │            │  ledger: corr → (cancel, deadline)      │        │
+//!   │             │            │  full → `Busy` (never buffered)         │        │
+//!   │             │            ▼  inline replies                         │        │
+//!   └──TCP────────writer ◀───── reply (mpsc) ◀───────────────────────────┘        │
+//!                 │               metrics ◀── everyone                            │
+//!                 └───────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! Design rules, in order:
@@ -17,12 +18,21 @@
 //!   fixed-capacity queue, or refused with [`Response::Busy`]; there is
 //!   no unbounded buffer anywhere (frames are length-checked before
 //!   they are read, the queue before it is pushed);
+//! * **one loop per connection** — every accepted connection gets a
+//!   reader, which answers `Hello`/`Ping`/`Stats`/membership/`Shutdown`
+//!   inline and admits work, and a writer thread that owns the write
+//!   half and sends each reply in its request's encoding. A connection
+//!   that negotiated pipelining keeps any number of requests in flight,
+//!   answered in completion order; one that did not — JSON clients and
+//!   fleet shard links — keeps one, so its replies keep request order;
 //! * **deadlines propagate** — a request's `deadline_ms` becomes a
 //!   tuner [`Budget::deadline`](fm_autotune::Budget) *and* a
-//!   [`CancelToken`] latched by the connection thread's watchdog, so an
-//!   expired or disconnected client stops burning cores between
-//!   candidate evaluations and still receives its best-so-far partial
-//!   result (if it is still connected to read it);
+//!   [`CancelToken`] in its connection's in-flight ledger. The reader
+//!   wakes at least every 25 ms; it cancels a token whose deadline has
+//!   passed, and every token when the peer hangs up, so an expired or
+//!   abandoned request stops burning cores between candidate
+//!   evaluations and still receives its best-so-far partial result (if
+//!   the peer is still connected to read it);
 //! * **drain, then exit** — shutdown closes admission first; admitted
 //!   requests run to completion and their replies are delivered before
 //!   any thread exits.
@@ -51,13 +61,13 @@ use fm_workspan::ThreadPool;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::metrics::{Metrics, StatsReply};
 use crate::protocol::{
-    decode_request_any, encode_response_binary, queue_frame, write_frame, write_response,
+    decode_request_any, encode_response, encode_response_binary, queue_frame, read_frame_polled,
     BusyReply, EvaluateReply, EvaluateRequest, FailReply, HelloAckReply, MembershipReply,
     NoSuchSessionReply, Request, Response, SessionCloseRequest, SessionClosedReply,
     SessionEditRequest, SessionEditedReply, SessionOpenRequest, SessionOpenedReply,
     SessionTuneRequest, SessionTunedReply, ShardBest, SimulateReply, SimulateRequest, TuneReply,
     TuneRequest, TuneShardBody, TuneShardPart, TuneShardPartBody, TuneShardReply, TuneShardRequest,
-    WireError, DEFAULT_MAX_FRAME, PROTOCOL_BINARY_VERSION, READ_CHUNK,
+    WireError, DEFAULT_MAX_FRAME, PROTOCOL_BINARY_VERSION,
 };
 use crate::session::{EditOutcome, SessionRegistry, SessionState};
 
@@ -123,21 +133,36 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a job's responses go: the reply channel of the connection
-/// that admitted it, tagged with the request's correlation id so a
-/// pipelined connection can match out-of-order completions. Blocking
-/// (JSON) connections use a per-request channel and correlation id 0.
+/// Where a request's responses go: the writer of the connection that
+/// read it, addressed like the request. `corr` is the request's
+/// correlation id (0 for JSON, which carries none); `binary` says
+/// whether replies go out as binary envelopes carrying it. They do on
+/// a pipelined connection and for binary requests; a JSON request on a
+/// connection that did not negotiate is answered in JSON.
 #[derive(Clone)]
 struct Reply {
     corr: u64,
-    tx: mpsc::Sender<(u64, Response)>,
+    binary: bool,
+    tx: mpsc::Sender<Outbound>,
+}
+
+/// One response on its way to a connection's writer.
+struct Outbound {
+    corr: u64,
+    binary: bool,
+    resp: Response,
 }
 
 impl Reply {
     /// Deliver the response; `false` means the connection side is gone
     /// (the reply is dropped, never an error for the worker).
     fn send(&self, resp: Response) -> bool {
-        self.tx.send((self.corr, resp)).is_ok()
+        let out = Outbound {
+            corr: self.corr,
+            binary: self.binary,
+            resp,
+        };
+        self.tx.send(out).is_ok()
     }
 }
 
@@ -471,7 +496,7 @@ fn acceptor_main(shared: &Arc<Shared>, listener: TcpListener) {
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("fm-serve-conn".to_string())
-                    .spawn(move || handle_connection(&shared2, stream))
+                    .spawn(move || serve_connection(&shared2, stream))
                     .expect("spawn connection thread");
                 shared.conn_handles.lock().push(handle);
             }
@@ -484,282 +509,216 @@ fn acceptor_main(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
-/// Why the connection read loop stopped.
+/// How long a connection's reader waits — in a socket read, or for its
+/// in-flight requests to finish — before it checks its requests'
+/// deadlines (and, in a read, the shutdown flag) again.
+const POLL: Duration = Duration::from_millis(25);
+
+/// A request in flight on one connection: its cancel token and deadline.
+type InFlight = (CancelToken, Option<Instant>);
+
+/// A connection's in-flight requests by correlation id: its
+/// cancellation and drain state. The reader inserts an id before
+/// admission; the writer retires it when it takes the terminal reply,
+/// before writing it (streamed `TuneShardPart` frames keep the entry
+/// alive), so a peer holding its reply never finds the request still in
+/// flight. The reader cancels what outlives its deadline; everything is
+/// cancelled when the peer or the socket goes; a draining connection
+/// waits for the ledger to empty.
+#[derive(Default)]
+struct Ledger {
+    inflight: Mutex<HashMap<u64, InFlight>>,
+    emptied: Condvar,
+}
+
+impl Ledger {
+    /// Record an admitted request; returns how many are now in flight.
+    fn admit(&self, corr: u64, cancel: CancelToken, deadline: Option<Instant>) -> u64 {
+        let mut inflight = self.inflight.lock();
+        inflight.insert(corr, (cancel, deadline));
+        inflight.len() as u64
+    }
+
+    fn retire(&self, corr: u64) {
+        let mut inflight = self.inflight.lock();
+        inflight.remove(&corr);
+        if inflight.is_empty() {
+            self.emptied.notify_all();
+        }
+    }
+
+    /// Cancel and forget everything in flight: nobody is left to read
+    /// the answers.
+    fn cancel_all(&self, metrics: &Metrics) {
+        let mut inflight = self.inflight.lock();
+        for (cancel, _) in inflight.values() {
+            cancel_once(cancel, metrics);
+        }
+        inflight.clear();
+        self.emptied.notify_all();
+    }
+
+    /// Block until nothing is in flight, cancelling requests as their
+    /// deadlines pass.
+    fn wait_empty(&self, metrics: &Metrics) {
+        let mut inflight = self.inflight.lock();
+        while !inflight.is_empty() {
+            self.emptied.wait_for(&mut inflight, POLL);
+            expire_deadlines(&inflight, metrics);
+        }
+    }
+}
+
+/// Cancel every in-flight request whose deadline has passed.
+fn expire_deadlines(inflight: &HashMap<u64, InFlight>, metrics: &Metrics) {
+    let now = Instant::now();
+    for (cancel, deadline) in inflight.values() {
+        if deadline.is_some_and(|d| now >= d) {
+            cancel_once(cancel, metrics);
+        }
+    }
+}
+
+/// Cancel a request, counting it in `Stats.cancelled` the first time.
+fn cancel_once(cancel: &CancelToken, metrics: &Metrics) {
+    if !cancel.is_cancelled() {
+        metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+        cancel.cancel();
+    }
+}
+
+/// Why a connection's reader stopped before a whole frame arrived.
 enum ReadStop {
-    /// Peer closed cleanly at a frame boundary.
-    Closed,
-    /// Server is draining (or the peer stalled mid-frame during it).
+    /// The server is draining.
     Shutdown,
-    /// Framing/decoding failure (reported to the peer, then closed).
-    Protocol(WireError),
+    /// The peer hung up ([`WireError::Closed`]) or broke the framing.
+    Wire(WireError),
 }
 
-/// Read one frame, polling the shutdown flag between read timeouts so
-/// idle connections exit promptly during a drain.
-fn read_frame_polling(stream: &mut TcpStream, shared: &Shared) -> Result<Vec<u8>, ReadStop> {
-    use std::io::Read as _;
-
-    let mut header = [0u8; 4];
-    let mut have = 0usize;
-    // (buf, filled, total length): buf grows by READ_CHUNK steps as
-    // bytes actually land — a length prefix alone never commits the
-    // memory it claims (see `protocol::read_frame`).
-    let mut payload: Option<(Vec<u8>, usize, usize)> = None;
-    loop {
-        if shared.is_shutdown() {
-            return Err(ReadStop::Shutdown);
-        }
-        let in_header = payload.is_none();
-        let (read, filled, expected) = match &mut payload {
-            None => (stream.read(&mut header[have..]), &mut have, 4),
-            Some((b, f, len)) => {
-                if *f == b.len() {
-                    let grow = (*len).min(*f + READ_CHUNK);
-                    b.resize(grow, 0);
-                }
-                let len = *len;
-                (stream.read(&mut b[*f..]), f, len)
-            }
-        };
-        match read {
-            Ok(0) => {
-                return if in_header && *filled == 0 {
-                    Err(ReadStop::Closed)
-                } else {
-                    Err(ReadStop::Protocol(WireError::Truncated {
-                        expected,
-                        got: *filled,
-                    }))
-                };
-            }
-            Ok(n) => {
-                *filled += n;
-                if *filled == expected {
-                    match payload.take() {
-                        None => {
-                            let len = u32::from_be_bytes(header) as usize;
-                            if len > shared.config.max_frame {
-                                return Err(ReadStop::Protocol(WireError::Oversized {
-                                    len,
-                                    max: shared.config.max_frame,
-                                }));
-                            }
-                            // A zero-length payload is complete already.
-                            if len == 0 {
-                                return Ok(Vec::new());
-                            }
-                            payload = Some((vec![0u8; len.min(READ_CHUNK)], 0, len));
-                        }
-                        Some((buf, _, _)) => return Ok(buf),
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue; // poll the shutdown flag, then retry
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ReadStop::Protocol(WireError::Io(e))),
-        }
+impl From<WireError> for ReadStop {
+    fn from(e: WireError) -> ReadStop {
+        ReadStop::Wire(e)
     }
 }
 
-/// Is the peer's read half gone? (Non-blocking 1-byte peek: `Ok(0)`
-/// means orderly shutdown from the other side.)
-fn peer_gone(stream: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    let _ = stream.set_nonblocking(true);
-    let gone = matches!(stream.peek(&mut probe), Ok(0));
-    let _ = stream.set_nonblocking(false);
-    gone
-}
-
-/// Write one response in the encoding of the request that provoked it:
-/// a binary-framed request gets a binary reply carrying its
-/// correlation id, a JSON request gets classic JSON. Blocking
-/// connections never mix encodings within one request/reply exchange.
-fn write_reply(
-    stream: &mut impl std::io::Write,
-    corr: u64,
-    resp: &Response,
-    binary: bool,
-) -> std::io::Result<()> {
-    if binary {
-        write_frame(stream, &encode_response_binary(corr, resp))
-    } else {
-        write_response(stream, resp)
-    }
-}
-
-/// Wait for the worker's reply while watching the deadline and the
-/// socket. Streamed [`Response::TuneShardPart`] frames are forwarded
-/// to the peer as they arrive; the loop keeps waiting for the terminal
-/// response. Returns `None` when the client disconnected (nobody left
-/// to reply to); the worker's eventual send then fails harmlessly.
-fn wait_for_reply(
-    stream: &TcpStream,
-    rx: &mpsc::Receiver<(u64, Response)>,
-    deadline: Option<Instant>,
-    cancel: &CancelToken,
-    shared: &Shared,
-    binary: bool,
-) -> Option<Response> {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok((corr, part @ Response::TuneShardPart(_))) => {
-                // `&TcpStream` is `Write`; the terminal reply is
-                // written by this same thread after the loop, so part
-                // and terminal frames never interleave.
-                let mut w = stream;
-                if write_reply(&mut w, corr, &part, binary).is_err() {
-                    if !cancel.is_cancelled() {
-                        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                        cancel.cancel();
-                    }
-                    return None;
-                }
-            }
-            Ok((_, resp)) => return Some(resp),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d && !cancel.is_cancelled() {
-                        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                        cancel.cancel();
-                    }
-                }
-                if peer_gone(stream) {
-                    if !cancel.is_cancelled() {
-                        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                        cancel.cancel();
-                    }
-                    return None;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Some(Response::Failed(FailReply {
-                    kind: "internal".to_string(),
-                    error: "worker dropped the request".to_string(),
-                }))
-            }
-        }
-    }
-}
-
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+/// Serve one accepted connection. This thread reads frames, answers
+/// inline requests and admits work; a writer thread
+/// ([`connection_writer`]) owns the socket's write half.
+///
+/// A connection starts with one request in flight: the reader holds
+/// each frame until the previous request's reply is on its way, so
+/// replies keep request order, which is all a JSON peer (no correlation
+/// id) can match on. A `Hello` that negotiates pipelining lifts the
+/// limit: requests are admitted as fast as they arrive and answered in
+/// completion order, matched by the correlation id in each envelope.
+///
+/// When the peer hangs up or breaks the framing, everything still in
+/// flight is cancelled; when the server drains, the connection stops
+/// reading and lingers until every admitted request's reply is written.
+fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
+    let _ = stream.set_read_timeout(Some(POLL));
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
+    let (tx, rx) = mpsc::channel::<Outbound>();
+    let ledger = Arc::new(Ledger::default());
+    let writer = {
+        let ledger = Arc::clone(&ledger);
+        let shared = Arc::clone(shared);
+        std::thread::Builder::new()
+            .name("fm-serve-conn-writer".to_string())
+            .spawn(move || connection_writer(&shared, write_half, &rx, &ledger))
+            .expect("spawn connection writer")
+    };
 
-    loop {
-        let payload = match read_frame_polling(&mut stream, shared) {
-            Ok(p) => p,
-            Err(ReadStop::Closed) | Err(ReadStop::Shutdown) => return,
-            Err(ReadStop::Protocol(e)) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Failed(FailReply {
-                        kind: "protocol".to_string(),
-                        error: e.to_string(),
-                    }),
-                );
-                return; // framing state is unrecoverable; close
-            }
+    let metrics = &shared.metrics;
+    let mut pipelined = false;
+    let draining = loop {
+        let frame = read_frame_polled(&mut stream, shared.config.max_frame, |_| {
+            expire_deadlines(&ledger.inflight.lock(), metrics);
+            shared.is_shutdown().then_some(ReadStop::Shutdown)
+        });
+        let decoded = match frame {
+            Ok(payload) => decode_request_any(&payload).map_err(|e| (corr_of(&payload), e)),
+            // Server-wide drain: stop reading, but deliver every
+            // admitted reply before closing.
+            Err(ReadStop::Shutdown) => break true,
+            Err(ReadStop::Wire(WireError::Closed)) => break false,
+            Err(ReadStop::Wire(e)) => Err((0, e)),
         };
-        let (corr, request, was_binary) = match decode_request_any(&payload) {
+        if !pipelined {
+            ledger.wait_empty(metrics);
+        }
+        let (corr, request, was_binary) = match decoded {
             Ok(t) => t,
-            Err(e) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Failed(FailReply {
+            Err((corr, e)) => {
+                // The framing state is unrecoverable: answer, then
+                // close. A frame that did not decode has no trusted
+                // encoding, so unless the connection negotiated binary
+                // the answer is JSON, which every peer reads.
+                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(Outbound {
+                    corr,
+                    binary: pipelined,
+                    resp: Response::Failed(FailReply {
                         kind: "protocol".to_string(),
                         error: e.to_string(),
                     }),
-                );
-                return;
+                });
+                break false;
             }
         };
         if was_binary {
-            shared
-                .metrics
-                .binary_requests
-                .fetch_add(1, Ordering::Relaxed);
+            metrics.binary_requests.fetch_add(1, Ordering::Relaxed);
         } else {
-            shared.metrics.json_requests.fetch_add(1, Ordering::Relaxed);
+            metrics.json_requests.fetch_add(1, Ordering::Relaxed);
         }
+        let reply = Reply {
+            corr,
+            binary: pipelined || was_binary,
+            tx: tx.clone(),
+        };
 
-        match request {
+        let sent = match request {
             // Version negotiation: meet the client at the highest
             // version both sides speak. Pipelining needs the binary
             // envelope (correlation ids live in its header), so a
             // pipeline request only sticks when a binary version was
-            // agreed.
+            // agreed. A repeated Hello on a pipelined connection is
+            // just re-acked.
             Request::Hello(h) => {
                 let version = h.max_version.min(PROTOCOL_BINARY_VERSION);
                 let pipeline = h.pipeline && version > 0;
-                let ack = Response::HelloAck(HelloAckReply { version, pipeline });
-                if write_reply(&mut stream, corr, &ack, was_binary).is_err() {
-                    return;
+                if !pipelined && version > 0 {
+                    metrics.binary_connections.fetch_add(1, Ordering::Relaxed);
                 }
-                if version > 0 {
-                    shared
-                        .metrics
-                        .binary_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if pipeline {
-                    pipelined_connection(shared, stream);
-                    return;
-                }
+                pipelined |= pipeline;
+                reply.send(Response::HelloAck(HelloAckReply { version, pipeline }))
             }
             Request::Ping => {
-                let ep = &shared.metrics.ping;
+                let ep = &metrics.ping;
                 ep.received.fetch_add(1, Ordering::Relaxed);
                 ep.completed.fetch_add(1, Ordering::Relaxed);
-                if write_reply(&mut stream, corr, &Response::Pong, was_binary).is_err() {
-                    return;
-                }
+                reply.send(Response::Pong)
             }
             // Stats bypasses admission entirely: it must answer even —
             // especially — when the queue is full.
             Request::Stats => {
                 let t0 = Instant::now();
-                let ep = &shared.metrics.stats;
+                let ep = &metrics.stats;
                 ep.received.fetch_add(1, Ordering::Relaxed);
-                let snap = shared.metrics.snapshot(shared.config.queue_capacity);
+                let snap = metrics.snapshot(shared.config.queue_capacity);
                 ep.completed.fetch_add(1, Ordering::Relaxed);
                 ep.latency.record(t0.elapsed());
-                let resp = Response::Stats(Box::new(snap));
-                if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                    return;
-                }
+                reply.send(Response::Stats(Box::new(snap)))
             }
-            Request::ShardJoin(j) => {
-                let resp = membership_change(shared, &j.addr, true);
-                if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                    return;
-                }
-            }
-            Request::ShardLeave(l) => {
-                let resp = membership_change(shared, &l.addr, false);
-                if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                    return;
-                }
-            }
+            Request::ShardJoin(j) => reply.send(membership_change(shared, &j.addr, true)),
+            Request::ShardLeave(l) => reply.send(membership_change(shared, &l.addr, false)),
             Request::Shutdown => {
-                let _ = write_reply(&mut stream, corr, &Response::ShuttingDown, was_binary);
+                reply.send(Response::ShuttingDown);
                 shared.begin_shutdown();
-                return;
+                break true;
             }
             work @ (Request::Tune(_)
             | Request::TuneShard(_)
@@ -769,58 +728,70 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             | Request::SessionEdit(_)
             | Request::SessionTune(_)
             | Request::SessionClose(_)) => {
-                let endpoint = shared.metrics.endpoint(work.endpoint());
+                let endpoint = metrics.endpoint(work.endpoint());
                 endpoint.received.fetch_add(1, Ordering::Relaxed);
                 if shared.is_shutdown() {
-                    let _ = write_response(&mut stream, &Response::ShuttingDown);
-                    return;
+                    reply.send(Response::ShuttingDown);
+                    break true;
                 }
-                let accepted = Instant::now();
-                let deadline = work_deadline_ms(&work, shared.config.default_deadline_ms)
-                    .map(|ms| accepted + Duration::from_millis(ms));
-                let cancel = CancelToken::new();
-                let fingerprint = match &work {
-                    Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
-                    _ => None,
-                };
-                let (tx, rx) = mpsc::channel::<(u64, Response)>();
-                let job = Job {
-                    request: work,
-                    accepted,
-                    deadline,
-                    cancel: cancel.clone(),
-                    fingerprint,
-                    reply: Reply { corr, tx },
-                };
-                if shared.try_admit(job) {
-                    match wait_for_reply(&stream, &rx, deadline, &cancel, shared, was_binary) {
-                        Some(resp) => {
-                            if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                                return;
-                            }
-                        }
-                        None => return, // client gone; close
-                    }
-                } else {
-                    shared
-                        .metrics
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = if shared.is_shutdown() {
-                        Response::ShuttingDown
-                    } else {
-                        Response::Busy(BusyReply {
-                            queue_depth: shared.config.queue_capacity as u64,
-                            queue_capacity: shared.config.queue_capacity as u64,
-                        })
-                    };
-                    if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                        return;
-                    }
-                }
+                admit(shared, &ledger, work, reply)
             }
+        };
+        if !sent {
+            break false;
         }
+    };
+
+    if draining {
+        ledger.wait_empty(metrics);
+    } else {
+        ledger.cancel_all(metrics);
     }
+    drop(tx); // the writer's recv() disconnects once workers finish
+    let _ = writer.join();
+}
+
+/// Admit one work request: enter it in the connection's ledger and the
+/// queue, or answer `Busy` (`ShuttingDown` once the queue has closed)
+/// without buffering it. `false` means the writer is gone.
+fn admit(shared: &Shared, ledger: &Ledger, work: Request, reply: Reply) -> bool {
+    let accepted = Instant::now();
+    let deadline = work_deadline_ms(&work, shared.config.default_deadline_ms)
+        .map(|ms| accepted + Duration::from_millis(ms));
+    let cancel = CancelToken::new();
+    let fingerprint = match &work {
+        Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
+        _ => None,
+    };
+    let depth = ledger.admit(reply.corr, cancel.clone(), deadline);
+    shared
+        .metrics
+        .inflight_peak
+        .fetch_max(depth, Ordering::Relaxed);
+    let job = Job {
+        request: work,
+        accepted,
+        deadline,
+        cancel,
+        fingerprint,
+        reply: reply.clone(),
+    };
+    if shared.try_admit(job) {
+        return true;
+    }
+    ledger.retire(reply.corr);
+    shared
+        .metrics
+        .busy_rejections
+        .fetch_add(1, Ordering::Relaxed);
+    reply.send(if shared.is_shutdown() {
+        Response::ShuttingDown
+    } else {
+        Response::Busy(BusyReply {
+            queue_depth: shared.config.queue_capacity as u64,
+            queue_capacity: shared.config.queue_capacity as u64,
+        })
+    })
 }
 
 /// The effective deadline for a work request: its own `deadline_ms` if
@@ -839,224 +810,6 @@ fn work_deadline_ms(work: &Request, default_ms: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Pipelined mode, entered when `Hello` negotiates `pipeline = true`.
-///
-/// The connection splits in two: this thread keeps reading frames and
-/// admitting them (so many requests are in flight at once), and a
-/// dedicated writer thread owns the socket's write half, matching
-/// completions back by the correlation id each binary envelope
-/// carries. Replies arrive in *completion* order, not request order.
-///
-/// In-flight requests live in a corr → [`CancelToken`] map shared with
-/// the writer: the reader inserts before admission, the writer removes
-/// when the terminal reply is queued (streamed `TuneShardPart` frames
-/// keep the entry alive). The map is the connection's drain ledger —
-/// on a client disconnect every live token is cancelled; on `Shutdown`
-/// the connection lingers until the map empties so every admitted
-/// request's reply is actually written before the socket closes.
-fn pipelined_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<(u64, Response)>();
-    let inflight: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::new(Mutex::new(HashMap::new()));
-    let writer = {
-        let inflight = Arc::clone(&inflight);
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("fm-serve-pipe-writer".to_string())
-            .spawn(move || pipelined_writer(&shared, write_half, &rx, &inflight))
-            .expect("spawn pipeline writer")
-    };
-
-    let mut draining = false;
-    loop {
-        let payload = match read_frame_polling(&mut stream, shared) {
-            Ok(p) => p,
-            Err(ReadStop::Closed) => break,
-            Err(ReadStop::Shutdown) => {
-                // Server-wide drain: stop reading, but deliver every
-                // admitted reply before closing.
-                draining = true;
-                break;
-            }
-            Err(ReadStop::Protocol(e)) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((
-                    0,
-                    Response::Failed(FailReply {
-                        kind: "protocol".to_string(),
-                        error: e.to_string(),
-                    }),
-                ));
-                break;
-            }
-        };
-        let (corr, request, was_binary) = match decode_request_any(&payload) {
-            Ok(t) => t,
-            Err(e) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((
-                    corr_of(&payload),
-                    Response::Failed(FailReply {
-                        kind: "protocol".to_string(),
-                        error: e.to_string(),
-                    }),
-                ));
-                break;
-            }
-        };
-        if was_binary {
-            shared
-                .metrics
-                .binary_requests
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.metrics.json_requests.fetch_add(1, Ordering::Relaxed);
-        }
-
-        match request {
-            // A repeated Hello mid-stream is just re-acked; the
-            // connection already committed to binary + pipelining.
-            Request::Hello(h) => {
-                let version = h.max_version.min(PROTOCOL_BINARY_VERSION);
-                let ack = Response::HelloAck(HelloAckReply {
-                    version,
-                    pipeline: h.pipeline && version > 0,
-                });
-                if tx.send((corr, ack)).is_err() {
-                    break;
-                }
-            }
-            Request::Ping => {
-                let ep = &shared.metrics.ping;
-                ep.received.fetch_add(1, Ordering::Relaxed);
-                ep.completed.fetch_add(1, Ordering::Relaxed);
-                if tx.send((corr, Response::Pong)).is_err() {
-                    break;
-                }
-            }
-            Request::Stats => {
-                let t0 = Instant::now();
-                let ep = &shared.metrics.stats;
-                ep.received.fetch_add(1, Ordering::Relaxed);
-                let snap = shared.metrics.snapshot(shared.config.queue_capacity);
-                ep.completed.fetch_add(1, Ordering::Relaxed);
-                ep.latency.record(t0.elapsed());
-                if tx.send((corr, Response::Stats(Box::new(snap)))).is_err() {
-                    break;
-                }
-            }
-            Request::ShardJoin(j) => {
-                let resp = membership_change(shared, &j.addr, true);
-                if tx.send((corr, resp)).is_err() {
-                    break;
-                }
-            }
-            Request::ShardLeave(l) => {
-                let resp = membership_change(shared, &l.addr, false);
-                if tx.send((corr, resp)).is_err() {
-                    break;
-                }
-            }
-            Request::Shutdown => {
-                let _ = tx.send((corr, Response::ShuttingDown));
-                shared.begin_shutdown();
-                draining = true;
-                break;
-            }
-            work @ (Request::Tune(_)
-            | Request::TuneShard(_)
-            | Request::Evaluate(_)
-            | Request::Simulate(_)
-            | Request::SessionOpen(_)
-            | Request::SessionEdit(_)
-            | Request::SessionTune(_)
-            | Request::SessionClose(_)) => {
-                let endpoint = shared.metrics.endpoint(work.endpoint());
-                endpoint.received.fetch_add(1, Ordering::Relaxed);
-                if shared.is_shutdown() {
-                    let _ = tx.send((corr, Response::ShuttingDown));
-                    draining = true;
-                    break;
-                }
-                let accepted = Instant::now();
-                let deadline = work_deadline_ms(&work, shared.config.default_deadline_ms)
-                    .map(|ms| accepted + Duration::from_millis(ms));
-                let cancel = CancelToken::new();
-                let fingerprint = match &work {
-                    Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
-                    _ => None,
-                };
-                let depth = {
-                    let mut map = inflight.lock();
-                    map.insert(corr, cancel.clone());
-                    map.len() as u64
-                };
-                shared
-                    .metrics
-                    .inflight_peak
-                    .fetch_max(depth, Ordering::Relaxed);
-                let job = Job {
-                    request: work,
-                    accepted,
-                    deadline,
-                    cancel,
-                    fingerprint,
-                    reply: Reply {
-                        corr,
-                        tx: tx.clone(),
-                    },
-                };
-                if !shared.try_admit(job) {
-                    inflight.lock().remove(&corr);
-                    shared
-                        .metrics
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = if shared.is_shutdown() {
-                        Response::ShuttingDown
-                    } else {
-                        Response::Busy(BusyReply {
-                            queue_depth: shared.config.queue_capacity as u64,
-                            queue_capacity: shared.config.queue_capacity as u64,
-                        })
-                    };
-                    if tx.send((corr, resp)).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    if draining {
-        // Wait for the writer to deliver every admitted reply. The
-        // writer empties the map itself if the socket dies, so this
-        // cannot wait on a dead connection.
-        while !inflight.lock().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    } else {
-        // Client is gone: stop burning cores on answers nobody reads.
-        let mut map = inflight.lock();
-        for (_, cancel) in map.drain() {
-            if !cancel.is_cancelled() {
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                cancel.cancel();
-            }
-        }
-    }
-    drop(tx); // writer's recv() disconnects once workers finish
-    let _ = writer.join();
-}
-
 /// Best-effort correlation id of a frame that failed to decode, so the
 /// protocol error lands on the right in-flight request when possible.
 fn corr_of(payload: &[u8]) -> u64 {
@@ -1068,76 +821,53 @@ fn corr_of(payload: &[u8]) -> u64 {
     }
 }
 
-/// The write half of a pipelined connection: sole owner of outbound
-/// frames. Bursts of completions are coalesced — every message already
-/// sitting in the channel is queued into one `BufWriter`, then flushed
-/// together — so N small replies cost one syscall, not N.
-fn pipelined_writer(
+/// The write half of a connection: sole owner of outbound frames.
+/// Bursts of completions are coalesced — every message already sitting
+/// in the channel is queued into one `BufWriter`, then flushed together
+/// — so N small replies cost one syscall, not N.
+fn connection_writer(
     shared: &Shared,
     stream: TcpStream,
-    rx: &mpsc::Receiver<(u64, Response)>,
-    inflight: &Mutex<HashMap<u64, CancelToken>>,
+    rx: &mpsc::Receiver<Outbound>,
+    ledger: &Ledger,
 ) {
     use std::io::Write as _;
     let mut w = std::io::BufWriter::with_capacity(64 << 10, &stream);
-    loop {
-        let (corr, resp) = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => {
-                // All senders gone: reader exited and every worker
-                // reply is delivered. Final flush, then done.
-                let _ = w.flush();
-                return;
-            }
-        };
-        let mut ok = write_one(&mut w, corr, &resp, inflight);
+    // The channel disconnects once the reader has exited and every
+    // worker reply is delivered.
+    while let Ok(out) = rx.recv() {
+        let mut ok = write_one(&mut w, &out, ledger);
         while ok {
             match rx.try_recv() {
-                Ok((corr, resp)) => ok = write_one(&mut w, corr, &resp, inflight),
+                Ok(out) => ok = write_one(&mut w, &out, ledger),
                 Err(_) => break,
             }
         }
         if !ok || w.flush().is_err() {
-            abort_pipeline(shared, &stream, inflight);
+            // The socket died: cancel everything in flight (which also
+            // frees a reader waiting for the ledger to empty), and slam
+            // the read half so the reader wakes promptly.
+            ledger.cancel_all(&shared.metrics);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
             return;
         }
     }
+    let _ = w.flush();
 }
 
-/// Queue one reply frame (no flush) and retire its correlation id —
-/// unless it is a streamed part, which keeps the request in flight.
-fn write_one(
-    w: &mut impl std::io::Write,
-    corr: u64,
-    resp: &Response,
-    inflight: &Mutex<HashMap<u64, CancelToken>>,
-) -> bool {
-    if queue_frame(w, &encode_response_binary(corr, resp)).is_err() {
-        return false;
+/// Retire the reply's correlation id — unless it is a streamed part,
+/// which keeps the request in flight — and queue its frame (no flush)
+/// in the encoding of the request it answers.
+fn write_one(w: &mut impl std::io::Write, out: &Outbound, ledger: &Ledger) -> bool {
+    if !matches!(out.resp, Response::TuneShardPart(_)) {
+        ledger.retire(out.corr);
     }
-    if !matches!(resp, Response::TuneShardPart(_)) {
-        inflight.lock().remove(&corr);
-    }
-    true
-}
-
-/// The socket died under the writer: cancel everything still in
-/// flight, empty the ledger (so a draining reader can't wait forever),
-/// and slam the read half so the reader wakes promptly.
-fn abort_pipeline(
-    shared: &Shared,
-    stream: &TcpStream,
-    inflight: &Mutex<HashMap<u64, CancelToken>>,
-) {
-    let mut map = inflight.lock();
-    for (_, cancel) in map.drain() {
-        if !cancel.is_cancelled() {
-            shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            cancel.cancel();
-        }
-    }
-    drop(map);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let payload = if out.binary {
+        encode_response_binary(out.corr, &out.resp)
+    } else {
+        encode_response(&out.resp)
+    };
+    queue_frame(w, &payload).is_ok()
 }
 
 fn worker_main(shared: &Arc<Shared>) {
@@ -1245,8 +975,8 @@ fn worker_main(shared: &Arc<Shared>) {
                 waiter.reply.send(response.clone());
             }
         }
-        // The connection thread may have left (disconnect) — then the
-        // send fails and the result is simply dropped.
+        // The connection may be gone (disconnect) — then the send
+        // fails and the result is simply dropped.
         reply.send(response);
     }
 }
@@ -1560,13 +1290,14 @@ fn straggle(
 ///
 /// With `stream_every = Some(k)`, the range is evaluated in chunks of
 /// `k` and each finished chunk is announced with a sealed
-/// [`Response::TuneShardPart`] through `reply` (the connection thread
-/// forwards it to the socket). Chunks are evaluated in ascending index
-/// order and each part carries the chunk-local first minimum, so the
-/// coordinator's ascending strict-`<` fold over parts reproduces the
-/// flat scan's first minimum exactly. The terminal reply still covers
-/// the whole range — an interrupted range answers incomplete, but
-/// every part already emitted stands on its own.
+/// [`Response::TuneShardPart`] through `reply` (the connection's writer
+/// sends it as it arrives); without, the whole range is one chunk.
+/// Chunks are evaluated in ascending index order and each part carries
+/// the chunk-local first minimum, so the coordinator's ascending
+/// strict-`<` fold over parts reproduces the flat scan's first minimum
+/// exactly. The terminal reply still covers the whole range — an
+/// interrupted range answers incomplete, with the best of its finished
+/// chunks only, but every part already emitted stands on its own.
 fn exec_tune_shard(
     shared: &Shared,
     req: TuneShardRequest,
@@ -1596,7 +1327,10 @@ fn exec_tune_shard(
         .collect();
     let count = candidates.len() as u64;
     let straggle_ms = shared.config.straggle_ms_per_candidate.unwrap_or(0);
-    let chunk = stream_every.unwrap_or(0) as usize;
+    // A blocking request is one chunk covering the whole range, and its
+    // part is not sent: the terminal reply says the same.
+    let stream = stream_every.filter(|&k| k > 0);
+    let chunk = stream.map_or(candidates.len(), |k| k as usize);
 
     let run_slice = |slice: &[MappingCandidate]| {
         let mut budget = Budget::unlimited();
@@ -1622,31 +1356,6 @@ fn exec_tune_shard(
         })
     };
 
-    if chunk == 0 {
-        // Classic blocking path: one tune, one reply.
-        if straggle_ms > 0 && !straggle(straggle_ms, count, cancel, deadline) {
-            let body = TuneShardBody {
-                start_index,
-                count,
-                evaluated: 0,
-                cancelled: true,
-                best: None,
-            };
-            return Response::TuneSharded(TuneShardReply::seal(epoch, body));
-        }
-        let report = run_slice(&candidates);
-        let body = TuneShardBody {
-            start_index,
-            count,
-            evaluated: report.evaluated as u64,
-            cancelled: report.cancelled,
-            best: slice_best(0, report),
-        };
-        return Response::TuneSharded(TuneShardReply::seal(epoch, body));
-    }
-
-    // Streaming path: chunked sweep, one sealed part per finished
-    // chunk, then the terminal reply.
     let mut evaluated = 0u64;
     let mut cancelled = false;
     let mut best: Option<ShardBest> = None;
@@ -1674,24 +1383,26 @@ fn exec_tune_shard(
             (None, Some(_)) => best = chunk_best.clone(),
             _ => {}
         }
-        let part = TuneShardPart::seal(
-            epoch,
-            TuneShardPartBody {
-                start_index: start_index + lo as u64,
-                count: n,
-                best: chunk_best,
-            },
-        );
-        shared
-            .metrics
-            .tune_shard_parts
-            .fetch_add(1, Ordering::Relaxed);
-        if !reply.send(Response::TuneShardPart(part)) {
-            // Connection thread is gone: nobody will read further
-            // frames. Stop burning cores.
-            cancel.cancel();
-            cancelled = true;
-            break;
+        if stream.is_some() {
+            let part = TuneShardPart::seal(
+                epoch,
+                TuneShardPartBody {
+                    start_index: start_index + lo as u64,
+                    count: n,
+                    best: chunk_best,
+                },
+            );
+            shared
+                .metrics
+                .tune_shard_parts
+                .fetch_add(1, Ordering::Relaxed);
+            if !reply.send(Response::TuneShardPart(part)) {
+                // The connection is gone: nobody will read further
+                // frames. Stop burning cores.
+                cancel.cancel();
+                cancelled = true;
+                break;
+            }
         }
         lo = hi;
     }

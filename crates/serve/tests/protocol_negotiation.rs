@@ -5,6 +5,7 @@
 //! batching choice ever changes an answer*, only how fast it arrives.
 
 use std::net::TcpListener;
+use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
@@ -20,6 +21,7 @@ use fm_serve::protocol::{
     decode_request, read_frame, write_response, FailReply, Request, Response, TuneRequest,
     WireCandidate, DEFAULT_MAX_FRAME,
 };
+use fm_serve::protocol::{decode_response, encode_response, write_request};
 use fm_serve::server::{Server, ServerConfig};
 use fm_serve::Client;
 
@@ -372,4 +374,42 @@ fn shutdown_drains_pipelined_inflight_replies() {
     // Give the listener a beat, then confirm the server really exited.
     server.join();
     thread::sleep(Duration::from_millis(10));
+}
+
+/// A connection that never negotiated keeps one request in flight: a
+/// Ping written right behind a running Tune waits for it, and both
+/// replies come back as JSON, in request order — the only order a
+/// client without correlation ids can match.
+#[test]
+fn unnegotiated_connection_answers_json_in_request_order() {
+    let graph = wide(48);
+    let machine = MachineConfig::linear(8);
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    write_request(
+        &mut stream,
+        &Request::Tune(tune_request(&graph, &machine, 24)),
+    )
+    .unwrap();
+    write_request(&mut stream, &Request::Ping).unwrap();
+
+    let first = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    let second = read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+    match decode_response(&first) {
+        Ok(Response::Tuned(r)) => assert_same_winner(
+            &r.best.expect("winner over JSON"),
+            &direct_winner(&graph, &machine, 24),
+        ),
+        other => panic!("expected Tuned before Pong, got {other:?}"),
+    }
+    assert_eq!(
+        second,
+        encode_response(&Response::Pong),
+        "the Ping is answered second, in JSON"
+    );
+    server.shutdown_and_join();
 }

@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use fm_autotune::Refinement;
 use fm_autotune::Tuner;
 use fm_core::affine::IdxExpr;
 use fm_core::cost::Evaluator;
@@ -387,4 +388,44 @@ fn named_backends_rank_like_their_direct_evaluators() {
             row.model
         );
     }
+}
+
+/// One deadline rule on every connection: a pipelined `Tune` still
+/// executing when its deadline passes is cancelled by the connection
+/// that admitted it and counted in `Stats.cancelled`. The candidate
+/// sweep is tiny; the refinement after it does not poll the cancel
+/// token, so the tune keeps running well past its deadline.
+#[test]
+fn pipelined_tune_running_past_its_deadline_is_counted_cancelled() {
+    const DEADLINE_MS: u64 = 20;
+    let graph = wide(2);
+    let machine = MachineConfig::linear(8);
+    let handle = start(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    assert!(client.is_pipelined());
+
+    // Debug builds re-check every annealing move against a full
+    // re-evaluation, about 100x the release cost of a move, so the
+    // chain is sized per profile to run a few hundred ms in either.
+    let iters = if cfg!(debug_assertions) {
+        10_000
+    } else {
+        1_000_000
+    };
+    let mut req = tune_request(&graph, &machine, 4, Some(DEADLINE_MS));
+    req.refinement = Some(Refinement {
+        chains: 1,
+        iters,
+        seed: 7,
+    });
+    let reply = client.tune(req).unwrap();
+    assert!(reply.best.is_some());
+    assert!(
+        reply.wall_ms > 4.0 * DEADLINE_MS as f64,
+        "the refinement must outlast the deadline (ran {:.1} ms)",
+        reply.wall_ms
+    );
+
+    let stats = handle.shutdown_and_join();
+    assert_eq!(stats.cancelled, 1, "the expired tune is counted once");
 }
