@@ -32,6 +32,15 @@ cargo test -q -p fm-core -- flat::
 cargo test -q --test proptests flat_delta_and_reference
 cargo test -q --test alloc_regression
 
+echo "== flat- and incremental-engine parity in release =="
+# The same parity checks where the optimiser runs: these tests compare
+# the flat, anneal and session engines against the reference path
+# explicitly (off-grid and negative-time verdicts included), so they
+# hold bit parity in release builds too, not only under
+# debug_assertions.
+cargo test --release -q -p fm-core -- flat:: delta::
+cargo test --release -q --test proptests -- flat_delta_and_reference incremental flat_verdicts
+
 echo "== table smoke runs (--quick) =="
 cargo run --release -q -p fm-bench --bin table_e4_fft_search -- --quick >/dev/null
 cargo run --release -q -p fm-bench --bin table_e8_default_mapper -- --quick >/dev/null

@@ -16,8 +16,8 @@ use fm_core::machine::MachineConfig;
 use fm_core::mapping::ResolvedMapping;
 use fm_core::mutate::AppliedEdit;
 use fm_core::search::{
-    anneal, assemble_outcome, default_mapper, CandidateEval, FigureOfMerit, MappingCandidate,
-    SearchOutcome,
+    anneal_until, assemble_outcome, default_mapper, AnnealBackend, CandidateEval, FigureOfMerit,
+    MappingCandidate, SearchOutcome,
 };
 use fm_workspan::{par_map, par_map_until_cancel, ThreadPool};
 
@@ -54,8 +54,9 @@ pub struct Budget {
 /// watchdog, a disconnect detector). The tuner checks it **between
 /// candidate evaluations** — before each candidate starts on the serial
 /// path, and via [`fm_workspan::par_map_until_cancel`]'s pre-check on
-/// the parallel path — so a cancelled tune stops burning cores promptly
-/// and returns a well-formed partial [`TuneReport`] (with
+/// the parallel path — and before every annealing move of a
+/// refinement, so a cancelled tune stops burning cores promptly and
+/// returns a well-formed partial [`TuneReport`] (with
 /// [`TuneReport::cancelled`] set) instead of running its budget out.
 ///
 /// Cancellation is a one-way latch: there is no reset. Build a fresh
@@ -240,7 +241,8 @@ pub struct TuneReport {
     /// Whether a [`CancelToken`] aborted the run early. The report is
     /// still well-formed: `outcome`/`trajectory`/`best` cover the
     /// prefix that was evaluated before the abort (refinement is
-    /// skipped and nothing is written to the cache).
+    /// skipped, or discarded if the abort interrupted it, and nothing
+    /// is written to the cache).
     pub cancelled: bool,
     /// Wall-clock time of the whole call.
     pub wall: Duration,
@@ -381,8 +383,9 @@ impl<'a> Tuner<'a> {
     }
 
     /// Abort early when `token` is cancelled (checked between candidate
-    /// evaluations). The tune then returns a partial report with
-    /// [`TuneReport::cancelled`] set; see [`CancelToken`].
+    /// evaluations and between refinement moves). The tune then returns
+    /// a partial report with [`TuneReport::cancelled`] set; see
+    /// [`CancelToken`].
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -560,7 +563,7 @@ impl<'a> Tuner<'a> {
         frontier: Frontier<'_>,
         cache: CacheStatus,
     ) -> TuneReport {
-        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        let mut cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
         let offered = candidates.len();
         let evaluated = evals.len();
         let best_idx = frontier.best_idx;
@@ -589,10 +592,11 @@ impl<'a> Tuner<'a> {
 
         // A cancelled run neither refines (more cores burned for a
         // result nobody wants) nor caches (the evaluated prefix is
-        // schedule-dependent, so its winner is not reproducible).
+        // schedule-dependent, so its winner is not reproducible). A
+        // refinement the token interrupts is discarded.
         if let Some(b) = best.as_mut() {
             if !cancelled {
-                self.refine(b);
+                cancelled = self.refine(b);
             }
         }
 
@@ -618,8 +622,10 @@ impl<'a> Tuner<'a> {
     /// merged from shard winners: refinement depends only on the winner
     /// and the seeds, so refining the merged winner here is bit-equal
     /// to refining the same winner inside a single-machine tune.
-    pub fn refine_winner(&self, best: &mut TunedMapping) {
-        self.refine(best);
+    /// Returns `true` when the tuner's [`CancelToken`] interrupted the
+    /// refinement; `best` is then left as it was.
+    pub fn refine_winner(&self, best: &mut TunedMapping) -> bool {
+        self.refine(best)
     }
 
     /// Multi-chain annealing around the winner: chain `k` anneals from
@@ -627,13 +633,20 @@ impl<'a> Tuner<'a> {
     /// chain (ties → lowest index) replaces the winner iff strictly
     /// better. Annealing never increases the storage-violation count,
     /// so a legal winner stays legal (which cache replay re-checks).
-    fn refine(&self, best: &mut TunedMapping) {
-        let Some(r) = self.refinement else { return };
+    /// Every chain polls the cancel token before each move; if any
+    /// chain is interrupted the whole refinement is discarded and this
+    /// returns `true`.
+    fn refine(&self, best: &mut TunedMapping) -> bool {
+        let Some(r) = self.refinement else {
+            return false;
+        };
         if r.chains == 0 || r.iters == 0 || self.graph.is_empty() {
-            return;
+            return false;
         }
+        let never = AtomicBool::new(false);
+        let cancel = self.cancel.as_ref().map_or(&never, CancelToken::as_atomic);
         let run = |k: usize| {
-            anneal(
+            anneal_until(
                 self.evaluator,
                 self.graph,
                 self.machine,
@@ -641,11 +654,16 @@ impl<'a> Tuner<'a> {
                 self.fom,
                 r.iters,
                 r.seed + k as u64,
+                AnnealBackend::Incremental,
+                cancel,
             )
         };
-        let chains = match self.pool {
-            Some(pool) => par_map(pool, r.chains, 1, run),
+        let chains: Option<Vec<_>> = match self.pool {
+            Some(pool) => par_map(pool, r.chains, 1, run).into_iter().collect(),
             None => (0..r.chains).map(run).collect(),
+        };
+        let Some(chains) = chains else {
+            return true;
         };
         let mut winner: Option<(usize, f64)> = None;
         for (k, (_, report)) in chains.iter().enumerate() {
@@ -663,6 +681,7 @@ impl<'a> Tuner<'a> {
                 best.score = score;
             }
         }
+        false
     }
 
     /// Is a cached mapping shaped for this graph and legal on this
@@ -1164,6 +1183,57 @@ mod tests {
         assert!(report.fell_back);
         let best = report.best.unwrap();
         assert!(check(&g, &best.resolved, &m).is_legal());
+    }
+
+    #[test]
+    fn cancel_mid_refinement_discards_it_and_reports_cancelled() {
+        // Independent nodes serialized on one PE: annealing spreads them
+        // and wins, so a discarded refinement is visible in the winner.
+        let g = wide(12);
+        let m = MachineConfig::n5(4, 3);
+        let ev = Evaluator::new(&g, &m);
+        let cands = vec![MappingCandidate::new("serial", Mapping::serial(&g))];
+        let fom = FigureOfMerit::Time;
+        let refine = |iters| Refinement {
+            chains: 1,
+            iters,
+            seed: 7,
+        };
+        let unrefined = Tuner::new(&ev, &g, &m, fom).tune(&cands).best.unwrap();
+        let refined = Tuner::new(&ev, &g, &m, fom)
+            .with_refinement(refine(200))
+            .tune(&cands)
+            .best
+            .unwrap();
+        assert!(refined.score < unrefined.score, "the problem refines");
+
+        // One chain sized per profile to run far past the cancel: debug
+        // builds re-check every move against a full re-evaluation.
+        let iters = if cfg!(debug_assertions) {
+            10_000
+        } else {
+            1_000_000
+        };
+        let token = CancelToken::new();
+        let t2 = token.clone();
+        let watchdog = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            t2.cancel();
+        });
+        let report = Tuner::new(&ev, &g, &m, fom)
+            .with_refinement(refine(iters))
+            .with_cancel(token)
+            .tune(&cands);
+        watchdog.join().unwrap();
+        assert!(
+            report.cancelled,
+            "an interrupted refinement reports cancelled"
+        );
+        assert_eq!(report.evaluated, 1, "the cancel landed after the search");
+        let best = report.best.unwrap();
+        assert_eq!(best.label, unrefined.label, "the refinement is discarded");
+        assert_eq!(best.score.to_bits(), unrefined.score.to_bits());
+        assert_eq!(best.resolved, unrefined.resolved);
     }
 
     #[test]

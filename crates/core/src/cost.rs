@@ -27,6 +27,14 @@
 //! simulator (`fm-grid`) executes the same program and must agree with
 //! this evaluator on energy exactly and on time up to NoC contention;
 //! integration tests assert both.
+//!
+//! [`Evaluator::evaluate`] charges through the flat engine
+//! ([`crate::flat::EvalContext`] holds the one node charge production
+//! code runs, and the incremental engines in [`crate::delta`] share
+//! it). [`Evaluator::evaluate_ref`] states the same rules directly and
+//! is kept as the oracle the engines are tested against; every engine
+//! sums through the fixed-shape [`CostTree`], whose shape is the bit
+//! contract.
 
 use std::collections::HashSet;
 
@@ -81,6 +89,11 @@ pub struct NodeCost {
 /// contiguous arrays instead of striding through 56-byte structs, and
 /// the tree can be reset in place with zero allocation once it has
 /// grown to a graph's size.
+///
+/// Any power-of-two capacity at or above the leaf count yields the same
+/// total bits (the extra zero subtrees add `0.0`), so leaves can be
+/// appended ([`CostTree::push`]) and removed ([`CostTree::remove`]) in
+/// place, re-folding only the paths above the slots that changed.
 #[derive(Debug, Clone, Default)]
 pub struct CostTree {
     cap: usize,
@@ -91,6 +104,45 @@ pub struct CostTree {
     onchip_messages: Vec<u64>,
     onchip_bits: Vec<u64>,
     onchip_bit_mm: Vec<f64>,
+}
+
+/// Apply one generic array operation to each of a tree's six field
+/// arrays.
+macro_rules! each_field {
+    ($tree:expr, $op:ident $(, $arg:expr)*) => {{
+        $op(&mut $tree.compute_fj $(, $arg)*);
+        $op(&mut $tree.compute_ops $(, $arg)*);
+        $op(&mut $tree.onchip_fj $(, $arg)*);
+        $op(&mut $tree.onchip_messages $(, $arg)*);
+        $op(&mut $tree.onchip_bits $(, $arg)*);
+        $op(&mut $tree.onchip_bit_mm $(, $arg)*);
+    }};
+}
+
+/// Zero `a` at length `n`.
+fn zeroed<T: Copy + Default>(a: &mut Vec<T>, n: usize) {
+    a.clear();
+    a.resize(n, T::default());
+}
+
+/// Combine children into parents over internal slots `lo..=hi`.
+fn fold<T: Copy + std::ops::Add<Output = T>>(a: &mut [T], lo: usize, hi: usize) {
+    for j in lo..=hi {
+        a[j] = a[2 * j] + a[2 * j + 1];
+    }
+}
+
+/// Move `len` leaves from capacity `old` to capacity `cap` (the new
+/// bottom level); internal slots are left for a refold.
+fn relayout<T: Copy + Default>(a: &mut Vec<T>, old: usize, cap: usize, len: usize) {
+    a.resize(2 * cap, T::default());
+    a.copy_within(old..old + len, cap);
+}
+
+/// Shift leaf slots `from + 1..end` down by one and zero slot `end - 1`.
+fn shift_down<T: Copy + Default>(a: &mut [T], from: usize, end: usize) {
+    a.copy_within(from + 1..end, from);
+    a[end - 1] = T::default();
 }
 
 impl CostTree {
@@ -115,20 +167,9 @@ impl CostTree {
     /// tree reused across evaluations is allocation-free in steady
     /// state.
     pub fn reset(&mut self, len: usize) {
-        let cap = len.next_power_of_two().max(1);
-        self.cap = cap;
+        self.cap = len.next_power_of_two().max(1);
         self.len = len;
-        let n = 2 * cap;
-        fn zero<T: Copy>(v: &mut Vec<T>, n: usize, z: T) {
-            v.clear();
-            v.resize(n, z);
-        }
-        zero(&mut self.compute_fj, n, 0.0);
-        zero(&mut self.compute_ops, n, 0);
-        zero(&mut self.onchip_fj, n, 0.0);
-        zero(&mut self.onchip_messages, n, 0);
-        zero(&mut self.onchip_bits, n, 0);
-        zero(&mut self.onchip_bit_mm, n, 0.0);
+        each_field!(self, zeroed, 2 * self.cap);
     }
 
     /// Number of leaves.
@@ -153,40 +194,52 @@ impl CostTree {
         self.onchip_bit_mm[j] = v.onchip_bit_mm;
     }
 
-    /// Recompute every internal node bottom-up, one contiguous pass per
-    /// field. Same combine shape as [`Self::update`]'s path refresh, so
-    /// the total is bit-identical either way.
+    /// Recompute every internal node bottom-up. Same combine shape as
+    /// every path re-fold, so the total is bit-identical either way.
     pub fn refresh(&mut self) {
-        fn up_f64(a: &mut [f64], cap: usize) {
-            for i in (1..cap).rev() {
-                a[i] = a[2 * i] + a[2 * i + 1];
-            }
+        if self.cap > 1 {
+            self.refold(0, self.cap - 1);
         }
-        fn up_u64(a: &mut [u64], cap: usize) {
-            for i in (1..cap).rev() {
-                a[i] = a[2 * i] + a[2 * i + 1];
-            }
-        }
-        up_f64(&mut self.compute_fj, self.cap);
-        up_u64(&mut self.compute_ops, self.cap);
-        up_f64(&mut self.onchip_fj, self.cap);
-        up_u64(&mut self.onchip_messages, self.cap);
-        up_u64(&mut self.onchip_bits, self.cap);
-        up_f64(&mut self.onchip_bit_mm, self.cap);
     }
 
     /// Replace leaf `i` and refresh its root path.
     pub fn update(&mut self, i: usize, v: NodeCost) {
         self.set_leaf(i, v);
-        let mut j = self.cap + i;
-        while j > 1 {
-            j /= 2;
-            self.compute_fj[j] = self.compute_fj[2 * j] + self.compute_fj[2 * j + 1];
-            self.compute_ops[j] = self.compute_ops[2 * j] + self.compute_ops[2 * j + 1];
-            self.onchip_fj[j] = self.onchip_fj[2 * j] + self.onchip_fj[2 * j + 1];
-            self.onchip_messages[j] = self.onchip_messages[2 * j] + self.onchip_messages[2 * j + 1];
-            self.onchip_bits[j] = self.onchip_bits[2 * j] + self.onchip_bits[2 * j + 1];
-            self.onchip_bit_mm[j] = self.onchip_bit_mm[2 * j] + self.onchip_bit_mm[2 * j + 1];
+        self.refold(i, i);
+    }
+
+    /// Append a leaf. A full tree first doubles its capacity in place
+    /// (amortized O(1) per push); otherwise only the new leaf's root
+    /// path is re-folded.
+    pub(crate) fn push(&mut self, v: NodeCost) {
+        if self.len == self.cap {
+            let (old, len) = (self.cap, self.len);
+            self.cap = (2 * old).max(1);
+            each_field!(self, relayout, old, self.cap, len);
+            self.refresh();
+        }
+        self.len += 1;
+        self.update(self.len - 1, v);
+    }
+
+    /// Remove leaf `i`, shifting the leaves above it down one slot, and
+    /// re-fold the paths above the shifted slots: O(log n) for the last
+    /// leaf, O(n − i) in general.
+    pub(crate) fn remove(&mut self, i: usize) {
+        let (cap, len) = (self.cap, self.len);
+        each_field!(self, shift_down, cap + i, cap + len);
+        self.len -= 1;
+        self.refold(i, len - 1);
+    }
+
+    /// Re-fold every internal node above leaf slots `lo..=hi`, level by
+    /// level.
+    fn refold(&mut self, lo: usize, hi: usize) {
+        let (mut lo, mut hi) = (self.cap + lo, self.cap + hi);
+        while lo > 1 {
+            lo /= 2;
+            hi /= 2;
+            each_field!(self, fold, lo, hi);
         }
     }
 
@@ -276,9 +329,12 @@ impl CostReport {
 pub struct Evaluator<'a> {
     graph: &'a DataflowGraph,
     machine: &'a MachineConfig,
-    input_placements: Vec<InputPlacement>,
-    writeback_outputs: bool,
-    multicast: bool,
+    /// Where each input lives (read by the flat engine's context).
+    pub(crate) input_placements: Vec<InputPlacement>,
+    /// Whether output writeback is charged.
+    pub(crate) writeback_outputs: bool,
+    /// Whether def→use traffic routes as multicast trees.
+    pub(crate) multicast: bool,
     cost_model: CostModelKind,
 }
 
@@ -355,35 +411,14 @@ impl<'a> Evaluator<'a> {
         self.machine
     }
 
-    /// The placement of one input (for the flat engine's precompute).
-    pub(crate) fn input_placement(&self, input: usize) -> &InputPlacement {
-        &self.input_placements[input]
-    }
-
-    /// Whether def→use traffic routes as multicast trees.
-    pub(crate) fn multicast_on(&self) -> bool {
-        self.multicast
-    }
-
-    /// The ledger contribution of node `id` under the given placements:
+    /// The reference charge of node `id` under the given placements:
     /// its ops, result write, operand/input reads, and the def→use
-    /// messages it produces to its (remote) consumers. Depends only on
-    /// `place[id]`, the places of `id`'s consumers, and the evaluator's
-    /// input placements — never on times.
-    pub(crate) fn node_cost(
-        &self,
-        id: usize,
-        place: &[(i64, i64)],
-        consumers: &[Vec<NodeId>],
-    ) -> NodeCost {
-        self.node_cost_in(id, place, &consumers[id], &mut Vec::new())
-    }
-
-    /// [`Self::node_cost`] with a caller-owned buffer for the distinct
-    /// remote consumer PEs, so hot loops (the incremental evaluator's
-    /// repair path, the warm-tune flush) re-cost nodes without a heap
-    /// allocation per call. `consumers` is node `id`'s consumer list.
-    pub(crate) fn node_cost_in(
+    /// messages it produces to its (remote) consumers (`consumers` is
+    /// node `id`'s consumer list). Depends only on `place[id]`, the
+    /// places of `id`'s consumers, and the evaluator's input placements
+    /// — never on times. Production code charges through
+    /// [`crate::flat::EvalContext`]; this is [`Self::evaluate_ref`]'s.
+    fn node_cost_in(
         &self,
         id: usize,
         place: &[(i64, i64)],
@@ -474,9 +509,10 @@ impl<'a> Evaluator<'a> {
         c
     }
 
-    /// Off-chip totals: DRAM fetches (each distinct element once) plus
-    /// optional output writeback. Placement-independent.
-    pub(crate) fn offchip_totals(&self) -> OffchipTotals {
+    /// The reference off-chip totals: DRAM fetches (each distinct
+    /// element once) plus optional output writeback.
+    /// Placement-independent.
+    fn offchip_totals(&self) -> OffchipTotals {
         let g = self.graph;
         let m = self.machine;
         let width = u64::from(g.width_bits);
@@ -502,40 +538,6 @@ impl<'a> Evaluator<'a> {
             for _ in g.outputs() {
                 charge(&mut off);
             }
-        }
-        off
-    }
-
-    /// Whether `input` is placed off-chip (DRAM). The incremental
-    /// evaluator refcounts distinct DRAM element reads across edits, so
-    /// it needs to classify reads the same way
-    /// [`Self::offchip_totals`] does.
-    pub(crate) fn dram_input(&self, input: u32) -> bool {
-        matches!(
-            self.input_placements.get(input as usize),
-            Some(InputPlacement::Dram)
-        )
-    }
-
-    /// Whether output writeback is charged.
-    pub(crate) fn writeback_on(&self) -> bool {
-        self.writeback_outputs
-    }
-
-    /// Off-chip totals from a transfer count. Every transfer
-    /// [`Self::offchip_totals`] charges is identical (same width), so
-    /// its fold is a pure function of the count; replaying the same
-    /// fold reproduces the totals bit-for-bit without re-walking the
-    /// graph.
-    pub(crate) fn offchip_from_count(&self, transfers: u64) -> OffchipTotals {
-        let m = self.machine;
-        let be = self.backend();
-        let width = u64::from(self.graph.width_bits);
-        let mut off = OffchipTotals::default();
-        for _ in 0..transfers {
-            off.fj += be.offchip_energy(&m.tech, width).raw();
-            off.transfers += 1;
-            off.bits += width;
         }
         off
     }
@@ -657,41 +659,36 @@ impl<'a> Evaluator<'a> {
     /// [`crate::legality::check`] first.
     ///
     /// This runs the flat engine ([`crate::flat`]): PE coordinates are
-    /// interned to dense ids, per-node costs stream into a
-    /// structure-of-arrays [`CostTree`], and all working memory comes
-    /// from a thread-local scratch arena. Mappings with off-grid places
-    /// (possible only for unchecked mappings) fall back to
-    /// [`Self::evaluate_ref`]. Debug builds assert the two paths agree
-    /// bit-for-bit on every call.
+    /// interned to dense ids (off-grid places of an unchecked mapping
+    /// past the grid, one id per distinct place), per-node costs stream
+    /// into a structure-of-arrays [`CostTree`], and all working memory
+    /// comes from a thread-local scratch arena. Debug builds assert the
+    /// result bit-identical to [`Self::evaluate_ref`] on every call.
     pub fn evaluate(&self, rm: &ResolvedMapping) -> CostReport {
         let ctx = crate::flat::EvalContext::new(self);
-        let flat = crate::flat::with_thread_scratch(|scratch| {
+        let report = crate::flat::with_thread_scratch(|scratch| {
             ctx.evaluate_report(self, &rm.place, &rm.time, scratch)
         });
-        match flat {
-            Some(report) => {
-                debug_assert_eq!(
-                    report,
-                    self.evaluate_ref(rm),
-                    "flat evaluation diverged from the reference path"
-                );
-                report
-            }
-            None => self.evaluate_ref(rm),
-        }
+        debug_assert_eq!(
+            report,
+            self.evaluate_ref(rm),
+            "flat evaluation diverged from the reference path"
+        );
+        report
     }
 
     /// Reference implementation of [`Self::evaluate`]: the original
     /// per-call path (consumer lists, leaves and off-chip totals all
-    /// rebuilt here). Kept as the bit-identity anchor the flat engine
-    /// is debug-asserted and benchmarked (E22) against, and as the
-    /// fallback for off-grid places.
+    /// rebuilt here). Kept as the bit-identity oracle the flat and
+    /// incremental engines are asserted and benchmarked (E22) against;
+    /// no production path runs it.
     #[doc(hidden)]
     pub fn evaluate_ref(&self, rm: &ResolvedMapping) -> CostReport {
         let g = self.graph;
         let consumers = g.consumers();
+        let mut pes = Vec::new();
         let leaves: Vec<NodeCost> = (0..g.len())
-            .map(|id| self.node_cost(id, &rm.place, &consumers))
+            .map(|id| self.node_cost_in(id, &rm.place, &consumers[id], &mut pes))
             .collect();
         let total = CostTree::build(&leaves).total();
         let off = self.offchip_totals();
@@ -915,6 +912,33 @@ mod tests {
         // Events: one multicast vs five unicasts.
         assert_eq!(multi.ledger.onchip_messages, 1);
         assert_eq!(uni.ledger.onchip_messages, 5);
+    }
+
+    #[test]
+    fn off_grid_unchecked_mapping_evaluates_like_the_reference() {
+        // Off-grid places (two nodes sharing one) and a negative time:
+        // the flat engine interns them past the grid and must charge,
+        // sweep and count PEs exactly as the reference does.
+        let mut g = DataflowGraph::new("oob", 32);
+        let x = g.add_input("X", vec![4]);
+        let a = g.add_node(CExpr::input(x, 0), vec![], vec![0]);
+        let b = g.add_node(CExpr::dep(0).add(CExpr::input(x, 1)), vec![a], vec![1]);
+        let c = g.add_node(CExpr::dep(0).add(CExpr::dep(1)), vec![a, b], vec![2]);
+        g.add_node(CExpr::dep(0).add(CExpr::input(x, 2)), vec![c], vec![3]);
+        let m = MachineConfig::linear(4);
+        let rm = ResolvedMapping {
+            place: vec![(-1, 0), (5, 2), (0, 0), (-1, 0)],
+            time: vec![-1, 0, 3, 4],
+        };
+        for ev in [
+            Evaluator::new(&g, &m).with_writeback(true),
+            Evaluator::new(&g, &m)
+                .with_input_placement(0, InputPlacement::Local(PlaceExpr::row0(IdxExpr::i())))
+                .with_writeback(true),
+            Evaluator::new(&g, &m).with_all_inputs(InputPlacement::AtUse),
+        ] {
+            assert_eq!(ev.evaluate(&rm), ev.evaluate_ref(&rm));
+        }
     }
 
     #[test]

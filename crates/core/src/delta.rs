@@ -1,11 +1,18 @@
-//! Incremental cost/legality evaluation: O(Δ) per placement move.
+//! Incremental cost/legality evaluation: cone-sized work per change.
 //!
-//! The annealer in [`crate::search`] refines a mapping one single-node
-//! placement move at a time, but re-deriving the schedule and re-walking
-//! the whole graph per move costs O(|V|+|E|) — graph-sized work for a
-//! cone-sized change. [`DeltaEvaluator`] caches everything the full
-//! [`Evaluator`](crate::cost::Evaluator) derives from a placement and
-//! repairs only what a move can touch:
+//! Two engines repair cached evaluation state instead of re-deriving it,
+//! and both sit on the flat engine's layout ([`crate::flat`]): its
+//! [`EvalContext`] charges every node, its interning rule names every
+//! PE, and one dense per-PE structure (`Tiles`: member lists by
+//! interned PE id, per-PE peaks, the peak and time histograms, the
+//! over-capacity count and last uses) is built by one cold pass and
+//! re-swept one PE at a time by one `refresh_peak`.
+//!
+//! [`DeltaEvaluator`] follows single-node placement moves — what the
+//! annealer in [`crate::search`] proposes. Re-deriving the schedule and
+//! re-walking the whole graph per move costs O(|V|+|E|), graph-sized
+//! work for a cone-sized change, so it repairs only what a move can
+//! touch:
 //!
 //! * **Times** (list schedule): node ids are topological (`deps[k] < id`)
 //!   and the retime rule consults only *smaller-id* nodes (producers,
@@ -29,10 +36,10 @@
 //!   invariant to any right endpoint past the last start — so peaks
 //!   never depend on makespan changes.
 //! * **Aggregates**: makespan and the global peak are maxima over
-//!   multisets kept in `BTreeMap` histograms; PEs-used is the size of
-//!   the PE→nodes index; the storage-violation count is maintained as
-//!   peaks change. [`DeltaEvaluator::report`] is therefore O(1)-ish
-//!   (one tree-root read plus map lookups).
+//!   multisets kept in `BTreeMap` histograms; PEs-used is the number of
+//!   occupied PEs; the storage-violation count is maintained as peaks
+//!   change. [`DeltaEvaluator::report`] is therefore O(1)-ish (one
+//!   tree-root read plus map lookups).
 //!
 //! In debug builds every [`DeltaEvaluator::apply_move`] re-derives the
 //! full schedule and report and asserts bit-exact equality
@@ -42,18 +49,22 @@
 //! Every cached field is a pure function of the placement vector, so
 //! undoing a move can always fall back to applying the reverse move;
 //! [`DeltaEvaluator::undo`] is cheaper — each move journals the values
-//! it overwrites, and replaying the journal in reverse restores the
-//! prior state with no scheduling, sweeping, or sorting at all. The
-//! annealer uses it to make rejected proposals nearly free.
+//! it overwrites (`refresh_peak` hands back the peak it replaced), and
+//! replaying the journal in reverse restores the prior state with no
+//! scheduling, sweeping, or sorting at all. The annealer uses it to make
+//! rejected proposals nearly free.
 //!
 //! [`DeltaCandidates`] applies the same bit-exactness discipline to a
 //! *pool* of mapping candidates under **structural** edits
 //! ([`AppliedEdit`]: add/remove node, retarget edge, resize tile).
-//! A candidate's places and times are pure functions of each node's
-//! immutable domain index (affine) or of a fixed table, so an edit
-//! never reschedules surviving nodes — the legality counters (bounds,
-//! causality, issue width, storage) and the cost-tree leaves can be
-//! repaired in edit-cone-sized work per candidate, and a candidate's
+//! One [`EvalContext`] follows every edit in place (new cost prefixes
+//! and input reads, patched consumer lists, exact DRAM and writeback
+//! counts). A candidate's places and times are pure functions of each
+//! node's immutable domain index (affine) or of a fixed table, so an
+//! edit never reschedules surviving nodes — the legality counters
+//! (bounds, causality, issue width, storage) and the cost-tree leaves
+//! are repaired in edit-cone-sized work per candidate, the tree
+//! re-folding only the paths above changed slots, and a candidate's
 //! evaluation stays bit-identical to
 //! [`crate::search::evaluate_candidate`] run cold on the edited graph.
 //! An edit that invalidates a candidate (a table length change, a new
@@ -64,9 +75,9 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
-use crate::cost::{CostReport, CostTree, Evaluator, NodeCost, OffchipTotals};
+use crate::cost::{CostReport, CostTree, Evaluator, NodeCost};
 use crate::dataflow::{DataflowGraph, Node, NodeId};
-use crate::flat::EvalContext;
+use crate::flat::{peak_live, EvalContext, ScratchBuf};
 use crate::machine::MachineConfig;
 use crate::mapping::{Mapping, ResolvedMapping};
 use crate::mutate::AppliedEdit;
@@ -77,18 +88,210 @@ use crate::search::{CandidateEval, FigureOfMerit};
 /// overflows `+ 1`.
 const FAR_FUTURE: i64 = i64::MAX / 4;
 
+fn hist_add<K: Ord>(h: &mut BTreeMap<K, u32>, k: K) {
+    *h.entry(k).or_insert(0) += 1;
+}
+
+fn hist_remove<K: Ord + std::fmt::Debug>(h: &mut BTreeMap<K, u32>, k: K) {
+    match h.get_mut(&k) {
+        Some(c) if *c > 1 => *c -= 1,
+        Some(_) => {
+            h.remove(&k);
+        }
+        None => panic!("histogram underflow at key {k:?}"),
+    }
+}
+
+/// Per-PE occupancy and storage state over interned PE ids: the one
+/// dense structure both incremental engines keep.
+#[derive(Debug)]
+struct Tiles {
+    /// Node ids per PE, ascending, indexed by interned PE id. Empty
+    /// lists mean unoccupied (they stay allocated for reuse).
+    members: Vec<Vec<NodeId>>,
+    /// Number of non-empty member lists — the report's PEs-used.
+    occupied: usize,
+    /// Peak live bits per PE; `None` = unoccupied.
+    peaks: Vec<Option<u64>>,
+    /// Multiset of per-PE peaks; max key = global peak.
+    peak_hist: BTreeMap<u64, u32>,
+    /// Multiset of node times; max key + 1 = makespan.
+    time_hist: BTreeMap<i64, u32>,
+    /// PEs whose peak exceeds the tile capacity.
+    over_capacity: u64,
+    /// max(own time, consumer times); outputs are *not* extended here —
+    /// the sweep substitutes [`FAR_FUTURE`] for them.
+    last_use: Vec<i64>,
+}
+
+impl Tiles {
+    /// The cold pass: intern `place` by the flat engine's rule (leaving
+    /// the ids in `buf.node_pe` and the off-grid pairs in
+    /// `buf.offgrid`), then derive last uses, member lists, histograms,
+    /// and every occupied PE's peak.
+    fn build(
+        ctx: &EvalContext,
+        graph: &DataflowGraph,
+        place: &[(i64, i64)],
+        time: &[i64],
+        tile_bits: u64,
+        buf: &mut ScratchBuf,
+    ) -> Tiles {
+        ctx.intern_places(place, buf);
+        let ids = buf.ids;
+        let mut last_use = time.to_vec();
+        for (id, n) in graph.nodes.iter().enumerate() {
+            for &d in &n.deps {
+                let d = d as usize;
+                last_use[d] = last_use[d].max(time[id]);
+            }
+        }
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); ids];
+        for (id, &pe) in buf.node_pe.iter().enumerate() {
+            members[pe as usize].push(id as NodeId);
+        }
+        let mut time_hist = BTreeMap::new();
+        for &t in time {
+            hist_add(&mut time_hist, t);
+        }
+        let mut tiles = Tiles {
+            occupied: members.iter().filter(|l| !l.is_empty()).count(),
+            members,
+            peaks: vec![None; ids],
+            peak_hist: BTreeMap::new(),
+            time_hist,
+            over_capacity: 0,
+            last_use,
+        };
+        for pe in 0..ids {
+            tiles.refresh_peak(pe, graph, time, tile_bits, &mut buf.events);
+        }
+        tiles
+    }
+
+    fn makespan(&self) -> i64 {
+        self.time_hist.keys().next_back().map_or(0, |&t| t + 1)
+    }
+
+    fn global_peak(&self) -> u64 {
+        self.peak_hist.keys().next_back().copied().unwrap_or(0)
+    }
+
+    /// Make room for PE id `pe` (a newly interned off-grid place).
+    fn ensure(&mut self, pe: usize) {
+        if pe >= self.members.len() {
+            self.members.resize_with(pe + 1, Vec::new);
+            self.peaks.resize(pe + 1, None);
+        }
+    }
+
+    /// Add node `id` to PE `pe`'s member list, keeping it ascending.
+    fn insert(&mut self, pe: usize, id: NodeId) {
+        let list = &mut self.members[pe];
+        self.occupied += usize::from(list.is_empty());
+        let at = list.binary_search(&id).expect_err("node already on its PE");
+        list.insert(at, id);
+    }
+
+    /// Take node `id` off PE `pe`'s member list; returns its position.
+    fn remove(&mut self, pe: usize, id: NodeId) -> usize {
+        let list = &mut self.members[pe];
+        let at = list.binary_search(&id).expect("node on its PE");
+        list.remove(at);
+        self.occupied -= usize::from(list.is_empty());
+        at
+    }
+
+    /// Move one node's time in the makespan histogram.
+    fn retime(&mut self, old: i64, new: i64) {
+        hist_remove(&mut self.time_hist, old);
+        hist_add(&mut self.time_hist, new);
+    }
+
+    /// Re-derive node `id`'s last use from its consumers' times;
+    /// returns the value it replaced when it changed.
+    fn relax_last_use(&mut self, ctx: &EvalContext, time: &[i64], id: usize) -> Option<i64> {
+        let lu = ctx
+            .consumers(id)
+            .iter()
+            .fold(time[id], |lu, &c| lu.max(time[c as usize]));
+        (lu != self.last_use[id]).then(|| std::mem::replace(&mut self.last_use[id], lu))
+    }
+
+    /// Re-sweep PE `pe`'s peak live bits (into the reusable `events`
+    /// buffer) and fold a change into the peak histogram and the
+    /// over-capacity count. Returns the peak it replaced when the peak
+    /// changed.
+    fn refresh_peak(
+        &mut self,
+        pe: usize,
+        graph: &DataflowGraph,
+        time: &[i64],
+        tile_bits: u64,
+        events: &mut Vec<(i64, i64)>,
+    ) -> Option<Option<u64>> {
+        let list = &self.members[pe];
+        let new = if list.is_empty() {
+            None
+        } else {
+            events.clear();
+            for &j in list {
+                let ju = j as usize;
+                let last = if graph.nodes[ju].output {
+                    FAR_FUTURE
+                } else {
+                    self.last_use[ju]
+                };
+                events.push((time[ju], 1));
+                events.push((last + 1, -1));
+            }
+            Some(peak_live(events) as u64 * u64::from(graph.width_bits))
+        };
+        (self.peaks[pe] != new).then(|| self.set_peak(pe, new, tile_bits))
+    }
+
+    /// Set PE `pe`'s peak, keeping the histogram and the over-capacity
+    /// count exact; returns the peak it replaced.
+    fn set_peak(&mut self, pe: usize, peak: Option<u64>, tile_bits: u64) -> Option<u64> {
+        let old = std::mem::replace(&mut self.peaks[pe], peak);
+        if let Some(o) = old {
+            hist_remove(&mut self.peak_hist, o);
+            self.over_capacity -= u64::from(o > tile_bits);
+        }
+        if let Some(v) = peak {
+            hist_add(&mut self.peak_hist, v);
+            self.over_capacity += u64::from(v > tile_bits);
+        }
+        old
+    }
+}
+
 /// One recorded mutation of [`DeltaEvaluator`] state, with the value
 /// it replaced — replaying a move's entries in reverse restores the
 /// exact prior state without re-running any scheduling.
 #[derive(Debug, Clone, Copy)]
 enum UndoEntry {
-    Place { node: usize, pe: (i64, i64) },
-    RemovedFromPe { pe: u32, id: NodeId },
-    InsertedToPe { pe: u32, id: NodeId },
-    Time { id: NodeId, t: i64 },
-    LastUse { id: NodeId, t: i64 },
-    Peak { pe: u32, v: Option<u64> },
-    Leaf { id: NodeId, cost: NodeCost },
+    /// The moved node's former place (undo moves it back).
+    Place {
+        node: usize,
+        pe: (i64, i64),
+    },
+    Time {
+        id: NodeId,
+        t: i64,
+    },
+    LastUse {
+        id: NodeId,
+        t: i64,
+    },
+    Peak {
+        pe: u32,
+        v: Option<u64>,
+    },
+    Leaf {
+        id: NodeId,
+        cost: NodeCost,
+    },
 }
 
 /// Per-PE occupancy cursor shared across the pops of one move: the
@@ -113,26 +316,8 @@ struct MoveScratch {
     epoch: u64,
     /// Interned ids of PEs whose lifetimes may have moved.
     dirty_pes: Vec<usize>,
-    /// Live-interval endpoints for one PE's peak re-sweep.
-    events: Vec<(i64, i64)>,
-    /// Distinct remote consumer PEs for one node's re-cost.
-    pes: Vec<(i64, i64)>,
-    /// Multicast destinations (what-if path only).
-    dests: Vec<(u32, u32)>,
-}
-
-fn hist_add<K: Ord>(h: &mut BTreeMap<K, u32>, k: K) {
-    *h.entry(k).or_insert(0) += 1;
-}
-
-fn hist_remove<K: Ord + std::fmt::Debug>(h: &mut BTreeMap<K, u32>, k: K) {
-    match h.get_mut(&k) {
-        Some(c) if *c > 1 => *c -= 1,
-        Some(_) => {
-            h.remove(&k);
-        }
-        None => panic!("histogram underflow at key {k:?}"),
-    }
+    /// The flat engine's buffers for peak re-sweeps and re-costs.
+    buf: ScratchBuf,
 }
 
 /// Incremental evaluator over single-node placement moves.
@@ -147,34 +332,15 @@ pub struct DeltaEvaluator<'e, 'a> {
     ev: &'e Evaluator<'a>,
     graph: &'a DataflowGraph,
     machine: &'a MachineConfig,
-    /// Shared flat-evaluation state: CSR consumer lists and the
-    /// placement-independent cost prefixes (replaces the old
-    /// `Vec<Vec<NodeId>>` consumer index).
+    /// The flat engine's context: CSR consumer lists, cost prefixes,
+    /// off-chip totals, and the interning rule.
     ctx: EvalContext,
     place: Vec<(i64, i64)>,
     time: Vec<i64>,
-    /// max(own time, consumer times); outputs are *not* extended here —
-    /// the sweep substitutes [`FAR_FUTURE`] for them.
-    last_use: Vec<i64>,
-    /// Grid columns, for interning places to dense PE ids
-    /// (`pe = y·cols + x`; every held place is on-grid by invariant).
-    cols: i64,
-    /// Node ids per PE, ascending, indexed by interned PE id. Empty
-    /// lists mean unoccupied (they stay allocated for reuse).
-    pe_nodes: Vec<Vec<NodeId>>,
-    /// Number of non-empty `pe_nodes` lists — the report's PEs-used.
-    occupied: usize,
-    /// Multiset of node times; max key + 1 = makespan.
-    time_hist: BTreeMap<i64, u32>,
-    /// Peak live bits per PE, indexed by interned PE id; `None` =
-    /// unoccupied.
-    peaks: Vec<Option<u64>>,
-    /// Multiset of per-PE peaks; max key = global peak.
-    peak_hist: BTreeMap<u64, u32>,
-    /// PEs whose peak exceeds `machine.tile_bits`.
-    over_capacity: u64,
+    /// Per-PE state by interned PE id (every held place is on-grid by
+    /// invariant).
+    tiles: Tiles,
     tree: CostTree,
-    off: OffchipTotals,
     in_heap: Vec<bool>,
     /// Mutations of the most recent [`Self::apply_move`], for
     /// [`Self::undo`]. Cleared at the start of each move.
@@ -201,79 +367,31 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         }
         let rm = crate::search::retime(graph, init_places, machine);
         let ctx = EvalContext::new(ev);
-
-        let mut last_use = rm.time.clone();
-        for (id, n) in graph.nodes.iter().enumerate() {
-            for &d in &n.deps {
-                if rm.time[id] > last_use[d as usize] {
-                    last_use[d as usize] = rm.time[id];
-                }
-            }
-        }
-
-        let cols = i64::from(machine.cols);
-        let pe_count = machine.cols as usize * machine.rows as usize;
-        let mut pe_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); pe_count];
-        for (id, &pe) in rm.place.iter().enumerate() {
-            pe_nodes[(pe.1 * cols + pe.0) as usize].push(id as NodeId);
-        }
-        let occupied = pe_nodes.iter().filter(|l| !l.is_empty()).count();
-
-        let mut time_hist = BTreeMap::new();
-        for &t in &rm.time {
-            hist_add(&mut time_hist, t);
-        }
-
-        let mut pes = Vec::new();
-        let mut dests = Vec::new();
-        let leaves: Vec<NodeCost> = (0..graph.len())
-            .map(|id| ctx.node_cost(ev, id, &rm.place, &mut pes, &mut dests))
-            .collect();
-        let tree = CostTree::build(&leaves);
-        let off = ctx.offchip();
-        let n = graph.len();
-
-        let mut this = DeltaEvaluator {
+        let mut scratch = MoveScratch::default();
+        let buf = &mut scratch.buf;
+        let tiles = Tiles::build(&ctx, graph, &rm.place, &rm.time, machine.tile_bits, buf);
+        let mut tree = CostTree::new();
+        ctx.fill_tree(ev, &rm.place, &mut tree, &mut buf.pes, &mut buf.dests);
+        DeltaEvaluator {
             ev,
             graph,
             machine,
             ctx,
             place: rm.place,
             time: rm.time,
-            last_use,
-            cols,
-            pe_nodes,
-            occupied,
-            time_hist,
-            peaks: vec![None; pe_count],
-            peak_hist: BTreeMap::new(),
-            over_capacity: 0,
+            tiles,
             tree,
-            off,
-            in_heap: vec![false; n],
+            in_heap: vec![false; graph.len()],
             journal: Vec::new(),
-            scratch: MoveScratch {
-                pes,
-                dests,
-                ..MoveScratch::default()
-            },
+            scratch,
             paranoid: true,
-        };
-        let mut events = std::mem::take(&mut this.scratch.events);
-        for pe in 0..pe_count {
-            if !this.pe_nodes[pe].is_empty() {
-                this.refresh_peak(pe, &mut events);
-            }
         }
-        this.scratch.events = events;
-        this.journal.clear();
-        this
     }
 
-    /// Interned id of an on-grid place.
+    /// Interned id of a held (on-grid) place.
     #[inline]
     fn pe_id(&self, pe: (i64, i64)) -> usize {
-        (pe.1 * self.cols + pe.0) as usize
+        self.ctx.pe_id(pe).expect("held places are on the grid") as usize
     }
 
     /// Disable (or re-enable) the per-move full-parity assertion that
@@ -301,16 +419,19 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     /// capacity — the same count [`crate::legality::check`] reports as
     /// `StorageExceeded` violations.
     pub fn storage_violations(&self) -> u64 {
-        self.over_capacity
+        self.tiles.over_capacity
     }
 
     /// The current cost report, bit-identical to running the full
     /// evaluator on [`Self::mapping`].
     pub fn report(&self) -> CostReport {
-        let cycles = self.time_hist.keys().next_back().map_or(0, |&t| t + 1);
-        let peak = self.peak_hist.keys().next_back().copied().unwrap_or(0);
-        self.ev
-            .assemble(self.tree.total(), &self.off, cycles, peak, self.occupied)
+        self.ev.assemble(
+            self.tree.total(),
+            &self.ctx.offchip(),
+            self.tiles.makespan(),
+            self.tiles.global_peak(),
+            self.tiles.occupied,
+        )
     }
 
     /// Score of the current mapping under `fom` (lower is better) —
@@ -344,7 +465,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         // Check the per-move buffers out of self so the borrow checker
         // sees them as locals, independent of the cached state.
         let mut s = std::mem::take(&mut self.scratch);
-        let pe_count = self.pe_nodes.len();
+        let pe_count = self.tiles.members.len();
         if s.occ.len() < pe_count {
             s.occ.resize_with(pe_count, Occ::default);
             s.occ_epoch.resize(pe_count, 0);
@@ -357,43 +478,21 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         // the pes_used count.
         {
             let t_old = self.time[node];
-            let list = &mut self.pe_nodes[old_pid];
-            let pos = list.binary_search(&id).expect("node on its PE");
-            list.remove(pos);
+            let pos = self.tiles.remove(old_pid, id);
             // Later source-PE nodes may now schedule earlier — but only
             // those at or past the vacated slot: a node's gap scan never
             // consults slots above its own scheduled time.
-            for &j in &list[pos..] {
+            for &j in &self.tiles.members[old_pid][pos..] {
                 if self.time[j as usize] >= t_old {
                     self.in_heap[j as usize] = true;
                     s.heap.push(Reverse(j));
                 }
             }
-            if list.is_empty() {
-                self.occupied -= 1;
-            }
-            self.journal.push(UndoEntry::RemovedFromPe {
-                pe: old_pid as u32,
-                id,
-            });
         }
-        {
-            let list = &mut self.pe_nodes[new_pid];
-            if list.is_empty() {
-                self.occupied += 1;
-            }
-            let pos = list
-                .binary_search(&id)
-                .expect_err("node cannot already be on target PE");
-            list.insert(pos, id);
-            self.journal.push(UndoEntry::InsertedToPe {
-                pe: new_pid as u32,
-                id,
-            });
-            // Later destination-PE nodes are dirtied when the moved
-            // node pops (first, by id order) and its new slot is known
-            // — seeding them all here would over-approximate.
-        }
+        // Later destination-PE nodes are dirtied when the moved node
+        // pops (first, by id order) and its new slot is known — seeding
+        // them all here would over-approximate.
+        self.tiles.insert(new_pid, id);
         self.place[node] = new_pe;
         self.journal.push(UndoEntry::Place { node, pe: old_pe });
 
@@ -434,7 +533,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                     o.cursor = 0;
                     o.slots.clear();
                 }
-                let list = &self.pe_nodes[pid];
+                let list = &self.tiles.members[pid];
                 while o.cursor < list.len() && list[o.cursor] < i {
                     let t = self.time[list[o.cursor] as usize];
                     let p = o.slots.partition_point(|&x| x < t);
@@ -452,7 +551,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                 // The moved node's slot is new on this PE: later nodes
                 // at or past it must reschedule around it, even when
                 // the moved node's own time did not change.
-                let list = &self.pe_nodes[pid];
+                let list = &self.tiles.members[pid];
                 let pos = list.partition_point(|&j| j <= i);
                 for &j in &list[pos..] {
                     if self.time[j as usize] >= t_new && !self.in_heap[j as usize] {
@@ -464,8 +563,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             if t_new == t_old {
                 continue;
             }
-            hist_remove(&mut self.time_hist, t_old);
-            hist_add(&mut self.time_hist, t_new);
+            self.tiles.retime(t_old, t_new);
             self.time[iu] = t_new;
             self.journal.push(UndoEntry::Time { id: i, t: t_old });
             s.dirty_pes.push(pid);
@@ -475,7 +573,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             // by its gap scan), and consumers.
             let lo = t_old.min(t_new);
             {
-                let list = &self.pe_nodes[pid];
+                let list = &self.tiles.members[pid];
                 let pos = list.partition_point(|&j| j <= i);
                 for &j in &list[pos..] {
                     if self.time[j as usize] >= lo && !self.in_heap[j as usize] {
@@ -493,23 +591,16 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
 
             // A time change moves this value's production and possibly
             // the last use of its operands.
-            let lu_self = self.recompute_last_use(iu);
-            if lu_self != self.last_use[iu] {
-                self.journal.push(UndoEntry::LastUse {
-                    id: i,
-                    t: self.last_use[iu],
-                });
-                self.last_use[iu] = lu_self;
+            if let Some(t) = self.tiles.relax_last_use(&self.ctx, &self.time, iu) {
+                self.journal.push(UndoEntry::LastUse { id: i, t });
             }
             for k in 0..self.graph.nodes[iu].deps.len() {
                 let du = self.graph.nodes[iu].deps[k] as usize;
-                let lu = self.recompute_last_use(du);
-                if lu != self.last_use[du] {
+                if let Some(t) = self.tiles.relax_last_use(&self.ctx, &self.time, du) {
                     self.journal.push(UndoEntry::LastUse {
                         id: du as NodeId,
-                        t: self.last_use[du],
+                        t,
                     });
-                    self.last_use[du] = lu;
                     s.dirty_pes.push(self.pe_id(self.place[du]));
                 }
             }
@@ -523,7 +614,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         });
         let c = self
             .ctx
-            .node_cost(self.ev, node, &self.place, &mut s.pes, &mut s.dests);
+            .node_cost(self.ev, node, &self.place, &mut s.buf.pes, &mut s.buf.dests);
         self.tree.update(node, c);
         for k in 0..self.graph.nodes[node].deps.len() {
             let du = self.graph.nodes[node].deps[k] as usize;
@@ -533,18 +624,23 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             });
             let c = self
                 .ctx
-                .node_cost(self.ev, du, &self.place, &mut s.pes, &mut s.dests);
+                .node_cost(self.ev, du, &self.place, &mut s.buf.pes, &mut s.buf.dests);
             self.tree.update(du, c);
         }
 
         // Re-sweep peaks only where lifetimes could have moved.
         s.dirty_pes.sort_unstable();
         s.dirty_pes.dedup();
-        let mut events = std::mem::take(&mut s.events);
         for k in 0..s.dirty_pes.len() {
-            self.refresh_peak(s.dirty_pes[k], &mut events);
+            let pe = s.dirty_pes[k];
+            let cap = self.machine.tile_bits;
+            if let Some(v) =
+                self.tiles
+                    .refresh_peak(pe, self.graph, &self.time, cap, &mut s.buf.events)
+            {
+                self.journal.push(UndoEntry::Peak { pe: pe as u32, v });
+            }
         }
-        s.events = events;
         self.scratch = s;
 
         if cfg!(debug_assertions) && self.paranoid {
@@ -559,47 +655,20 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     pub fn undo(&mut self) {
         while let Some(e) = self.journal.pop() {
             match e {
-                UndoEntry::Place { node, pe } => self.place[node] = pe,
-                UndoEntry::RemovedFromPe { pe, id } => {
-                    let list = &mut self.pe_nodes[pe as usize];
-                    if list.is_empty() {
-                        self.occupied += 1;
-                    }
-                    let pos = list
-                        .binary_search(&id)
-                        .expect_err("undo: node already back on PE");
-                    list.insert(pos, id);
-                }
-                UndoEntry::InsertedToPe { pe, id } => {
-                    let list = &mut self.pe_nodes[pe as usize];
-                    let pos = list.binary_search(&id).expect("undo: node on PE");
-                    list.remove(pos);
-                    if list.is_empty() {
-                        self.occupied -= 1;
-                    }
+                UndoEntry::Place { node, pe } => {
+                    let id = node as NodeId;
+                    self.tiles.remove(self.pe_id(self.place[node]), id);
+                    self.tiles.insert(self.pe_id(pe), id);
+                    self.place[node] = pe;
                 }
                 UndoEntry::Time { id, t } => {
                     let iu = id as usize;
-                    hist_remove(&mut self.time_hist, self.time[iu]);
-                    hist_add(&mut self.time_hist, t);
+                    self.tiles.retime(self.time[iu], t);
                     self.time[iu] = t;
                 }
-                UndoEntry::LastUse { id, t } => self.last_use[id as usize] = t,
+                UndoEntry::LastUse { id, t } => self.tiles.last_use[id as usize] = t,
                 UndoEntry::Peak { pe, v } => {
-                    let cap = self.machine.tile_bits;
-                    if let Some(c) = self.peaks[pe as usize].take() {
-                        hist_remove(&mut self.peak_hist, c);
-                        if c > cap {
-                            self.over_capacity -= 1;
-                        }
-                    }
-                    if let Some(x) = v {
-                        hist_add(&mut self.peak_hist, x);
-                        if x > cap {
-                            self.over_capacity += 1;
-                        }
-                        self.peaks[pe as usize] = Some(x);
-                    }
+                    self.tiles.set_peak(pe as usize, v, self.machine.tile_bits);
                 }
                 UndoEntry::Leaf { id, cost } => self.tree.update(id as usize, cost),
             }
@@ -641,67 +710,6 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         ready + left as i64
     }
 
-    fn recompute_last_use(&self, id: usize) -> i64 {
-        let mut lu = self.time[id];
-        for &c in self.ctx.consumers(id) {
-            lu = lu.max(self.time[c as usize]);
-        }
-        lu
-    }
-
-    /// Re-sweep one PE's peak live bits (into the reusable `events`
-    /// buffer) and fold the change into the peak histogram and the
-    /// over-capacity count.
-    fn refresh_peak(&mut self, pe: usize, events: &mut Vec<(i64, i64)>) {
-        let list = &self.pe_nodes[pe];
-        let new = if list.is_empty() {
-            None
-        } else {
-            let width = u64::from(self.graph.width_bits);
-            events.clear();
-            for &j in list {
-                let ju = j as usize;
-                let last = if self.graph.nodes[ju].output {
-                    FAR_FUTURE
-                } else {
-                    self.last_use[ju]
-                };
-                events.push((self.time[ju], 1));
-                events.push((last + 1, -1));
-            }
-            events.sort_unstable();
-            let mut live = 0i64;
-            let mut peak = 0i64;
-            for &(_, d) in events.iter() {
-                live += d;
-                peak = peak.max(live);
-            }
-            Some(peak as u64 * width)
-        };
-        let old = self.peaks[pe];
-        if old == new {
-            return;
-        }
-        self.journal.push(UndoEntry::Peak {
-            pe: pe as u32,
-            v: old,
-        });
-        let cap = self.machine.tile_bits;
-        if let Some(o) = old {
-            hist_remove(&mut self.peak_hist, o);
-            if o > cap {
-                self.over_capacity -= 1;
-            }
-        }
-        if let Some(v) = new {
-            hist_add(&mut self.peak_hist, v);
-            if v > cap {
-                self.over_capacity += 1;
-            }
-        }
-        self.peaks[pe] = new;
-    }
-
     /// Assert bit-exact agreement with the full pipeline: times against
     /// [`crate::search::retime`], the report against
     /// `Evaluator::evaluate`, and the storage-violation count against
@@ -719,33 +727,10 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         let peaks = crate::legality::tile_peaks(self.graph, &rm, rm.makespan());
         assert_eq!(
             crate::legality::storage_violation_count(&peaks, self.machine.tile_bits),
-            self.over_capacity,
+            self.tiles.over_capacity,
             "incremental storage-violation count != full legality sweep"
         );
     }
-}
-
-/// Whether the edge `d → n` violates causality under the given static
-/// places/times: 1 if the consumer runs before the producer's value can
-/// arrive, else 0. Edges with an off-grid endpoint contribute 0 — the
-/// full checker only counts causality when every place is on-grid, and
-/// the u32 coordinate casts would be garbage otherwise. Pure in the
-/// endpoints' (static) places and times, so adding and later removing
-/// the same edge telescopes exactly.
-fn edge_violation(
-    machine: &MachineConfig,
-    place: &[(i64, i64)],
-    time: &[i64],
-    d: usize,
-    n: usize,
-) -> u64 {
-    let (px, py) = place[d];
-    let (cx, cy) = place[n];
-    if !machine.contains(px, py) || !machine.contains(cx, cy) {
-        return 0;
-    }
-    let required = machine.required_gap((px as u32, py as u32), (cx as u32, cy as u32));
-    u64::from(time[n] - time[d] < required)
 }
 
 /// Cached evaluation state of one resolvable candidate: its static
@@ -754,38 +739,27 @@ fn edge_violation(
 struct CandState {
     place: Vec<(i64, i64)>,
     time: Vec<i64>,
+    /// Interned PE id per node, by the flat engine's rule.
+    node_pe: Vec<u32>,
+    /// The candidate's off-grid places: place `k` interns to
+    /// `grid + k`.
+    offgrid: Vec<(i64, i64)>,
     /// Nodes mapped off the grid.
     oob: u64,
     /// Nodes scheduled before cycle 0.
     neg: u64,
-    /// Causality-violating edges (per dep slot, duplicates counted),
-    /// under the [`edge_violation`] convention. Only added to the
-    /// violation total when `oob == 0`, exactly like the full checker.
+    /// Causality-violating edges between on-grid endpoints (per dep
+    /// slot, duplicates counted). Only added to the violation total
+    /// when `oob == 0`, exactly like the full checker.
     causality: u64,
-    /// Elements per (PE, cycle) — including off-grid places, exactly
+    /// Elements per (PE id, cycle) — off-grid ids included, exactly
     /// like the full checker's issue phase.
-    issue: HashMap<((i64, i64), i64), u32>,
+    issue: HashMap<(u32, i64), u32>,
     /// Issue cells over the machine's width.
     issue_over: u64,
-    /// max(own time, consumer times); outputs are *not* extended here —
-    /// the sweep substitutes [`FAR_FUTURE`] for them.
-    last_use: Vec<i64>,
-    /// Node ids per PE, ascending. No empty lists are kept.
-    pe_nodes: HashMap<(i64, i64), Vec<NodeId>>,
-    /// Peak live bits per occupied PE.
-    peaks: HashMap<(i64, i64), u64>,
-    /// Multiset of per-PE peaks; max key = global peak.
-    peak_hist: BTreeMap<u64, u32>,
-    /// PEs whose peak exceeds the machine's tile capacity.
-    storage_over: u64,
-    /// Multiset of node times; max key + 1 = makespan.
-    time_hist: BTreeMap<i64, u32>,
-    leaves: Vec<NodeCost>,
+    tiles: Tiles,
+    /// Per-node costs; the leaves listed in `dirty` are stale.
     tree: CostTree,
-    /// The tree's leaf capacity (`CostTree` keeps it private); a leaf
-    /// append that stays within it can use the zero-padded slots, one
-    /// that outgrows it forces a rebuild.
-    tree_cap: usize,
     /// Leaves whose [`NodeCost`] is stale. Flushed lazily at
     /// evaluation time, and only for legal candidates — costing an
     /// off-grid placement is meaningless.
@@ -795,86 +769,54 @@ struct CandState {
 impl CandState {
     /// Build from scratch for a resolved candidate — the same work the
     /// cold path does, cached.
-    fn build(ev: &Evaluator<'_>, rm: &ResolvedMapping, consumers: &[Vec<NodeId>]) -> CandState {
+    fn build(
+        ctx: &EvalContext,
+        ev: &Evaluator<'_>,
+        rm: ResolvedMapping,
+        buf: &mut ScratchBuf,
+    ) -> CandState {
         let graph = ev.graph();
         let machine = ev.machine();
-        let n = graph.len();
-
-        let mut oob = 0u64;
-        let mut neg = 0u64;
-        for id in 0..n {
-            if !machine.contains(rm.place[id].0, rm.place[id].1) {
-                oob += 1;
-            }
-            if rm.time[id] < 0 {
-                neg += 1;
-            }
+        let tiles = Tiles::build(ctx, graph, &rm.place, &rm.time, machine.tile_bits, buf);
+        let mut offgrid: Vec<(i64, i64)> = buf.offgrid.iter().map(|&(p, _)| p).collect();
+        offgrid.dedup();
+        let mut issue: HashMap<(u32, i64), u32> = HashMap::new();
+        for (&pe, &t) in buf.node_pe.iter().zip(&rm.time) {
+            *issue.entry((pe, t)).or_insert(0) += 1;
         }
-        let mut causality = 0u64;
-        for (id, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                causality += edge_violation(machine, &rm.place, &rm.time, d as usize, id);
-            }
-        }
-        let mut issue: HashMap<((i64, i64), i64), u32> = HashMap::new();
-        for id in 0..n {
-            *issue.entry((rm.place[id], rm.time[id])).or_insert(0) += 1;
-        }
-        let issue_over = issue.values().filter(|&&c| c > machine.issue_width).count() as u64;
-
-        let mut last_use = rm.time.clone();
-        for (id, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                if rm.time[id] > last_use[d as usize] {
-                    last_use[d as usize] = rm.time[id];
-                }
-            }
-        }
-        let mut pe_nodes: HashMap<(i64, i64), Vec<NodeId>> = HashMap::new();
-        for (id, &pe) in rm.place.iter().enumerate() {
-            pe_nodes.entry(pe).or_default().push(id as NodeId);
-        }
-        let mut time_hist = BTreeMap::new();
-        for &t in &rm.time {
-            hist_add(&mut time_hist, t);
-        }
-
         let mut this = CandState {
-            place: rm.place.clone(),
-            time: rm.time.clone(),
-            oob,
-            neg,
-            causality,
+            node_pe: buf.node_pe.clone(),
+            offgrid,
+            oob: buf.offgrid.len() as u64,
+            neg: rm.time.iter().filter(|&&t| t < 0).count() as u64,
+            causality: 0,
+            issue_over: issue.values().filter(|&&c| c > machine.issue_width).count() as u64,
             issue,
-            issue_over,
-            last_use,
-            pe_nodes,
-            peaks: HashMap::new(),
-            peak_hist: BTreeMap::new(),
-            storage_over: 0,
-            time_hist,
-            leaves: Vec::new(),
-            tree: CostTree::build(&[]),
-            tree_cap: 1,
+            tiles,
+            place: rm.place,
+            time: rm.time,
+            tree: CostTree::new(),
             dirty: Vec::new(),
         };
-        let pes: Vec<(i64, i64)> = this.pe_nodes.keys().copied().collect();
-        for pe in pes {
-            this.refresh_peak(graph, machine, pe);
+        for (id, node) in graph.nodes.iter().enumerate() {
+            for &d in &node.deps {
+                this.causality += this.edge_violation(ctx, machine, d as usize, id);
+            }
         }
         if this.total() == 0 {
-            this.leaves = (0..n)
-                .map(|id| ev.node_cost(id, &this.place, consumers))
-                .collect();
+            ctx.fill_tree(
+                ev,
+                &this.place,
+                &mut this.tree,
+                &mut buf.pes,
+                &mut buf.dests,
+            );
         } else {
             // Illegal now: defer costing until (if ever) edits make the
-            // candidate legal — off-grid places cast to garbage u32
-            // coordinates inside `node_cost`.
-            this.leaves = vec![NodeCost::default(); n];
-            this.dirty = (0..n).collect();
+            // candidate legal.
+            this.tree.reset(graph.len());
+            this.dirty = (0..graph.len()).collect();
         }
-        this.tree = CostTree::build(&this.leaves);
-        this.tree_cap = n.next_power_of_two().max(1);
         this
     }
 
@@ -883,10 +825,28 @@ impl CandState {
     /// on-grid.
     fn total(&self) -> u64 {
         let causality = if self.oob == 0 { self.causality } else { 0 };
-        self.oob + self.neg + causality + self.issue_over + self.storage_over
+        self.oob + self.neg + causality + self.issue_over + self.tiles.over_capacity
     }
 
-    fn issue_add(&mut self, width: u32, key: ((i64, i64), i64)) {
+    /// Whether the edge `d → n` violates causality: 1 if the consumer
+    /// runs before the producer's value can arrive, else 0. Edges with
+    /// an off-grid endpoint contribute 0 (the full checker counts
+    /// causality only when every place is on-grid). Pure in the
+    /// endpoints' static places and times, so adding and later removing
+    /// the same edge telescopes exactly.
+    fn edge_violation(
+        &self,
+        ctx: &EvalContext,
+        machine: &MachineConfig,
+        d: usize,
+        n: usize,
+    ) -> u64 {
+        let (pd, pn) = (self.node_pe[d], self.node_pe[n]);
+        let grid = ctx.grid_pes() as u32;
+        u64::from(pd < grid && pn < grid && ctx.late(machine, pd, self.time[d], pn, self.time[n]))
+    }
+
+    fn issue_add(&mut self, width: u32, key: (u32, i64)) {
         let c = self.issue.entry(key).or_insert(0);
         *c += 1;
         if u64::from(*c) == u64::from(width) + 1 {
@@ -894,7 +854,7 @@ impl CandState {
         }
     }
 
-    fn issue_remove(&mut self, width: u32, key: ((i64, i64), i64)) {
+    fn issue_remove(&mut self, width: u32, key: (u32, i64)) {
         let c = self.issue.get_mut(&key).expect("issue histogram underflow");
         if u64::from(*c) == u64::from(width) + 1 {
             self.issue_over -= 1;
@@ -905,182 +865,125 @@ impl CandState {
         }
     }
 
-    fn recompute_last_use(time: &[i64], consumers: &[Vec<NodeId>], id: usize) -> i64 {
-        let mut lu = time[id];
-        for &c in &consumers[id] {
-            lu = lu.max(time[c as usize]);
+    /// Intern one new node's place by the flat engine's rule; an
+    /// off-grid place not seen before takes the next id past the grid.
+    fn intern(&mut self, ctx: &EvalContext, p: (i64, i64)) -> u32 {
+        if let Some(pe) = ctx.pe_id(p) {
+            return pe;
         }
-        lu
+        let k = match self.offgrid.iter().position(|&q| q == p) {
+            Some(k) => k,
+            None => {
+                self.offgrid.push(p);
+                self.offgrid.len() - 1
+            }
+        };
+        self.tiles.ensure(ctx.grid_pes() + k);
+        (ctx.grid_pes() + k) as u32
     }
 
-    /// Re-sweep one PE's peak live bits and fold the change into the
-    /// peak histogram and the over-capacity count. Same sweep as
-    /// [`DeltaEvaluator::refresh_peak`], minus the undo journal.
-    fn refresh_peak(&mut self, graph: &DataflowGraph, machine: &MachineConfig, pe: (i64, i64)) {
-        let new = self.pe_nodes.get(&pe).map(|list| {
-            let width = u64::from(graph.width_bits);
-            let mut events: Vec<(i64, i64)> = Vec::with_capacity(list.len() * 2);
-            for &j in list {
-                let ju = j as usize;
-                let last = if graph.nodes[ju].output {
-                    FAR_FUTURE
-                } else {
-                    self.last_use[ju]
-                };
-                events.push((self.time[ju], 1));
-                events.push((last + 1, -1));
+    /// Producers `deps` gained or lost a consumer: re-derive their last
+    /// uses, mark their leaves stale (their def→use messages changed),
+    /// and re-sweep the PEs in `pes` plus those whose lifetimes moved.
+    fn touch_producers(
+        &mut self,
+        ctx: &EvalContext,
+        ev: &Evaluator<'_>,
+        deps: impl IntoIterator<Item = usize>,
+        mut pes: Vec<usize>,
+        events: &mut Vec<(i64, i64)>,
+    ) {
+        for du in deps {
+            if self.tiles.relax_last_use(ctx, &self.time, du).is_some() {
+                pes.push(self.node_pe[du] as usize);
             }
-            events.sort_unstable();
-            let mut live = 0i64;
-            let mut peak = 0i64;
-            for (_, d) in events {
-                live += d;
-                peak = peak.max(live);
-            }
-            peak as u64 * width
-        });
-        let old = self.peaks.get(&pe).copied();
-        if old == new {
-            return;
+            self.dirty.push(du);
         }
-        let cap = machine.tile_bits;
-        if let Some(o) = old {
-            hist_remove(&mut self.peak_hist, o);
-            if o > cap {
-                self.storage_over -= 1;
-            }
-            self.peaks.remove(&pe);
-        }
-        if let Some(v) = new {
-            hist_add(&mut self.peak_hist, v);
-            if v > cap {
-                self.storage_over += 1;
-            }
-            self.peaks.insert(pe, v);
+        pes.sort_unstable();
+        pes.dedup();
+        let tile_bits = ev.machine().tile_bits;
+        for pe in pes {
+            self.tiles
+                .refresh_peak(pe, ev.graph(), &self.time, tile_bits, events);
         }
     }
 
     /// A node was appended with the given (statically resolved) place
-    /// and time.
-    fn repair_add(&mut self, ev: &Evaluator<'_>, id: usize, pe: (i64, i64), t: i64) {
-        let graph = ev.graph();
-        let machine = ev.machine();
-        self.place.push(pe);
-        self.time.push(t);
-        if !machine.contains(pe.0, pe.1) {
-            self.oob += 1;
-        }
-        if t < 0 {
-            self.neg += 1;
-        }
-        for &d in &graph.nodes[id].deps {
-            self.causality += edge_violation(machine, &self.place, &self.time, d as usize, id);
-        }
-        self.issue_add(machine.issue_width, (pe, t));
-        hist_add(&mut self.time_hist, t);
-        // No consumers yet: the new node's value dies at birth.
-        self.last_use.push(t);
-        let mut dirty_pes = vec![pe];
-        for &d in &graph.nodes[id].deps {
-            let du = d as usize;
-            if t > self.last_use[du] {
-                self.last_use[du] = t;
-                dirty_pes.push(self.place[du]);
-            }
-            // The producer now sends one more def→use message.
-            self.dirty.push(du);
-        }
-        // Largest id: appending keeps the list ascending.
-        self.pe_nodes.entry(pe).or_default().push(id as NodeId);
-        self.leaves.push(NodeCost::default());
-        self.dirty.push(id);
-        let want = self.leaves.len().next_power_of_two().max(1);
-        if want != self.tree_cap {
-            // Stale dirty leaves are fine: the flush recomputes their
-            // root paths, and every other internal node sums unchanged
-            // descendants.
-            self.tree = CostTree::build(&self.leaves);
-            self.tree_cap = want;
-        }
-        dirty_pes.sort_unstable();
-        dirty_pes.dedup();
-        for pe in dirty_pes {
-            self.refresh_peak(graph, machine, pe);
-        }
-    }
-
-    /// Consumerless node `r` was removed; ids above it shifted down.
-    /// `consumers` is the *post-edit* shared consumer index.
-    fn repair_remove(
+    /// and time. `ctx` already follows the edit.
+    fn repair_add(
         &mut self,
+        ctx: &EvalContext,
         ev: &Evaluator<'_>,
-        consumers: &[Vec<NodeId>],
-        r: usize,
-        removed: &Node,
+        id: usize,
+        p: (i64, i64),
+        t: i64,
+        events: &mut Vec<(i64, i64)>,
     ) {
         let graph = ev.graph();
         let machine = ev.machine();
-        let pe = self.place[r];
-        let t = self.time[r];
-        if !machine.contains(pe.0, pe.1) {
-            self.oob -= 1;
+        let pe = self.intern(ctx, p);
+        self.place.push(p);
+        self.time.push(t);
+        self.node_pe.push(pe);
+        self.oob += u64::from(pe as usize >= ctx.grid_pes());
+        self.neg += u64::from(t < 0);
+        for &d in &graph.nodes[id].deps {
+            self.causality += self.edge_violation(ctx, machine, d as usize, id);
         }
-        if t < 0 {
-            self.neg -= 1;
-        }
+        self.issue_add(machine.issue_width, (pe, t));
+        hist_add(&mut self.tiles.time_hist, t);
+        // No consumers yet: the new node's value dies at birth.
+        self.tiles.last_use.push(t);
+        // Largest id: the member list stays ascending.
+        self.tiles.insert(pe as usize, id as NodeId);
+        self.tree.push(NodeCost::default());
+        self.dirty.push(id);
+        let deps = graph.nodes[id].deps.iter().map(|&d| d as usize);
+        self.touch_producers(ctx, ev, deps, vec![pe as usize], events);
+    }
+
+    /// Consumerless node `r` was removed; ids above it shifted down.
+    /// `ctx` already follows the edit.
+    fn repair_remove(
+        &mut self,
+        ctx: &EvalContext,
+        ev: &Evaluator<'_>,
+        r: usize,
+        removed: &Node,
+        events: &mut Vec<(i64, i64)>,
+    ) {
+        let machine = ev.machine();
+        let (pe, t) = (self.node_pe[r], self.time[r]);
+        self.oob -= u64::from(pe as usize >= ctx.grid_pes());
+        self.neg -= u64::from(t < 0);
         // Subtract with the pre-compaction arrays: the removed node's
         // entries are still present and its deps all sit below it.
         for &d in &removed.deps {
-            self.causality -= edge_violation(machine, &self.place, &self.time, d as usize, r);
+            self.causality -= self.edge_violation(ctx, machine, d as usize, r);
         }
         self.issue_remove(machine.issue_width, (pe, t));
-        hist_remove(&mut self.time_hist, t);
-        {
-            let list = self.pe_nodes.get_mut(&pe).expect("node on its PE");
-            let pos = list.binary_search(&(r as NodeId)).expect("node on its PE");
-            list.remove(pos);
-            if list.is_empty() {
-                self.pe_nodes.remove(&pe);
-            }
-        }
+        hist_remove(&mut self.tiles.time_hist, t);
+        self.tiles.remove(pe as usize, r as NodeId);
         // Uniform decrement keeps every list sorted.
-        for list in self.pe_nodes.values_mut() {
-            for id in list.iter_mut() {
-                if *id > r as NodeId {
-                    *id -= 1;
-                }
+        for list in &mut self.tiles.members {
+            let from = list.partition_point(|&j| j <= r as NodeId);
+            for j in &mut list[from..] {
+                *j -= 1;
             }
         }
         self.place.remove(r);
         self.time.remove(r);
-        self.last_use.remove(r);
-        self.leaves.remove(r);
+        self.node_pe.remove(r);
+        self.tiles.last_use.remove(r);
+        self.tree.remove(r);
         self.dirty.retain(|&i| i != r);
         for i in self.dirty.iter_mut() {
             if *i > r {
                 *i -= 1;
             }
         }
-        let mut dirty_pes = vec![pe];
-        for &d in &removed.deps {
-            let du = d as usize;
-            let lu = Self::recompute_last_use(&self.time, consumers, du);
-            if lu != self.last_use[du] {
-                self.last_use[du] = lu;
-                dirty_pes.push(self.place[du]);
-            }
-            // One fewer def→use message from each former producer.
-            self.dirty.push(du);
-        }
-        // Compaction shifted every leaf slot: rebuild the fixed-shape
-        // tree at the new capacity.
-        self.tree = CostTree::build(&self.leaves);
-        self.tree_cap = self.leaves.len().next_power_of_two().max(1);
-        dirty_pes.sort_unstable();
-        dirty_pes.dedup();
-        for pe in dirty_pes {
-            self.refresh_peak(graph, machine, pe);
-        }
+        let deps = removed.deps.iter().map(|&d| d as usize);
+        self.touch_producers(ctx, ev, deps, vec![pe as usize], events);
     }
 
     /// Dep slot of `node` moved from `old_dep` to `new_dep`. Places and
@@ -1090,58 +993,32 @@ impl CandState {
     /// reads, and produced messages do not depend on who feeds it.
     fn repair_retarget(
         &mut self,
+        ctx: &EvalContext,
         ev: &Evaluator<'_>,
-        consumers: &[Vec<NodeId>],
         node: usize,
         old_dep: usize,
         new_dep: usize,
+        events: &mut Vec<(i64, i64)>,
     ) {
         if old_dep == new_dep {
             return;
         }
-        let graph = ev.graph();
         let machine = ev.machine();
-        self.causality -= edge_violation(machine, &self.place, &self.time, old_dep, node);
-        self.causality += edge_violation(machine, &self.place, &self.time, new_dep, node);
-        let mut dirty_pes = Vec::new();
-        for du in [old_dep, new_dep] {
-            let lu = Self::recompute_last_use(&self.time, consumers, du);
-            if lu != self.last_use[du] {
-                self.last_use[du] = lu;
-                dirty_pes.push(self.place[du]);
-            }
-            self.dirty.push(du);
-        }
-        dirty_pes.sort_unstable();
-        dirty_pes.dedup();
-        for pe in dirty_pes {
-            self.refresh_peak(graph, machine, pe);
-        }
+        self.causality -= self.edge_violation(ctx, machine, old_dep, node);
+        self.causality += self.edge_violation(ctx, machine, new_dep, node);
+        self.touch_producers(ctx, ev, [old_dep, new_dep], Vec::new(), events);
     }
 
-    /// The tile capacity changed: peaks and energies are capacity-
-    /// independent, only the over-capacity count moves.
-    fn repair_resize(&mut self, machine: &MachineConfig) {
-        self.storage_over = self
-            .peaks
-            .values()
-            .filter(|&&p| p > machine.tile_bits)
-            .count() as u64;
-    }
-
-    /// Recost stale leaves, reusing the pool's def→use scratch buffer.
-    /// Called only when the candidate is legal.
-    fn flush(&mut self, ev: &Evaluator<'_>, consumers: &[Vec<NodeId>], pes: &mut Vec<(i64, i64)>) {
-        if self.dirty.is_empty() {
-            return;
-        }
+    /// Re-cost stale leaves through the context and re-fold their
+    /// paths. Called only when the candidate is legal.
+    fn flush(&mut self, ctx: &EvalContext, ev: &Evaluator<'_>, buf: &mut ScratchBuf) {
         self.dirty.sort_unstable();
         self.dirty.dedup();
-        for idx in std::mem::take(&mut self.dirty) {
-            let c = ev.node_cost_in(idx, &self.place, &consumers[idx], pes);
-            self.leaves[idx] = c;
-            self.tree.update(idx, c);
+        for &id in &self.dirty {
+            let c = ctx.node_cost(ev, id, &self.place, &mut buf.pes, &mut buf.dests);
+            self.tree.update(id, c);
         }
+        self.dirty.clear();
     }
 }
 
@@ -1160,28 +1037,20 @@ impl CandState {
 /// machine as evolved *only* through the applied edits.
 pub struct DeltaCandidates {
     mappings: Vec<Mapping>,
-    /// Shared consumer index of the current graph.
-    consumers: Vec<Vec<NodeId>>,
+    /// The flat engine's context for the current graph, following every
+    /// applied edit.
+    ctx: EvalContext,
     /// Nodes with no domain index — any makes affine candidates
     /// unresolvable.
     unindexed: usize,
-    /// Refcount of DRAM-placed input reads per distinct element; the
-    /// key count is the off-chip fetch count.
-    dram_refs: HashMap<(u32, u32), u32>,
-    /// Nodes marked as outputs.
-    marked_outputs: u64,
-    /// Nodes with at least one consumer (`len - nonsink` = sink count,
-    /// the writeback set when nothing is marked).
-    nonsink: u64,
-    graph_len: usize,
     /// One cached state per candidate; `None` = unresolvable now, or
     /// invalidated and awaiting a lazy cold rebuild.
     states: Vec<Option<CandState>>,
     rebuilds: u64,
-    /// Reusable def→use scratch threaded through leaf flushes, so warm
-    /// re-evaluations (the `tune_warm` path) stop allocating per stale
-    /// leaf.
-    pes_scratch: Vec<(i64, i64)>,
+    /// Reusable buffers for cold builds, peak sweeps and leaf flushes,
+    /// so warm re-evaluations (the `tune_warm` path) do not allocate
+    /// per stale leaf.
+    buf: ScratchBuf,
 }
 
 impl DeltaCandidates {
@@ -1190,37 +1059,23 @@ impl DeltaCandidates {
     pub fn new(ev: &Evaluator<'_>, mappings: Vec<Mapping>) -> Self {
         let graph = ev.graph();
         let machine = ev.machine();
-        let consumers = graph.consumers();
-        let unindexed = graph.nodes.iter().filter(|n| n.index.is_empty()).count();
-        let mut dram_refs: HashMap<(u32, u32), u32> = HashMap::new();
-        for n in &graph.nodes {
-            for (input, flat) in n.expr.input_reads() {
-                if ev.dram_input(input) {
-                    *dram_refs.entry((input, flat)).or_insert(0) += 1;
-                }
-            }
-        }
-        let marked_outputs = graph.nodes.iter().filter(|n| n.output).count() as u64;
-        let nonsink = consumers.iter().filter(|c| !c.is_empty()).count() as u64;
+        let ctx = EvalContext::new(ev);
+        let mut buf = ScratchBuf::default();
         let states = mappings
             .iter()
             .map(|m| {
                 m.resolve(graph, machine)
                     .ok()
-                    .map(|rm| CandState::build(ev, &rm, &consumers))
+                    .map(|rm| CandState::build(&ctx, ev, rm, &mut buf))
             })
             .collect();
         DeltaCandidates {
+            unindexed: graph.nodes.iter().filter(|n| n.index.is_empty()).count(),
             mappings,
-            consumers,
-            unindexed,
-            dram_refs,
-            marked_outputs,
-            nonsink,
-            graph_len: graph.len(),
+            ctx,
             states,
             rebuilds: 0,
-            pes_scratch: Vec::new(),
+            buf,
         }
     }
 
@@ -1245,92 +1100,28 @@ impl DeltaCandidates {
     /// graph — the same predicate as `Mapping::resolve`, answered from
     /// maintained counters.
     fn resolvable(&self, i: usize) -> bool {
+        let len = self.ctx.len();
         match &self.mappings[i] {
             Mapping::Affine(_) => self.unindexed == 0,
-            Mapping::Table(t) => t.place.len() == self.graph_len && t.time.len() == self.graph_len,
+            Mapping::Table(t) => t.place.len() == len && t.time.len() == len,
         }
     }
 
-    /// Fold one applied edit into the shared indexes and every cached
+    /// Fold one applied edit into the shared context and every cached
     /// candidate state. `ev` must wrap the *post-edit* graph/machine.
     pub fn apply(&mut self, ev: &Evaluator<'_>, edit: &AppliedEdit) {
         let graph = ev.graph();
+        self.ctx.apply_edit(ev, edit);
         match edit {
             AppliedEdit::AddNode { id } => {
-                let node = &graph.nodes[*id as usize];
-                self.consumers.push(Vec::new());
-                for &d in &node.deps {
-                    let du = d as usize;
-                    if self.consumers[du].is_empty() {
-                        self.nonsink += 1;
-                    }
-                    // The new id is the largest: order is preserved.
-                    self.consumers[du].push(*id);
-                }
-                if node.index.is_empty() {
-                    self.unindexed += 1;
-                }
-                for (input, flat) in node.expr.input_reads() {
-                    if ev.dram_input(input) {
-                        *self.dram_refs.entry((input, flat)).or_insert(0) += 1;
-                    }
-                }
-                if node.output {
-                    self.marked_outputs += 1;
-                }
-                self.graph_len += 1;
+                self.unindexed += usize::from(graph.nodes[*id as usize].index.is_empty());
             }
             AppliedEdit::RemoveNode { node, .. } => {
-                if node.index.is_empty() {
-                    self.unindexed -= 1;
-                }
-                for (input, flat) in node.expr.input_reads() {
-                    if ev.dram_input(input) {
-                        match self.dram_refs.get_mut(&(input, flat)) {
-                            Some(c) if *c > 1 => *c -= 1,
-                            Some(_) => {
-                                self.dram_refs.remove(&(input, flat));
-                            }
-                            None => panic!("DRAM refcount underflow"),
-                        }
-                    }
-                }
-                if node.output {
-                    self.marked_outputs -= 1;
-                }
-                self.graph_len -= 1;
-                // Compaction renumbers entries in every list; rebuild.
-                self.consumers = graph.consumers();
-                self.nonsink = self.consumers.iter().filter(|c| !c.is_empty()).count() as u64;
+                self.unindexed -= usize::from(node.index.is_empty());
             }
-            AppliedEdit::RetargetEdge {
-                node,
-                old_dep,
-                new_dep,
-                ..
-            } => {
-                if old_dep != new_dep {
-                    let ou = *old_dep as usize;
-                    let pos = self.consumers[ou]
-                        .binary_search(node)
-                        .expect("retargeted consumer recorded on old producer");
-                    self.consumers[ou].remove(pos);
-                    if self.consumers[ou].is_empty() {
-                        self.nonsink -= 1;
-                    }
-                    let nu = *new_dep as usize;
-                    if self.consumers[nu].is_empty() {
-                        self.nonsink += 1;
-                    }
-                    let pos = match self.consumers[nu].binary_search(node) {
-                        Ok(p) | Err(p) => p,
-                    };
-                    self.consumers[nu].insert(pos, *node);
-                }
-            }
-            AppliedEdit::ResizeTile { .. } => {}
+            AppliedEdit::RetargetEdge { .. } | AppliedEdit::ResizeTile { .. } => {}
         }
-        debug_assert_eq!(self.graph_len, graph.len(), "edits applied out of order");
+        debug_assert_eq!(self.ctx.len(), graph.len(), "edits applied out of order");
 
         for i in 0..self.mappings.len() {
             if !self.resolvable(i) {
@@ -1341,6 +1132,7 @@ impl DeltaCandidates {
                 // Invalidated earlier; rebuilt lazily at evaluation.
                 continue;
             };
+            let events = &mut self.buf.events;
             match edit {
                 AppliedEdit::AddNode { id } => {
                     let Mapping::Affine(am) = &self.mappings[i] else {
@@ -1350,10 +1142,10 @@ impl DeltaCandidates {
                     let n = &graph.nodes[idu];
                     let pe = am.place.eval(&n.index, ev.machine().cols);
                     let t = am.time.eval(&n.index);
-                    state.repair_add(ev, idu, pe, t);
+                    state.repair_add(&self.ctx, ev, idu, pe, t, events);
                 }
                 AppliedEdit::RemoveNode { id, node } => {
-                    state.repair_remove(ev, &self.consumers, *id as usize, node);
+                    state.repair_remove(&self.ctx, ev, *id as usize, node, events);
                 }
                 AppliedEdit::RetargetEdge {
                     node,
@@ -1361,16 +1153,20 @@ impl DeltaCandidates {
                     new_dep,
                     ..
                 } => {
-                    state.repair_retarget(
-                        ev,
-                        &self.consumers,
-                        *node as usize,
-                        *old_dep as usize,
-                        *new_dep as usize,
-                    );
+                    let (node, old_dep, new_dep) =
+                        (*node as usize, *old_dep as usize, *new_dep as usize);
+                    state.repair_retarget(&self.ctx, ev, node, old_dep, new_dep, events);
                 }
-                AppliedEdit::ResizeTile { .. } => {
-                    state.repair_resize(ev.machine());
+                AppliedEdit::ResizeTile { new_bits, .. } => {
+                    // Peaks are capacity-independent: only the
+                    // over-capacity count moves.
+                    let tiles = &mut state.tiles;
+                    tiles.over_capacity = tiles
+                        .peaks
+                        .iter()
+                        .flatten()
+                        .filter(|&&p| p > *new_bits)
+                        .count() as u64;
                 }
             }
         }
@@ -1388,7 +1184,7 @@ impl DeltaCandidates {
             let rm = self.mappings[i]
                 .resolve(ev.graph(), ev.machine())
                 .expect("resolvable candidate must resolve");
-            self.states[i] = Some(CandState::build(ev, &rm, &self.consumers));
+            self.states[i] = Some(CandState::build(&self.ctx, ev, rm, &mut self.buf));
             self.rebuilds += 1;
         }
         let state = self.states[i].as_mut().expect("state just ensured");
@@ -1396,20 +1192,14 @@ impl DeltaCandidates {
         if total > 0 {
             return CandidateEval::Illegal(total);
         }
-        state.flush(ev, &self.consumers, &mut self.pes_scratch);
-        let cycles = state.time_hist.keys().next_back().map_or(0, |&t| t + 1);
-        let peak = state.peak_hist.keys().next_back().copied().unwrap_or(0);
-        let writeback = if ev.writeback_on() {
-            if self.marked_outputs > 0 {
-                self.marked_outputs
-            } else {
-                self.graph_len as u64 - self.nonsink
-            }
-        } else {
-            0
-        };
-        let off = ev.offchip_from_count(self.dram_refs.len() as u64 + writeback);
-        let report = ev.assemble(state.tree.total(), &off, cycles, peak, state.pe_nodes.len());
+        state.flush(&self.ctx, ev, &mut self.buf);
+        let report = ev.assemble(
+            state.tree.total(),
+            &self.ctx.offchip(),
+            state.tiles.makespan(),
+            state.tiles.global_peak(),
+            state.tiles.occupied,
+        );
         let score = ev.score(fom, &report);
         CandidateEval::Legal {
             resolved: ResolvedMapping {
@@ -1609,7 +1399,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     use crate::affine::IdxExpr;
-    use crate::mapping::{AffineMap, LinearOrder, Mapping, PlaceExpr};
+    use crate::mapping::{AffineMap, InputPlacement, LinearOrder, Mapping, PlaceExpr};
     use crate::mutate::{apply_edit, GraphEdit};
     use crate::search::{evaluate_candidate, CandidateEval, FigureOfMerit, MappingCandidate};
 
@@ -1732,12 +1522,14 @@ mod tests {
 
     #[test]
     fn random_edit_streams_keep_candidates_bit_exact() {
-        for seed in 0..3u64 {
+        // Unicast and multicast: the context carries every producer's
+        // fan-out across edits either way.
+        for (seed, multicast) in (0..3u64).flat_map(|s| [(s, false), (s, true)]) {
             let mut g = random_dag(30, 11 + seed);
             let mut m = MachineConfig::n5(3, 2);
             let mappings = candidate_mix(&g);
             let mut dc = {
-                let ev = Evaluator::new(&g, &m);
+                let ev = Evaluator::new(&g, &m).with_multicast(multicast);
                 DeltaCandidates::new(&ev, mappings.clone())
             };
             let mut rng = StdRng::seed_from_u64(1000 + seed);
@@ -1745,7 +1537,7 @@ mod tests {
             for step in 0..50 {
                 let edit = random_edit(&mut rng, &g, &mut next_idx);
                 let receipt = apply_edit(&mut g, &mut m, &edit).expect("generated edits are valid");
-                let ev = Evaluator::new(&g, &m);
+                let ev = Evaluator::new(&g, &m).with_multicast(multicast);
                 dc.apply(&ev, &receipt);
                 for (i, mapping) in mappings.iter().enumerate() {
                     let warm = dc.evaluate(i, &ev, FigureOfMerit::Edp);
@@ -1756,7 +1548,8 @@ mod tests {
                         &MappingCandidate::new(format!("c{i}"), mapping.clone()),
                         FigureOfMerit::Edp,
                     );
-                    assert_same_eval(&warm, &cold, &format!("seed {seed} step {step} cand {i}"));
+                    let ctx = format!("seed {seed} multicast {multicast} step {step} cand {i}");
+                    assert_same_eval(&warm, &cold, &ctx);
                 }
             }
         }
@@ -1916,65 +1709,87 @@ mod tests {
 
     #[test]
     fn dram_and_writeback_counters_stay_exact_under_edits() {
-        let mut g = DataflowGraph::new("io", 32);
-        let x = g.add_input("X", vec![8]);
-        g.add_node(CExpr::input(x, 0), vec![], vec![0]);
-        g.add_node(CExpr::input(x, 1).add(CExpr::input(x, 0)), vec![], vec![1]);
-        let mut m = MachineConfig::n5(3, 2);
-        let affine = Mapping::Affine(AffineMap {
-            place: PlaceExpr::row0(IdxExpr::i() % 3),
-            time: IdxExpr::i() * 4,
-        });
-        // Must be configured identically on every call.
-        fn make_ev<'a>(g: &'a DataflowGraph, m: &'a MachineConfig) -> Evaluator<'a> {
-            Evaluator::new(g, m).with_writeback(true)
-        }
-        let mut dc = {
-            let ev = make_ev(&g, &m);
-            DeltaCandidates::new(&ev, vec![affine.clone()])
-        };
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut next_idx = 1i64;
-        for step in 0..40 {
-            let edit = if g.len() < 3 || rng.random_range(0..3u32) > 0 {
-                let n = g.len() as u32;
-                let elem = rng.random_range(0..8u32);
-                let (expr, deps) = if rng.random_range(0..2u32) == 0 {
-                    (CExpr::input(x, elem), vec![])
-                } else {
-                    (
-                        CExpr::input(x, elem).add(CExpr::dep(0)),
-                        vec![rng.random_range(0..n)],
-                    )
-                };
-                next_idx += 1;
-                GraphEdit::AddNode {
-                    expr,
-                    deps,
-                    index: vec![next_idx],
-                    output: rng.random_range(0..3u32) == 0,
-                }
-            } else {
-                let cons = g.consumers();
-                let sinks: Vec<u32> = (0..g.len() as u32)
-                    .filter(|&i| cons[i as usize].is_empty())
-                    .collect();
-                GraphEdit::RemoveNode {
-                    id: sinks[rng.random_range(0..sinks.len())],
-                }
+        // DRAM, home-PE and at-use input reads, unicast and multicast:
+        // the context carries every node's reads and fan-out across
+        // edits.
+        let placements = [
+            InputPlacement::Dram,
+            InputPlacement::Local(PlaceExpr::row0(IdxExpr::i() % 3)),
+            InputPlacement::AtUse,
+        ];
+        for (placement, multicast) in placements
+            .iter()
+            .flat_map(|p| [(p.clone(), false), (p.clone(), true)])
+        {
+            let mut g = DataflowGraph::new("io", 32);
+            let x = g.add_input("X", vec![8]);
+            g.add_node(CExpr::input(x, 0), vec![], vec![0]);
+            g.add_node(CExpr::input(x, 1).add(CExpr::input(x, 0)), vec![], vec![1]);
+            let mut m = MachineConfig::n5(3, 2);
+            let affine = Mapping::Affine(AffineMap {
+                place: PlaceExpr::row0(IdxExpr::i() % 3),
+                time: IdxExpr::i() * 4,
+            });
+            // Must be configured identically on every call.
+            fn make_ev<'a>(
+                g: &'a DataflowGraph,
+                m: &'a MachineConfig,
+                placement: &InputPlacement,
+                multicast: bool,
+            ) -> Evaluator<'a> {
+                Evaluator::new(g, m)
+                    .with_writeback(true)
+                    .with_all_inputs(placement.clone())
+                    .with_multicast(multicast)
+            }
+            let mut dc = {
+                let ev = make_ev(&g, &m, &placement, multicast);
+                DeltaCandidates::new(&ev, vec![affine.clone()])
             };
-            let receipt = apply_edit(&mut g, &mut m, &edit).expect("valid edit");
-            let ev = make_ev(&g, &m);
-            dc.apply(&ev, &receipt);
-            let warm = dc.evaluate(0, &ev, FigureOfMerit::Energy);
-            let cold = evaluate_candidate(
-                &ev,
-                &g,
-                &m,
-                &MappingCandidate::new("affine", affine.clone()),
-                FigureOfMerit::Energy,
-            );
-            assert_same_eval(&warm, &cold, &format!("io step {step}"));
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut next_idx = 1i64;
+            for step in 0..40 {
+                let edit = if g.len() < 3 || rng.random_range(0..3u32) > 0 {
+                    let n = g.len() as u32;
+                    let elem = rng.random_range(0..8u32);
+                    let (expr, deps) = if rng.random_range(0..2u32) == 0 {
+                        (CExpr::input(x, elem), vec![])
+                    } else {
+                        (
+                            CExpr::input(x, elem).add(CExpr::dep(0)),
+                            vec![rng.random_range(0..n)],
+                        )
+                    };
+                    next_idx += 1;
+                    GraphEdit::AddNode {
+                        expr,
+                        deps,
+                        index: vec![next_idx],
+                        output: rng.random_range(0..3u32) == 0,
+                    }
+                } else {
+                    let cons = g.consumers();
+                    let sinks: Vec<u32> = (0..g.len() as u32)
+                        .filter(|&i| cons[i as usize].is_empty())
+                        .collect();
+                    GraphEdit::RemoveNode {
+                        id: sinks[rng.random_range(0..sinks.len())],
+                    }
+                };
+                let receipt = apply_edit(&mut g, &mut m, &edit).expect("valid edit");
+                let ev = make_ev(&g, &m, &placement, multicast);
+                dc.apply(&ev, &receipt);
+                let warm = dc.evaluate(0, &ev, FigureOfMerit::Energy);
+                let cold = evaluate_candidate(
+                    &ev,
+                    &g,
+                    &m,
+                    &MappingCandidate::new("affine", affine.clone()),
+                    FigureOfMerit::Energy,
+                );
+                let ctx = format!("io {placement:?} multicast {multicast} step {step}");
+                assert_same_eval(&warm, &cold, &ctx);
+            }
         }
     }
 }

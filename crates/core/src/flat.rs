@@ -6,17 +6,22 @@
 //! lookups and per-candidate `Vec` reallocation rather than in the
 //! cost arithmetic itself. This module restructures evaluation the way
 //! the paper says to restructure computation: make the data layout
-//! explicit and contiguous.
+//! explicit and contiguous. It is the one place production code
+//! charges nodes and checks legality; the `HashMap`-based reference
+//! (`Evaluator::evaluate_ref`, `legality::check`) is the oracle it is
+//! tested against.
 //!
 //! Three pieces:
 //!
 //! * [`EvalContext`] — everything shared by every candidate of one
-//!   (graph, machine, evaluator) triple, computed **once**: CSR
-//!   consumer lists, the placement-independent prefix of every node's
-//!   cost (expression ops + result write + operand reads — a fixed
-//!   f64 partial sum, so continuing from it reproduces the reference
-//!   accumulation bit-for-bit), per-node input-read homes with the
-//!   unflatten/affine work pre-evaluated, and the off-chip totals.
+//!   (graph, machine, evaluator) triple: CSR consumer lists, the
+//!   placement-independent prefix of every node's cost (expression
+//!   ops, result write and operand reads — a fixed f64 partial sum, so
+//!   continuing from it reproduces the reference accumulation
+//!   bit-for-bit), per-node input-read homes with the unflatten/affine
+//!   work pre-evaluated, and the off-chip totals. Built once per tune;
+//!   the session engine ([`crate::delta::DeltaCandidates`]) keeps one
+//!   alive and patches it in place per structural edit.
 //! * [`EvalScratch`] — a reusable arena holding every buffer one
 //!   evaluation needs (resolved places/times, interned PE ids, sweep
 //!   events, the SoA [`CostTree`]). Buffers are cleared, never freed,
@@ -25,14 +30,17 @@
 //!   work-stealing loop calls: resolve into scratch, check legality
 //!   with dense per-PE arrays, cost through the context, score. Its
 //!   result is debug-asserted bit-identical to the reference
-//!   `search::evaluate_candidate` path.
+//!   `search::evaluate_candidate_ref` path.
 //!
 //! **Interning rule.** A place `(x, y)` on the `cols × rows` grid
-//! interns to `pe = y * cols + x` as a dense `u32`. Off-grid places
-//! (possible only in unchecked mappings, which are illegal by the
-//! bounds rule anyway) make the flat path bow out: callers fall back
-//! to the reference `HashMap` implementations, so generality is
-//! preserved without taxing the hot path.
+//! interns to `pe = y * cols + x` as a dense `u32`. An off-grid place
+//! (possible only in unchecked mappings) interns past the grid, to
+//! `cols * rows + k`, where `k` numbers the evaluation's distinct
+//! off-grid places. Every mapping therefore gets its verdict here: the
+//! legality phases return the exact `legality::check` total (bounds
+//! count off-grid nodes and negative times, causality is skipped when
+//! any place is off the grid, issue width and storage run over every
+//! id), and the cost fold charges exactly what the reference charges.
 //!
 //! Every number produced here is bit-identical to the reference path:
 //! the pairwise cost tree keeps its exact shape (SoA only changes
@@ -41,12 +49,13 @@
 //! pairs the `HashMap` version sorts.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 
 use crate::cost::{CostReport, CostTree, Evaluator, NodeCost, OffchipTotals};
-use crate::dataflow::{DataflowGraph, NodeId};
-use crate::legality::check;
+use crate::dataflow::{DataflowGraph, Node, NodeId};
 use crate::machine::MachineConfig;
 use crate::mapping::{InputPlacement, ResolvedMapping};
+use crate::mutate::AppliedEdit;
 use crate::search::{evaluate_candidate_ref, CandidateEval, FigureOfMerit, MappingCandidate};
 
 /// One pre-resolved non-DRAM input read of a node.
@@ -77,7 +86,15 @@ pub struct EvalContext {
     /// (DRAM reads contribute nothing placement-dependent).
     read_off: Vec<u32>,
     reads: Vec<InputRead>,
-    /// Hoisted off-chip totals (pure function of graph + placements).
+    /// Reads per distinct DRAM-placed input element; the key count is
+    /// the off-chip fetch count.
+    dram_refs: HashMap<(u32, u32), u32>,
+    /// Nodes marked as outputs.
+    marked_outputs: u64,
+    /// Nodes with at least one consumer: when nothing is marked, the
+    /// sinks are the writeback set.
+    nonsink: u64,
+    /// Off-chip totals (a pure function of graph + placements).
     off: OffchipTotals,
     /// One tile access, in femtojoules (every such charge is
     /// identical).
@@ -94,87 +111,213 @@ impl EvalContext {
     pub fn new(ev: &Evaluator<'_>) -> EvalContext {
         let g = ev.graph();
         let m = ev.machine();
-        let be = ev.backend();
         let n = g.len();
         let width = u64::from(g.width_bits);
-        let tile_fj = be.tile_access_energy(&m.tech, width).raw();
-
-        // CSR consumers: count, prefix, scatter in id order — the
-        // scatter order reproduces `consumers()`'s ascending lists.
-        let mut cons_off = vec![0u32; n + 1];
-        for node in &g.nodes {
-            for &d in &node.deps {
-                cons_off[d as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            cons_off[i + 1] += cons_off[i];
-        }
-        let mut cursor: Vec<u32> = cons_off[..n].to_vec();
-        let mut cons_data = vec![0 as NodeId; cons_off[n] as usize];
-        for (id, node) in g.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                let slot = &mut cursor[d as usize];
-                cons_data[*slot as usize] = id as NodeId;
-                *slot += 1;
-            }
-        }
-
-        // Placement-independent cost prefix + pre-resolved input reads.
-        let mut base = Vec::with_capacity(n);
-        let mut read_off = vec![0u32; n + 1];
-        let mut reads = Vec::new();
-        for (id, node) in g.nodes.iter().enumerate() {
-            let mut c = NodeCost::default();
-            let compute = |e: f64, c: &mut NodeCost| {
-                c.compute_fj += e;
-                c.compute_ops += 1;
-            };
-            for op in node.expr.op_kinds(g.width_bits) {
-                compute(be.op_energy(&m.tech, op).raw(), &mut c);
-            }
-            compute(tile_fj, &mut c);
-            for _ in &node.deps {
-                compute(tile_fj, &mut c);
-            }
-            base.push(c);
-
-            for (input, flat) in node.expr.input_reads() {
-                match ev.input_placement(input as usize) {
-                    InputPlacement::Dram => {}
-                    InputPlacement::Local(pexpr) => {
-                        let spec = &g.inputs[input as usize];
-                        let idx = crate::cost::unflatten(spec, flat);
-                        reads.push(InputRead {
-                            home: pexpr.eval(&idx, m.cols),
-                            at_use: false,
-                        });
-                    }
-                    InputPlacement::AtUse => {
-                        reads.push(InputRead {
-                            home: (0, 0),
-                            at_use: true,
-                        });
-                    }
-                }
-            }
-            read_off[id + 1] = reads.len() as u32;
-        }
-
-        EvalContext {
-            cons_off,
-            cons_data,
-            base,
-            read_off,
-            reads,
-            off: ev.offchip_totals(),
-            tile_fj,
+        let mut ctx = EvalContext {
+            cons_off: vec![0u32; n + 1],
+            cons_data: Vec::new(),
+            base: Vec::with_capacity(n),
+            read_off: vec![0],
+            reads: Vec::new(),
+            dram_refs: HashMap::new(),
+            marked_outputs: 0,
+            nonsink: 0,
+            off: OffchipTotals::default(),
+            tile_fj: ev.backend().tile_access_energy(&m.tech, width).raw(),
             width,
             cols: i64::from(m.cols),
             rows: i64::from(m.rows),
             pe_count: m.cols as usize * m.rows as usize,
-            multicast: ev.multicast_on(),
+            multicast: ev.multicast,
+        };
+
+        // CSR consumers: count, prefix, scatter in id order — the
+        // scatter order reproduces `consumers()`'s ascending lists.
+        for node in &g.nodes {
+            for &d in &node.deps {
+                ctx.cons_off[d as usize + 1] += 1;
+            }
         }
+        for i in 0..n {
+            ctx.nonsink += u64::from(ctx.cons_off[i + 1] > 0);
+            ctx.cons_off[i + 1] += ctx.cons_off[i];
+        }
+        let mut cursor: Vec<u32> = ctx.cons_off[..n].to_vec();
+        ctx.cons_data = vec![0 as NodeId; ctx.cons_off[n] as usize];
+        for (id, node) in g.nodes.iter().enumerate() {
+            for &d in &node.deps {
+                let slot = &mut cursor[d as usize];
+                ctx.cons_data[*slot as usize] = id as NodeId;
+                *slot += 1;
+            }
+        }
+
+        for node in &g.nodes {
+            ctx.push_node(ev, node);
+        }
+        ctx.refresh_offchip(ev);
+        ctx
+    }
+
+    /// Append `node`'s placement-independent cost prefix and its
+    /// pre-resolved non-DRAM input reads; count its DRAM reads and its
+    /// output mark.
+    fn push_node(&mut self, ev: &Evaluator<'_>, node: &Node) {
+        let g = ev.graph();
+        let m = ev.machine();
+        let be = ev.backend();
+        let mut c = NodeCost::default();
+        let compute = |e: f64, c: &mut NodeCost| {
+            c.compute_fj += e;
+            c.compute_ops += 1;
+        };
+        for op in node.expr.op_kinds(g.width_bits) {
+            compute(be.op_energy(&m.tech, op).raw(), &mut c);
+        }
+        compute(self.tile_fj, &mut c);
+        for _ in &node.deps {
+            compute(self.tile_fj, &mut c);
+        }
+        self.base.push(c);
+
+        for (input, flat) in node.expr.input_reads() {
+            match &ev.input_placements[input as usize] {
+                InputPlacement::Dram => *self.dram_refs.entry((input, flat)).or_insert(0) += 1,
+                InputPlacement::Local(pexpr) => {
+                    let idx = crate::cost::unflatten(&g.inputs[input as usize], flat);
+                    self.reads.push(InputRead {
+                        home: pexpr.eval(&idx, m.cols),
+                        at_use: false,
+                    });
+                }
+                InputPlacement::AtUse => self.reads.push(InputRead {
+                    home: (0, 0),
+                    at_use: true,
+                }),
+            }
+        }
+        self.read_off.push(self.reads.len() as u32);
+        self.marked_outputs += u64::from(node.output);
+    }
+
+    /// Re-derive the off-chip totals from the DRAM fetch count and the
+    /// writeback count. Every transfer is charged identically (same
+    /// width), so folding one charge per transfer reproduces the
+    /// reference totals bit-for-bit.
+    fn refresh_offchip(&mut self, ev: &Evaluator<'_>) {
+        let writeback = match (ev.writeback_outputs, self.marked_outputs) {
+            (false, _) => 0,
+            (true, 0) => self.len() as u64 - self.nonsink,
+            (true, marked) => marked,
+        };
+        let fj = ev
+            .backend()
+            .offchip_energy(&ev.machine().tech, self.width)
+            .raw();
+        let mut off = OffchipTotals::default();
+        for _ in 0..self.dram_refs.len() as u64 + writeback {
+            off.fj += fj;
+            off.transfers += 1;
+            off.bits += self.width;
+        }
+        self.off = off;
+    }
+
+    /// Follow one applied structural edit in place. `ev` wraps the
+    /// post-edit graph and is configured as it was for [`Self::new`].
+    /// The new node's cost prefix and input reads are appended (or the
+    /// removed node's dropped), the consumer lists are patched, and the
+    /// DRAM-read refcounts and the writeback count stay exact — the
+    /// result equals a fresh [`Self::new`] on the post-edit graph.
+    pub(crate) fn apply_edit(&mut self, ev: &Evaluator<'_>, edit: &AppliedEdit) {
+        match edit {
+            AppliedEdit::AddNode { id } => {
+                let node = &ev.graph().nodes[*id as usize];
+                // The new id is the largest: its (empty) list goes last
+                // and it joins the end of each producer's list.
+                self.cons_off.push(self.cons_data.len() as u32);
+                for &d in &node.deps {
+                    self.cons_insert(d as usize, *id);
+                }
+                self.push_node(ev, node);
+            }
+            AppliedEdit::RemoveNode { id, node } => {
+                let r = *id as usize;
+                for &d in &node.deps {
+                    self.cons_remove(d as usize, *id);
+                }
+                // The removed node had no consumers: drop its empty
+                // list, then renumber the ids above it.
+                self.cons_off.remove(r + 1);
+                for c in &mut self.cons_data {
+                    if *c > *id {
+                        *c -= 1;
+                    }
+                }
+                self.base.remove(r);
+                let (lo, hi) = (self.read_off[r], self.read_off[r + 1]);
+                self.reads.drain(lo as usize..hi as usize);
+                self.read_off.remove(r + 1);
+                for o in &mut self.read_off[r + 1..] {
+                    *o -= hi - lo;
+                }
+                for (input, flat) in node.expr.input_reads() {
+                    if matches!(ev.input_placements[input as usize], InputPlacement::Dram) {
+                        let refs = self
+                            .dram_refs
+                            .get_mut(&(input, flat))
+                            .expect("DRAM refcount underflow");
+                        *refs -= 1;
+                        if *refs == 0 {
+                            self.dram_refs.remove(&(input, flat));
+                        }
+                    }
+                }
+                self.marked_outputs -= u64::from(node.output);
+            }
+            AppliedEdit::RetargetEdge {
+                node,
+                old_dep,
+                new_dep,
+                ..
+            } => {
+                self.cons_remove(*old_dep as usize, *node);
+                self.cons_insert(*new_dep as usize, *node);
+            }
+            AppliedEdit::ResizeTile { .. } => {}
+        }
+        self.refresh_offchip(ev);
+    }
+
+    /// Insert consumer `c` into producer `d`'s list, keeping it
+    /// ascending.
+    fn cons_insert(&mut self, d: usize, c: NodeId) {
+        let (lo, hi) = (self.cons_off[d] as usize, self.cons_off[d + 1] as usize);
+        self.nonsink += u64::from(lo == hi);
+        let at = lo + self.cons_data[lo..hi].partition_point(|&x| x <= c);
+        self.cons_data.insert(at, c);
+        for o in &mut self.cons_off[d + 1..] {
+            *o += 1;
+        }
+    }
+
+    /// Remove one occurrence of consumer `c` from producer `d`'s list.
+    fn cons_remove(&mut self, d: usize, c: NodeId) {
+        let (lo, hi) = (self.cons_off[d] as usize, self.cons_off[d + 1] as usize);
+        let at = lo
+            + self.cons_data[lo..hi]
+                .binary_search(&c)
+                .expect("consumer recorded on its producer");
+        self.cons_data.remove(at);
+        for o in &mut self.cons_off[d + 1..] {
+            *o -= 1;
+        }
+        self.nonsink -= u64::from(hi - lo == 1);
+    }
+
+    /// Number of nodes the context describes.
+    pub(crate) fn len(&self) -> usize {
+        self.base.len()
     }
 
     /// Node `id`'s consumers, ascending (CSR view of
@@ -183,14 +326,15 @@ impl EvalContext {
         &self.cons_data[self.cons_off[id] as usize..self.cons_off[id + 1] as usize]
     }
 
-    /// The hoisted off-chip totals.
+    /// The off-chip totals.
     pub(crate) fn offchip(&self) -> OffchipTotals {
         self.off
     }
 
-    /// Dense PE id for an on-grid place; `None` off grid.
+    /// Dense id of an on-grid place (`y * cols + x`); `None` off the
+    /// grid.
     #[inline]
-    fn intern(&self, p: (i64, i64)) -> Option<u32> {
+    pub(crate) fn pe_id(&self, p: (i64, i64)) -> Option<u32> {
         if p.0 >= 0 && p.1 >= 0 && p.0 < self.cols && p.1 < self.rows {
             Some((p.1 * self.cols + p.0) as u32)
         } else {
@@ -198,10 +342,59 @@ impl EvalContext {
         }
     }
 
+    /// PEs on the grid; ids at or past this count are off-grid places.
+    pub(crate) fn grid_pes(&self) -> usize {
+        self.pe_count
+    }
+
+    /// Whether the edge from on-grid id `pd` (value ready at `td`) to
+    /// on-grid id `pn` (starting at `tn`) violates causality: the
+    /// consumer starts before the value can arrive over the wires.
+    pub(crate) fn late(&self, machine: &MachineConfig, pd: u32, td: i64, pn: u32, tn: i64) -> bool {
+        tn - td < machine.required_gap(self.coords(pd), self.coords(pn))
+    }
+
+    fn coords(&self, pe: u32) -> (u32, u32) {
+        let pe = pe as i64;
+        ((pe % self.cols) as u32, (pe / self.cols) as u32)
+    }
+
+    /// Intern every place into `buf.node_pe` by the module's rule:
+    /// on-grid places to their [`Self::pe_id`], off-grid places past
+    /// the grid to `cols * rows + k`, with `k` numbering the distinct
+    /// off-grid places in sorted order. Leaves each off-grid
+    /// (place, node) pair in `buf.offgrid`, sorted, and the number of
+    /// ids in use in `buf.ids`.
+    pub(crate) fn intern_places(&self, place: &[(i64, i64)], buf: &mut ScratchBuf) {
+        buf.node_pe.clear();
+        buf.offgrid.clear();
+        for (id, &p) in place.iter().enumerate() {
+            let pe = match self.pe_id(p) {
+                Some(pe) => pe,
+                None => {
+                    buf.offgrid.push((p, id as NodeId));
+                    u32::MAX
+                }
+            };
+            buf.node_pe.push(pe);
+        }
+        buf.offgrid.sort_unstable();
+        let mut next = self.pe_count;
+        for k in 0..buf.offgrid.len() {
+            let (p, id) = buf.offgrid[k];
+            if k > 0 && buf.offgrid[k - 1].0 != p {
+                next += 1;
+            }
+            buf.node_pe[id as usize] = next as u32;
+        }
+        buf.ids = next + usize::from(!buf.offgrid.is_empty());
+    }
+
     /// Node `id`'s full cost under `place`: the precomputed prefix plus
     /// the placement-dependent input reads and def→use messages,
-    /// charged in exactly the reference `node_cost` order so the f64
-    /// accumulation is bit-identical.
+    /// charged in exactly the reference charge's order
+    /// (`Evaluator::node_cost_in`) so the f64 accumulation is
+    /// bit-identical. The one node charge production code runs.
     pub(crate) fn node_cost(
         &self,
         ev: &Evaluator<'_>,
@@ -265,36 +458,21 @@ impl EvalContext {
 
     /// Flat cost evaluation of an (assumed-legal) resolved mapping:
     /// the same report `Evaluator::evaluate_ref` assembles, computed
-    /// through dense arrays and the scratch arena. `None` when any
-    /// place is off grid (caller falls back to the reference path).
+    /// through dense arrays and the scratch arena. Off-grid places are
+    /// interned past the grid, so every mapping is costed here.
     pub(crate) fn evaluate_report(
         &self,
         ev: &Evaluator<'_>,
         place: &[(i64, i64)],
         time: &[i64],
         scratch: &mut EvalScratch,
-    ) -> Option<CostReport> {
+    ) -> CostReport {
         let buf = &mut scratch.buf;
-        if !self.intern_places(place, buf) {
-            return None;
-        }
+        self.intern_places(place, buf);
         let cycles = makespan_of(time);
         let sweep = self.sweep_tiles(ev.graph(), ev.machine(), time, cycles, buf);
         let total = self.fold_costs(ev, place, buf);
-        Some(ev.assemble(total, &self.off, cycles, sweep.peak, sweep.pes_used))
-    }
-
-    /// Intern every place into `buf.node_pe`; false if any is off
-    /// grid.
-    fn intern_places(&self, place: &[(i64, i64)], buf: &mut ScratchBuf) -> bool {
-        buf.node_pe.clear();
-        for &p in place {
-            match self.intern(p) {
-                Some(pe) => buf.node_pe.push(pe),
-                None => return false,
-            }
-        }
-        true
+        ev.assemble(total, &self.off, cycles, sweep.peak, sweep.pes_used)
     }
 
     /// Per-node costs → SoA tree → tree-shaped total.
@@ -304,21 +482,32 @@ impl EvalContext {
         place: &[(i64, i64)],
         buf: &mut ScratchBuf,
     ) -> NodeCost {
-        let n = place.len();
-        buf.tree.reset(n);
-        for id in 0..n {
-            let c = self.node_cost(ev, id, place, &mut buf.pes, &mut buf.dests);
-            buf.tree.set_leaf(id, c);
-        }
-        buf.tree.refresh();
+        self.fill_tree(ev, place, &mut buf.tree, &mut buf.pes, &mut buf.dests);
         buf.tree.total()
+    }
+
+    /// Charge every node under `place` into `tree` (reset to the node
+    /// count) and fold it.
+    pub(crate) fn fill_tree(
+        &self,
+        ev: &Evaluator<'_>,
+        place: &[(i64, i64)],
+        tree: &mut CostTree,
+        pes: &mut Vec<(i64, i64)>,
+        dests: &mut Vec<(u32, u32)>,
+    ) {
+        tree.reset(place.len());
+        for id in 0..place.len() {
+            tree.set_leaf(id, self.node_cost(ev, id, place, pes, dests));
+        }
+        tree.refresh();
     }
 
     /// The flat tile sweep: last-use relaxation, per-PE event scatter,
     /// in-place slice sorts and the live/peak sweep — the exact event
     /// multiset `legality::tile_peaks` sorts, minus the `HashMap`.
     /// Returns storage violations, the global peak, and the number of
-    /// occupied PEs. Requires `buf.node_pe` to be filled.
+    /// occupied PEs. Requires `buf.node_pe` to be interned.
     fn sweep_tiles(
         &self,
         g: &DataflowGraph,
@@ -328,6 +517,7 @@ impl EvalContext {
         buf: &mut ScratchBuf,
     ) -> TileSweep {
         let n = time.len();
+        let ids = buf.ids;
         // Last use: own cycle, relaxed over consumers, outputs pinned
         // to the makespan.
         buf.last_use.clear();
@@ -347,21 +537,18 @@ impl EvalContext {
 
         // Counting scatter: two events per node, grouped by PE.
         buf.pe_off.clear();
-        buf.pe_off.resize(self.pe_count + 1, 0);
+        buf.pe_off.resize(ids + 1, 0);
         for &pe in &buf.node_pe {
             buf.pe_off[pe as usize + 1] += 2;
         }
-        for i in 0..self.pe_count {
+        for i in 0..ids {
             let prev = buf.pe_off[i];
             buf.pe_off[i + 1] += prev;
         }
         buf.events.clear();
         buf.events.resize(2 * n, (0, 0));
         buf.pe_cursor.clear();
-        for i in 0..self.pe_count {
-            let off = buf.pe_off[i];
-            buf.pe_cursor.push(off);
-        }
+        buf.pe_cursor.extend_from_slice(&buf.pe_off[..ids]);
         for (id, &start) in time.iter().enumerate().take(n) {
             let pe = buf.node_pe[id] as usize;
             let at = buf.pe_cursor[pe] as usize;
@@ -373,21 +560,13 @@ impl EvalContext {
         // Per-PE sort + sweep.
         let width = self.width;
         let mut sweep = TileSweep::default();
-        for pe in 0..self.pe_count {
+        for pe in 0..ids {
             let lo = buf.pe_off[pe] as usize;
             let hi = buf.pe_off[pe + 1] as usize;
             if lo == hi {
                 continue;
             }
-            let ev = &mut buf.events[lo..hi];
-            ev.sort_unstable();
-            let mut live: i64 = 0;
-            let mut peak: i64 = 0;
-            for &(_, delta) in ev.iter() {
-                live += delta;
-                peak = peak.max(live);
-            }
-            let peak_bits = peak as u64 * width;
+            let peak_bits = peak_live(&mut buf.events[lo..hi]) as u64 * width;
             sweep.pes_used += 1;
             sweep.peak = sweep.peak.max(peak_bits);
             if peak_bits > machine.tile_bits {
@@ -397,10 +576,9 @@ impl EvalContext {
         sweep
     }
 
-    /// The flat legality check over interned places: bit-identical
-    /// violation totals to `legality::check` for on-grid mappings
-    /// (callers fall back to `check` when interning fails, which the
-    /// bounds rule makes illegal anyway). Requires `buf.node_pe`.
+    /// The flat legality check over interned places: the exact
+    /// violation total `legality::check` reports, for every mapping.
+    /// Requires `buf.node_pe` to be interned.
     fn violation_total(
         &self,
         g: &DataflowGraph,
@@ -409,24 +587,18 @@ impl EvalContext {
         sweep: &TileSweep,
         buf: &mut ScratchBuf,
     ) -> u64 {
-        let mut total: u64 = 0;
+        // 1. Bounds: off-grid nodes and negative times.
+        let oob = buf.offgrid.len() as u64;
+        let mut total = oob + time.iter().filter(|&&t| t < 0).count() as u64;
 
-        // 1. Bounds: places are on-grid by interning; negative times
-        // still count.
-        for &t in time {
-            if t < 0 {
-                total += 1;
-            }
-        }
-
-        // 2. Causality (never skipped here: no out-of-bounds places).
-        for (id, node) in g.nodes.iter().enumerate() {
-            let cons_pe = self.coords(buf.node_pe[id]);
-            for &d in &node.deps {
-                let prod_pe = self.coords(buf.node_pe[d as usize]);
-                let required = machine.required_gap(prod_pe, cons_pe);
-                if time[id] - time[d as usize] < required {
-                    total += 1;
+        // 2. Causality, only meaningful (and only counted) with every
+        // place on the grid.
+        if oob == 0 {
+            for (id, node) in g.nodes.iter().enumerate() {
+                for &d in &node.deps {
+                    let d = d as usize;
+                    let (pd, pn) = (buf.node_pe[d], buf.node_pe[id]);
+                    total += u64::from(self.late(machine, pd, time[d], pn, time[id]));
                 }
             }
         }
@@ -452,11 +624,6 @@ impl EvalContext {
         // 4. Storage: counted by the tile sweep.
         total + sweep.storage_violations
     }
-
-    fn coords(&self, pe: u32) -> (u32, u32) {
-        let pe = pe as i64;
-        ((pe % self.cols) as u32, (pe / self.cols) as u32)
-    }
 }
 
 /// What one tile sweep learned.
@@ -465,6 +632,20 @@ struct TileSweep {
     storage_violations: u64,
     peak: u64,
     pes_used: usize,
+}
+
+/// The per-PE peak sweep: the most values live at once in one PE's
+/// tile, from its (start, +1) / (end + 1, −1) lifetime events, which
+/// are sorted in place.
+pub(crate) fn peak_live(events: &mut [(i64, i64)]) -> i64 {
+    events.sort_unstable();
+    let mut live = 0i64;
+    let mut peak = 0i64;
+    for &(_, delta) in events.iter() {
+        live += delta;
+        peak = peak.max(live);
+    }
+    peak
 }
 
 /// The makespan of a time assignment (latest cycle + 1).
@@ -495,14 +676,18 @@ pub struct ScratchBuf {
     /// Distinct remote consumer PEs of the node being costed.
     pub(crate) pes: Vec<(i64, i64)>,
     /// Multicast destination list (what-if path only).
-    dests: Vec<(u32, u32)>,
+    pub(crate) dests: Vec<(u32, u32)>,
     /// Interned PE id per node.
-    node_pe: Vec<u32>,
+    pub(crate) node_pe: Vec<u32>,
+    /// Off-grid (place, node) pairs, sorted by place.
+    pub(crate) offgrid: Vec<((i64, i64), NodeId)>,
+    /// Ids in use: the grid's PEs plus the distinct off-grid places.
+    pub(crate) ids: usize,
     /// Per-PE event offsets (counting-sort prefix) and cursors.
     pe_off: Vec<u32>,
     pe_cursor: Vec<u32>,
     /// Live-interval endpoints, grouped per PE.
-    events: Vec<(i64, i64)>,
+    pub(crate) events: Vec<(i64, i64)>,
     /// Last-use cycle per node.
     last_use: Vec<i64>,
     /// (PE, cycle) pairs for the issue-width check.
@@ -590,11 +775,6 @@ impl<'a> BatchEvaluator<'a> {
         }
     }
 
-    /// The shared context (the incremental engine reuses it).
-    pub fn context(&self) -> &EvalContext {
-        &self.ctx
-    }
-
     /// Evaluate one candidate with this thread's scratch arena.
     /// Bit-identical to `search::evaluate_candidate` (debug-asserted).
     pub fn evaluate_candidate(&self, candidate: &MappingCandidate) -> CandidateEval {
@@ -607,22 +787,11 @@ impl<'a> BatchEvaluator<'a> {
         candidate: &MappingCandidate,
         scratch: &mut EvalScratch,
     ) -> CandidateEval {
-        let eval = match self.evaluate_raw_in(candidate, scratch) {
-            RawEval::Unresolvable => CandidateEval::Unresolvable,
-            RawEval::Illegal(total) => CandidateEval::Illegal(total),
-            RawEval::Legal { .. } => {
-                // Materialize the full result: the cost parts are
-                // still in scratch, so re-assemble with the real name
-                // and clone the resolved mapping out of the arena.
-                let EvalScratch { place, time, buf } = scratch;
-                let cycles = makespan_of(time);
-                let sweep = self
-                    .ctx
-                    .sweep_tiles(self.graph, self.machine, time, cycles, buf);
-                let total = self.ctx.fold_costs(self.ev, place, buf);
-                let report =
-                    self.ev
-                        .assemble(total, &self.ctx.off, cycles, sweep.peak, sweep.pes_used);
+        let eval = match self.judge(candidate, scratch) {
+            Ok(mut report) => {
+                // Materialize the full result: name the report and
+                // clone the resolved mapping out of the arena.
+                report.name = self.graph.name.clone();
                 let score = self.ev.score(self.fom, &report);
                 CandidateEval::Legal {
                     resolved: ResolvedMapping {
@@ -633,6 +802,8 @@ impl<'a> BatchEvaluator<'a> {
                     score,
                 }
             }
+            Err(RawEval::Illegal(total)) => CandidateEval::Illegal(total),
+            Err(_) => CandidateEval::Unresolvable,
         };
         debug_assert_eq!(
             eval,
@@ -643,38 +814,43 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// The allocation-free core: resolve into scratch, flat legality,
-    /// flat cost, score — nothing heap-allocated in steady state (the
-    /// report is assembled with an empty name; all other fields are
-    /// plain values). On success `scratch.place`/`scratch.time` hold
-    /// the resolved mapping.
+    /// flat cost, score — nothing heap-allocated in steady state,
+    /// off-grid candidates included. On success
+    /// `scratch.place`/`scratch.time` hold the resolved mapping.
     pub fn evaluate_raw_in(
         &self,
         candidate: &MappingCandidate,
         scratch: &mut EvalScratch,
     ) -> RawEval {
+        match self.judge(candidate, scratch) {
+            Ok(report) => RawEval::Legal {
+                score: self.ev.score(self.fom, &report),
+                cycles: report.cycles,
+                energy_fj: report.energy().raw(),
+                peak_tile_bits: report.peak_tile_bits,
+            },
+            Err(raw) => raw,
+        }
+    }
+
+    /// Resolve, check and cost one candidate in scratch: the report
+    /// (assembled with an empty name, so nothing allocates) when the
+    /// mapping is legal, else its [`RawEval::Illegal`] total or
+    /// [`RawEval::Unresolvable`].
+    fn judge(
+        &self,
+        candidate: &MappingCandidate,
+        scratch: &mut EvalScratch,
+    ) -> Result<CostReport, RawEval> {
+        let EvalScratch { place, time, buf } = scratch;
         if candidate
             .mapping
-            .resolve_into(
-                self.graph,
-                self.machine,
-                &mut scratch.place,
-                &mut scratch.time,
-            )
+            .resolve_into(self.graph, self.machine, place, time)
             .is_err()
         {
-            return RawEval::Unresolvable;
+            return Err(RawEval::Unresolvable);
         }
-        let EvalScratch { place, time, buf } = scratch;
-        if !self.ctx.intern_places(place, buf) {
-            // Off-grid place: illegal by the bounds rule. Fall back to
-            // the reference checker for the exact violation total
-            // (this path is never the steady state).
-            let rm = ResolvedMapping {
-                place: place.clone(),
-                time: time.clone(),
-            };
-            return RawEval::Illegal(check(self.graph, &rm, self.machine).total_violations);
-        }
+        self.ctx.intern_places(place, buf);
         let cycles = makespan_of(time);
         let sweep = self
             .ctx
@@ -683,23 +859,17 @@ impl<'a> BatchEvaluator<'a> {
             self.ctx
                 .violation_total(self.graph, self.machine, time, &sweep, buf);
         if total_violations > 0 {
-            return RawEval::Illegal(total_violations);
+            return Err(RawEval::Illegal(total_violations));
         }
         let total = self.ctx.fold_costs(self.ev, place, buf);
-        let report = self.ev.assemble_with_name(
+        Ok(self.ev.assemble_with_name(
             String::new(),
             total,
             &self.ctx.off,
             cycles,
             sweep.peak,
             sweep.pes_used,
-        );
-        RawEval::Legal {
-            score: self.ev.score(self.fom, &report),
-            cycles,
-            energy_fj: report.energy().raw(),
-            peak_tile_bits: report.peak_tile_bits,
-        }
+        ))
     }
 }
 

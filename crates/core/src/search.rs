@@ -19,6 +19,8 @@
 //!   re-derived by list scheduling), for irregular graphs where no
 //!   affine family applies.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -551,6 +553,28 @@ pub fn anneal_with(
     seed: u64,
     backend: AnnealBackend,
 ) -> (ResolvedMapping, CostReport) {
+    let never = AtomicBool::new(false);
+    anneal_until(
+        evaluator, graph, machine, init, fom, iters, seed, backend, &never,
+    )
+    .expect("never cancelled")
+}
+
+/// [`anneal_with`] that checks `cancel` before every move and gives up,
+/// returning `None`, once it is set; uninterrupted, the result is
+/// identical.
+#[allow(clippy::too_many_arguments)] // anneal_with's signature + the cancel flag
+pub fn anneal_until(
+    evaluator: &Evaluator<'_>,
+    graph: &DataflowGraph,
+    machine: &MachineConfig,
+    init: &ResolvedMapping,
+    fom: FigureOfMerit,
+    iters: u32,
+    seed: u64,
+    backend: AnnealBackend,
+    cancel: &AtomicBool,
+) -> Option<(ResolvedMapping, CostReport)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut engine = match backend {
         AnnealBackend::Full => {
@@ -580,12 +604,15 @@ pub fn anneal_with(
 
     // A 1-PE machine has no neighbor moves; nothing to refine.
     if graph.is_empty() || machine.pe_count() == 1 || iters == 0 {
-        return (best, best_report);
+        return Some((best, best_report));
     }
 
     const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
     let t0 = current_score.abs().max(1.0) * 0.05;
     for it in 0..iters {
+        if cancel.load(Ordering::Relaxed) {
+            return None;
+        }
         let temp = t0 * (1.0 - f64::from(it) / f64::from(iters.max(1))).max(1e-3);
         let node = rng.random_range(0..graph.len());
         let old = engine.place_of(node);
@@ -627,7 +654,7 @@ pub fn anneal_with(
             engine.revert(node, old);
         }
     }
-    (best, best_report)
+    Some((best, best_report))
 }
 
 /// Deterministic greedy local refinement on the incremental engine.

@@ -637,12 +637,14 @@ impl Fleet {
                 .with_cancel(cancel.clone())
                 .tune(&local_candidates);
             let mut best = report.best;
+            let mut cancelled = report.cancelled;
             if let Some(b) = best.as_mut() {
-                if !report.cancelled {
+                if !cancelled {
                     if let Some(r) = req.refinement {
-                        Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
+                        cancelled = Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
                             .with_pool(pool)
                             .with_refinement(r)
+                            .with_cancel(cancel.clone())
                             .refine_winner(b);
                     }
                 }
@@ -655,7 +657,7 @@ impl Fleet {
                 pruned: (offered as u64).saturating_sub(report.evaluated as u64),
                 cache: "disabled".to_string(),
                 fell_back: report.fell_back,
-                cancelled: report.cancelled,
+                cancelled,
                 wall_ms: start.elapsed().as_secs_f64() * 1e3,
             };
         }
@@ -759,13 +761,15 @@ impl Fleet {
         };
 
         // Refinement runs on the coordinator, exactly as the local path
-        // applies it to its own winner (and never on cancelled runs).
+        // applies it to its own winner (never on cancelled runs, and
+        // discarded if the request's token interrupts it).
         if let Some(b) = best_mapping.as_mut() {
             if !cancelled {
                 if let Some(r) = req.refinement {
-                    Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
+                    cancelled = Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
                         .with_pool(pool)
                         .with_refinement(r)
+                        .with_cancel(cancel.clone())
                         .refine_winner(b);
                 }
             }

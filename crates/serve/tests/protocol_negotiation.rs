@@ -5,9 +5,9 @@
 //! batching choice ever changes an answer*, only how fast it arrives.
 
 use std::net::TcpListener;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fm_autotune::{TunedMapping, Tuner};
 use fm_core::affine::IdxExpr;
@@ -17,9 +17,10 @@ use fm_core::machine::MachineConfig;
 use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
 use fm_core::search::{FigureOfMerit, MappingCandidate};
 use fm_core::value::Value;
+use fm_serve::metrics::StatsReply;
 use fm_serve::protocol::{
     decode_request, read_frame, write_response, FailReply, Request, Response, TuneRequest,
-    WireCandidate, DEFAULT_MAX_FRAME,
+    TuneShardRequest, WireCandidate, DEFAULT_MAX_FRAME,
 };
 use fm_serve::protocol::{decode_response, encode_response, write_request};
 use fm_serve::server::{Server, ServerConfig};
@@ -203,24 +204,61 @@ fn negotiated_binary_winner_is_bit_identical_to_json() {
     assert!(stats.json_requests >= 1);
 }
 
+/// Poll `Stats` until `ready` holds.
+fn await_stats(watch: &mut Client, ready: impl Fn(&StatsReply) -> bool) {
+    let t0 = Instant::now();
+    loop {
+        let stats = watch.stats().unwrap();
+        if ready(&stats) {
+            return;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "the server never reached the awaited state: {stats:?}"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Pipelining means replies come back in completion order: a cheap
-/// inline request (Ping) queued *behind* an expensive Tune on the same
-/// connection overtakes it.
+/// inline request (Ping) queued *behind* expensive Tunes on the same
+/// connection overtakes them. The single worker is held by a
+/// one-candidate `TuneShard` the server straggles on (a cancellable
+/// sleep) until its client hangs up, so the Tunes are still queued when
+/// the Ping is read, whatever the host's speed.
 #[test]
 fn pipelined_replies_complete_out_of_order() {
     let graph = wide(48);
     let machine = MachineConfig::linear(8);
     let config = ServerConfig {
         workers: 1,
+        straggle_ms_per_candidate: Some(600_000),
         ..ServerConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut watch = Client::connect(server.local_addr()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     assert!(client.is_pipelined());
 
-    // Two Tunes on one worker: the first runs while the second queues,
-    // so both sit in the in-flight ledger at once (peak >= 2). The
-    // inline Ping behind them overtakes both.
+    // Hold the worker: the filler is queued, and the worker takes it.
+    let mut filler = TcpStream::connect(server.local_addr()).unwrap();
+    let hold = Request::TuneShard(TuneShardRequest {
+        graph: graph.clone(),
+        machine: machine.clone(),
+        fom: FigureOfMerit::Time,
+        candidates: affine_candidates(1, machine.cols),
+        start_index: 0,
+        epoch: 0,
+        deadline_ms: None,
+        stream_every: None,
+        cost_model: None,
+    });
+    write_request(&mut filler, &hold).unwrap();
+    await_stats(&mut watch, |s| s.queue_peak == 1 && s.queue_depth == 0);
+
+    // Two Tunes queue behind the held worker, so both sit in the
+    // in-flight ledger at once (peak >= 2). The inline Ping behind them
+    // overtakes both.
     let tune_a = client
         .send_request(&Request::Tune(tune_request(&graph, &machine, 24)))
         .unwrap();
@@ -237,6 +275,9 @@ fn pipelined_replies_complete_out_of_order() {
         "the inline Ping must overtake the queued Tunes"
     );
     assert!(matches!(first_resp, Response::Pong));
+    // Release the worker: hanging up the filler's write half cancels it.
+    filler.shutdown(Shutdown::Write).unwrap();
+    read_frame(&mut filler, DEFAULT_MAX_FRAME).unwrap();
     let direct = direct_winner(&graph, &machine, 24);
     for _ in 0..2 {
         let (corr, resp) = client.recv_response().unwrap();

@@ -393,8 +393,8 @@ fn named_backends_rank_like_their_direct_evaluators() {
 /// One deadline rule on every connection: a pipelined `Tune` still
 /// executing when its deadline passes is cancelled by the connection
 /// that admitted it and counted in `Stats.cancelled`. The candidate
-/// sweep is tiny; the refinement after it does not poll the cancel
-/// token, so the tune keeps running well past its deadline.
+/// sweep is tiny, so the deadline lands in the refinement after it,
+/// which polls the cancel token between annealing moves and gives up.
 #[test]
 fn pipelined_tune_running_past_its_deadline_is_counted_cancelled() {
     const DEADLINE_MS: u64 = 20;
@@ -421,8 +421,12 @@ fn pipelined_tune_running_past_its_deadline_is_counted_cancelled() {
     let reply = client.tune(req).unwrap();
     assert!(reply.best.is_some());
     assert!(
-        reply.wall_ms > 4.0 * DEADLINE_MS as f64,
-        "the refinement must outlast the deadline (ran {:.1} ms)",
+        reply.cancelled,
+        "the interrupted refinement reports cancelled"
+    );
+    assert!(
+        reply.wall_ms >= DEADLINE_MS as f64,
+        "the tune ran until its deadline (ran {:.1} ms)",
         reply.wall_ms
     );
 

@@ -10,7 +10,7 @@ use fm_repro::core::delta::DeltaEvaluator;
 use fm_repro::core::flat::{BatchEvaluator, EvalScratch, RawEval};
 use fm_repro::core::legality::{check, LegalityError};
 use fm_repro::core::machine::MachineConfig;
-use fm_repro::core::mapping::Mapping;
+use fm_repro::core::mapping::{Mapping, ResolvedMapping};
 use fm_repro::core::parse::{parse_idx_expr, ParseEnv};
 use fm_repro::core::search::{default_mapper, retime, search, FigureOfMerit, MappingCandidate};
 use fm_repro::core::value::Value;
@@ -366,6 +366,45 @@ proptest! {
                 }
                 RawEval::Unresolvable => prop_assert!(false, "table mapping must resolve"),
             }
+        }
+    }
+
+    /// Every resolvable candidate gets its verdict from the flat
+    /// engine: over random graphs and random table mappings — some
+    /// places off the grid, some times negative — `evaluate_raw_in`
+    /// reports exactly `check`'s violation total, is `Legal` only when
+    /// `check` passes, and then scores like the reference report.
+    #[test]
+    fn flat_verdicts_match_the_full_checker(
+        spec in prop::collection::vec((0u8..=2, any::<u64>(), any::<u64>()), 1..40),
+        cells in prop::collection::vec((-1i64..5, -1i64..3, -2i64..48), 40),
+        on_grid in any::<bool>()
+    ) {
+        let g = dag_from_spec(&spec);
+        let machine = MachineConfig::n5(3, 2);
+        let ev = Evaluator::new(&g, &machine);
+        let fom = FigureOfMerit::Edp;
+        let batch = BatchEvaluator::new(&ev, &g, &machine, fom);
+        let mut scratch = EvalScratch::new();
+        // Half the cases fold every place onto the grid, so causality
+        // (skipped whenever a place is off the grid) is exercised too.
+        let cells = &cells[..g.len()];
+        let rm = ResolvedMapping {
+            place: cells
+                .iter()
+                .map(|&(x, y, _)| if on_grid { (x.rem_euclid(3), y.rem_euclid(2)) } else { (x, y) })
+                .collect(),
+            time: cells.iter().map(|&(_, _, t)| t).collect(),
+        };
+        let full = check(&g, &rm, &machine);
+        let cand = MappingCandidate::new("prop", Mapping::Table(rm.clone()));
+        match batch.evaluate_raw_in(&cand, &mut scratch) {
+            RawEval::Legal { score, .. } => {
+                prop_assert!(full.is_legal());
+                prop_assert_eq!(score.to_bits(), fom.score(&ev.evaluate_ref(&rm)).to_bits());
+            }
+            RawEval::Illegal(total) => prop_assert_eq!(total, full.total_violations),
+            RawEval::Unresolvable => prop_assert!(false, "table mapping must resolve"),
         }
     }
 
