@@ -40,6 +40,13 @@ echo "== flat- and incremental-engine parity in release =="
 # debug_assertions.
 cargo test --release -q -p fm-core -- flat:: delta::
 cargo test --release -q --test proptests -- flat_delta_and_reference incremental flat_verdicts
+# The session engine where the optimiser runs: the byte audits (warm
+# state per node per candidate, bytes allocated per revision), the
+# session proptests against cold tunes, and the warm tuner's parity
+# tests.
+cargo test --release -q --test alloc_regression
+cargo test --release -q -p fm-serve --test session_proptests
+cargo test --release -q -p fm-autotune -- warm
 
 echo "== table smoke runs (--quick) =="
 cargo run --release -q -p fm-bench --bin table_e4_fft_search -- --quick >/dev/null

@@ -505,7 +505,10 @@ impl<'a> Tuner<'a> {
     /// cache's candidate list against the current graph (with no
     /// persistent cache configured): the warm cache yields exactly the
     /// evals [`fm_core::search::evaluate_candidate`] would, and they
-    /// feed the same ordered frontier. What keeps that guarantee crisp:
+    /// feed the same ordered frontier. Like the cold path, the
+    /// evaluations carry reports and scores but no mappings; only the
+    /// winner's mapping is resolved, once, from its candidate. What
+    /// keeps that guarantee crisp:
     ///
     /// * the tuner's evaluator/graph/machine must wrap the *same*
     ///   post-edit state the cache's edits were applied against, with
@@ -569,19 +572,21 @@ impl<'a> Tuner<'a> {
         let best_idx = frontier.best_idx;
         let mut best = match best_idx {
             Some(i) => {
-                let CandidateEval::Legal {
-                    resolved,
-                    report,
-                    score,
-                } = evals[i].clone()
-                else {
+                let CandidateEval::Legal { report, score } = &evals[i] else {
                     unreachable!("best index always points at a legal eval")
                 };
+                // Evaluations carry no mapping: resolve the winner's
+                // once, from its candidate, against the same graph and
+                // machine the evaluation saw.
+                let resolved = candidates[i]
+                    .mapping
+                    .resolve(self.graph, self.machine)
+                    .expect("a legal candidate resolves");
                 Some(TunedMapping {
                     label: candidates[i].label.clone(),
                     resolved,
-                    report,
-                    score,
+                    report: report.clone(),
+                    score: *score,
                 })
             }
             // Nothing legal in budget: fall back to the default mapper,
@@ -862,6 +867,7 @@ mod tests {
         );
         assert_eq!(report.cache, CacheStatus::Disabled);
         assert!(!report.fell_back);
+        assert_winner_replays(&ev, &report);
     }
 
     #[test]
@@ -875,6 +881,8 @@ mod tests {
         let parallel = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp)
             .with_pool(&pool)
             .tune(&cands);
+        assert_winner_replays(&ev, &serial);
+        assert_winner_replays(&ev, &parallel);
         let (s, p) = (serial.best.unwrap(), parallel.best.unwrap());
         assert_eq!(s.label, p.label);
         assert_eq!(s.score, p.score);
@@ -1332,7 +1340,17 @@ mod tests {
 
     /// Bit-level equality of everything a warm tune promises to
     /// reproduce from the cold path (wall-clock excluded, obviously).
-    fn assert_reports_match(warm: &TuneReport, cold: &TuneReport) {
+    /// A winner's report is what evaluating its resolved mapping gives,
+    /// bit for bit.
+    fn assert_winner_replays(ev: &Evaluator<'_>, report: &TuneReport) {
+        if let Some(b) = &report.best {
+            assert_eq!(ev.evaluate(&b.resolved), b.report, "winner {}", b.label);
+        }
+    }
+
+    fn assert_reports_match(ev: &Evaluator<'_>, warm: &TuneReport, cold: &TuneReport) {
+        assert_winner_replays(ev, warm);
+        assert_winner_replays(ev, cold);
         assert_eq!(warm.evaluated, cold.evaluated);
         assert_eq!(warm.pruned, cold.pruned);
         assert_eq!(warm.best_index, cold.best_index);
@@ -1412,7 +1430,7 @@ mod tests {
                 .with_budget(budget)
                 .tune(&cands);
             assert_eq!(w.cache, CacheStatus::Disabled);
-            assert_reports_match(&w, &c);
+            assert_reports_match(&ev, &w, &c);
         }
     }
 
@@ -1434,7 +1452,7 @@ mod tests {
         let w = Tuner::new(&ev, &g, &m, FigureOfMerit::Time).tune_warm(&mut warm);
         let c = Tuner::new(&ev, &g, &m, FigureOfMerit::Time).tune(&cands);
         assert!(w.fell_back && c.fell_back);
-        assert_reports_match(&w, &c);
+        assert_reports_match(&ev, &w, &c);
         assert_eq!(warm.rebuilds(), 0);
     }
 
@@ -1463,7 +1481,7 @@ mod tests {
             warm.apply_edit(&ev, &receipt);
             let w = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp).tune_warm(&mut warm);
             let c = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp).tune(&cands);
-            assert_reports_match(&w, &c);
+            assert_reports_match(&ev, &w, &c);
             assert_eq!(warm.rebuilds(), 0);
         }
 
@@ -1475,7 +1493,7 @@ mod tests {
             warm.apply_edit(&ev, &receipt);
             let w = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp).tune_warm(&mut warm);
             let c = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp).tune(&cands);
-            assert_reports_match(&w, &c);
+            assert_reports_match(&ev, &w, &c);
             assert_eq!(warm.rebuilds(), 1);
         }
     }

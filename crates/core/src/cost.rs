@@ -65,10 +65,9 @@ pub struct NodeCost {
     pub compute_ops: u64,
     /// On-chip communication femtojoules.
     pub onchip_fj: f64,
-    /// On-chip messages charged.
+    /// On-chip messages charged. Every message carries one value, so
+    /// the bits moved are `width × onchip_messages`.
     pub onchip_messages: u64,
-    /// On-chip bits moved.
-    pub onchip_bits: u64,
     /// On-chip bit-millimeters moved.
     pub onchip_bit_mm: f64,
 }
@@ -83,12 +82,15 @@ pub struct NodeCost {
 /// energies charged here), so a leaf update followed by an `O(log n)`
 /// path refresh reproduces the full sum bit-for-bit.
 ///
-/// The six [`NodeCost`] fields combine independently (field-wise adds),
-/// so the layout is one array per field rather than an array of
-/// structs: a full rebuild ([`CostTree::refresh`]) streams six
-/// contiguous arrays instead of striding through 56-byte structs, and
-/// the tree can be reset in place with zero allocation once it has
-/// grown to a graph's size.
+/// Only the three `f64` fields need that shape. An integer sum does
+/// not depend on order, so the two counts are kept as one `u32` pair
+/// per leaf plus running `u64` totals. The `f64` fields combine
+/// independently (field-wise adds), so the layout is one array per
+/// field rather than an array of structs: a full rebuild
+/// ([`CostTree::refresh`]) streams three contiguous arrays, and the
+/// tree can be reset in place with zero allocation once it has grown to
+/// a graph's size. At a power-of-two leaf count that is 56 bytes per
+/// leaf: 48 for the three trees, 8 for the counts.
 ///
 /// Any power-of-two capacity at or above the leaf count yields the same
 /// total bits (the extra zero subtrees add `0.0`), so leaves can be
@@ -97,36 +99,33 @@ pub struct NodeCost {
 #[derive(Debug, Clone, Default)]
 pub struct CostTree {
     cap: usize,
-    len: usize,
     compute_fj: Vec<f64>,
-    compute_ops: Vec<u64>,
     onchip_fj: Vec<f64>,
-    onchip_messages: Vec<u64>,
-    onchip_bits: Vec<u64>,
     onchip_bit_mm: Vec<f64>,
+    /// Per leaf: (compute ops, on-chip messages).
+    counts: Vec<(u32, u32)>,
+    compute_ops: u64,
+    onchip_messages: u64,
 }
 
-/// Apply one generic array operation to each of a tree's six field
-/// arrays.
+/// Apply one generic array operation to each of a tree's three `f64`
+/// field arrays.
 macro_rules! each_field {
     ($tree:expr, $op:ident $(, $arg:expr)*) => {{
         $op(&mut $tree.compute_fj $(, $arg)*);
-        $op(&mut $tree.compute_ops $(, $arg)*);
         $op(&mut $tree.onchip_fj $(, $arg)*);
-        $op(&mut $tree.onchip_messages $(, $arg)*);
-        $op(&mut $tree.onchip_bits $(, $arg)*);
         $op(&mut $tree.onchip_bit_mm $(, $arg)*);
     }};
 }
 
 /// Zero `a` at length `n`.
-fn zeroed<T: Copy + Default>(a: &mut Vec<T>, n: usize) {
+fn zeroed(a: &mut Vec<f64>, n: usize) {
     a.clear();
-    a.resize(n, T::default());
+    a.resize(n, 0.0);
 }
 
 /// Combine children into parents over internal slots `lo..=hi`.
-fn fold<T: Copy + std::ops::Add<Output = T>>(a: &mut [T], lo: usize, hi: usize) {
+fn fold(a: &mut [f64], lo: usize, hi: usize) {
     for j in lo..=hi {
         a[j] = a[2 * j] + a[2 * j + 1];
     }
@@ -134,15 +133,21 @@ fn fold<T: Copy + std::ops::Add<Output = T>>(a: &mut [T], lo: usize, hi: usize) 
 
 /// Move `len` leaves from capacity `old` to capacity `cap` (the new
 /// bottom level); internal slots are left for a refold.
-fn relayout<T: Copy + Default>(a: &mut Vec<T>, old: usize, cap: usize, len: usize) {
-    a.resize(2 * cap, T::default());
+fn relayout(a: &mut Vec<f64>, old: usize, cap: usize, len: usize) {
+    a.resize(2 * cap, 0.0);
     a.copy_within(old..old + len, cap);
 }
 
 /// Shift leaf slots `from + 1..end` down by one and zero slot `end - 1`.
-fn shift_down<T: Copy + Default>(a: &mut [T], from: usize, end: usize) {
+fn shift_down(a: &mut [f64], from: usize, end: usize) {
     a.copy_within(from + 1..end, from);
-    a[end - 1] = T::default();
+    a[end - 1] = 0.0;
+}
+
+/// A node's two counts as stored per leaf.
+fn counts_of(v: &NodeCost) -> (u32, u32) {
+    let narrow = |x: u64| u32::try_from(x).expect("a node's op and message counts fit in u32");
+    (narrow(v.compute_ops), narrow(v.onchip_messages))
 }
 
 impl CostTree {
@@ -168,30 +173,34 @@ impl CostTree {
     /// state.
     pub fn reset(&mut self, len: usize) {
         self.cap = len.next_power_of_two().max(1);
-        self.len = len;
         each_field!(self, zeroed, 2 * self.cap);
+        self.counts.clear();
+        self.counts.resize(len, (0, 0));
+        self.compute_ops = 0;
+        self.onchip_messages = 0;
     }
 
     /// Number of leaves.
     pub fn len(&self) -> usize {
-        self.len
+        self.counts.len()
     }
 
     /// Whether the tree holds no leaves.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.counts.is_empty()
     }
 
     /// Write leaf `i` without refreshing internal nodes (pair with
-    /// [`Self::refresh`] after a bulk fill).
+    /// [`Self::refresh`] after a bulk fill). The count totals follow
+    /// at once.
     pub fn set_leaf(&mut self, i: usize, v: NodeCost) {
         let j = self.cap + i;
         self.compute_fj[j] = v.compute_fj;
-        self.compute_ops[j] = v.compute_ops;
         self.onchip_fj[j] = v.onchip_fj;
-        self.onchip_messages[j] = v.onchip_messages;
-        self.onchip_bits[j] = v.onchip_bits;
         self.onchip_bit_mm[j] = v.onchip_bit_mm;
+        let (ops, msgs) = std::mem::replace(&mut self.counts[i], counts_of(&v));
+        self.compute_ops = self.compute_ops + v.compute_ops - u64::from(ops);
+        self.onchip_messages = self.onchip_messages + v.onchip_messages - u64::from(msgs);
     }
 
     /// Recompute every internal node bottom-up. Same combine shape as
@@ -212,23 +221,26 @@ impl CostTree {
     /// (amortized O(1) per push); otherwise only the new leaf's root
     /// path is re-folded.
     pub(crate) fn push(&mut self, v: NodeCost) {
-        if self.len == self.cap {
-            let (old, len) = (self.cap, self.len);
+        let len = self.len();
+        if len == self.cap {
+            let old = self.cap;
             self.cap = (2 * old).max(1);
             each_field!(self, relayout, old, self.cap, len);
             self.refresh();
         }
-        self.len += 1;
-        self.update(self.len - 1, v);
+        self.counts.push((0, 0));
+        self.update(len, v);
     }
 
     /// Remove leaf `i`, shifting the leaves above it down one slot, and
     /// re-fold the paths above the shifted slots: O(log n) for the last
     /// leaf, O(n − i) in general.
     pub(crate) fn remove(&mut self, i: usize) {
-        let (cap, len) = (self.cap, self.len);
+        let (cap, len) = (self.cap, self.len());
         each_field!(self, shift_down, cap + i, cap + len);
-        self.len -= 1;
+        let (ops, msgs) = self.counts.remove(i);
+        self.compute_ops -= u64::from(ops);
+        self.onchip_messages -= u64::from(msgs);
         self.refold(i, len - 1);
     }
 
@@ -243,25 +255,28 @@ impl CostTree {
         }
     }
 
-    fn at(&self, j: usize) -> NodeCost {
+    /// Current value of leaf `i`.
+    pub fn leaf(&self, i: usize) -> NodeCost {
+        let j = self.cap + i;
+        let (ops, msgs) = self.counts[i];
         NodeCost {
             compute_fj: self.compute_fj[j],
-            compute_ops: self.compute_ops[j],
+            compute_ops: u64::from(ops),
             onchip_fj: self.onchip_fj[j],
-            onchip_messages: self.onchip_messages[j],
-            onchip_bits: self.onchip_bits[j],
+            onchip_messages: u64::from(msgs),
             onchip_bit_mm: self.onchip_bit_mm[j],
         }
     }
 
-    /// Current value of leaf `i`.
-    pub fn leaf(&self, i: usize) -> NodeCost {
-        self.at(self.cap + i)
-    }
-
     /// The tree-shaped sum of all leaves.
     pub fn total(&self) -> NodeCost {
-        self.at(1)
+        NodeCost {
+            compute_fj: self.compute_fj[1],
+            compute_ops: self.compute_ops,
+            onchip_fj: self.onchip_fj[1],
+            onchip_messages: self.onchip_messages,
+            onchip_bit_mm: self.onchip_bit_mm[1],
+        }
     }
 }
 
@@ -438,7 +453,6 @@ impl<'a> Evaluator<'a> {
         let onchip = |mm: f64, e: Femtojoules, c: &mut NodeCost| {
             c.onchip_fj += e.raw();
             c.onchip_messages += 1;
-            c.onchip_bits += width;
             c.onchip_bit_mm += width as f64 * mm;
         };
 
@@ -584,7 +598,7 @@ impl<'a> Evaluator<'a> {
         ledger.energy.offchip = Femtojoules::new(off.fj);
         ledger.compute_ops = total.compute_ops;
         ledger.onchip_messages = total.onchip_messages;
-        ledger.onchip_bits = total.onchip_bits;
+        ledger.onchip_bits = total.onchip_messages * u64::from(g.width_bits);
         ledger.onchip_bit_mm = total.onchip_bit_mm;
         ledger.offchip_transfers = off.transfers;
         ledger.offchip_bits = off.bits;
@@ -675,6 +689,32 @@ impl<'a> Evaluator<'a> {
             "flat evaluation diverged from the reference path"
         );
         report
+    }
+
+    /// Check and evaluate the mapped function in one flat pass: `Err`
+    /// with the exact violation total [`crate::legality::check`]
+    /// reports when the mapping is illegal, else `Ok` with the report
+    /// [`Self::evaluate`] returns. The mapping must cover the graph
+    /// (one place and one time per node). Debug builds assert both arms
+    /// against the reference checker and evaluator.
+    pub fn evaluate_checked(&self, rm: &ResolvedMapping) -> Result<CostReport, u64> {
+        let ctx = crate::flat::EvalContext::new(self);
+        let verdict = crate::flat::with_thread_scratch(|scratch| {
+            ctx.verdict(self, &rm.place, &rm.time, &mut scratch.buf)
+        })
+        .map(|mut report| {
+            report.name = self.graph.name.clone();
+            report
+        });
+        debug_assert_eq!(
+            verdict,
+            match crate::legality::check(self.graph, rm, self.machine).total_violations {
+                0 => Ok(self.evaluate_ref(rm)),
+                total => Err(total),
+            },
+            "flat verdict diverged from the reference checker and evaluator"
+        );
+        verdict
     }
 
     /// Reference implementation of [`Self::evaluate`]: the original

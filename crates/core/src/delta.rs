@@ -4,9 +4,11 @@
 //! and both sit on the flat engine's layout ([`crate::flat`]): its
 //! [`EvalContext`] charges every node, its interning rule names every
 //! PE, and one dense per-PE structure (`Tiles`: member lists by
-//! interned PE id, per-PE peaks, the peak and time histograms, the
-//! over-capacity count and last uses) is built by one cold pass and
-//! re-swept one PE at a time by one `refresh_peak`.
+//! interned PE id, each PE's last sweep — peak, latest issue cycle and
+//! over-width issue cells — the over-capacity and issue counts, and
+//! last uses) is built by one cold pass and re-swept one PE at a time
+//! by one `refresh_peak`, which runs the flat engine's
+//! [`crate::flat::peak_live`].
 //!
 //! [`DeltaEvaluator`] follows single-node placement moves — what the
 //! annealer in [`crate::search`] proposes. Re-deriving the schedule and
@@ -31,15 +33,17 @@
 //!   evaluator sums through the *same* tree, totals agree bit-for-bit.
 //! * **Storage legality**: per-PE peak live bits are re-swept only for
 //!   the source/destination PEs, the PEs of retimed nodes, and the PEs
-//!   of values whose last use moved. Output lifetimes use a far-future
-//!   sentinel instead of the makespan — the peak of an interval stack is
-//!   invariant to any right endpoint past the last start — so peaks
-//!   never depend on makespan changes.
-//! * **Aggregates**: makespan and the global peak are maxima over
-//!   multisets kept in `BTreeMap` histograms; PEs-used is the number of
-//!   occupied PEs; the storage-violation count is maintained as peaks
-//!   change. [`DeltaEvaluator::report`] is therefore O(1)-ish (one
-//!   tree-root read plus map lookups).
+//!   of values whose last use moved. A sweep reads the PE's lifetimes
+//!   in member order, where they are usually ascending already, and
+//!   merges them, sorting only when they are out of order. Output
+//!   lifetimes use a far-future sentinel instead of the makespan — the
+//!   peak of an interval stack is invariant to any right endpoint past
+//!   the last start — so peaks never depend on makespan changes.
+//! * **Aggregates**: makespan and the global peak are maxima over the
+//!   per-PE sweeps (one pass over the PEs, not the nodes); PEs-used is
+//!   the number of occupied PEs; the storage-violation and issue
+//!   counts are maintained as sweeps change. [`DeltaEvaluator::report`]
+//!   is therefore one tree-root read plus a pass over the PEs.
 //!
 //! In debug builds every [`DeltaEvaluator::apply_move`] re-derives the
 //! full schedule and report and asserts bit-exact equality
@@ -49,7 +53,7 @@
 //! Every cached field is a pure function of the placement vector, so
 //! undoing a move can always fall back to applying the reverse move;
 //! [`DeltaEvaluator::undo`] is cheaper — each move journals the values
-//! it overwrites (`refresh_peak` hands back the peak it replaced), and
+//! it overwrites (`refresh_peak` hands back the sweep it replaced), and
 //! replaying the journal in reverse restores the prior state with no
 //! scheduling, sweeping, or sorting at all. The annealer uses it to make
 //! rejected proposals nearly free.
@@ -62,22 +66,26 @@
 //! counts). A candidate's places and times are pure functions of each
 //! node's immutable domain index (affine) or of a fixed table, so an
 //! edit never reschedules surviving nodes — the legality counters
-//! (bounds, causality, issue width, storage) and the cost-tree leaves
-//! are repaired in edit-cone-sized work per candidate, the tree
-//! re-folding only the paths above changed slots, and a candidate's
-//! evaluation stays bit-identical to
+//! (bounds, causality, and the per-PE sweeps' issue width and storage)
+//! and the cost-tree leaves are repaired in edit-cone-sized work per
+//! candidate, the tree re-folding only the paths above changed slots,
+//! and a candidate's evaluation stays bit-identical to
 //! [`crate::search::evaluate_candidate`] run cold on the edited graph.
+//! Per node, a candidate keeps a time, an interned PE id (its place is
+//! derived from the id), a last use, a member entry and a cost leaf —
+//! about 85 bytes on the session benchmark's shape — and an evaluation
+//! hands back a report and a score, never a copy of the mapping.
 //! An edit that invalidates a candidate (a table length change, a new
 //! node without a domain index) drops its cached state; the next
 //! evaluation rebuilds it cold and counts the rebuild, which is how the
 //! session layer above classifies warm vs cold re-tunes.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::cost::{CostReport, CostTree, Evaluator, NodeCost};
 use crate::dataflow::{DataflowGraph, Node, NodeId};
-use crate::flat::{peak_live, EvalContext, ScratchBuf};
+use crate::flat::{peak_live, EvalContext, PeSweep, ScratchBuf};
 use crate::machine::MachineConfig;
 use crate::mapping::{Mapping, ResolvedMapping};
 use crate::mutate::AppliedEdit;
@@ -88,20 +96,6 @@ use crate::search::{CandidateEval, FigureOfMerit};
 /// overflows `+ 1`.
 const FAR_FUTURE: i64 = i64::MAX / 4;
 
-fn hist_add<K: Ord>(h: &mut BTreeMap<K, u32>, k: K) {
-    *h.entry(k).or_insert(0) += 1;
-}
-
-fn hist_remove<K: Ord + std::fmt::Debug>(h: &mut BTreeMap<K, u32>, k: K) {
-    match h.get_mut(&k) {
-        Some(c) if *c > 1 => *c -= 1,
-        Some(_) => {
-            h.remove(&k);
-        }
-        None => panic!("histogram underflow at key {k:?}"),
-    }
-}
-
 /// Per-PE occupancy and storage state over interned PE ids: the one
 /// dense structure both incremental engines keep.
 #[derive(Debug)]
@@ -111,14 +105,14 @@ struct Tiles {
     members: Vec<Vec<NodeId>>,
     /// Number of non-empty member lists — the report's PEs-used.
     occupied: usize,
-    /// Peak live bits per PE; `None` = unoccupied.
-    peaks: Vec<Option<u64>>,
-    /// Multiset of per-PE peaks; max key = global peak.
-    peak_hist: BTreeMap<u64, u32>,
-    /// Multiset of node times; max key + 1 = makespan.
-    time_hist: BTreeMap<i64, u32>,
+    /// Each PE's last sweep (peak, latest issue cycle, over-width issue
+    /// cells); `None` = unoccupied. The makespan and the global peak
+    /// are maxima over it.
+    sweeps: Vec<Option<PeSweep>>,
     /// PEs whose peak exceeds the tile capacity.
     over_capacity: u64,
+    /// Issue cells over the machine's width, summed over PEs.
+    issue_over: u64,
     /// max(own time, consumer times); outputs are *not* extended here —
     /// the sweep substitutes [`FAR_FUTURE`] for them.
     last_use: Vec<i64>,
@@ -127,61 +121,61 @@ struct Tiles {
 impl Tiles {
     /// The cold pass: intern `place` by the flat engine's rule (leaving
     /// the ids in `buf.node_pe` and the off-grid pairs in
-    /// `buf.offgrid`), then derive last uses, member lists, histograms,
-    /// and every occupied PE's peak.
+    /// `buf.offgrid`), then derive last uses, member lists, and every
+    /// occupied PE's sweep.
     fn build(
         ctx: &EvalContext,
-        graph: &DataflowGraph,
         place: &[(i64, i64)],
         time: &[i64],
-        tile_bits: u64,
+        machine: &MachineConfig,
         buf: &mut ScratchBuf,
     ) -> Tiles {
         ctx.intern_places(place, buf);
         let ids = buf.ids;
-        let mut last_use = time.to_vec();
-        for (id, n) in graph.nodes.iter().enumerate() {
-            for &d in &n.deps {
-                let d = d as usize;
-                last_use[d] = last_use[d].max(time[id]);
-            }
-        }
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); ids];
         for (id, &pe) in buf.node_pe.iter().enumerate() {
             members[pe as usize].push(id as NodeId);
         }
-        let mut time_hist = BTreeMap::new();
-        for &t in time {
-            hist_add(&mut time_hist, t);
-        }
         let mut tiles = Tiles {
             occupied: members.iter().filter(|l| !l.is_empty()).count(),
             members,
-            peaks: vec![None; ids],
-            peak_hist: BTreeMap::new(),
-            time_hist,
+            sweeps: vec![None; ids],
             over_capacity: 0,
-            last_use,
+            issue_over: 0,
+            last_use: time.to_vec(),
         };
+        for id in 0..time.len() {
+            tiles.relax_last_use(ctx, time, id);
+        }
         for pe in 0..ids {
-            tiles.refresh_peak(pe, graph, time, tile_bits, &mut buf.events);
+            tiles.refresh_peak(pe, ctx, time, machine, buf);
         }
         tiles
     }
 
     fn makespan(&self) -> i64 {
-        self.time_hist.keys().next_back().map_or(0, |&t| t + 1)
+        self.sweeps
+            .iter()
+            .flatten()
+            .map(|s| s.last + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     fn global_peak(&self) -> u64 {
-        self.peak_hist.keys().next_back().copied().unwrap_or(0)
+        self.sweeps
+            .iter()
+            .flatten()
+            .map(|s| s.peak)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Make room for PE id `pe` (a newly interned off-grid place).
     fn ensure(&mut self, pe: usize) {
         if pe >= self.members.len() {
             self.members.resize_with(pe + 1, Vec::new);
-            self.peaks.resize(pe + 1, None);
+            self.sweeps.resize(pe + 1, None);
         }
     }
 
@@ -202,12 +196,6 @@ impl Tiles {
         at
     }
 
-    /// Move one node's time in the makespan histogram.
-    fn retime(&mut self, old: i64, new: i64) {
-        hist_remove(&mut self.time_hist, old);
-        hist_add(&mut self.time_hist, new);
-    }
-
     /// Re-derive node `id`'s last use from its consumers' times;
     /// returns the value it replaced when it changed.
     fn relax_last_use(&mut self, ctx: &EvalContext, time: &[i64], id: usize) -> Option<i64> {
@@ -218,49 +206,52 @@ impl Tiles {
         (lu != self.last_use[id]).then(|| std::mem::replace(&mut self.last_use[id], lu))
     }
 
-    /// Re-sweep PE `pe`'s peak live bits (into the reusable `events`
-    /// buffer) and fold a change into the peak histogram and the
-    /// over-capacity count. Returns the peak it replaced when the peak
-    /// changed.
+    /// Re-sweep PE `pe` ([`peak_live`] over its members' lifetimes, in
+    /// member order, through `buf`'s lifetime buffers) and fold a
+    /// change into the over-capacity and issue counts. Returns the
+    /// sweep it replaced when the sweep changed.
     fn refresh_peak(
         &mut self,
         pe: usize,
-        graph: &DataflowGraph,
+        ctx: &EvalContext,
         time: &[i64],
-        tile_bits: u64,
-        events: &mut Vec<(i64, i64)>,
-    ) -> Option<Option<u64>> {
+        machine: &MachineConfig,
+        buf: &mut ScratchBuf,
+    ) -> Option<Option<PeSweep>> {
         let list = &self.members[pe];
-        let new = if list.is_empty() {
-            None
-        } else {
-            events.clear();
+        let new = (!list.is_empty()).then(|| {
+            buf.start.clear();
+            buf.end.clear();
             for &j in list {
-                let ju = j as usize;
-                let last = if graph.nodes[ju].output {
+                let j = j as usize;
+                buf.start.push(time[j]);
+                buf.end.push(if ctx.is_output(j) {
                     FAR_FUTURE
                 } else {
-                    self.last_use[ju]
-                };
-                events.push((time[ju], 1));
-                events.push((last + 1, -1));
+                    self.last_use[j]
+                });
             }
-            Some(peak_live(events) as u64 * u64::from(graph.width_bits))
-        };
-        (self.peaks[pe] != new).then(|| self.set_peak(pe, new, tile_bits))
+            peak_live(
+                &mut buf.start,
+                &mut buf.end,
+                ctx.width_bits(),
+                machine.issue_width,
+            )
+        });
+        (self.sweeps[pe] != new).then(|| self.set_sweep(pe, new, machine.tile_bits))
     }
 
-    /// Set PE `pe`'s peak, keeping the histogram and the over-capacity
-    /// count exact; returns the peak it replaced.
-    fn set_peak(&mut self, pe: usize, peak: Option<u64>, tile_bits: u64) -> Option<u64> {
-        let old = std::mem::replace(&mut self.peaks[pe], peak);
+    /// Set PE `pe`'s sweep, keeping the over-capacity and issue counts
+    /// exact; returns the sweep it replaced.
+    fn set_sweep(&mut self, pe: usize, sweep: Option<PeSweep>, tile_bits: u64) -> Option<PeSweep> {
+        let old = std::mem::replace(&mut self.sweeps[pe], sweep);
         if let Some(o) = old {
-            hist_remove(&mut self.peak_hist, o);
-            self.over_capacity -= u64::from(o > tile_bits);
+            self.over_capacity -= u64::from(o.peak > tile_bits);
+            self.issue_over -= u64::from(o.issue_over);
         }
-        if let Some(v) = peak {
-            hist_add(&mut self.peak_hist, v);
-            self.over_capacity += u64::from(v > tile_bits);
+        if let Some(v) = sweep {
+            self.over_capacity += u64::from(v.peak > tile_bits);
+            self.issue_over += u64::from(v.issue_over);
         }
         old
     }
@@ -284,9 +275,9 @@ enum UndoEntry {
         id: NodeId,
         t: i64,
     },
-    Peak {
+    Sweep {
         pe: u32,
-        v: Option<u64>,
+        v: Option<PeSweep>,
     },
     Leaf {
         id: NodeId,
@@ -369,9 +360,10 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         let ctx = EvalContext::new(ev);
         let mut scratch = MoveScratch::default();
         let buf = &mut scratch.buf;
-        let tiles = Tiles::build(&ctx, graph, &rm.place, &rm.time, machine.tile_bits, buf);
+        let tiles = Tiles::build(&ctx, &rm.place, &rm.time, machine, buf);
         let mut tree = CostTree::new();
-        ctx.fill_tree(ev, &rm.place, &mut tree, &mut buf.pes, &mut buf.dests);
+        let place = |i: usize| rm.place[i];
+        ctx.fill_tree(ev, place, &mut tree, &mut buf.pes, &mut buf.dests);
         DeltaEvaluator {
             ev,
             graph,
@@ -563,7 +555,6 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             if t_new == t_old {
                 continue;
             }
-            self.tiles.retime(t_old, t_new);
             self.time[iu] = t_new;
             self.journal.push(UndoEntry::Time { id: i, t: t_old });
             s.dirty_pes.push(pid);
@@ -612,9 +603,10 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             id,
             cost: self.tree.leaf(node),
         });
+        let place = |i: usize| self.place[i];
         let c = self
             .ctx
-            .node_cost(self.ev, node, &self.place, &mut s.buf.pes, &mut s.buf.dests);
+            .node_cost(self.ev, node, place, &mut s.buf.pes, &mut s.buf.dests);
         self.tree.update(node, c);
         for k in 0..self.graph.nodes[node].deps.len() {
             let du = self.graph.nodes[node].deps[k] as usize;
@@ -624,21 +616,21 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             });
             let c = self
                 .ctx
-                .node_cost(self.ev, du, &self.place, &mut s.buf.pes, &mut s.buf.dests);
+                .node_cost(self.ev, du, place, &mut s.buf.pes, &mut s.buf.dests);
             self.tree.update(du, c);
         }
 
-        // Re-sweep peaks only where lifetimes could have moved.
+        // Re-sweep only the PEs whose lifetimes or issue cycles could
+        // have moved.
         s.dirty_pes.sort_unstable();
         s.dirty_pes.dedup();
         for k in 0..s.dirty_pes.len() {
             let pe = s.dirty_pes[k];
-            let cap = self.machine.tile_bits;
             if let Some(v) =
                 self.tiles
-                    .refresh_peak(pe, self.graph, &self.time, cap, &mut s.buf.events)
+                    .refresh_peak(pe, &self.ctx, &self.time, self.machine, &mut s.buf)
             {
-                self.journal.push(UndoEntry::Peak { pe: pe as u32, v });
+                self.journal.push(UndoEntry::Sweep { pe: pe as u32, v });
             }
         }
         self.scratch = s;
@@ -661,14 +653,10 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                     self.tiles.insert(self.pe_id(pe), id);
                     self.place[node] = pe;
                 }
-                UndoEntry::Time { id, t } => {
-                    let iu = id as usize;
-                    self.tiles.retime(self.time[iu], t);
-                    self.time[iu] = t;
-                }
+                UndoEntry::Time { id, t } => self.time[id as usize] = t,
                 UndoEntry::LastUse { id, t } => self.tiles.last_use[id as usize] = t,
-                UndoEntry::Peak { pe, v } => {
-                    self.tiles.set_peak(pe as usize, v, self.machine.tile_bits);
+                UndoEntry::Sweep { pe, v } => {
+                    self.tiles.set_sweep(pe as usize, v, self.machine.tile_bits);
                 }
                 UndoEntry::Leaf { id, cost } => self.tree.update(id as usize, cost),
             }
@@ -734,10 +722,12 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
 }
 
 /// Cached evaluation state of one resolvable candidate: its static
-/// places/times plus every aggregate [`crate::legality::check`] and
-/// `Evaluator::evaluate` would derive, maintained incrementally.
+/// times and interned places plus every aggregate
+/// [`crate::legality::check`] and `Evaluator::evaluate` would derive,
+/// maintained incrementally. Places are not stored: an on-grid id
+/// names its place (`y·cols + x`), and an off-grid id `grid + k` names
+/// `offgrid[k]`.
 struct CandState {
-    place: Vec<(i64, i64)>,
     time: Vec<i64>,
     /// Interned PE id per node, by the flat engine's rule.
     node_pe: Vec<u32>,
@@ -752,18 +742,23 @@ struct CandState {
     /// slot, duplicates counted). Only added to the violation total
     /// when `oob == 0`, exactly like the full checker.
     causality: u64,
-    /// Elements per (PE id, cycle) — off-grid ids included, exactly
-    /// like the full checker's issue phase.
-    issue: HashMap<(u32, i64), u32>,
-    /// Issue cells over the machine's width.
-    issue_over: u64,
+    /// Per-PE state; its sweeps also count the over-width issue cells
+    /// (off-grid ids included, exactly like the full checker).
     tiles: Tiles,
-    /// Per-node costs; the leaves listed in `dirty` are stale.
-    tree: CostTree,
-    /// Leaves whose [`NodeCost`] is stale. Flushed lazily at
-    /// evaluation time, and only for legal candidates — costing an
-    /// off-grid placement is meaningless.
-    dirty: Vec<usize>,
+    /// Per-node costs, built the first time the candidate is legal
+    /// (costing an illegal placement is meaningless); the leaves listed
+    /// in `dirty` are stale, re-costed lazily at evaluation time.
+    tree: Option<CostTree>,
+    dirty: Vec<NodeId>,
+}
+
+/// The place interned id `pe` stands for, given a candidate's off-grid
+/// table.
+fn interned_place(ctx: &EvalContext, offgrid: &[(i64, i64)], pe: u32) -> (i64, i64) {
+    match (pe as usize).checked_sub(ctx.grid_pes()) {
+        Some(k) => offgrid[k],
+        None => ctx.place_of(pe),
+    }
 }
 
 impl CandState {
@@ -775,47 +770,31 @@ impl CandState {
         rm: ResolvedMapping,
         buf: &mut ScratchBuf,
     ) -> CandState {
-        let graph = ev.graph();
         let machine = ev.machine();
-        let tiles = Tiles::build(ctx, graph, &rm.place, &rm.time, machine.tile_bits, buf);
+        let tiles = Tiles::build(ctx, &rm.place, &rm.time, machine, buf);
         let mut offgrid: Vec<(i64, i64)> = buf.offgrid.iter().map(|&(p, _)| p).collect();
         offgrid.dedup();
-        let mut issue: HashMap<(u32, i64), u32> = HashMap::new();
-        for (&pe, &t) in buf.node_pe.iter().zip(&rm.time) {
-            *issue.entry((pe, t)).or_insert(0) += 1;
-        }
         let mut this = CandState {
             node_pe: buf.node_pe.clone(),
             offgrid,
             oob: buf.offgrid.len() as u64,
             neg: rm.time.iter().filter(|&&t| t < 0).count() as u64,
             causality: 0,
-            issue_over: issue.values().filter(|&&c| c > machine.issue_width).count() as u64,
-            issue,
             tiles,
-            place: rm.place,
             time: rm.time,
-            tree: CostTree::new(),
+            tree: None,
             dirty: Vec::new(),
         };
-        for (id, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                this.causality += this.edge_violation(ctx, machine, d as usize, id);
+        for d in 0..this.time.len() {
+            for &c in ctx.consumers(d) {
+                this.causality += this.edge_violation(ctx, machine, d, c as usize);
             }
         }
         if this.total() == 0 {
-            ctx.fill_tree(
-                ev,
-                &this.place,
-                &mut this.tree,
-                &mut buf.pes,
-                &mut buf.dests,
-            );
-        } else {
-            // Illegal now: defer costing until (if ever) edits make the
-            // candidate legal.
-            this.tree.reset(graph.len());
-            this.dirty = (0..graph.len()).collect();
+            let mut tree = CostTree::new();
+            let place = |i: usize| rm.place[i];
+            ctx.fill_tree(ev, place, &mut tree, &mut buf.pes, &mut buf.dests);
+            this.tree = Some(tree);
         }
         this
     }
@@ -825,7 +804,7 @@ impl CandState {
     /// on-grid.
     fn total(&self) -> u64 {
         let causality = if self.oob == 0 { self.causality } else { 0 };
-        self.oob + self.neg + causality + self.issue_over + self.tiles.over_capacity
+        self.oob + self.neg + causality + self.tiles.issue_over + self.tiles.over_capacity
     }
 
     /// Whether the edge `d → n` violates causality: 1 if the consumer
@@ -846,25 +825,6 @@ impl CandState {
         u64::from(pd < grid && pn < grid && ctx.late(machine, pd, self.time[d], pn, self.time[n]))
     }
 
-    fn issue_add(&mut self, width: u32, key: (u32, i64)) {
-        let c = self.issue.entry(key).or_insert(0);
-        *c += 1;
-        if u64::from(*c) == u64::from(width) + 1 {
-            self.issue_over += 1;
-        }
-    }
-
-    fn issue_remove(&mut self, width: u32, key: (u32, i64)) {
-        let c = self.issue.get_mut(&key).expect("issue histogram underflow");
-        if u64::from(*c) == u64::from(width) + 1 {
-            self.issue_over -= 1;
-        }
-        *c -= 1;
-        if *c == 0 {
-            self.issue.remove(&key);
-        }
-    }
-
     /// Intern one new node's place by the flat engine's rule; an
     /// off-grid place not seen before takes the next id past the grid.
     fn intern(&mut self, ctx: &EvalContext, p: (i64, i64)) -> u32 {
@@ -882,34 +842,46 @@ impl CandState {
         (ctx.grid_pes() + k) as u32
     }
 
+    /// Mark node `id`'s leaf stale (a tree not built yet is filled
+    /// whole when first needed).
+    fn stale(&mut self, id: usize) {
+        if self.tree.is_some() {
+            self.dirty.push(id as NodeId);
+        }
+    }
+
     /// Producers `deps` gained or lost a consumer: re-derive their last
     /// uses, mark their leaves stale (their def→use messages changed),
-    /// and re-sweep the PEs in `pes` plus those whose lifetimes moved.
+    /// and re-sweep `seed` (the PE whose members changed, if any) plus
+    /// the PEs whose lifetimes moved. `pes` is a reusable list.
     fn touch_producers(
         &mut self,
         ctx: &EvalContext,
         ev: &Evaluator<'_>,
         deps: impl IntoIterator<Item = usize>,
-        mut pes: Vec<usize>,
-        events: &mut Vec<(i64, i64)>,
+        seed: Option<u32>,
+        buf: &mut ScratchBuf,
+        pes: &mut Vec<u32>,
     ) {
+        pes.clear();
+        pes.extend(seed);
         for du in deps {
             if self.tiles.relax_last_use(ctx, &self.time, du).is_some() {
-                pes.push(self.node_pe[du] as usize);
+                pes.push(self.node_pe[du]);
             }
-            self.dirty.push(du);
+            self.stale(du);
         }
         pes.sort_unstable();
         pes.dedup();
-        let tile_bits = ev.machine().tile_bits;
-        for pe in pes {
+        for &pe in pes.iter() {
             self.tiles
-                .refresh_peak(pe, ev.graph(), &self.time, tile_bits, events);
+                .refresh_peak(pe as usize, ctx, &self.time, ev.machine(), buf);
         }
     }
 
     /// A node was appended with the given (statically resolved) place
     /// and time. `ctx` already follows the edit.
+    #[allow(clippy::too_many_arguments)]
     fn repair_add(
         &mut self,
         ctx: &EvalContext,
@@ -917,29 +889,29 @@ impl CandState {
         id: usize,
         p: (i64, i64),
         t: i64,
-        events: &mut Vec<(i64, i64)>,
+        buf: &mut ScratchBuf,
+        pes: &mut Vec<u32>,
     ) {
-        let graph = ev.graph();
         let machine = ev.machine();
+        let deps = &ev.graph().nodes[id].deps;
         let pe = self.intern(ctx, p);
-        self.place.push(p);
         self.time.push(t);
         self.node_pe.push(pe);
         self.oob += u64::from(pe as usize >= ctx.grid_pes());
         self.neg += u64::from(t < 0);
-        for &d in &graph.nodes[id].deps {
+        for &d in deps {
             self.causality += self.edge_violation(ctx, machine, d as usize, id);
         }
-        self.issue_add(machine.issue_width, (pe, t));
-        hist_add(&mut self.tiles.time_hist, t);
         // No consumers yet: the new node's value dies at birth.
         self.tiles.last_use.push(t);
         // Largest id: the member list stays ascending.
         self.tiles.insert(pe as usize, id as NodeId);
-        self.tree.push(NodeCost::default());
-        self.dirty.push(id);
-        let deps = graph.nodes[id].deps.iter().map(|&d| d as usize);
-        self.touch_producers(ctx, ev, deps, vec![pe as usize], events);
+        if let Some(tree) = &mut self.tree {
+            tree.push(NodeCost::default());
+        }
+        self.stale(id);
+        let deps = deps.iter().map(|&d| d as usize);
+        self.touch_producers(ctx, ev, deps, Some(pe), buf, pes);
     }
 
     /// Consumerless node `r` was removed; ids above it shifted down.
@@ -950,7 +922,8 @@ impl CandState {
         ev: &Evaluator<'_>,
         r: usize,
         removed: &Node,
-        events: &mut Vec<(i64, i64)>,
+        buf: &mut ScratchBuf,
+        pes: &mut Vec<u32>,
     ) {
         let machine = ev.machine();
         let (pe, t) = (self.node_pe[r], self.time[r]);
@@ -961,8 +934,6 @@ impl CandState {
         for &d in &removed.deps {
             self.causality -= self.edge_violation(ctx, machine, d as usize, r);
         }
-        self.issue_remove(machine.issue_width, (pe, t));
-        hist_remove(&mut self.tiles.time_hist, t);
         self.tiles.remove(pe as usize, r as NodeId);
         // Uniform decrement keeps every list sorted.
         for list in &mut self.tiles.members {
@@ -971,11 +942,13 @@ impl CandState {
                 *j -= 1;
             }
         }
-        self.place.remove(r);
         self.time.remove(r);
         self.node_pe.remove(r);
         self.tiles.last_use.remove(r);
-        self.tree.remove(r);
+        if let Some(tree) = &mut self.tree {
+            tree.remove(r);
+        }
+        let r = r as NodeId;
         self.dirty.retain(|&i| i != r);
         for i in self.dirty.iter_mut() {
             if *i > r {
@@ -983,7 +956,7 @@ impl CandState {
             }
         }
         let deps = removed.deps.iter().map(|&d| d as usize);
-        self.touch_producers(ctx, ev, deps, vec![pe as usize], events);
+        self.touch_producers(ctx, ev, deps, Some(pe), buf, pes);
     }
 
     /// Dep slot of `node` moved from `old_dep` to `new_dep`. Places and
@@ -991,6 +964,7 @@ impl CandState {
     /// message costs, and their last-use lifetimes can change. The
     /// edited node's own leaf is unchanged — its operand count, input
     /// reads, and produced messages do not depend on who feeds it.
+    #[allow(clippy::too_many_arguments)]
     fn repair_retarget(
         &mut self,
         ctx: &EvalContext,
@@ -998,7 +972,8 @@ impl CandState {
         node: usize,
         old_dep: usize,
         new_dep: usize,
-        events: &mut Vec<(i64, i64)>,
+        buf: &mut ScratchBuf,
+        pes: &mut Vec<u32>,
     ) {
         if old_dep == new_dep {
             return;
@@ -1006,19 +981,40 @@ impl CandState {
         let machine = ev.machine();
         self.causality -= self.edge_violation(ctx, machine, old_dep, node);
         self.causality += self.edge_violation(ctx, machine, new_dep, node);
-        self.touch_producers(ctx, ev, [old_dep, new_dep], Vec::new(), events);
+        self.touch_producers(ctx, ev, [old_dep, new_dep], None, buf, pes);
     }
 
-    /// Re-cost stale leaves through the context and re-fold their
-    /// paths. Called only when the candidate is legal.
-    fn flush(&mut self, ctx: &EvalContext, ev: &Evaluator<'_>, buf: &mut ScratchBuf) {
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        for &id in &self.dirty {
-            let c = ctx.node_cost(ev, id, &self.place, &mut buf.pes, &mut buf.dests);
-            self.tree.update(id, c);
-        }
-        self.dirty.clear();
+    /// Bring the cost tree up to date — fill it whole the first time,
+    /// else re-cost the stale leaves and re-fold their paths — and
+    /// return it. Called only when the candidate is legal, so every id
+    /// is on the grid.
+    fn flush(&mut self, ctx: &EvalContext, ev: &Evaluator<'_>, buf: &mut ScratchBuf) -> &CostTree {
+        let CandState {
+            node_pe,
+            offgrid,
+            tree,
+            dirty,
+            ..
+        } = self;
+        let place = |i: usize| interned_place(ctx, offgrid, node_pe[i]);
+        let tree = match tree {
+            Some(tree) => {
+                dirty.sort_unstable();
+                dirty.dedup();
+                for &id in dirty.iter() {
+                    let c = ctx.node_cost(ev, id as usize, place, &mut buf.pes, &mut buf.dests);
+                    tree.update(id as usize, c);
+                }
+                tree
+            }
+            None => {
+                let tree = tree.insert(CostTree::new());
+                ctx.fill_tree(ev, place, tree, &mut buf.pes, &mut buf.dests);
+                tree
+            }
+        };
+        dirty.clear();
+        tree
     }
 }
 
@@ -1048,9 +1044,11 @@ pub struct DeltaCandidates {
     states: Vec<Option<CandState>>,
     rebuilds: u64,
     /// Reusable buffers for cold builds, peak sweeps and leaf flushes,
-    /// so warm re-evaluations (the `tune_warm` path) do not allocate
-    /// per stale leaf.
+    /// so repairs and warm re-evaluations (the `tune_warm` path) do
+    /// not allocate.
     buf: ScratchBuf,
+    /// Reusable list of the PEs one repair re-sweeps.
+    pes: Vec<u32>,
 }
 
 impl DeltaCandidates {
@@ -1076,6 +1074,7 @@ impl DeltaCandidates {
             states,
             rebuilds: 0,
             buf,
+            pes: Vec::new(),
         }
     }
 
@@ -1132,7 +1131,7 @@ impl DeltaCandidates {
                 // Invalidated earlier; rebuilt lazily at evaluation.
                 continue;
             };
-            let events = &mut self.buf.events;
+            let (buf, pes) = (&mut self.buf, &mut self.pes);
             match edit {
                 AppliedEdit::AddNode { id } => {
                     let Mapping::Affine(am) = &self.mappings[i] else {
@@ -1142,10 +1141,10 @@ impl DeltaCandidates {
                     let n = &graph.nodes[idu];
                     let pe = am.place.eval(&n.index, ev.machine().cols);
                     let t = am.time.eval(&n.index);
-                    state.repair_add(&self.ctx, ev, idu, pe, t, events);
+                    state.repair_add(&self.ctx, ev, idu, pe, t, buf, pes);
                 }
                 AppliedEdit::RemoveNode { id, node } => {
-                    state.repair_remove(&self.ctx, ev, *id as usize, node, events);
+                    state.repair_remove(&self.ctx, ev, *id as usize, node, buf, pes);
                 }
                 AppliedEdit::RetargetEdge {
                     node,
@@ -1155,17 +1154,17 @@ impl DeltaCandidates {
                 } => {
                     let (node, old_dep, new_dep) =
                         (*node as usize, *old_dep as usize, *new_dep as usize);
-                    state.repair_retarget(&self.ctx, ev, node, old_dep, new_dep, events);
+                    state.repair_retarget(&self.ctx, ev, node, old_dep, new_dep, buf, pes);
                 }
                 AppliedEdit::ResizeTile { new_bits, .. } => {
                     // Peaks are capacity-independent: only the
                     // over-capacity count moves.
                     let tiles = &mut state.tiles;
                     tiles.over_capacity = tiles
-                        .peaks
+                        .sweeps
                         .iter()
                         .flatten()
-                        .filter(|&&p| p > *new_bits)
+                        .filter(|s| s.peak > *new_bits)
                         .count() as u64;
                 }
             }
@@ -1192,23 +1191,16 @@ impl DeltaCandidates {
         if total > 0 {
             return CandidateEval::Illegal(total);
         }
-        state.flush(&self.ctx, ev, &mut self.buf);
+        let total = state.flush(&self.ctx, ev, &mut self.buf).total();
         let report = ev.assemble(
-            state.tree.total(),
+            total,
             &self.ctx.offchip(),
             state.tiles.makespan(),
             state.tiles.global_peak(),
             state.tiles.occupied,
         );
         let score = ev.score(fom, &report);
-        CandidateEval::Legal {
-            resolved: ResolvedMapping {
-                place: state.place.clone(),
-                time: state.time.clone(),
-            },
-            report,
-            score,
-        }
+        CandidateEval::Legal { report, score }
     }
 }
 
@@ -1411,17 +1403,14 @@ mod tests {
             }
             (
                 CandidateEval::Legal {
-                    resolved: ra,
                     report: pa,
                     score: sa,
                 },
                 CandidateEval::Legal {
-                    resolved: rb,
                     report: pb,
                     score: sb,
                 },
             ) => {
-                assert_eq!(ra, rb, "resolved mappings differ: {ctx}");
                 assert_eq!(pa, pb, "reports differ: {ctx}");
                 assert_eq!(
                     sa.to_bits(),
@@ -1520,6 +1509,35 @@ mod tests {
         }
     }
 
+    /// A warm candidate's interned ids and times equal a cold build's:
+    /// every on-grid id is the cold id, every off-grid id stands for
+    /// the cold place (warm numbering appends new off-grid places, cold
+    /// numbering sorts them), and every time is the cold time.
+    fn assert_same_state(dc: &DeltaCandidates, i: usize, cold: &ResolvedMapping, ctx: &str) {
+        let state = dc.states[i]
+            .as_ref()
+            .expect("resolvable candidates keep state");
+        let mut buf = ScratchBuf::default();
+        dc.ctx.intern_places(&cold.place, &mut buf);
+        let grid = dc.ctx.grid_pes() as u32;
+        for (node, (&warm, &cold_pe)) in state.node_pe.iter().zip(&buf.node_pe).enumerate() {
+            if cold_pe < grid {
+                assert_eq!(warm, cold_pe, "interned ids differ at node {node}: {ctx}");
+            }
+            let place = interned_place(&dc.ctx, &state.offgrid, warm);
+            assert_eq!(
+                place, cold.place[node],
+                "places differ at node {node}: {ctx}"
+            );
+        }
+        assert_eq!(
+            state.node_pe.len(),
+            cold.place.len(),
+            "node counts differ: {ctx}"
+        );
+        assert_eq!(state.time, cold.time, "times differ: {ctx}");
+    }
+
     #[test]
     fn random_edit_streams_keep_candidates_bit_exact() {
         // Unicast and multicast: the context carries every producer's
@@ -1550,6 +1568,9 @@ mod tests {
                     );
                     let ctx = format!("seed {seed} multicast {multicast} step {step} cand {i}");
                     assert_same_eval(&warm, &cold, &ctx);
+                    if let Ok(rm) = mapping.resolve(&g, &m) {
+                        assert_same_state(&dc, i, &rm, &ctx);
+                    }
                 }
             }
         }

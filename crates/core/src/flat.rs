@@ -23,9 +23,10 @@
 //!   the session engine ([`crate::delta::DeltaCandidates`]) keeps one
 //!   alive and patches it in place per structural edit.
 //! * [`EvalScratch`] — a reusable arena holding every buffer one
-//!   evaluation needs (resolved places/times, interned PE ids, sweep
-//!   events, the SoA [`CostTree`]). Buffers are cleared, never freed,
-//!   so steady-state evaluation performs **zero heap allocation**.
+//!   evaluation needs (resolved places/times, interned PE ids, per-PE
+//!   lifetimes, the SoA [`CostTree`]). Buffers are cleared, never
+//!   freed, so steady-state evaluation performs **zero heap
+//!   allocation**.
 //! * [`BatchEvaluator`] — the per-candidate entry point the tuner's
 //!   work-stealing loop calls: resolve into scratch, check legality
 //!   with dense per-PE arrays, cost through the context, score. Its
@@ -43,10 +44,15 @@
 //! id), and the cost fold charges exactly what the reference charges.
 //!
 //! Every number produced here is bit-identical to the reference path:
-//! the pairwise cost tree keeps its exact shape (SoA only changes
-//! *storage*, the six fields fold independently), charge order within
-//! a node is unchanged, and the tile-peak sweep sorts the same event
-//! pairs the `HashMap` version sorts.
+//! the pairwise cost tree keeps its exact shape for the three `f64`
+//! fields (SoA only changes *storage*; the integer counts are plain
+//! sums), charge order within a node is unchanged, and the per-PE
+//! sweep ([`peak_live`]) merges each PE's lifetime starts and ends in
+//! member order — sorting either only when it is out of order — which
+//! visits the same events in the same order as sorting the event
+//! pairs the `HashMap` version sorts. The same pass counts each PE's
+//! over-width issue cycles, so the issue check needs no sort of its
+//! own.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -54,7 +60,7 @@ use std::collections::HashMap;
 use crate::cost::{CostReport, CostTree, Evaluator, NodeCost, OffchipTotals};
 use crate::dataflow::{DataflowGraph, Node, NodeId};
 use crate::machine::MachineConfig;
-use crate::mapping::{InputPlacement, ResolvedMapping};
+use crate::mapping::InputPlacement;
 use crate::mutate::AppliedEdit;
 use crate::search::{evaluate_candidate_ref, CandidateEval, FigureOfMerit, MappingCandidate};
 
@@ -89,6 +95,8 @@ pub struct EvalContext {
     /// Reads per distinct DRAM-placed input element; the key count is
     /// the off-chip fetch count.
     dram_refs: HashMap<(u32, u32), u32>,
+    /// Per-node output mark, read by every lifetime sweep.
+    output: Vec<bool>,
     /// Nodes marked as outputs.
     marked_outputs: u64,
     /// Nodes with at least one consumer: when nothing is marked, the
@@ -120,6 +128,7 @@ impl EvalContext {
             read_off: vec![0],
             reads: Vec::new(),
             dram_refs: HashMap::new(),
+            output: Vec::with_capacity(n),
             marked_outputs: 0,
             nonsink: 0,
             off: OffchipTotals::default(),
@@ -197,6 +206,7 @@ impl EvalContext {
             }
         }
         self.read_off.push(self.reads.len() as u32);
+        self.output.push(node.output);
         self.marked_outputs += u64::from(node.output);
     }
 
@@ -273,6 +283,7 @@ impl EvalContext {
                         }
                     }
                 }
+                self.output.remove(r);
                 self.marked_outputs -= u64::from(node.output);
             }
             AppliedEdit::RetargetEdge {
@@ -331,6 +342,12 @@ impl EvalContext {
         self.off
     }
 
+    /// Whether node `id` is marked as an output.
+    #[inline]
+    pub(crate) fn is_output(&self, id: usize) -> bool {
+        self.output[id]
+    }
+
     /// Dense id of an on-grid place (`y * cols + x`); `None` off the
     /// grid.
     #[inline]
@@ -340,6 +357,11 @@ impl EvalContext {
         } else {
             None
         }
+    }
+
+    /// Bits per value (the graph's width).
+    pub(crate) fn width_bits(&self) -> u64 {
+        self.width
     }
 
     /// PEs on the grid; ids at or past this count are off-grid places.
@@ -355,8 +377,16 @@ impl EvalContext {
     }
 
     fn coords(&self, pe: u32) -> (u32, u32) {
-        let pe = pe as i64;
-        ((pe % self.cols) as u32, (pe / self.cols) as u32)
+        let (x, y) = self.place_of(pe);
+        (x as u32, y as u32)
+    }
+
+    /// The place on-grid id `pe` interns (the inverse of
+    /// [`Self::pe_id`]).
+    #[inline]
+    pub(crate) fn place_of(&self, pe: u32) -> (i64, i64) {
+        let pe = i64::from(pe);
+        (pe % self.cols, pe / self.cols)
     }
 
     /// Intern every place into `buf.node_pe` by the module's rule:
@@ -390,16 +420,17 @@ impl EvalContext {
         buf.ids = next + usize::from(!buf.offgrid.is_empty());
     }
 
-    /// Node `id`'s full cost under `place`: the precomputed prefix plus
-    /// the placement-dependent input reads and def→use messages,
-    /// charged in exactly the reference charge's order
-    /// (`Evaluator::node_cost_in`) so the f64 accumulation is
-    /// bit-identical. The one node charge production code runs.
+    /// Node `id`'s full cost under the placement `place` (node id →
+    /// place): the precomputed prefix plus the placement-dependent
+    /// input reads and def→use messages, charged in exactly the
+    /// reference charge's order (`Evaluator::node_cost_in`) so the f64
+    /// accumulation is bit-identical. The one node charge production
+    /// code runs.
     pub(crate) fn node_cost(
         &self,
         ev: &Evaluator<'_>,
         id: usize,
-        place: &[(i64, i64)],
+        place: impl Fn(usize) -> (i64, i64),
         pes: &mut Vec<(i64, i64)>,
         dests: &mut Vec<(u32, u32)>,
     ) -> NodeCost {
@@ -407,11 +438,10 @@ impl EvalContext {
         let be = ev.backend();
         let width = self.width;
         let mut c = self.base[id];
-        let cons = place[id];
+        let cons = place(id);
         let onchip = |mm: f64, fj: f64, c: &mut NodeCost| {
             c.onchip_fj += fj;
             c.onchip_messages += 1;
-            c.onchip_bits += width;
             c.onchip_bit_mm += width as f64 * mm;
         };
 
@@ -432,7 +462,7 @@ impl EvalContext {
         pes.extend(
             self.consumers(id)
                 .iter()
-                .map(|&cn| place[cn as usize])
+                .map(|&cn| place(cn as usize))
                 .filter(|&p| p != prod),
         );
         pes.sort_unstable();
@@ -470,47 +500,81 @@ impl EvalContext {
         let buf = &mut scratch.buf;
         self.intern_places(place, buf);
         let cycles = makespan_of(time);
-        let sweep = self.sweep_tiles(ev.graph(), ev.machine(), time, cycles, buf);
-        let total = self.fold_costs(ev, place, buf);
-        ev.assemble(total, &self.off, cycles, sweep.peak, sweep.pes_used)
+        let sweep = self.sweep_tiles(ev.machine(), time, cycles, buf);
+        let mut report = self.cost(ev, place, cycles, &sweep, buf);
+        report.name = ev.graph().name.clone();
+        report
     }
 
-    /// Per-node costs → SoA tree → tree-shaped total.
-    fn fold_costs(
+    /// Legality and cost of a resolved mapping in one flat pass: the
+    /// exact violation total `legality::check` reports when it is
+    /// above zero, else the report (assembled with an empty name, so
+    /// nothing allocates).
+    pub(crate) fn verdict(
         &self,
         ev: &Evaluator<'_>,
         place: &[(i64, i64)],
+        time: &[i64],
         buf: &mut ScratchBuf,
-    ) -> NodeCost {
-        self.fill_tree(ev, place, &mut buf.tree, &mut buf.pes, &mut buf.dests);
-        buf.tree.total()
+    ) -> Result<CostReport, u64> {
+        self.intern_places(place, buf);
+        let cycles = makespan_of(time);
+        let sweep = self.sweep_tiles(ev.machine(), time, cycles, buf);
+        match self.violation_total(ev.machine(), time, &sweep, buf) {
+            0 => Ok(self.cost(ev, place, cycles, &sweep, buf)),
+            total => Err(total),
+        }
     }
 
-    /// Charge every node under `place` into `tree` (reset to the node
-    /// count) and fold it.
+    /// Per-node costs → SoA tree → the report (with an empty name).
+    fn cost(
+        &self,
+        ev: &Evaluator<'_>,
+        place: &[(i64, i64)],
+        cycles: i64,
+        sweep: &TileSweep,
+        buf: &mut ScratchBuf,
+    ) -> CostReport {
+        let ScratchBuf {
+            tree, pes, dests, ..
+        } = buf;
+        self.fill_tree(ev, |i| place[i], tree, pes, dests);
+        ev.assemble_with_name(
+            String::new(),
+            tree.total(),
+            &self.off,
+            cycles,
+            sweep.peak,
+            sweep.pes_used,
+        )
+    }
+
+    /// Charge every node under `place` (node id → place) into `tree`
+    /// (reset to the node count) and fold it.
     pub(crate) fn fill_tree(
         &self,
         ev: &Evaluator<'_>,
-        place: &[(i64, i64)],
+        place: impl Fn(usize) -> (i64, i64) + Copy,
         tree: &mut CostTree,
         pes: &mut Vec<(i64, i64)>,
         dests: &mut Vec<(u32, u32)>,
     ) {
-        tree.reset(place.len());
-        for id in 0..place.len() {
+        tree.reset(self.len());
+        for id in 0..self.len() {
             tree.set_leaf(id, self.node_cost(ev, id, place, pes, dests));
         }
         tree.refresh();
     }
 
-    /// The flat tile sweep: last-use relaxation, per-PE event scatter,
-    /// in-place slice sorts and the live/peak sweep — the exact event
-    /// multiset `legality::tile_peaks` sorts, minus the `HashMap`.
-    /// Returns storage violations, the global peak, and the number of
-    /// occupied PEs. Requires `buf.node_pe` to be interned.
+    /// The flat tile sweep: last-use relaxation over the CSR consumer
+    /// lists, a counting scatter of every node's (start, last use)
+    /// lifetime into its PE's slice (in id order, so each slice is in
+    /// member order), and one [`peak_live`] pass per PE. Returns the
+    /// storage violations, the global peak, the occupied-PE count and
+    /// the over-width issue cells. Requires `buf.node_pe` to be
+    /// interned.
     fn sweep_tiles(
         &self,
-        g: &DataflowGraph,
         machine: &MachineConfig,
         time: &[i64],
         makespan: i64,
@@ -521,44 +585,38 @@ impl EvalContext {
         // Last use: own cycle, relaxed over consumers, outputs pinned
         // to the makespan.
         buf.last_use.clear();
-        buf.last_use.extend_from_slice(time);
-        for (node, &t) in g.nodes.iter().zip(time) {
-            for &d in &node.deps {
-                if t > buf.last_use[d as usize] {
-                    buf.last_use[d as usize] = t;
-                }
+        buf.last_use.extend((0..n).map(|id| {
+            if self.output[id] {
+                makespan
+            } else {
+                self.consumers(id)
+                    .iter()
+                    .fold(time[id], |lu, &c| lu.max(time[c as usize]))
             }
-        }
-        for (id, node) in g.nodes.iter().enumerate() {
-            if node.output {
-                buf.last_use[id] = makespan;
-            }
-        }
+        }));
 
-        // Counting scatter: two events per node, grouped by PE.
+        // Counting scatter: one lifetime per node, grouped by PE.
         buf.pe_off.clear();
         buf.pe_off.resize(ids + 1, 0);
         for &pe in &buf.node_pe {
-            buf.pe_off[pe as usize + 1] += 2;
+            buf.pe_off[pe as usize + 1] += 1;
         }
         for i in 0..ids {
             let prev = buf.pe_off[i];
             buf.pe_off[i + 1] += prev;
         }
-        buf.events.clear();
-        buf.events.resize(2 * n, (0, 0));
+        buf.start.resize(n, 0);
+        buf.end.resize(n, 0);
         buf.pe_cursor.clear();
         buf.pe_cursor.extend_from_slice(&buf.pe_off[..ids]);
-        for (id, &start) in time.iter().enumerate().take(n) {
+        for (id, &t) in time.iter().enumerate() {
             let pe = buf.node_pe[id] as usize;
             let at = buf.pe_cursor[pe] as usize;
-            buf.events[at] = (start, 1);
-            buf.events[at + 1] = (buf.last_use[id] + 1, -1);
-            buf.pe_cursor[pe] += 2;
+            buf.start[at] = t;
+            buf.end[at] = buf.last_use[id];
+            buf.pe_cursor[pe] += 1;
         }
 
-        // Per-PE sort + sweep.
-        let width = self.width;
         let mut sweep = TileSweep::default();
         for pe in 0..ids {
             let lo = buf.pe_off[pe] as usize;
@@ -566,26 +624,30 @@ impl EvalContext {
             if lo == hi {
                 continue;
             }
-            let peak_bits = peak_live(&mut buf.events[lo..hi]) as u64 * width;
+            let pe_sweep = peak_live(
+                &mut buf.start[lo..hi],
+                &mut buf.end[lo..hi],
+                self.width,
+                machine.issue_width,
+            );
             sweep.pes_used += 1;
-            sweep.peak = sweep.peak.max(peak_bits);
-            if peak_bits > machine.tile_bits {
-                sweep.storage_violations += 1;
-            }
+            sweep.peak = sweep.peak.max(pe_sweep.peak);
+            sweep.storage_violations += u64::from(pe_sweep.peak > machine.tile_bits);
+            sweep.issue_over += u64::from(pe_sweep.issue_over);
         }
         sweep
     }
 
     /// The flat legality check over interned places: the exact
     /// violation total `legality::check` reports, for every mapping.
-    /// Requires `buf.node_pe` to be interned.
+    /// Requires `buf.node_pe` to be interned and `sweep` to be its
+    /// tile sweep.
     fn violation_total(
         &self,
-        g: &DataflowGraph,
         machine: &MachineConfig,
         time: &[i64],
         sweep: &TileSweep,
-        buf: &mut ScratchBuf,
+        buf: &ScratchBuf,
     ) -> u64 {
         // 1. Bounds: off-grid nodes and negative times.
         let oob = buf.offgrid.len() as u64;
@@ -594,35 +656,17 @@ impl EvalContext {
         // 2. Causality, only meaningful (and only counted) with every
         // place on the grid.
         if oob == 0 {
-            for (id, node) in g.nodes.iter().enumerate() {
-                for &d in &node.deps {
-                    let d = d as usize;
-                    let (pd, pn) = (buf.node_pe[d], buf.node_pe[id]);
-                    total += u64::from(self.late(machine, pd, time[d], pn, time[id]));
+            for (d, &td) in time.iter().enumerate() {
+                let pd = buf.node_pe[d];
+                for &c in self.consumers(d) {
+                    let c = c as usize;
+                    total += u64::from(self.late(machine, pd, td, buf.node_pe[c], time[c]));
                 }
             }
         }
 
-        // 3. Issue width: one violation per (PE, cycle) cell over the
-        // limit.
-        let ScratchBuf { issue, node_pe, .. } = buf;
-        issue.clear();
-        issue.extend(node_pe.iter().zip(time).map(|(&pe, &t)| (pe, t)));
-        issue.sort_unstable();
-        let mut i = 0;
-        while i < issue.len() {
-            let mut j = i + 1;
-            while j < issue.len() && issue[j] == issue[i] {
-                j += 1;
-            }
-            if (j - i) as u32 > machine.issue_width {
-                total += 1;
-            }
-            i = j;
-        }
-
-        // 4. Storage: counted by the tile sweep.
-        total + sweep.storage_violations
+        // 3. Issue width and 4. storage: counted by the tile sweep.
+        total + sweep.issue_over + sweep.storage_violations
     }
 }
 
@@ -630,22 +674,65 @@ impl EvalContext {
 #[derive(Debug, Default, Clone, Copy)]
 struct TileSweep {
     storage_violations: u64,
+    issue_over: u64,
     peak: u64,
     pes_used: usize,
 }
 
-/// The per-PE peak sweep: the most values live at once in one PE's
-/// tile, from its (start, +1) / (end + 1, −1) lifetime events, which
-/// are sorted in place.
-pub(crate) fn peak_live(events: &mut [(i64, i64)]) -> i64 {
-    events.sort_unstable();
-    let mut live = 0i64;
-    let mut peak = 0i64;
-    for &(_, delta) in events.iter() {
-        live += delta;
-        peak = peak.max(live);
+/// What one PE's lifetime sweep learns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PeSweep {
+    /// Peak live bits in the PE's tile.
+    pub(crate) peak: u64,
+    /// The latest cycle any member issues at.
+    pub(crate) last: i64,
+    /// Cycles at which more members issue than the issue width allows.
+    pub(crate) issue_over: u32,
+}
+
+/// The per-PE sweep. A value issued at `start[k]` occupies the tile
+/// through cycle `end[k]` (its last use); the peak is the most values
+/// live at once, exactly what sorting the (start, +1) / (end + 1, −1)
+/// events and running a prefix sum gives. The lifetimes come in member
+/// order, where both the starts and the ends are usually ascending
+/// already, so each is sorted only when it is out of order and the two
+/// are then merged: at equal cycles an end frees its slot before a
+/// start takes one, as the event sort orders them. The same pass reads
+/// the latest start and counts the cycles with more than `issue_width`
+/// starts. Leaves both slices sorted.
+pub(crate) fn peak_live(
+    start: &mut [i64],
+    end: &mut [i64],
+    width_bits: u64,
+    issue_width: u32,
+) -> PeSweep {
+    if !start.is_sorted() {
+        start.sort_unstable();
     }
-    peak
+    if !end.is_sorted() {
+        end.sort_unstable();
+    }
+    let (mut live, mut peak, mut j) = (0i64, 0i64, 0usize);
+    let (mut run, mut issue_over) = (0u32, 0u32);
+    for (k, &s) in start.iter().enumerate() {
+        while j < end.len() && end[j] < s {
+            live -= 1;
+            j += 1;
+        }
+        live += 1;
+        peak = peak.max(live);
+        run = if k > 0 && start[k - 1] == s {
+            run + 1
+        } else {
+            1
+        };
+        issue_over += u32::from(u64::from(run) == u64::from(issue_width) + 1);
+    }
+    PeSweep {
+        peak: peak as u64 * width_bits,
+        last: start.last().copied().unwrap_or(i64::MIN),
+        issue_over,
+    }
 }
 
 /// The makespan of a time assignment (latest cycle + 1).
@@ -683,15 +770,15 @@ pub struct ScratchBuf {
     pub(crate) offgrid: Vec<((i64, i64), NodeId)>,
     /// Ids in use: the grid's PEs plus the distinct off-grid places.
     pub(crate) ids: usize,
-    /// Per-PE event offsets (counting-sort prefix) and cursors.
+    /// Per-PE lifetime offsets (counting-sort prefix) and cursors.
     pe_off: Vec<u32>,
     pe_cursor: Vec<u32>,
-    /// Live-interval endpoints, grouped per PE.
-    pub(crate) events: Vec<(i64, i64)>,
+    /// Lifetime starts and ends (last uses): grouped per PE in the flat
+    /// sweep, one PE's members in `Tiles::refresh_peak`.
+    pub(crate) start: Vec<i64>,
+    pub(crate) end: Vec<i64>,
     /// Last-use cycle per node.
     last_use: Vec<i64>,
-    /// (PE, cycle) pairs for the issue-width check.
-    issue: Vec<(u32, i64)>,
     /// The SoA cost tree this evaluation folds through.
     tree: CostTree,
 }
@@ -789,18 +876,11 @@ impl<'a> BatchEvaluator<'a> {
     ) -> CandidateEval {
         let eval = match self.judge(candidate, scratch) {
             Ok(mut report) => {
-                // Materialize the full result: name the report and
-                // clone the resolved mapping out of the arena.
+                // Name the report; the mapping stays in the arena (the
+                // tuner resolves only its winner's).
                 report.name = self.graph.name.clone();
                 let score = self.ev.score(self.fom, &report);
-                CandidateEval::Legal {
-                    resolved: ResolvedMapping {
-                        place: scratch.place.clone(),
-                        time: scratch.time.clone(),
-                    },
-                    report,
-                    score,
-                }
+                CandidateEval::Legal { report, score }
             }
             Err(RawEval::Illegal(total)) => CandidateEval::Illegal(total),
             Err(_) => CandidateEval::Unresolvable,
@@ -850,26 +930,9 @@ impl<'a> BatchEvaluator<'a> {
         {
             return Err(RawEval::Unresolvable);
         }
-        self.ctx.intern_places(place, buf);
-        let cycles = makespan_of(time);
-        let sweep = self
-            .ctx
-            .sweep_tiles(self.graph, self.machine, time, cycles, buf);
-        let total_violations =
-            self.ctx
-                .violation_total(self.graph, self.machine, time, &sweep, buf);
-        if total_violations > 0 {
-            return Err(RawEval::Illegal(total_violations));
-        }
-        let total = self.ctx.fold_costs(self.ev, place, buf);
-        Ok(self.ev.assemble_with_name(
-            String::new(),
-            total,
-            &self.ctx.off,
-            cycles,
-            sweep.peak,
-            sweep.pes_used,
-        ))
+        self.ctx
+            .verdict(self.ev, place, time, buf)
+            .map_err(RawEval::Illegal)
     }
 }
 
@@ -877,7 +940,7 @@ impl<'a> BatchEvaluator<'a> {
 mod tests {
     use super::*;
     use crate::dataflow::CExpr;
-    use crate::mapping::Mapping;
+    use crate::mapping::{Mapping, ResolvedMapping};
     use crate::search::evaluate_candidate;
     use crate::value::Value;
 
@@ -943,6 +1006,61 @@ mod tests {
         let flat = batch.evaluate_candidate(&cand);
         let reference = evaluate_candidate(&ev, &g, &m, &cand, FigureOfMerit::Time);
         assert_eq!(flat, reference);
+    }
+
+    /// The event sort the merge replaces: (start, +1) and
+    /// (end + 1, −1) events, sorted, then a prefix sum.
+    fn sorted_peak(lives: &[(i64, i64)]) -> i64 {
+        let mut events: Vec<(i64, i64)> = lives
+            .iter()
+            .flat_map(|&(s, e)| [(s, 1), (e + 1, -1)])
+            .collect();
+        events.sort_unstable();
+        let (mut live, mut peak) = (0i64, 0i64);
+        for (_, delta) in events {
+            live += delta;
+            peak = peak.max(live);
+        }
+        peak
+    }
+
+    #[test]
+    fn merged_peak_equals_sorted_peak_on_random_lifetimes() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for round in 0..2000 {
+            let n = rng.random_range(1..24usize);
+            let span = rng.random_range(1..12i64);
+            let mut lives: Vec<(i64, i64)> = (0..n)
+                .map(|_| {
+                    let s = rng.random_range(-2..span);
+                    // Zero-length lives (end == start) and ends that
+                    // meet the next start exactly are both common here.
+                    (s, s + rng.random_range(0..4i64))
+                })
+                .collect();
+            // Member order: usually ascending (as the engines see it),
+            // sometimes shuffled.
+            if round % 3 != 0 {
+                lives.sort_unstable();
+            } else {
+                for k in (1..n).rev() {
+                    lives.swap(k, rng.random_range(0..=k));
+                }
+            }
+            let mut start: Vec<i64> = lives.iter().map(|l| l.0).collect();
+            let mut end: Vec<i64> = lives.iter().map(|l| l.1).collect();
+            let width = rng.random_range(1..4u32);
+            let got = peak_live(&mut start, &mut end, 32, width);
+            assert_eq!(got.peak, sorted_peak(&lives) as u64 * 32, "lives {lives:?}");
+            assert_eq!(got.last, lives.iter().map(|l| l.0).max().unwrap());
+            let over = start
+                .chunk_by(|a, b| a == b)
+                .filter(|run| run.len() as u32 > width)
+                .count() as u32;
+            assert_eq!(got.issue_over, over, "lives {lives:?} width {width}");
+        }
     }
 
     #[test]

@@ -123,12 +123,15 @@ impl SearchOutcome {
 /// candidate, exposed so callers (e.g. the `fm-autotune` tuner) can fan
 /// candidates across threads and still assemble a [`SearchOutcome`]
 /// identical to the serial one via [`assemble_outcome`].
+///
+/// A legal evaluation carries no mapping: a tune ranks every candidate
+/// but keeps only its winner's, which `MappingCandidate::mapping`
+/// resolves again on demand. Evaluating a candidate therefore
+/// allocates nothing whose size depends on the graph.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CandidateEval {
-    /// Legal: the resolved mapping, its cost report, and its score.
+    /// Legal: the cost report and its score.
     Legal {
-        /// The fully resolved (table) mapping.
-        resolved: ResolvedMapping,
         /// The evaluator's cost report.
         report: CostReport,
         /// Score under the figure of merit (lower is better).
@@ -161,11 +164,7 @@ pub fn evaluate_candidate(
     }
     let report = evaluator.evaluate(&rm);
     let score = evaluator.score(fom, &report);
-    CandidateEval::Legal {
-        resolved: rm,
-        report,
-        score,
-    }
+    CandidateEval::Legal { report, score }
 }
 
 /// The reference (pre-flat-engine) candidate evaluation: resolve with
@@ -191,11 +190,7 @@ pub fn evaluate_candidate_ref(
     }
     let report = evaluator.evaluate_ref(&rm);
     let score = evaluator.score(fom, &report);
-    CandidateEval::Legal {
-        resolved: rm,
-        report,
-        score,
-    }
+    CandidateEval::Legal { report, score }
 }
 
 /// Assemble per-candidate evaluations (in candidate order) into a

@@ -480,16 +480,45 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
+    /// A loopback listener that answers no SYN: its accept queue is
+    /// shrunk to the minimum and filled with connections nobody
+    /// accepts, so the kernel drops every further SYN and a connect
+    /// sits in SYN retry, as it would against a black-holed route.
+    /// Returns the listener's address and what keeps the hole open.
+    fn black_hole() -> (SocketAddr, std::net::TcpListener, Vec<TcpStream>) {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn listen(fd: i32, backlog: i32) -> i32;
+        }
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Re-listening on a listening socket only resizes its queue.
+        // SAFETY: `listen` reads nothing but its two integer arguments,
+        // and the descriptor is a live socket owned by `listener`.
+        assert_eq!(unsafe { listen(listener.as_raw_fd(), 0) }, 0);
+        let mut queued = Vec::new();
+        for _ in 0..16 {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+                Ok(stream) => queued.push(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
+                    return (addr, listener, queued);
+                }
+                Err(e) => panic!("filling the accept queue failed: {e}"),
+            }
+        }
+        panic!("the accept queue never filled after 16 connections");
+    }
+
     #[test]
     fn connect_timeout_is_bounded_on_black_holed_address() {
-        // 203.0.113.0/24 (TEST-NET-3) is reserved for documentation:
-        // nothing should route there, so a plain connect would sit in
-        // SYN retry for the OS default (minutes). The bounded variant
-        // must return — one way or the other — in ~the requested
-        // timeout. (Some sandboxes reject or even intercept the route;
-        // the portable property is the bound, not the error.)
+        // Nothing answers the SYN, so a plain connect would sit in SYN
+        // retry for the OS default (minutes). The bounded variant must
+        // return — with an error, since no connection forms — in ~the
+        // requested timeout.
+        let (addr, _listener, _queued) = black_hole();
         let t0 = Instant::now();
-        let _ = Client::connect_timeout("203.0.113.1:9", Duration::from_millis(250));
+        let result = Client::connect_timeout(addr, Duration::from_millis(250));
+        assert!(result.is_err());
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "bounded connect took {:?}",
@@ -518,10 +547,9 @@ mod tests {
 
     #[test]
     fn connect_timeout_reports_unresolvable_addresses() {
-        let result = Client::connect_timeout(
-            "definitely-not-a-real-host.invalid:1",
-            Duration::from_millis(100),
-        );
+        // A malformed address (no port) fails to resolve before any
+        // lookup could start.
+        let result = Client::connect_timeout("127.0.0.1", Duration::from_millis(100));
         assert!(matches!(result, Err(ClientError::Wire(WireError::Io(_)))));
     }
 }

@@ -52,7 +52,6 @@ use serde::Serialize;
 
 use fm_autotune::{Budget, CacheStatus, CancelToken, Tuner, TuningCache};
 use fm_core::cost::Evaluator;
-use fm_core::legality::check;
 use fm_core::search::MappingCandidate;
 use fm_costmodel::CostModelKind;
 use fm_grid::{SimConfig, Simulator};
@@ -498,7 +497,13 @@ fn acceptor_main(shared: &Arc<Shared>, listener: TcpListener) {
                     .name("fm-serve-conn".to_string())
                     .spawn(move || serve_connection(&shared2, stream))
                     .expect("spawn connection thread");
-                shared.conn_handles.lock().push(handle);
+                let mut handles = shared.conn_handles.lock();
+                // An exited thread keeps its stack until its handle is
+                // joined or dropped: let go of the closed connections'
+                // handles, or a server dialled once per request (a fleet
+                // shard) grows by one thread stack per connection.
+                handles.retain(|h| !h.is_finished());
+                handles.push(handle);
             }
             Err(_) => {
                 if shared.is_shutdown() {
@@ -1433,15 +1438,17 @@ fn exec_evaluate(req: EvaluateRequest) -> Response {
             ),
         });
     }
-    let legality = check(&graph, &mapping, &machine);
-    if !legality.is_legal() {
-        return Response::Evaluated(EvaluateReply {
-            legal: false,
-            violations: legality.total_violations,
-            report: None,
-        });
-    }
-    let report = Evaluator::new(&graph, &machine).evaluate(&mapping);
+    // One flat pass gives the verdict and, when legal, the report.
+    let report = match Evaluator::new(&graph, &machine).evaluate_checked(&mapping) {
+        Ok(report) => report,
+        Err(violations) => {
+            return Response::Evaluated(EvaluateReply {
+                legal: false,
+                violations,
+                report: None,
+            })
+        }
+    };
     Response::Evaluated(EvaluateReply {
         legal: true,
         violations: 0,
@@ -1468,17 +1475,17 @@ fn exec_simulate(req: SimulateRequest) -> Response {
             ),
         });
     }
-    let legality = check(&graph, &mapping, &machine);
-    if !legality.is_legal() {
-        return Response::Failed(FailReply {
-            kind: "illegal".to_string(),
-            error: format!(
-                "mapping is illegal ({} violations); the simulator only executes legal mappings",
-                legality.total_violations
-            ),
-        });
-    }
-    let predicted = Evaluator::new(&graph, &machine).evaluate(&mapping);
+    let predicted = match Evaluator::new(&graph, &machine).evaluate_checked(&mapping) {
+        Ok(report) => report,
+        Err(violations) => {
+            return Response::Failed(FailReply {
+                kind: "illegal".to_string(),
+                error: format!(
+                    "mapping is illegal ({violations} violations); the simulator only executes legal mappings"
+                ),
+            })
+        }
+    };
     let sim = Simulator::new(machine).with_config(SimConfig {
         contention,
         ..SimConfig::default()
@@ -1499,5 +1506,138 @@ fn exec_simulate(req: SimulateRequest) -> Response {
             kind: "sim".to_string(),
             error: e.to_string(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fm_core::dataflow::{CExpr, DataflowGraph};
+    use fm_core::legality::check;
+    use fm_core::machine::MachineConfig;
+    use fm_core::mapping::ResolvedMapping;
+    use fm_core::value::Value;
+
+    /// A four-node chain, the last node an output.
+    fn chain() -> DataflowGraph {
+        let mut g = DataflowGraph::new("chain", 32);
+        let mut prev = g.add_node(CExpr::konst(Value::real(1.0)), vec![], vec![0]);
+        for i in 1..4 {
+            let step = CExpr::dep(0).add(CExpr::konst(Value::real(2.0)));
+            prev = g.add_node(step, vec![prev], vec![i]);
+        }
+        g.mark_output(prev);
+        g
+    }
+
+    #[test]
+    fn closed_connections_release_their_threads() {
+        let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let held = || server.shared.conn_handles.lock().len();
+        for _ in 0..8 {
+            drop(TcpStream::connect(addr).unwrap());
+        }
+        // Each accept lets go of the connections that closed before it,
+        // so a few more short connections leave at most the newest two
+        // held. Keeping every handle would hold one more thread per
+        // connection, 9 to 58 here.
+        let released = (0..50).any(|_| {
+            drop(TcpStream::connect(addr).unwrap());
+            std::thread::sleep(Duration::from_millis(20));
+            held() <= 2
+        });
+        assert!(released, "closed connections still hold {} threads", held());
+        server.shutdown_and_join();
+    }
+
+    #[test]
+    fn rpc_handlers_answer_with_the_checker_total_and_the_evaluator_report() {
+        let g = chain();
+        let m = MachineConfig::linear(4);
+        let mut tiny = m.clone();
+        tiny.tile_bits = 1;
+        let table = |place: [(i64, i64); 4], time: [i64; 4]| ResolvedMapping {
+            place: place.to_vec(),
+            time: time.to_vec(),
+        };
+        let serial = table([(0, 0); 4], [0, 1, 2, 3]);
+        let illegal = [
+            (
+                "off-grid",
+                table([(0, 0), (-1, 0), (9, 2), (0, 0)], [0, 1, 2, 3]),
+                &m,
+            ),
+            ("negative time", table([(0, 0); 4], [-1, 0, 1, 2]), &m),
+            (
+                "causality",
+                table([(0, 0), (3, 0), (0, 0), (1, 0)], [0, 0, 1, 1]),
+                &m,
+            ),
+            ("over capacity", serial.clone(), &tiny),
+        ];
+        for (what, rm, machine) in illegal {
+            let want = check(&g, &rm, machine).total_violations;
+            assert!(want > 0, "{what} must be illegal");
+            let reply = exec_evaluate(EvaluateRequest {
+                graph: g.clone(),
+                machine: machine.clone(),
+                mapping: rm.clone(),
+                deadline_ms: None,
+            });
+            assert!(
+                matches!(&reply, Response::Evaluated(r)
+                    if !r.legal && r.violations == want && r.report.is_none()),
+                "{what}: {reply:?}"
+            );
+            let reply = exec_simulate(SimulateRequest {
+                graph: g.clone(),
+                machine: machine.clone(),
+                mapping: rm,
+                inputs: Vec::new(),
+                contention: false,
+                deadline_ms: None,
+            });
+            let refusal = format!(
+                "mapping is illegal ({want} violations); the simulator only executes legal mappings"
+            );
+            assert!(
+                matches!(&reply, Response::Failed(f) if f.kind == "illegal" && f.error == refusal),
+                "{what}: {reply:?}"
+            );
+        }
+
+        let want = Evaluator::new(&g, &m).evaluate(&serial);
+        let reply = exec_evaluate(EvaluateRequest {
+            graph: g.clone(),
+            machine: m.clone(),
+            mapping: serial.clone(),
+            deadline_ms: None,
+        });
+        let Response::Evaluated(r) = reply else {
+            panic!("legal Evaluate answered {reply:?}")
+        };
+        assert!(r.legal && r.violations == 0);
+        // Debug formatting prints every float exactly, so equal strings
+        // mean equal bits.
+        assert_eq!(
+            format!("{:?}", r.report),
+            format!("{:?}", Some(want.clone()))
+        );
+        let reply = exec_simulate(SimulateRequest {
+            graph: g,
+            machine: m,
+            mapping: serial,
+            inputs: Vec::new(),
+            contention: false,
+            deadline_ms: None,
+        });
+        let Response::Simulated(sim) = reply else {
+            panic!("legal Simulate answered {reply:?}")
+        };
+        assert_eq!(
+            sim.predicted_energy_fj.to_bits(),
+            want.energy().raw().to_bits()
+        );
     }
 }

@@ -1,35 +1,48 @@
-//! Allocation regression for the flat evaluation engine: once the
-//! scratch arena is warm, candidate evaluation in the tuner hot path
-//! must not touch the heap at all. This binary installs a counting
-//! global allocator (each integration-test binary may have its own)
-//! and counts allocations across a steady-state evaluation loop.
+//! Allocation and byte audits. Once the scratch arena is warm,
+//! candidate evaluation in the tuner hot path must not touch the heap
+//! at all; a serving session's warm state must stay within its byte
+//! budget; and a steady-state session revision may allocate only its
+//! winner's mapping. This binary installs a counting global allocator
+//! (each integration-test binary may have its own) and counts
+//! allocations, bytes allocated and bytes live across each measured
+//! step.
 //!
 //! Counts are kept per thread: the test harness runs tests on parallel
-//! threads, and each measured loop runs on its test's own thread, so a
+//! threads, and each measured step runs on its test's own thread, so a
 //! neighbouring test's allocations never land in another's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use fm_repro::autotune::{Budget, Tuner, WarmCache};
+use fm_repro::core::affine::IdxExpr;
 use fm_repro::core::cost::Evaluator;
+use fm_repro::core::dataflow::{CExpr, DataflowGraph};
 use fm_repro::core::flat::{BatchEvaluator, EvalScratch, RawEval};
 use fm_repro::core::machine::MachineConfig;
-use fm_repro::core::mapping::{InputPlacement, Mapping, ResolvedMapping};
+use fm_repro::core::mapping::{AffineMap, InputPlacement, Mapping, PlaceExpr, ResolvedMapping};
+use fm_repro::core::mutate::{apply_edit, GraphEdit};
 use fm_repro::core::search::{FigureOfMerit, MappingCandidate};
+use fm_repro::core::value::Value;
 use fm_repro::kernels::fft::{fft_graph, FftFamily, FftVariant};
 
 /// Forwards to the system allocator, counting every allocation made
-/// on the calling thread.
+/// on the calling thread and the bytes it allocates and frees.
 struct CountingAlloc;
 
 thread_local! {
     // Const-initialized and drop-free, so counting never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Count one allocation on this thread.
-fn count() {
+/// Count one allocation of `bytes` on this thread, and `freed` bytes
+/// handed back (a reallocation does both).
+fn count(bytes: usize, freed: usize) {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCATED.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes as i64 - freed as i64));
 }
 
 /// Allocations made so far on this thread.
@@ -37,23 +50,35 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Bytes allocated so far on this thread (reallocations count their
+/// new size).
+fn allocated_bytes() -> u64 {
+    ALLOCATED.with(Cell::get)
+}
+
+/// Bytes this thread has allocated and not freed.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size(), 0);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|c| c.set(c.get() - layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -142,4 +167,112 @@ fn scratch_arena_reuse_beats_fresh_scratch_on_allocations() {
     std::hint::black_box(batch.evaluate_raw_in(&candidates[0], &mut scratch));
     let allocs = allocations() - before;
     assert!(allocs > 0, "a cold arena must allocate to grow its buffers");
+}
+
+/// The `session` benchmark's shape: a 4096-node chain on a 32-PE row,
+/// with 32 `stretch-w` candidates (place `i mod w`, time `i·w`).
+const SESSION_NODES: usize = 4096;
+const SESSION_WIDTHS: usize = 32;
+
+fn chain_step() -> CExpr {
+    CExpr::dep(0).add(CExpr::konst(Value::real(1.0)))
+}
+
+fn session_shape() -> (DataflowGraph, MachineConfig, Vec<MappingCandidate>) {
+    let mut g = DataflowGraph::new("bench-chain", 32);
+    g.add_node(CExpr::konst(Value::ZERO), vec![], vec![0]);
+    for i in 1..SESSION_NODES {
+        g.add_node(chain_step(), vec![(i - 1) as u32], vec![i as i64]);
+    }
+    let candidates = (1..=SESSION_WIDTHS as i64)
+        .map(|w| {
+            let mapping = Mapping::Affine(AffineMap {
+                place: PlaceExpr::row0(IdxExpr::ModC(Box::new(IdxExpr::i()), w)),
+                time: IdxExpr::MulC(Box::new(IdxExpr::i()), w),
+            });
+            MappingCandidate::new(format!("stretch-{w}"), mapping)
+        })
+        .collect();
+    (g, MachineConfig::linear(SESSION_WIDTHS as u32), candidates)
+}
+
+/// One size-neutral revision: drop the tail, append an identical tail,
+/// and point `node`'s input two steps back (or restore it) — each edit
+/// applied to the graph and repaired into the warm state.
+fn revise(
+    g: &mut DataflowGraph,
+    m: &mut MachineConfig,
+    warm: &mut WarmCache,
+    node: u32,
+    restore: bool,
+) {
+    let tail = (g.len() - 1) as u32;
+    let batch = [
+        GraphEdit::RemoveNode { id: tail },
+        GraphEdit::AddNode {
+            expr: chain_step(),
+            deps: vec![tail - 1],
+            index: vec![i64::from(tail)],
+            output: false,
+        },
+        GraphEdit::RetargetEdge {
+            node,
+            slot: 0,
+            new_dep: if restore { node - 1 } else { node - 2 },
+        },
+    ];
+    for edit in &batch {
+        let receipt = apply_edit(g, m, edit).expect("revision edits apply");
+        warm.apply_edit(&Evaluator::new(g, m), &receipt);
+    }
+}
+
+#[test]
+fn warm_session_state_holds_at_most_120_bytes_per_node_per_candidate() {
+    let (g, m, candidates) = session_shape();
+    let ev = Evaluator::new(&g, &m);
+    let bound = (120 * SESSION_NODES * SESSION_WIDTHS) as i64;
+    let before = live_bytes();
+    let mut warm = WarmCache::new(&ev, candidates);
+    let held = live_bytes() - before;
+    let per = held as f64 / (SESSION_NODES * SESSION_WIDTHS) as f64;
+    assert!(
+        held <= bound,
+        "warm state holds {held} B, {per:.1} B per node per candidate"
+    );
+    // A warm tune adds nothing that outlives its report.
+    let report = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp)
+        .with_budget(Budget::unlimited())
+        .tune_warm(&mut warm);
+    assert_eq!(report.evaluated, SESSION_WIDTHS);
+    drop(report);
+    let held = live_bytes() - before;
+    assert!(held <= bound, "after a warm tune the state holds {held} B");
+}
+
+#[test]
+fn warm_revisions_allocate_at_most_one_winner_mapping() {
+    let (mut g, mut m, candidates) = session_shape();
+    let mut warm = WarmCache::new(&Evaluator::new(&g, &m), candidates);
+    // A resolved mapping is a 16-B place and an 8-B time per node.
+    let budget = (24 * SESSION_NODES + (64 << 10)) as u64;
+    for round in 0..8u32 {
+        let before = allocated_bytes();
+        revise(&mut g, &mut m, &mut warm, 1000, round % 2 == 1);
+        let ev = Evaluator::new(&g, &m);
+        let report = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp)
+            .with_budget(Budget::unlimited())
+            .tune_warm(&mut warm);
+        assert!(report.best.is_some());
+        drop(report);
+        let bytes = allocated_bytes() - before;
+        // The first two rounds size the repair buffers.
+        if round >= 2 {
+            assert!(
+                bytes <= budget,
+                "revision {round} allocated {bytes} B (budget {budget} B)"
+            );
+        }
+    }
+    assert_eq!(warm.rebuilds(), 0, "every revision was repaired warm");
 }
