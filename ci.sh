@@ -40,6 +40,11 @@ echo "== flat- and incremental-engine parity in release =="
 # debug_assertions.
 cargo test --release -q -p fm-core -- flat:: delta::
 cargo test --release -q --test proptests -- flat_delta_and_reference incremental flat_verdicts
+# The annealer where the optimiser runs: its backends agree bit for bit
+# under every objective (deferred and eager tile sweeps alike), and the
+# tuner's refinement stays seed-deterministic and reports its outcome.
+cargo test --release -q -p fm-core -- search::
+cargo test --release -q -p fm-autotune -- refine
 # The session engine where the optimiser runs: the byte audits (warm
 # state per node per candidate, bytes allocated per revision), the
 # session proptests against cold tunes, and the warm tuner's parity

@@ -35,5 +35,6 @@ pub mod tuner;
 pub use cache::{CacheEntry, TuningCache, CACHE_SCHEMA_VERSION};
 pub use fingerprint::{fingerprint, fingerprint_with_model, fnv1a64};
 pub use tuner::{
-    Budget, CacheStatus, CancelToken, Refinement, TuneReport, TunedMapping, Tuner, WarmCache,
+    Budget, CacheStatus, CancelToken, Refinement, RefinementOutcome, TuneReport, TunedMapping,
+    Tuner, WarmCache,
 };

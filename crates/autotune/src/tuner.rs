@@ -128,6 +128,22 @@ pub struct Refinement {
     pub seed: u64,
 }
 
+/// What a [`Refinement`] did to the winner (see
+/// [`TuneReport::refinement`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RefinementOutcome {
+    /// Annealing chains run.
+    pub chains: usize,
+    /// The best chain's score (lowest; ties go to the lowest chain).
+    pub best_score: f64,
+    /// Whether that chain replaced the winner (it scored strictly
+    /// lower).
+    pub replaced: bool,
+}
+
+/// A refinement the tuner's [`CancelToken`] interrupted.
+struct Interrupted;
+
 /// Shared best-so-far bookkeeping. Fed with candidate evaluations in
 /// strict index order — by the serial loop directly, and by the
 /// parallel path through `par_map_until`'s ordered reduction — so both
@@ -261,6 +277,9 @@ pub struct TuneReport {
     pub best_index: Option<usize>,
     /// The winner, if any mapping (candidate or fallback) was legal.
     pub best: Option<TunedMapping>,
+    /// What refinement did to the winner. `None` when no refinement
+    /// ran, when it was cancelled, and on a cache hit.
+    pub refinement: Option<RefinementOutcome>,
 }
 
 impl TuneReport {
@@ -315,6 +334,18 @@ impl TuneReport {
                 b.report.energy().raw() / 1e3,
             )),
             None => s.push_str("winner: none (no legal mapping)\n"),
+        }
+        if let Some(r) = &self.refinement {
+            s.push_str(&format!(
+                "refinement: {} chains, best chain score {:.4e}, {}\n",
+                r.chains,
+                r.best_score,
+                if r.replaced {
+                    "replaced the winner"
+                } else {
+                    "kept the search winner"
+                },
+            ));
         }
         s
     }
@@ -426,6 +457,7 @@ impl<'a> Tuner<'a> {
                         outcome: entry.outcome,
                         best_index: None,
                         best: Some(entry.best),
+                        refinement: None,
                     };
                 }
                 Some(_) => cache_status = CacheStatus::Stale,
@@ -599,9 +631,13 @@ impl<'a> Tuner<'a> {
         // result nobody wants) nor caches (the evaluated prefix is
         // schedule-dependent, so its winner is not reproducible). A
         // refinement the token interrupts is discarded.
+        let mut refinement = None;
         if let Some(b) = best.as_mut() {
             if !cancelled {
-                cancelled = self.refine(b);
+                match self.refine(b) {
+                    Ok(outcome) => refinement = outcome,
+                    Err(Interrupted) => cancelled = true,
+                }
             }
         }
 
@@ -618,6 +654,7 @@ impl<'a> Tuner<'a> {
             outcome: assemble_outcome(&candidates[..evaluated], evals),
             best_index: best_idx,
             best,
+            refinement,
         }
     }
 
@@ -630,7 +667,7 @@ impl<'a> Tuner<'a> {
     /// Returns `true` when the tuner's [`CancelToken`] interrupted the
     /// refinement; `best` is then left as it was.
     pub fn refine_winner(&self, best: &mut TunedMapping) -> bool {
-        self.refine(best)
+        self.refine(best).is_err()
     }
 
     /// Multi-chain annealing around the winner: chain `k` anneals from
@@ -639,14 +676,14 @@ impl<'a> Tuner<'a> {
     /// better. Annealing never increases the storage-violation count,
     /// so a legal winner stays legal (which cache replay re-checks).
     /// Every chain polls the cancel token before each move; if any
-    /// chain is interrupted the whole refinement is discarded and this
-    /// returns `true`.
-    fn refine(&self, best: &mut TunedMapping) -> bool {
+    /// chain is interrupted the whole refinement is discarded. Returns
+    /// what the refinement did, or `None` when there was none to run.
+    fn refine(&self, best: &mut TunedMapping) -> Result<Option<RefinementOutcome>, Interrupted> {
         let Some(r) = self.refinement else {
-            return false;
+            return Ok(None);
         };
         if r.chains == 0 || r.iters == 0 || self.graph.is_empty() {
-            return false;
+            return Ok(None);
         }
         let never = AtomicBool::new(false);
         let cancel = self.cancel.as_ref().map_or(&never, CancelToken::as_atomic);
@@ -668,7 +705,7 @@ impl<'a> Tuner<'a> {
             None => (0..r.chains).map(run).collect(),
         };
         let Some(chains) = chains else {
-            return true;
+            return Err(Interrupted);
         };
         let mut winner: Option<(usize, f64)> = None;
         for (k, (_, report)) in chains.iter().enumerate() {
@@ -677,16 +714,20 @@ impl<'a> Tuner<'a> {
                 winner = Some((k, score));
             }
         }
-        if let Some((k, score)) = winner {
-            if score < best.score {
-                let (resolved, report) = chains.into_iter().nth(k).expect("winner index in range");
-                best.label = format!("{} +anneal#{k}", best.label);
-                best.resolved = resolved;
-                best.report = report;
-                best.score = score;
-            }
+        let (k, best_score) = winner.expect("at least one chain ran");
+        let replaced = best_score < best.score;
+        if replaced {
+            let (resolved, report) = chains.into_iter().nth(k).expect("winner index in range");
+            best.label = format!("{} +anneal#{k}", best.label);
+            best.resolved = resolved;
+            best.report = report;
+            best.score = best_score;
         }
-        false
+        Ok(Some(RefinementOutcome {
+            chains: r.chains,
+            best_score,
+            replaced,
+        }))
     }
 
     /// Is a cached mapping shaped for this graph and legal on this
@@ -1002,6 +1043,10 @@ mod tests {
             .with_refinement(r)
             .with_pool(&pool)
             .tune(&cands);
+        assert_eq!(base.refinement, None, "no refinement configured");
+        assert!(serial.summary().contains("refinement: 4 chains"));
+        let outcome = serial.refinement.expect("the refinement ran");
+        assert_eq!(parallel.refinement, Some(outcome));
         let (b, s, p) = (
             base.best.unwrap(),
             serial.best.unwrap(),
@@ -1012,8 +1057,13 @@ mod tests {
         assert_eq!(s.score, p.score);
         assert_eq!(s.resolved, p.resolved);
         assert!(check(&g, &s.resolved, &m).is_legal());
-        if s.score < b.score {
+        assert_eq!(outcome.chains, 4);
+        assert_eq!(outcome.replaced, s.score < b.score);
+        if outcome.replaced {
             assert!(s.label.contains("+anneal#"), "label records the chain");
+            assert_eq!(outcome.best_score.to_bits(), s.score.to_bits());
+        } else {
+            assert!(outcome.best_score >= b.score);
         }
     }
 
@@ -1047,6 +1097,34 @@ mod tests {
         };
         assert_eq!(labels(&warm.outcome), labels(&cold.outcome));
         assert!(warm.summary().contains("ranked candidates"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_hit_replays_a_refined_winner_without_an_outcome() {
+        let g = chain(12);
+        let m = MachineConfig::n5(4, 3);
+        let ev = Evaluator::new(&g, &m);
+        let cands = vec![MappingCandidate::new("serial", Mapping::serial(&g))];
+        let r = Refinement {
+            chains: 2,
+            iters: 100,
+            seed: 5,
+        };
+        let dir = tmpdir("refined");
+        let tune = || {
+            Tuner::new(&ev, &g, &m, FigureOfMerit::Energy)
+                .with_refinement(r)
+                .with_cache(TuningCache::open(&dir).unwrap())
+                .tune(&cands)
+        };
+        let cold = tune();
+        let warm = tune();
+        assert_eq!(warm.cache, CacheStatus::Hit);
+        assert!(cold.refinement.is_some());
+        assert_eq!(warm.refinement, None, "a cache hit refines nothing");
+        let (c, w) = (cold.best.unwrap(), warm.best.unwrap());
+        assert_eq!((c.label, c.score.to_bits()), (w.label, w.score.to_bits()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1210,10 +1288,12 @@ mod tests {
         let unrefined = Tuner::new(&ev, &g, &m, fom).tune(&cands).best.unwrap();
         let refined = Tuner::new(&ev, &g, &m, fom)
             .with_refinement(refine(200))
-            .tune(&cands)
-            .best
-            .unwrap();
+            .tune(&cands);
+        let outcome = refined.refinement.expect("the refinement ran");
+        let refined = refined.best.unwrap();
         assert!(refined.score < unrefined.score, "the problem refines");
+        assert!(outcome.replaced && outcome.chains == 1);
+        assert_eq!(outcome.best_score.to_bits(), refined.score.to_bits());
 
         // One chain sized per profile to run far past the cancel: debug
         // builds re-check every move against a full re-evaluation.
@@ -1236,6 +1316,10 @@ mod tests {
         assert!(
             report.cancelled,
             "an interrupted refinement reports cancelled"
+        );
+        assert_eq!(
+            report.refinement, None,
+            "a cancelled refinement has no outcome"
         );
         assert_eq!(report.evaluated, 1, "the cancel landed after the search");
         let best = report.best.unwrap();

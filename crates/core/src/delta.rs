@@ -18,32 +18,45 @@
 //!
 //! * **Times** (list schedule): node ids are topological (`deps[k] < id`)
 //!   and the retime rule consults only *smaller-id* nodes (producers,
-//!   and same-PE occupancy in id order). Processing the dirty set with a
-//!   min-heap in increasing id order therefore reaches the exact
+//!   and same-PE occupancy in id order). Processing the dirty set in
+//!   increasing id order therefore reaches the exact
 //!   [`retime`](crate::search::retime) fixpoint with each node
 //!   recomputed at most once. The dirty seed for moving node `n` is
 //!   `{n} ∪ consumers(n) ∪ {ids > n on the source or destination PE}`;
 //!   a node whose time changes re-dirties its consumers and its same-PE
-//!   successors.
+//!   successors. Every id dirtied is above the one being retimed, so
+//!   the dirty set is a bitset over node ids drained by one upward
+//!   scan. A retimed node moved one term of its own last use and of
+//!   each producer's, so a last use is re-folded over its consumers
+//!   only when the moved term held the maximum and fell.
 //! * **Ledger** (energy/traffic): per-node contributions
 //!   ([`NodeCost`]) are time-independent, and a move changes only the
 //!   moved node's own contribution and its producers' def→use messages
 //!   — `deg(n) + 1` leaves of a fixed-shape reduction tree
 //!   ([`CostTree`]), refreshed in O(deg·log V). Because the full
 //!   evaluator sums through the *same* tree, totals agree bit-for-bit.
-//! * **Storage legality**: per-PE peak live bits are re-swept only for
-//!   the source/destination PEs, the PEs of retimed nodes, and the PEs
-//!   of values whose last use moved. A sweep reads the PE's lifetimes
-//!   in member order, where they are usually ascending already, and
-//!   merges them, sorting only when they are out of order. Output
-//!   lifetimes use a far-future sentinel instead of the makespan — the
-//!   peak of an interval stack is invariant to any right endpoint past
-//!   the last start — so peaks never depend on makespan changes.
+//! * **Storage legality**: only the source/destination PEs, the PEs of
+//!   retimed nodes, and the PEs of values whose last use moved can
+//!   change. A PE among them whose member count × value width exceeds
+//!   the tile capacity is re-swept at once, since it may be over
+//!   capacity. Any other cannot be, so only its latest issue cycle
+//!   (which the makespan needs) is taken, by a member scan, and its
+//!   peak sweep is deferred until something reads peaks: a full
+//!   [`DeltaEvaluator::report`] or the footprint objective. The undo
+//!   journal restores deferrals with the sweeps. A sweep reads the
+//!   PE's lifetimes in member order, where they are usually ascending
+//!   already, and merges them, sorting only when they are out of
+//!   order. Output lifetimes use a far-future sentinel instead of the
+//!   makespan — the peak of an interval stack is invariant to any
+//!   right endpoint past the last start — so peaks never depend on
+//!   makespan changes.
 //! * **Aggregates**: makespan and the global peak are maxima over the
 //!   per-PE sweeps (one pass over the PEs, not the nodes); PEs-used is
-//!   the number of occupied PEs; the storage-violation and issue
-//!   counts are maintained as sweeps change. [`DeltaEvaluator::report`]
-//!   is therefore one tree-root read plus a pass over the PEs.
+//!   the number of occupied PEs; the storage-violation count is
+//!   maintained as sweeps change. [`DeltaEvaluator::score`] is
+//!   therefore one tree-root read plus a pass over the PEs, and
+//!   allocates nothing; [`DeltaEvaluator::report`] first sweeps the
+//!   deferred PEs.
 //!
 //! In debug builds every [`DeltaEvaluator::apply_move`] re-derives the
 //! full schedule and report and asserts bit-exact equality
@@ -79,9 +92,6 @@
 //! node without a domain index) drops its cached state; the next
 //! evaluation rebuilds it cold and counts the rebuild, which is how the
 //! session layer above classifies warm vs cold re-tunes.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::cost::{CostReport, CostTree, Evaluator, NodeCost};
 use crate::dataflow::{DataflowGraph, Node, NodeId};
@@ -206,20 +216,41 @@ impl Tiles {
         (lu != self.last_use[id]).then(|| std::mem::replace(&mut self.last_use[id], lu))
     }
 
-    /// Re-sweep PE `pe` ([`peak_live`] over its members' lifetimes, in
-    /// member order, through `buf`'s lifetime buffers) and fold a
-    /// change into the over-capacity and issue counts. Returns the
-    /// sweep it replaced when the sweep changed.
-    fn refresh_peak(
+    /// Node `id`'s last use after one time it folds over (its own or
+    /// a consumer's) moved from `old` to `new`: exact without a re-fold
+    /// unless the moved time held the maximum and fell. Returns the
+    /// value it replaced when it changed.
+    fn follow_last_use(
         &mut self,
+        ctx: &EvalContext,
+        time: &[i64],
+        id: usize,
+        old: i64,
+        new: i64,
+    ) -> Option<i64> {
+        let lu = self.last_use[id];
+        if new > lu {
+            Some(std::mem::replace(&mut self.last_use[id], new))
+        } else if old == lu && new < old {
+            self.relax_last_use(ctx, time, id)
+        } else {
+            None
+        }
+    }
+
+    /// Sweep PE `pe`: [`peak_live`] over its members' lifetimes, in
+    /// member order, through `buf`'s lifetime buffers; `None` when the
+    /// PE is unoccupied.
+    fn sweep(
+        &self,
         pe: usize,
         ctx: &EvalContext,
         time: &[i64],
         machine: &MachineConfig,
         buf: &mut ScratchBuf,
-    ) -> Option<Option<PeSweep>> {
+    ) -> Option<PeSweep> {
         let list = &self.members[pe];
-        let new = (!list.is_empty()).then(|| {
+        (!list.is_empty()).then(|| {
             buf.start.clear();
             buf.end.clear();
             for &j in list {
@@ -237,7 +268,21 @@ impl Tiles {
                 ctx.width_bits(),
                 machine.issue_width,
             )
-        });
+        })
+    }
+
+    /// Re-sweep PE `pe` and fold a change into the over-capacity and
+    /// issue counts. Returns the sweep it replaced when the sweep
+    /// changed.
+    fn refresh_peak(
+        &mut self,
+        pe: usize,
+        ctx: &EvalContext,
+        time: &[i64],
+        machine: &MachineConfig,
+        buf: &mut ScratchBuf,
+    ) -> Option<Option<PeSweep>> {
+        let new = self.sweep(pe, ctx, time, machine, buf);
         (self.sweeps[pe] != new).then(|| self.set_sweep(pe, new, machine.tile_bits))
     }
 
@@ -275,9 +320,11 @@ enum UndoEntry {
         id: NodeId,
         t: i64,
     },
+    /// A PE's former sweep and whether its peak was deferred.
     Sweep {
         pe: u32,
         v: Option<PeSweep>,
+        deferred: bool,
     },
     Leaf {
         id: NodeId,
@@ -294,21 +341,80 @@ struct Occ {
     slots: Vec<i64>,
 }
 
+/// The retime pass's dirty set: one bit per node id. Every push
+/// targets an id above the latest pop, so a scan that only moves
+/// upward pops the ids in increasing order and leaves the set empty
+/// for the next move.
+#[derive(Debug, Default)]
+struct Frontier {
+    words: Vec<u64>,
+    /// The word the scan is at.
+    at: usize,
+}
+
+impl Frontier {
+    /// An empty set over `n` ids.
+    fn new(n: usize) -> Frontier {
+        Frontier {
+            words: vec![0; n.div_ceil(64)],
+            at: 0,
+        }
+    }
+
+    /// Start a move whose dirty ids are all at least `first`.
+    fn start(&mut self, first: usize) {
+        debug_assert!(self.words.iter().all(|&w| w == 0), "frontier drained");
+        self.at = first / 64;
+    }
+
+    #[inline]
+    fn push(&mut self, id: usize) {
+        debug_assert!(id / 64 >= self.at, "pushes target ids above the scan");
+        self.words[id / 64] |= 1 << (id % 64);
+    }
+
+    /// The smallest dirty id, removed from the set.
+    #[inline]
+    fn pop(&mut self) -> Option<usize> {
+        while let Some(&w) = self.words.get(self.at) {
+            if w != 0 {
+                self.words[self.at] = w & (w - 1);
+                return Some(self.at * 64 + w.trailing_zeros() as usize);
+            }
+            self.at += 1;
+        }
+        None
+    }
+}
+
 /// Reusable per-move working buffers. Taken out of the evaluator at the
 /// start of [`DeltaEvaluator::apply_move`] (so the borrow checker sees
 /// them as locals) and put back at the end; cleared via epoch stamps and
 /// `clear()`, never freed, so steady-state moves allocate nothing.
 #[derive(Debug, Default)]
 struct MoveScratch {
-    heap: BinaryHeap<Reverse<NodeId>>,
+    frontier: Frontier,
     /// Dense per-PE occupancy cursors, validated by epoch stamp.
     occ: Vec<Occ>,
     occ_epoch: Vec<u64>,
     epoch: u64,
-    /// Interned ids of PEs whose lifetimes may have moved.
+    /// Interned ids of PEs whose lifetimes may have moved, each listed
+    /// once: `dirty_epoch[pe]` is stamped when `pe` is listed.
     dirty_pes: Vec<usize>,
+    dirty_epoch: Vec<u64>,
     /// The flat engine's buffers for peak re-sweeps and re-costs.
     buf: ScratchBuf,
+}
+
+impl MoveScratch {
+    /// List PE `pe` as dirty, once per move.
+    #[inline]
+    fn dirty(&mut self, pe: usize) {
+        if self.dirty_epoch[pe] != self.epoch {
+            self.dirty_epoch[pe] = self.epoch;
+            self.dirty_pes.push(pe);
+        }
+    }
 }
 
 /// Incremental evaluator over single-node placement moves.
@@ -331,8 +437,12 @@ pub struct DeltaEvaluator<'e, 'a> {
     /// Per-PE state by interned PE id (every held place is on-grid by
     /// invariant).
     tiles: Tiles,
+    /// PEs whose peak sweep waits for [`Self::flush_deferred`]. Their
+    /// sweep holds the exact latest issue cycle but no peak and no
+    /// issue cells; only a PE whose members' values all fit its tile
+    /// at once is deferred, so its over-capacity share (none) is exact.
+    deferred: Vec<bool>,
     tree: CostTree,
-    in_heap: Vec<bool>,
     /// Mutations of the most recent [`Self::apply_move`], for
     /// [`Self::undo`]. Cleared at the start of each move.
     journal: Vec<UndoEntry>,
@@ -358,7 +468,10 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         }
         let rm = crate::search::retime(graph, init_places, machine);
         let ctx = EvalContext::new(ev);
-        let mut scratch = MoveScratch::default();
+        let mut scratch = MoveScratch {
+            frontier: Frontier::new(graph.len()),
+            ..MoveScratch::default()
+        };
         let buf = &mut scratch.buf;
         let tiles = Tiles::build(&ctx, &rm.place, &rm.time, machine, buf);
         let mut tree = CostTree::new();
@@ -371,9 +484,9 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             ctx,
             place: rm.place,
             time: rm.time,
+            deferred: vec![false; tiles.members.len()],
             tiles,
             tree,
-            in_heap: vec![false; graph.len()],
             journal: Vec::new(),
             scratch,
             paranoid: true,
@@ -415,22 +528,103 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     }
 
     /// The current cost report, bit-identical to running the full
-    /// evaluator on [`Self::mapping`].
-    pub fn report(&self) -> CostReport {
-        self.ev.assemble(
-            self.tree.total(),
-            &self.ctx.offchip(),
-            self.tiles.makespan(),
-            self.tiles.global_peak(),
-            self.tiles.occupied,
-        )
+    /// evaluator on [`Self::mapping`]. Sweeps the deferred PEs first.
+    pub fn report(&mut self) -> CostReport {
+        self.flush_deferred();
+        self.assemble(self.graph.name.clone(), self.tiles.global_peak())
     }
 
     /// Score of the current mapping under `fom` (lower is better) —
     /// identical arithmetic to `ev.score(fom, &self.report())` under
-    /// the evaluator's active cost backend.
-    pub fn score(&self, fom: FigureOfMerit) -> f64 {
-        self.ev.score(fom, &self.report())
+    /// the evaluator's active cost backend. Only the footprint
+    /// objective reads peaks, so only it sweeps the deferred PEs; the
+    /// report behind the score is assembled without a name, so scoring
+    /// allocates nothing.
+    pub fn score(&mut self, fom: FigureOfMerit) -> f64 {
+        if fom == FigureOfMerit::Footprint {
+            self.flush_deferred();
+        }
+        let score = self
+            .ev
+            .score(fom, &self.assemble(String::new(), self.tiles.global_peak()));
+        if cfg!(debug_assertions) && self.paranoid {
+            let exact = self.assemble(String::new(), self.checked_peak());
+            assert_eq!(
+                score.to_bits(),
+                self.ev.score(fom, &exact).to_bits(),
+                "a deferred peak changed the {fom:?} score"
+            );
+        }
+        score
+    }
+
+    /// The report from the cost tree's root, the off-chip totals and
+    /// the per-PE aggregates, with the given name and global peak.
+    fn assemble(&self, name: String, peak: u64) -> CostReport {
+        self.ev.assemble_with_name(
+            name,
+            self.tree.total(),
+            &self.ctx.offchip(),
+            self.tiles.makespan(),
+            peak,
+            self.tiles.occupied,
+        )
+    }
+
+    /// Sweep every deferred PE, so every sweep is exact. Nothing is
+    /// journaled: the last move journaled every PE it deferred, and a
+    /// deferred PE it did not touch sweeps to the same peak before and
+    /// after it.
+    fn flush_deferred(&mut self) {
+        for pe in 0..self.deferred.len() {
+            if std::mem::replace(&mut self.deferred[pe], false) {
+                self.tiles.refresh_peak(
+                    pe,
+                    &self.ctx,
+                    &self.time,
+                    self.machine,
+                    &mut self.scratch.buf,
+                );
+            }
+        }
+    }
+
+    /// Bring dirty PE `pe`'s sweep up to date after a move, journaling
+    /// the sweep and the deferral it replaces. A PE whose member count
+    /// × value width fits its tile cannot be over capacity whatever its
+    /// lifetimes, so its peak sweep is deferred and only its latest
+    /// issue cycle, which the makespan reads, is taken now. Any other
+    /// PE is swept now. A deferred PE is journaled even when its held
+    /// sweep did not change: its lifetimes did, so an undo after a
+    /// flush must put the deferral back.
+    fn refresh_or_defer(&mut self, pe: usize, buf: &mut ScratchBuf) {
+        let list = &self.tiles.members[pe];
+        let fits = !list.is_empty()
+            && (list.len() as u64).saturating_mul(self.ctx.width_bits()) <= self.machine.tile_bits;
+        let replaced = if fits {
+            let unswept = list
+                .iter()
+                .map(|&j| self.time[j as usize])
+                .max()
+                .map(|last| PeSweep {
+                    peak: 0,
+                    last,
+                    issue_over: 0,
+                });
+            (self.tiles.sweeps[pe] != unswept)
+                .then(|| self.tiles.set_sweep(pe, unswept, self.machine.tile_bits))
+        } else {
+            self.tiles
+                .refresh_peak(pe, &self.ctx, &self.time, self.machine, buf)
+        };
+        let deferred = std::mem::replace(&mut self.deferred[pe], fits);
+        if fits || deferred || replaced.is_some() {
+            self.journal.push(UndoEntry::Sweep {
+                pe: pe as u32,
+                v: replaced.unwrap_or(self.tiles.sweeps[pe]),
+                deferred,
+            });
+        }
     }
 
     /// Move `node` to `new_pe` (must be on-grid) and repair all cached
@@ -461,10 +655,12 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         if s.occ.len() < pe_count {
             s.occ.resize_with(pe_count, Occ::default);
             s.occ_epoch.resize(pe_count, 0);
+            s.dirty_epoch.resize(pe_count, 0);
         }
         s.epoch += 1;
-        s.heap.clear();
         s.dirty_pes.clear();
+        // Every id the move dirties is the moved node or above it.
+        s.frontier.start(node);
 
         // Membership: the PE→nodes index drives occupancy, peaks, and
         // the pes_used count.
@@ -476,8 +672,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             // consults slots above its own scheduled time.
             for &j in &self.tiles.members[old_pid][pos..] {
                 if self.time[j as usize] >= t_old {
-                    self.in_heap[j as usize] = true;
-                    s.heap.push(Reverse(j));
+                    s.frontier.push(j as usize);
                 }
             }
         }
@@ -490,15 +685,9 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
 
         // The moved node reschedules; its consumers' wire-delay gaps
         // changed even if its time does not.
-        if !self.in_heap[node] {
-            self.in_heap[node] = true;
-            s.heap.push(Reverse(id));
-        }
+        s.frontier.push(node);
         for &c in self.ctx.consumers(node) {
-            if !self.in_heap[c as usize] {
-                self.in_heap[c as usize] = true;
-                s.heap.push(Reverse(c));
-            }
+            s.frontier.push(c as usize);
         }
 
         // Retime the dirty set in increasing id order. Every quantity a
@@ -507,16 +696,16 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         // the list-schedule fixpoint.
         //
         // Occupancy is shared across pops on the same PE: pops arrive
-        // in increasing id order (pushes only ever target ids above the
-        // current pop), so each PE's slot multiset can be extended with
-        // finalized times as a cursor walks up its membership list,
-        // instead of re-collecting and re-sorting per pop. The cursors
-        // live in a dense per-PE array validated by epoch stamp.
-        s.dirty_pes.push(old_pid);
-        s.dirty_pes.push(new_pid);
-        while let Some(Reverse(i)) = s.heap.pop() {
-            let iu = i as usize;
-            self.in_heap[iu] = false;
+        // in increasing id order, so each PE's slot multiset can be
+        // extended with finalized times as a cursor walks up its
+        // membership list, instead of re-collecting and re-sorting per
+        // pop. The times mostly arrive in ascending order, so a slot
+        // past the last one is appended. The cursors live in a dense
+        // per-PE array validated by epoch stamp.
+        s.dirty(old_pid);
+        s.dirty(new_pid);
+        while let Some(iu) = s.frontier.pop() {
+            let i = iu as NodeId;
             let pid = self.pe_id(self.place[iu]);
             let t_new = {
                 let o = &mut s.occ[pid];
@@ -528,12 +717,17 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                 let list = &self.tiles.members[pid];
                 while o.cursor < list.len() && list[o.cursor] < i {
                     let t = self.time[list[o.cursor] as usize];
-                    let p = o.slots.partition_point(|&x| x < t);
-                    debug_assert!(
-                        o.slots.get(p) != Some(&t),
-                        "finalized same-PE times are pairwise distinct"
-                    );
-                    o.slots.insert(p, t);
+                    match o.slots.last() {
+                        Some(&last) if last >= t => {
+                            let p = o.slots.partition_point(|&x| x < t);
+                            debug_assert!(
+                                o.slots[p] != t,
+                                "finalized same-PE times are pairwise distinct"
+                            );
+                            o.slots.insert(p, t);
+                        }
+                        _ => o.slots.push(t),
+                    }
                     o.cursor += 1;
                 }
                 self.schedule_time_in(iu, &o.slots)
@@ -546,9 +740,8 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                 let list = &self.tiles.members[pid];
                 let pos = list.partition_point(|&j| j <= i);
                 for &j in &list[pos..] {
-                    if self.time[j as usize] >= t_new && !self.in_heap[j as usize] {
-                        self.in_heap[j as usize] = true;
-                        s.heap.push(Reverse(j));
+                    if self.time[j as usize] >= t_new {
+                        s.frontier.push(j as usize);
                     }
                 }
             }
@@ -557,7 +750,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             }
             self.time[iu] = t_new;
             self.journal.push(UndoEntry::Time { id: i, t: t_old });
-            s.dirty_pes.push(pid);
+            s.dirty(pid);
 
             // Ripple: same-PE successors at or past the perturbed slot
             // range (slots above a node's own time are never consulted
@@ -567,32 +760,35 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                 let list = &self.tiles.members[pid];
                 let pos = list.partition_point(|&j| j <= i);
                 for &j in &list[pos..] {
-                    if self.time[j as usize] >= lo && !self.in_heap[j as usize] {
-                        self.in_heap[j as usize] = true;
-                        s.heap.push(Reverse(j));
+                    if self.time[j as usize] >= lo {
+                        s.frontier.push(j as usize);
                     }
                 }
             }
             for &c in self.ctx.consumers(iu) {
-                if !self.in_heap[c as usize] {
-                    self.in_heap[c as usize] = true;
-                    s.heap.push(Reverse(c));
-                }
+                s.frontier.push(c as usize);
             }
 
             // A time change moves this value's production and possibly
-            // the last use of its operands.
-            if let Some(t) = self.tiles.relax_last_use(&self.ctx, &self.time, iu) {
+            // the last use of its operands: one term of each of those
+            // maxima moved from `t_old` to `t_new`.
+            if let Some(t) = self
+                .tiles
+                .follow_last_use(&self.ctx, &self.time, iu, t_old, t_new)
+            {
                 self.journal.push(UndoEntry::LastUse { id: i, t });
             }
             for k in 0..self.graph.nodes[iu].deps.len() {
                 let du = self.graph.nodes[iu].deps[k] as usize;
-                if let Some(t) = self.tiles.relax_last_use(&self.ctx, &self.time, du) {
+                if let Some(t) = self
+                    .tiles
+                    .follow_last_use(&self.ctx, &self.time, du, t_old, t_new)
+                {
                     self.journal.push(UndoEntry::LastUse {
                         id: du as NodeId,
                         t,
                     });
-                    s.dirty_pes.push(self.pe_id(self.place[du]));
+                    s.dirty(self.pe_id(self.place[du]));
                 }
             }
         }
@@ -620,18 +816,10 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             self.tree.update(du, c);
         }
 
-        // Re-sweep only the PEs whose lifetimes or issue cycles could
-        // have moved.
-        s.dirty_pes.sort_unstable();
-        s.dirty_pes.dedup();
+        // Re-sweep (or defer) only the PEs whose lifetimes or issue
+        // cycles could have moved.
         for k in 0..s.dirty_pes.len() {
-            let pe = s.dirty_pes[k];
-            if let Some(v) =
-                self.tiles
-                    .refresh_peak(pe, &self.ctx, &self.time, self.machine, &mut s.buf)
-            {
-                self.journal.push(UndoEntry::Sweep { pe: pe as u32, v });
-            }
+            self.refresh_or_defer(s.dirty_pes[k], &mut s.buf);
         }
         self.scratch = s;
 
@@ -655,8 +843,9 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                 }
                 UndoEntry::Time { id, t } => self.time[id as usize] = t,
                 UndoEntry::LastUse { id, t } => self.tiles.last_use[id as usize] = t,
-                UndoEntry::Sweep { pe, v } => {
+                UndoEntry::Sweep { pe, v, deferred } => {
                     self.tiles.set_sweep(pe as usize, v, self.machine.tile_bits);
+                    self.deferred[pe as usize] = deferred;
                 }
                 UndoEntry::Leaf { id, cost } => self.tree.update(id as usize, cost),
             }
@@ -698,10 +887,37 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         ready + left as i64
     }
 
+    /// The global peak with every PE swept afresh, asserting that each
+    /// held sweep is exact — or, for a deferred PE, that it holds the
+    /// exact latest issue cycle and a peak its tile holds. O(|V|), and
+    /// it allocates: for parity checks only.
+    fn checked_peak(&self) -> u64 {
+        let mut buf = ScratchBuf::default();
+        let mut peak = 0;
+        for (pe, &held) in self.tiles.sweeps.iter().enumerate() {
+            let fresh = self
+                .tiles
+                .sweep(pe, &self.ctx, &self.time, self.machine, &mut buf);
+            if self.deferred[pe] {
+                let (f, h) = fresh.zip(held).expect("a deferred PE is occupied");
+                assert_eq!(f.last, h.last, "deferred PE {pe}: stale latest issue");
+                assert!(
+                    f.peak <= self.machine.tile_bits,
+                    "deferred PE {pe} is over capacity"
+                );
+            } else {
+                assert_eq!(fresh, held, "PE {pe}: stale sweep");
+            }
+            peak = peak.max(fresh.map_or(0, |f| f.peak));
+        }
+        peak
+    }
+
     /// Assert bit-exact agreement with the full pipeline: times against
-    /// [`crate::search::retime`], the report against
-    /// `Evaluator::evaluate`, and the storage-violation count against
-    /// [`crate::legality::tile_peaks`]. O(|V|+|E|) — runs automatically
+    /// [`crate::search::retime`], every PE's sweep against a fresh one,
+    /// the report against `Evaluator::evaluate`, and the
+    /// storage-violation count against [`crate::legality::tile_peaks`].
+    /// Deferred sweeps stay deferred. O(|V|+|E|) — runs automatically
     /// after every move in debug builds (see [`Self::with_paranoia`]).
     pub fn assert_parity(&self) {
         let rm = crate::search::retime(self.graph, &self.place, self.machine);
@@ -710,7 +926,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             "incremental retime departed from the full list schedule"
         );
         let full = self.ev.evaluate(&rm);
-        let mine = self.report();
+        let mine = self.assemble(self.graph.name.clone(), self.checked_peak());
         assert_eq!(full, mine, "incremental report != full evaluate");
         let peaks = crate::legality::tile_peaks(self.graph, &rm, rm.makespan());
         assert_eq!(
@@ -1342,6 +1558,71 @@ mod tests {
     }
 
     #[test]
+    fn deferred_sweeps_stay_exact_across_the_member_bound() {
+        // 4 PEs share 48 nodes, three in four of them outputs (live to
+        // the end), so a PE's peak tracks its member count. A tile holds
+        // 12 values: a PE with at most 12 members defers its sweep, and
+        // random moves carry PEs back and forth across that bound, and
+        // some of them over their tile.
+        let mut g = random_dag(48, 21);
+        for id in (0..48).filter(|id| id % 4 != 3) {
+            g.mark_output(id);
+        }
+        let mut m = MachineConfig::n5(2, 2);
+        m.tile_bits = 12 * 32;
+        m.issue_width = 64;
+        let ev = Evaluator::new(&g, &m);
+        let init = crate::search::default_mapper(&g, &m);
+        let mut delta = DeltaEvaluator::new(&ev, &init.place).with_paranoia(false);
+        let mut rng = StdRng::seed_from_u64(12);
+        // PE observations: deferred, swept, over capacity.
+        let (mut deferred, mut swept, mut over) = (0u32, 0u32, 0u64);
+        // Explicit assertions, so release runs check too. The report or
+        // the footprint score (each sweeps every deferred PE) is read
+        // after two steps in three, so deferrals also pile up across
+        // moves and undos, and some undos follow a flush.
+        let mut verify = |delta: &mut DeltaEvaluator, rng: &mut StdRng, ctx: &str| {
+            delta.assert_parity();
+            let rm = delta.mapping();
+            let storage = check(&g, &rm, &m)
+                .errors
+                .iter()
+                .filter(|e| matches!(e, LegalityError::StorageExceeded { .. }))
+                .count() as u64;
+            assert_eq!(delta.storage_violations(), storage, "{ctx}");
+            over += storage;
+            for (pe, list) in delta.tiles.members.iter().enumerate() {
+                deferred += u32::from(delta.deferred[pe]);
+                swept += u32::from(!list.is_empty() && !delta.deferred[pe]);
+            }
+            match rng.random_range(0..3u32) {
+                0 => assert_eq!(delta.report(), ev.evaluate(&rm), "{ctx}"),
+                1 => {
+                    let want = FigureOfMerit::Footprint.score(&ev.evaluate(&rm));
+                    let got = delta.score(FigureOfMerit::Footprint);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{ctx}");
+                }
+                _ => {}
+            }
+        };
+        for step in 0..200 {
+            let node = rng.random_range(0..g.len());
+            let pe = (rng.random_range(0..2i64), rng.random_range(0..2i64));
+            delta.apply_move(node, pe);
+            verify(&mut delta, &mut rng, &format!("step {step} move"));
+            if rng.random::<f64>() < 0.5 {
+                delta.undo();
+                verify(&mut delta, &mut rng, &format!("step {step} undo"));
+            }
+        }
+        assert!(
+            deferred > 0 && swept > 0,
+            "{deferred} deferred, {swept} swept"
+        );
+        assert!(over > 0, "no PE went over its tile");
+    }
+
+    #[test]
     fn report_matches_evaluator_with_multicast_and_local_inputs() {
         use crate::affine::IdxExpr;
         use crate::mapping::{InputPlacement, PlaceExpr};
@@ -1379,7 +1660,7 @@ mod tests {
         let g = DataflowGraph::new("empty", 32);
         let m = MachineConfig::linear(2);
         let ev = Evaluator::new(&g, &m);
-        let delta = DeltaEvaluator::new(&ev, &[]);
+        let mut delta = DeltaEvaluator::new(&ev, &[]);
         let rep = delta.report();
         assert_eq!(rep.cycles, 0);
         assert_eq!(rep.pes_used, 0);

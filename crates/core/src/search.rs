@@ -427,14 +427,14 @@ impl Engine<'_, '_> {
         }
     }
 
-    fn score(&self, fom: FigureOfMerit) -> f64 {
+    fn score(&mut self, fom: FigureOfMerit) -> f64 {
         match self {
             Engine::Full { ev, report, .. } => ev.score(fom, report),
             Engine::Inc(d) => d.score(fom),
         }
     }
 
-    fn snapshot(&self) -> (ResolvedMapping, CostReport) {
+    fn snapshot(&mut self) -> (ResolvedMapping, CostReport) {
         match self {
             Engine::Full { rm, report, .. } => (rm.clone(), report.clone()),
             Engine::Inc(d) => (d.mapping(), d.report()),
@@ -922,10 +922,12 @@ mod tests {
             .map(|i| if i % 2 == 0 { (0, 0) } else { (3, 2) })
             .collect();
         let init = retime(&g, &places, &m);
+        // Footprint is the one objective that reads peaks on every move.
         for fom in [
             FigureOfMerit::Energy,
             FigureOfMerit::Time,
             FigureOfMerit::Edp,
+            FigureOfMerit::Footprint,
         ] {
             let (rm_f, rep_f) = anneal_with(&ev, &g, &m, &init, fom, 250, 21, AnnealBackend::Full);
             let (rm_i, rep_i) =

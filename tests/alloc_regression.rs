@@ -1,6 +1,7 @@
 //! Allocation and byte audits. Once the scratch arena is warm,
 //! candidate evaluation in the tuner hot path must not touch the heap
-//! at all; a serving session's warm state must stay within its byte
+//! at all, and neither may an annealing move once its buffers are
+//! sized; a serving session's warm state must stay within its byte
 //! budget; and a steady-state session revision may allocate only its
 //! winner's mapping. This binary installs a counting global allocator
 //! (each integration-test binary may have its own) and counts
@@ -18,12 +19,14 @@ use fm_repro::autotune::{Budget, Tuner, WarmCache};
 use fm_repro::core::affine::IdxExpr;
 use fm_repro::core::cost::Evaluator;
 use fm_repro::core::dataflow::{CExpr, DataflowGraph};
+use fm_repro::core::delta::DeltaEvaluator;
 use fm_repro::core::flat::{BatchEvaluator, EvalScratch, RawEval};
 use fm_repro::core::machine::MachineConfig;
 use fm_repro::core::mapping::{AffineMap, InputPlacement, Mapping, PlaceExpr, ResolvedMapping};
 use fm_repro::core::mutate::{apply_edit, GraphEdit};
 use fm_repro::core::search::{FigureOfMerit, MappingCandidate};
 use fm_repro::core::value::Value;
+use fm_repro::kernels::editdist::{edit_recurrence, skewed_mapping_2d, Scoring};
 use fm_repro::kernels::fft::{fft_graph, FftFamily, FftVariant};
 
 /// Forwards to the system allocator, counting every allocation made
@@ -167,6 +170,59 @@ fn scratch_arena_reuse_beats_fresh_scratch_on_allocations() {
     std::hint::black_box(batch.evaluate_raw_in(&candidates[0], &mut scratch));
     let allocs = allocations() - before;
     assert!(allocs > 0, "a cold arena must allocate to grow its buffers");
+}
+
+#[test]
+fn annealing_moves_allocate_nothing_in_steady_state() {
+    // The `tune` benchmark's refinement: the 576-node edit-distance
+    // graph on an 8×8 grid, moves around the search winner, scored
+    // under EDP as every chain scores them.
+    let graph = edit_recurrence(24, 24, Scoring::levenshtein())
+        .elaborate()
+        .expect("edit recurrence elaborates");
+    let machine = MachineConfig::n5(8, 8);
+    let winner = skewed_mapping_2d(24, 24)
+        .resolve(&graph, &machine)
+        .expect("skewed-2d P=24 resolves");
+    let ev = Evaluator::new(&graph, &machine);
+    let mut delta = DeltaEvaluator::new(&ev, &winner.place).with_paranoia(false);
+    // A fixed sequence of single-node moves to a neighbouring PE, each
+    // scored and undone, so every round starts from the winner.
+    let mut s = 0x9e37_79b9_7f4a_7c15u64;
+    let moves: Vec<(usize, (i64, i64))> = (0..300)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let node = ((s >> 33) % graph.len() as u64) as usize;
+            let (x, y) = winner.place[node];
+            let to = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+                .into_iter()
+                .filter(|&(x, y)| machine.contains(x, y))
+                .nth((s >> 20) as usize % 2)
+                .expect("every PE has two on-grid neighbours");
+            (node, to)
+        })
+        .collect();
+    let round = |delta: &mut DeltaEvaluator| {
+        for &(node, to) in &moves {
+            delta.apply_move(node, to);
+            std::hint::black_box(delta.storage_violations());
+            std::hint::black_box(delta.score(FigureOfMerit::Edp));
+            delta.undo();
+        }
+    };
+    // Warm-up pass: sizes every per-move buffer.
+    round(&mut delta);
+    let before = allocated_bytes();
+    round(&mut delta);
+    let bytes = allocated_bytes() - before;
+    assert_eq!(
+        bytes,
+        0,
+        "{} steady-state apply/score/undo rounds allocated {bytes} B",
+        moves.len()
+    );
 }
 
 /// The `session` benchmark's shape: a 4096-node chain on a 32-PE row,

@@ -105,7 +105,7 @@ proptest! {
                     // Delta path: seed a delta evaluator at the winning
                     // placement; its score must be the evaluator's own,
                     // bit for bit.
-                    let delta = DeltaEvaluator::new(&ev, &c.resolved.place);
+                    let mut delta = DeltaEvaluator::new(&ev, &c.resolved.place);
                     let direct = ev.score(fom, &ev.evaluate(&c.resolved));
                     prop_assert_eq!(delta.score(fom).to_bits(), direct.to_bits(),
                         "delta score bits under {}", kind);
