@@ -11,6 +11,11 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# Broken and private intra-doc links render as dead text; keep the
+# generated docs clean.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test =="
 cargo test --workspace -q
 
@@ -40,6 +45,12 @@ echo "== flat- and incremental-engine parity in release =="
 # debug_assertions.
 cargo test --release -q -p fm-core -- flat:: delta::
 cargo test --release -q --test proptests -- flat_delta_and_reference incremental flat_verdicts
+# The session engine's edits where the optimiser runs: each per-PE
+# index against fresh sweeps after every edit (delta::, above), every
+# undo restoring graph and machine exactly, and a refused batch leaving
+# a session as it found it.
+cargo test --release -q -p fm-core -- mutate::
+cargo test --release -q -p fm-serve --lib -- session::
 # The annealer where the optimiser runs: its backends agree bit for bit
 # under every objective (deferred and eager tile sweeps alike), and the
 # tuner's refinement stays seed-deterministic and reports its outcome.

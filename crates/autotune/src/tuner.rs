@@ -509,7 +509,13 @@ impl<'a> Tuner<'a> {
                 evals
             }
         };
-        let mut report = self.finish(candidates, evals, frontier, cache_status);
+        let resolve = |i: usize| {
+            candidates[i]
+                .mapping
+                .resolve(self.graph, self.machine)
+                .expect("a legal candidate resolves")
+        };
+        let mut report = self.finish(candidates, evals, frontier, cache_status, resolve);
         if let (Some(cache), Some(best)) = (&self.cache, &report.best) {
             if !report.fell_back && !report.cancelled {
                 let _ = cache.store(&CacheEntry {
@@ -585,18 +591,28 @@ impl<'a> Tuner<'a> {
                 break;
             }
         }
-        self.finish(candidates, evals, frontier, CacheStatus::Disabled)
+        // The winner's mapping is read off its warm state, which holds
+        // every node's time and PE, so no place or time expression is
+        // evaluated.
+        let resolve = |i: usize| {
+            delta
+                .resolved(i)
+                .expect("an evaluated candidate keeps its state")
+        };
+        self.finish(candidates, evals, frontier, CacheStatus::Disabled, resolve)
     }
 
     /// What both tunes do after evaluation: pick the winner (the default
     /// mapper when nothing in budget was legal), refine it, and report
-    /// over the evaluated prefix.
+    /// over the evaluated prefix. `resolve` gives candidate `i`'s
+    /// resolved mapping against the tuned graph and machine.
     fn finish(
         &self,
         candidates: &[MappingCandidate],
         evals: Vec<CandidateEval>,
         frontier: Frontier<'_>,
         cache: CacheStatus,
+        resolve: impl Fn(usize) -> ResolvedMapping,
     ) -> TuneReport {
         let mut cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
         let offered = candidates.len();
@@ -608,15 +624,11 @@ impl<'a> Tuner<'a> {
                     unreachable!("best index always points at a legal eval")
                 };
                 // Evaluations carry no mapping: resolve the winner's
-                // once, from its candidate, against the same graph and
-                // machine the evaluation saw.
-                let resolved = candidates[i]
-                    .mapping
-                    .resolve(self.graph, self.machine)
-                    .expect("a legal candidate resolves");
+                // once, against the same graph and machine the
+                // evaluation saw.
                 Some(TunedMapping {
                     label: candidates[i].label.clone(),
-                    resolved,
+                    resolved: resolve(i),
                     report: report.clone(),
                     score: *score,
                 })

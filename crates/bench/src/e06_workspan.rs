@@ -1,6 +1,6 @@
 //! **E6 — the greedy-scheduler bound on real hardware** (§2).
 //!
-//! Blelloch: the fork-join work-span model "support[s] cost mappings
+//! Blelloch: the fork-join work-span model "support\[s\] cost mappings
 //! down to the machine level that reasonably capture real performance".
 //! We measure `T_P` for instrumented kernels on the from-scratch
 //! work-stealing pool and compare against `W/P + S` (calibrated in

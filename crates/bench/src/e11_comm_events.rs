@@ -3,7 +3,7 @@
 //! Yelick: "Algorithms must also treat communication avoidance as a
 //! first-class optimization target, reducing both data movement volume
 //! and number of distinct events." — and heavyweight mechanisms
-//! "require more data aggregation to amortize overhead [and] can
+//! "require more data aggregation to amortize overhead \[and\] can
 //! consume precious fast memory resources."
 //!
 //! The ledger counts both. We report, per kernel and P: message events,

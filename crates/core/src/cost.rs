@@ -94,7 +94,7 @@ pub struct NodeCost {
 ///
 /// Any power-of-two capacity at or above the leaf count yields the same
 /// total bits (the extra zero subtrees add `0.0`), so leaves can be
-/// appended ([`CostTree::push`]) and removed ([`CostTree::remove`]) in
+/// appended (`CostTree::push`) and removed (`CostTree::remove`) in
 /// place, re-folding only the paths above the slots that changed.
 #[derive(Debug, Clone, Default)]
 pub struct CostTree {

@@ -241,6 +241,28 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
+/// Why a whole graph failed [`DataflowGraph::validate`]: the first node
+/// that breaks a construction rule, and the rule it breaks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GraphError {
+    /// The offending node.
+    pub node: NodeId,
+    /// The rule it breaks, as an edit adding that node would be refused.
+    pub rule: MutationError,
+}
+
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.rule {
+            // Already names the node.
+            MutationError::ForwardDep { .. } => write!(f, "{}", self.rule),
+            rule => write!(f, "node {}: {rule}", self.node),
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
+
 /// One element computation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {
@@ -365,7 +387,9 @@ impl DataflowGraph {
         self.nodes[id as usize].output = true;
     }
 
-    /// Validate a prospective node against this graph. `id` is the id
+    /// Validate a prospective node against this graph: the
+    /// construction rules [`DataflowGraph::add_node`] asserts, checked
+    /// in one allocation-free walk of the expression. `id` is the id
     /// the node would get (= current length for appends).
     fn validate_node(
         &self,
@@ -373,7 +397,26 @@ impl DataflowGraph {
         expr: &CExpr,
         deps: &[NodeId],
     ) -> Result<(), MutationError> {
-        let slots = expr.dep_slots();
+        // One walk finds the slot count and the first bad input read;
+        // the errors are then reported in rule order.
+        let (mut slots, mut bad) = (0u32, None);
+        expr.walk(&mut |e| match e {
+            CExpr::Leaf(Leaf::Dep(k)) => slots = slots.max(k + 1),
+            CExpr::Leaf(Leaf::In { input, flat }) if bad.is_none() => {
+                bad = match self.inputs.get(*input as usize) {
+                    None => Some(MutationError::UnknownInput { input: *input }),
+                    Some(spec) if *flat as usize >= spec.len() => {
+                        Some(MutationError::InputReadOutOfRange {
+                            input: *input,
+                            flat: *flat,
+                            len: spec.len() as u64,
+                        })
+                    }
+                    Some(_) => None,
+                };
+            }
+            _ => {}
+        });
         if slots as usize != deps.len() {
             return Err(MutationError::DepSlotMismatch {
                 slots,
@@ -383,18 +426,24 @@ impl DataflowGraph {
         if let Some(&d) = deps.iter().find(|&&d| d >= id) {
             return Err(MutationError::ForwardDep { node: id, dep: d });
         }
-        for (input, flat) in expr.input_reads() {
-            let spec = self
-                .inputs
-                .get(input as usize)
-                .ok_or(MutationError::UnknownInput { input })?;
-            if flat as usize >= spec.len() {
-                return Err(MutationError::InputReadOutOfRange {
-                    input,
-                    flat,
-                    len: spec.len() as u64,
-                });
-            }
+        bad.map_or(Ok(()), Err)
+    }
+
+    /// Check every node against the construction rules
+    /// [`DataflowGraph::add_node`] asserts: the expression's dep-slot
+    /// count matches its deps, every dep names an earlier node, and
+    /// every input read is in range. A graph built through `add_node`
+    /// always passes; a graph that arrives deserialized (over the wire,
+    /// from a file) must pass before anything evaluates it, since the
+    /// engines index by these rules. Allocation-free; stops at the
+    /// first node that breaks a rule.
+    pub fn validate(&self) -> Result<(), GraphError> {
+        for (id, n) in self.nodes.iter().enumerate() {
+            self.validate_node(id as NodeId, &n.expr, &n.deps)
+                .map_err(|rule| GraphError {
+                    node: id as NodeId,
+                    rule,
+                })?;
         }
         Ok(())
     }
@@ -426,12 +475,25 @@ impl DataflowGraph {
     /// Returns the removed node. Nodes that still feed later nodes are
     /// refused — remove or retarget the consumers first, keeping the
     /// graph closed under construction-order topology.
+    ///
+    /// Relies on that topology (`deps < id` for every node, what
+    /// [`Self::validate`] checks): a consumer of `id`, and a dep that
+    /// names an id above it, can only sit in a node above `id`, so only
+    /// those nodes are read and rewritten. Removing the last node is
+    /// O(1).
     pub fn remove_node(&mut self, id: NodeId) -> Result<Node, MutationError> {
-        if id as usize >= self.nodes.len() {
+        let r = id as usize;
+        if r >= self.nodes.len() {
             return Err(MutationError::NoSuchNode { id });
         }
-        let consumers = self
-            .nodes
+        debug_assert!(
+            self.nodes
+                .iter()
+                .enumerate()
+                .all(|(i, n)| n.deps.iter().all(|&d| (d as usize) < i)),
+            "remove_node needs every dep below its node"
+        );
+        let consumers = self.nodes[r + 1..]
             .iter()
             .flat_map(|n| n.deps.iter())
             .filter(|&&d| d == id)
@@ -439,8 +501,8 @@ impl DataflowGraph {
         if consumers > 0 {
             return Err(MutationError::HasConsumers { id, consumers });
         }
-        let removed = self.nodes.remove(id as usize);
-        for n in &mut self.nodes {
+        let removed = self.nodes.remove(r);
+        for n in &mut self.nodes[r..] {
             for d in &mut n.deps {
                 if *d > id {
                     *d -= 1;
@@ -448,6 +510,27 @@ impl DataflowGraph {
             }
         }
         Ok(removed)
+    }
+
+    /// Put `node` back at id `id`, shifting every id at or above it up
+    /// by one: the inverse of [`Self::remove_node`], which hands back
+    /// the node it removed. Like it, this reads and rewrites only the
+    /// nodes above `id`; `node`'s deps must name nodes below `id`.
+    pub fn insert_node(&mut self, id: NodeId, node: Node) {
+        let r = id as usize;
+        assert!(r <= self.nodes.len(), "node {id} past the end");
+        debug_assert!(
+            node.deps.iter().all(|&d| d < id),
+            "node {id}: deps must name earlier nodes"
+        );
+        self.nodes.insert(r, node);
+        for n in &mut self.nodes[r + 1..] {
+            for d in &mut n.deps {
+                if *d >= id {
+                    *d += 1;
+                }
+            }
+        }
     }
 
     /// Point dep slot `slot` of `node` at a different (earlier)
@@ -750,6 +833,71 @@ mod tests {
             g.remove_node(9),
             Err(MutationError::NoSuchNode { id: 9 })
         ));
+    }
+
+    #[test]
+    fn validate_names_the_node_and_the_rule() {
+        assert_eq!(diamond().validate(), Ok(()));
+        let node = |expr: CExpr, deps: Vec<NodeId>| Node {
+            expr,
+            deps,
+            index: vec![],
+            output: false,
+        };
+        let mut g = DataflowGraph::new("bad", 32);
+        let r = g.add_input("R", vec![2]);
+        g.nodes.push(node(CExpr::konst(Value::ZERO), vec![]));
+        // A forward dep, and a dep past the end, break the same rule.
+        for dep in [1, 7] {
+            g.nodes.push(node(CExpr::dep(0), vec![dep]));
+            let err = g.validate().unwrap_err();
+            assert_eq!(err.node, 1);
+            assert_eq!(err.rule, MutationError::ForwardDep { node: 1, dep });
+            assert_eq!(
+                err.to_string(),
+                format!("node 1: dependency {dep} is not an earlier node")
+            );
+            g.nodes.pop();
+        }
+        for (expr, deps, rule) in [
+            (
+                CExpr::dep(1),
+                vec![0],
+                MutationError::DepSlotMismatch { slots: 2, deps: 1 },
+            ),
+            (
+                CExpr::input(r + 1, 0),
+                vec![],
+                MutationError::UnknownInput { input: r + 1 },
+            ),
+            (
+                CExpr::dep(0).add(CExpr::input(r, 2)),
+                vec![0],
+                MutationError::InputReadOutOfRange {
+                    input: r,
+                    flat: 2,
+                    len: 2,
+                },
+            ),
+        ] {
+            g.nodes.push(node(expr, deps));
+            assert_eq!(g.validate(), Err(GraphError { node: 1, rule }));
+            g.nodes.pop();
+        }
+        assert_eq!(g.validate(), Ok(()));
+    }
+
+    #[test]
+    fn insert_node_inverts_remove_node() {
+        let g = diamond();
+        // Each consumerless node of each stage, removed and put back.
+        let mut h = g.clone();
+        let sink = h.remove_node(3).unwrap();
+        let mid = h.remove_node(1).unwrap();
+        assert_eq!(h.nodes[1].deps, vec![0]);
+        h.insert_node(1, mid);
+        h.insert_node(3, sink);
+        assert_eq!(h, g);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! Two engines repair cached evaluation state instead of re-deriving it,
 //! and both sit on the flat engine's layout ([`crate::flat`]): its
 //! [`EvalContext`] charges every node, its interning rule names every
-//! PE, and one dense per-PE structure (`Tiles`: member lists by
-//! interned PE id, each PE's last sweep — peak, latest issue cycle and
-//! over-width issue cells — the over-capacity and issue counts, and
-//! last uses) is built by one cold pass and re-swept one PE at a time
-//! by one `refresh_peak`, which runs the flat engine's
-//! [`crate::flat::peak_live`].
+//! PE, and one dense per-PE structure (`Tiles`: members by interned PE
+//! id, each PE's last sweep — peak, latest issue cycle and over-width
+//! issue cells — the over-capacity and issue counts, and last uses) is
+//! built by one cold pass that sweeps each PE with the flat engine's
+//! `peak_live`. That sweep is the one definition of a PE's peak: the
+//! annealing engine re-runs it one PE at a time, and the session
+//! engine's per-PE index is checked against it.
 //!
 //! [`DeltaEvaluator`] follows single-node placement moves — what the
 //! annealer in [`crate::search`] proposes. Re-deriving the schedule and
@@ -84,10 +85,23 @@
 //! candidate, the tree re-folding only the paths above changed slots,
 //! and a candidate's evaluation stays bit-identical to
 //! [`crate::search::evaluate_candidate`] run cold on the edited graph.
-//! Per node, a candidate keeps a time, an interned PE id (its place is
-//! derived from the id), a last use, a member entry and a cost leaf —
-//! about 85 bytes on the session benchmark's shape — and an evaluation
-//! hands back a report and a score, never a copy of the mapping.
+//!
+//! An edit moves at most a few lifetimes on a PE (a member added or
+//! removed, a producer's last use moved), but a PE may hold thousands
+//! of members, so the session engine does not re-sweep it. Since the
+//! times never change, each PE keeps its members' lifetime events
+//! (issue and free) sorted, in blocks of 64 that each carry their sum
+//! and their largest prefix sum (`LiveIndex`). The PE's peak is the
+//! largest running sum, a fold over the blocks; a moved last use moves
+//! one event, usually within its block; a member comes or goes as two
+//! events. A repair therefore costs O(64 + m/64) on a PE of m members,
+//! not O(m), and the sweep it yields equals `peak_live` over the same
+//! members bit for bit (the parity tests check every PE after every
+//! edit). Per node, a candidate keeps a time, an interned PE id (its
+//! place is derived from the id), a last use, two lifetime events and
+//! a cost leaf — about 90 bytes on the session benchmark's shape — and
+//! an evaluation hands back a report and a score, never a copy of the
+//! mapping.
 //! An edit that invalidates a candidate (a table length change, a new
 //! node without a domain index) drops its cached state; the next
 //! evaluation rebuilds it cold and counts the rebuild, which is how the
@@ -107,12 +121,14 @@ use crate::search::{CandidateEval, FigureOfMerit};
 const FAR_FUTURE: i64 = i64::MAX / 4;
 
 /// Per-PE occupancy and storage state over interned PE ids: the one
-/// dense structure both incremental engines keep.
+/// dense structure both incremental engines keep. `M` is how a PE
+/// holds its members: the anneal engine's ascending id lists, or the
+/// session engine's [`LiveIndex`]es.
 #[derive(Debug)]
-struct Tiles {
-    /// Node ids per PE, ascending, indexed by interned PE id. Empty
-    /// lists mean unoccupied (they stay allocated for reuse).
-    members: Vec<Vec<NodeId>>,
+struct Tiles<M = Vec<NodeId>> {
+    /// Members per PE, indexed by interned PE id. Empty means
+    /// unoccupied (kept allocated for reuse).
+    members: Vec<M>,
     /// Number of non-empty member lists — the report's PEs-used.
     occupied: usize,
     /// Each PE's last sweep (peak, latest issue cycle, over-width issue
@@ -123,9 +139,17 @@ struct Tiles {
     over_capacity: u64,
     /// Issue cells over the machine's width, summed over PEs.
     issue_over: u64,
-    /// max(own time, consumer times); outputs are *not* extended here —
-    /// the sweep substitutes [`FAR_FUTURE`] for them.
+    /// max(own time, consumer times). The anneal engine does not extend
+    /// outputs here — its sweep substitutes [`FAR_FUTURE`] for them;
+    /// the session engine stores [`FAR_FUTURE`] for them.
     last_use: Vec<i64>,
+}
+
+/// Node `id`'s last use: its own time, relaxed over its consumers'.
+fn last_use_of(ctx: &EvalContext, time: &[i64], id: usize) -> i64 {
+    ctx.consumers(id)
+        .iter()
+        .fold(time[id], |lu, &c| lu.max(time[c as usize]))
 }
 
 impl Tiles {
@@ -152,41 +176,14 @@ impl Tiles {
             sweeps: vec![None; ids],
             over_capacity: 0,
             issue_over: 0,
-            last_use: time.to_vec(),
+            last_use: (0..time.len())
+                .map(|id| last_use_of(ctx, time, id))
+                .collect(),
         };
-        for id in 0..time.len() {
-            tiles.relax_last_use(ctx, time, id);
-        }
         for pe in 0..ids {
             tiles.refresh_peak(pe, ctx, time, machine, buf);
         }
         tiles
-    }
-
-    fn makespan(&self) -> i64 {
-        self.sweeps
-            .iter()
-            .flatten()
-            .map(|s| s.last + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn global_peak(&self) -> u64 {
-        self.sweeps
-            .iter()
-            .flatten()
-            .map(|s| s.peak)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Make room for PE id `pe` (a newly interned off-grid place).
-    fn ensure(&mut self, pe: usize) {
-        if pe >= self.members.len() {
-            self.members.resize_with(pe + 1, Vec::new);
-            self.sweeps.resize(pe + 1, None);
-        }
     }
 
     /// Add node `id` to PE `pe`'s member list, keeping it ascending.
@@ -204,38 +201,6 @@ impl Tiles {
         list.remove(at);
         self.occupied -= usize::from(list.is_empty());
         at
-    }
-
-    /// Re-derive node `id`'s last use from its consumers' times;
-    /// returns the value it replaced when it changed.
-    fn relax_last_use(&mut self, ctx: &EvalContext, time: &[i64], id: usize) -> Option<i64> {
-        let lu = ctx
-            .consumers(id)
-            .iter()
-            .fold(time[id], |lu, &c| lu.max(time[c as usize]));
-        (lu != self.last_use[id]).then(|| std::mem::replace(&mut self.last_use[id], lu))
-    }
-
-    /// Node `id`'s last use after one time it folds over (its own or
-    /// a consumer's) moved from `old` to `new`: exact without a re-fold
-    /// unless the moved time held the maximum and fell. Returns the
-    /// value it replaced when it changed.
-    fn follow_last_use(
-        &mut self,
-        ctx: &EvalContext,
-        time: &[i64],
-        id: usize,
-        old: i64,
-        new: i64,
-    ) -> Option<i64> {
-        let lu = self.last_use[id];
-        if new > lu {
-            Some(std::mem::replace(&mut self.last_use[id], new))
-        } else if old == lu && new < old {
-            self.relax_last_use(ctx, time, id)
-        } else {
-            None
-        }
     }
 
     /// Sweep PE `pe`: [`peak_live`] over its members' lifetimes, in
@@ -285,6 +250,65 @@ impl Tiles {
         let new = self.sweep(pe, ctx, time, machine, buf);
         (self.sweeps[pe] != new).then(|| self.set_sweep(pe, new, machine.tile_bits))
     }
+}
+
+impl<M: Default> Tiles<M> {
+    /// Make room for PE id `pe` (a newly interned off-grid place).
+    fn ensure(&mut self, pe: usize) {
+        if pe >= self.members.len() {
+            self.members.resize_with(pe + 1, M::default);
+            self.sweeps.resize(pe + 1, None);
+        }
+    }
+}
+
+impl<M> Tiles<M> {
+    fn makespan(&self) -> i64 {
+        self.sweeps
+            .iter()
+            .flatten()
+            .map(|s| s.last + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn global_peak(&self) -> u64 {
+        self.sweeps
+            .iter()
+            .flatten()
+            .map(|s| s.peak)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Re-derive node `id`'s last use from its consumers' times;
+    /// returns the value it replaced when it changed.
+    fn relax_last_use(&mut self, ctx: &EvalContext, time: &[i64], id: usize) -> Option<i64> {
+        let lu = last_use_of(ctx, time, id);
+        (lu != self.last_use[id]).then(|| std::mem::replace(&mut self.last_use[id], lu))
+    }
+
+    /// Node `id`'s last use after one time it folds over (its own or
+    /// a consumer's) moved from `old` to `new`: exact without a re-fold
+    /// unless the moved time held the maximum and fell. Returns the
+    /// value it replaced when it changed.
+    fn follow_last_use(
+        &mut self,
+        ctx: &EvalContext,
+        time: &[i64],
+        id: usize,
+        old: i64,
+        new: i64,
+    ) -> Option<i64> {
+        let lu = self.last_use[id];
+        if new > lu {
+            Some(std::mem::replace(&mut self.last_use[id], new))
+        } else if old == lu && new < old {
+            self.relax_last_use(ctx, time, id)
+        } else {
+            None
+        }
+    }
 
     /// Set PE `pe`'s sweep, keeping the over-capacity and issue counts
     /// exact; returns the sweep it replaced.
@@ -299,6 +323,515 @@ impl Tiles {
             self.issue_over += u64::from(v.issue_over);
         }
         old
+    }
+}
+
+/// Lifetime events per [`LiveIndex`] block: blocks are built this full
+/// and split in two when they reach twice this.
+const BLOCK: usize = 64;
+
+/// Reads where a lifetime event sits in sweep order from a candidate's
+/// times and last uses (the session engine's, where an output's last
+/// use is [`FAR_FUTURE`]).
+#[derive(Clone, Copy)]
+struct EventOrder<'s> {
+    time: &'s [i64],
+    last_use: &'s [i64],
+}
+
+impl EventOrder<'_> {
+    /// Event `e`'s key, (cycle, kind, node). Node `j`'s start event
+    /// `2j + 1` sits at its issue cycle and its end event `2j` at the
+    /// cycle its slot frees, last use + 1. At equal cycles a slot frees
+    /// before a start takes one: the order [`peak_live`] visits them in.
+    #[inline]
+    fn key(&self, e: u32) -> (i64, u32, u32) {
+        let j = (e >> 1) as usize;
+        let cycle = if e & 1 == 1 {
+            self.time[j]
+        } else {
+            self.last_use[j] + 1
+        };
+        (cycle, e & 1, e >> 1)
+    }
+
+    /// Node `j`'s start event, with its cycle.
+    fn start(&self, j: NodeId) -> (i64, u32) {
+        (self.time[j as usize], j << 1 | 1)
+    }
+
+    /// Node `j`'s end event, with its cycle.
+    fn end(&self, j: NodeId) -> (i64, u32) {
+        (self.last_use[j as usize] + 1, j << 1)
+    }
+}
+
+/// A run of a [`LiveIndex`]'s events, with the summary the peak folds
+/// and the key the block-level search reads.
+#[derive(Debug)]
+struct EventBlock {
+    /// The key of the last event, so that finding a block reads no
+    /// event.
+    last: (i64, u32, u32),
+    /// Starts minus ends.
+    sum: i32,
+    /// The largest running sum over the block's prefixes.
+    max: i32,
+    /// Start events.
+    starts: u32,
+    /// Events in sweep order; never empty.
+    ev: Vec<u32>,
+}
+
+impl EventBlock {
+    fn new(ev: Vec<u32>, order: EventOrder<'_>) -> EventBlock {
+        let mut block = EventBlock {
+            last: (0, 0, 0),
+            sum: 0,
+            max: 0,
+            starts: 0,
+            ev,
+        };
+        block.summarize(order);
+        block
+    }
+
+    /// Re-derive the summary and the last key from the events.
+    fn summarize(&mut self, order: EventOrder<'_>) {
+        let (mut sum, mut max, mut starts) = (0i32, i32::MIN, 0u32);
+        for &e in &self.ev {
+            let start = e & 1;
+            sum += 2 * start as i32 - 1;
+            max = max.max(sum);
+            starts += start;
+        }
+        (self.sum, self.max, self.starts) = (sum, max, starts);
+        self.last = order.key(self.ev[self.ev.len() - 1]);
+    }
+}
+
+/// The session engine's per-PE max-live index: one PE's members and
+/// their sweep, kept under edits at O(B + m/B) per change for m
+/// members, blocks of B events, instead of an O(m) re-sweep.
+///
+/// A PE's [`peak_live`] sweep is the largest running sum over its
+/// lifetime events in sweep order: +1 where a member issues, −1 where
+/// its slot frees. A candidate's times never change under structural
+/// edits; only last uses move, and members come and go. So the index
+/// holds each member as two `u32` events (8 bytes per member) sorted
+/// by [`EventOrder`], in blocks that each carry their sum and their
+/// largest prefix sum. A moved last use re-positions its end event,
+/// within its block when it stays there; a member comes or goes as its
+/// two events; each is a binary search and a shift within one block,
+/// and the peak is a fold over the block summaries. The latest issue
+/// cycle is the last start event; the over-width issue cycles are
+/// counted as starts come and go, since the starts at one cycle are
+/// adjacent in sweep order.
+#[derive(Debug, Default)]
+struct LiveIndex {
+    blocks: Vec<EventBlock>,
+    /// Issue cycles with more starts than the issue width.
+    issue_over: u32,
+}
+
+impl LiveIndex {
+    /// Index the members `list`: their starts and their ends, each
+    /// with its cycle and each sorted only when out of order, merged
+    /// into blocks in one pass that also sums each block and counts
+    /// the over-width issue cycles. `events` is a reusable buffer.
+    fn build(
+        list: &[NodeId],
+        order: EventOrder<'_>,
+        issue_width: u32,
+        events: &mut Vec<(i64, u32)>,
+    ) -> LiveIndex {
+        let m = list.len();
+        events.clear();
+        events.extend(list.iter().map(|&j| order.start(j)));
+        events.extend(list.iter().map(|&j| order.end(j)));
+        // (cycle, event) pairs order starts, and ends, by (cycle, node).
+        let (starts, ends) = events.split_at_mut(m);
+        for half in [starts, ends] {
+            if !half.is_sorted() {
+                half.sort_unstable();
+            }
+        }
+        let mut index = LiveIndex {
+            blocks: Vec::with_capacity((2 * m).div_ceil(BLOCK)),
+            issue_over: 0,
+        };
+        let block = |len: usize| EventBlock {
+            last: (0, 0, 0),
+            sum: 0,
+            max: i32::MIN,
+            starts: 0,
+            ev: Vec::with_capacity(BLOCK.min(len)),
+        };
+        let mut open = block(2 * m);
+        let (mut i, mut j) = (0, m);
+        let (mut run, mut prev) = (0u32, None);
+        while i < m || j < 2 * m {
+            // At equal cycles the end goes first.
+            let at = if j == 2 * m || (i < m && events[i].0 < events[j].0) {
+                &mut i
+            } else {
+                &mut j
+            };
+            let (cycle, e) = events[*at];
+            *at += 1;
+            let start = e & 1;
+            if start == 1 {
+                run = if prev == Some(cycle) { run + 1 } else { 1 };
+                prev = Some(cycle);
+                index.issue_over += u32::from(u64::from(run) == u64::from(issue_width) + 1);
+            }
+            open.sum += 2 * start as i32 - 1;
+            open.max = open.max.max(open.sum);
+            open.starts += start;
+            open.last = (cycle, start, e >> 1);
+            open.ev.push(e);
+            if open.ev.len() == BLOCK {
+                let left = 2 * m - i - (j - m);
+                index.blocks.push(std::mem::replace(&mut open, block(left)));
+            }
+        }
+        if !open.ev.is_empty() {
+            index.blocks.push(open);
+        }
+        index
+    }
+
+    fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// The member ids, in issue order.
+    #[cfg(test)]
+    fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.blocks
+            .iter()
+            .flat_map(|b| &b.ev)
+            .filter(|&&e| e & 1 == 1)
+            .map(|&e| e >> 1)
+    }
+
+    /// The first event at or past `key`, as (block, offset); the block
+    /// is `blocks.len()` when every event sits before `key`.
+    fn seek(&self, key: (i64, u32, u32), order: EventOrder<'_>) -> (usize, usize) {
+        self.seek_by(key, |e| order.key(e))
+    }
+
+    /// [`Self::seek`], reading each event's key with `key_of`.
+    fn seek_by(
+        &self,
+        key: (i64, u32, u32),
+        key_of: impl Fn(u32) -> (i64, u32, u32),
+    ) -> (usize, usize) {
+        let b = self.blocks.partition_point(|b| b.last < key);
+        let at = self
+            .blocks
+            .get(b)
+            .map_or(0, |b| b.ev.partition_point(|&e| key_of(e) < key));
+        (b, at)
+    }
+
+    /// Move event `e`, whose key was `old`, to where `order` places it
+    /// now. A move that stays within its block (a last use moved past
+    /// a few events) re-sums that block once.
+    fn reposition(&mut self, e: u32, old: (i64, u32, u32), order: EventOrder<'_>) {
+        let (b, at) = self.seek_by(old, |x| if x == e { old } else { order.key(x) });
+        let new = order.key(e);
+        let prev = b.checked_sub(1).map(|p| self.blocks[p].last);
+        let block = &mut self.blocks[b];
+        assert_eq!(block.ev[at], e, "lifetime event in its place");
+        block.ev.remove(at);
+        let stays =
+            prev.is_none_or(|p| p < new) && block.ev.last().is_some_and(|&l| new < order.key(l));
+        if stays {
+            let to = block.ev.partition_point(|&x| order.key(x) < new);
+            block.ev.insert(to, e);
+            block.summarize(order);
+        } else {
+            if block.ev.is_empty() {
+                self.blocks.remove(b);
+            } else {
+                block.summarize(order);
+            }
+            self.insert(e, order);
+        }
+    }
+
+    /// Put event `e` in its place in sweep order.
+    fn insert(&mut self, e: u32, order: EventOrder<'_>) {
+        let (mut b, mut at) = self.seek(order.key(e), order);
+        if b == self.blocks.len() {
+            let Some(last) = self.blocks.last() else {
+                self.blocks.push(EventBlock::new(vec![e], order));
+                return;
+            };
+            (b, at) = (b - 1, last.ev.len());
+        }
+        let block = &mut self.blocks[b];
+        block.ev.insert(at, e);
+        if block.ev.len() == 2 * BLOCK {
+            let tail = block.ev.split_off(BLOCK);
+            block.summarize(order);
+            self.blocks.insert(b + 1, EventBlock::new(tail, order));
+        } else {
+            block.summarize(order);
+        }
+    }
+
+    /// Take event `e` out; its key must read as it did when it went in.
+    fn remove(&mut self, e: u32, order: EventOrder<'_>) {
+        let (b, at) = self.seek(order.key(e), order);
+        let block = &mut self.blocks[b];
+        assert_eq!(block.ev[at], e, "lifetime event in its place");
+        block.ev.remove(at);
+        if block.ev.is_empty() {
+            self.blocks.remove(b);
+        } else {
+            block.summarize(order);
+        }
+    }
+
+    /// Start events at cycle `t`, counted up to `cap`.
+    fn starts_at(&self, t: i64, cap: u32, order: EventOrder<'_>) -> u32 {
+        let (b, at) = self.seek((t, 1, 0), order);
+        let mut n = 0;
+        for (k, block) in self.blocks.iter().enumerate().skip(b) {
+            for &e in &block.ev[if k == b { at } else { 0 }..] {
+                if n == cap || e & 1 == 0 || order.time[(e >> 1) as usize] != t {
+                    return n;
+                }
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// Whether `issue_width` is first exceeded (or last, on the way
+    /// down) when the starts at cycle `t` number what they number now.
+    fn at_issue_bound(&self, t: i64, issue_width: u32, order: EventOrder<'_>) -> bool {
+        let n = self.starts_at(t, issue_width.saturating_add(2), order);
+        u64::from(n) == u64::from(issue_width) + 1
+    }
+
+    /// Add member `j`, whose time and last use `order` reads.
+    fn add(&mut self, j: NodeId, order: EventOrder<'_>, issue_width: u32) {
+        self.insert(j << 1 | 1, order);
+        self.insert(j << 1, order);
+        let t = order.time[j as usize];
+        self.issue_over += u32::from(self.at_issue_bound(t, issue_width, order));
+    }
+
+    /// Take member `j` out.
+    fn take(&mut self, j: NodeId, order: EventOrder<'_>, issue_width: u32) {
+        let t = order.time[j as usize];
+        self.issue_over -= u32::from(self.at_issue_bound(t, issue_width, order));
+        self.remove(j << 1 | 1, order);
+        self.remove(j << 1, order);
+    }
+
+    /// Node ids above `r` shift down by one (node `r` was removed). The
+    /// order is unchanged.
+    fn renumber_above(&mut self, r: NodeId) {
+        for block in &mut self.blocks {
+            for e in &mut block.ev {
+                if *e >> 1 > r {
+                    *e -= 2;
+                }
+            }
+            block.last.2 -= u32::from(block.last.2 > r);
+        }
+    }
+
+    /// The PE's sweep, exactly as [`peak_live`] over its members gives
+    /// it; `None` when the PE is unoccupied.
+    fn sweep(&self, order: EventOrder<'_>, width_bits: u64) -> Option<PeSweep> {
+        let last = self.blocks.iter().rev().find(|b| b.starts > 0)?;
+        let last = last.ev.iter().rev().find(|&&e| e & 1 == 1)?;
+        let (mut sum, mut peak) = (0i32, 0i32);
+        for b in &self.blocks {
+            peak = peak.max(sum + b.max);
+            sum += b.sum;
+        }
+        Some(PeSweep {
+            peak: peak as u64 * width_bits,
+            last: order.time[(last >> 1) as usize],
+            issue_over: self.issue_over,
+        })
+    }
+}
+
+impl Tiles<LiveIndex> {
+    /// The session engine's cold pass: [`Tiles::build`], outputs' last
+    /// uses set to [`FAR_FUTURE`], and each PE's member list indexed.
+    fn indexed(
+        ctx: &EvalContext,
+        place: &[(i64, i64)],
+        time: &[i64],
+        machine: &MachineConfig,
+        buf: &mut ScratchBuf,
+    ) -> Tiles<LiveIndex> {
+        let Tiles {
+            members,
+            occupied,
+            sweeps,
+            over_capacity,
+            issue_over,
+            mut last_use,
+        } = Tiles::build(ctx, place, time, machine, buf);
+        for (id, lu) in last_use.iter_mut().enumerate() {
+            if ctx.is_output(id) {
+                *lu = FAR_FUTURE;
+            }
+        }
+        let order = EventOrder {
+            time,
+            last_use: &last_use,
+        };
+        let mut events = Vec::new();
+        let members: Vec<LiveIndex> = members
+            .iter()
+            .map(|list| LiveIndex::build(list, order, machine.issue_width, &mut events))
+            .collect();
+        debug_assert!(members
+            .iter()
+            .zip(&sweeps)
+            .all(|(index, &s)| index.sweep(order, ctx.width_bits()) == s));
+        Tiles {
+            members,
+            occupied,
+            sweeps,
+            over_capacity,
+            issue_over,
+            last_use,
+        }
+    }
+
+    fn order<'s>(&'s self, time: &'s [i64]) -> EventOrder<'s> {
+        EventOrder {
+            time,
+            last_use: &self.last_use,
+        }
+    }
+
+    /// Add node `j` to PE `pe`; its time and last use are in place.
+    fn add(&mut self, pe: usize, j: NodeId, time: &[i64], issue_width: u32) {
+        let order = EventOrder {
+            time,
+            last_use: &self.last_use,
+        };
+        let index = &mut self.members[pe];
+        self.occupied += usize::from(index.is_empty());
+        index.add(j, order, issue_width);
+    }
+
+    /// Take node `j` off PE `pe`, before the arrays drop it.
+    fn take(&mut self, pe: usize, j: NodeId, time: &[i64], issue_width: u32) {
+        let order = EventOrder {
+            time,
+            last_use: &self.last_use,
+        };
+        let index = &mut self.members[pe];
+        index.take(j, order, issue_width);
+        self.occupied -= usize::from(index.is_empty());
+    }
+
+    /// Set node `j`'s last use on PE `pe` to `lu`, moving its end
+    /// event; returns whether it changed.
+    fn move_end(&mut self, pe: usize, j: usize, lu: i64, time: &[i64]) -> bool {
+        let old = std::mem::replace(&mut self.last_use[j], lu);
+        if old == lu {
+            return false;
+        }
+        let end = (j as NodeId) << 1;
+        let order = EventOrder {
+            time,
+            last_use: &self.last_use,
+        };
+        self.members[pe].reposition(end, (old + 1, 0, j as NodeId), order);
+        true
+    }
+
+    /// Bring PE `pe`'s sweep up to date from its index.
+    fn refresh(&mut self, pe: usize, time: &[i64], width_bits: u64, tile_bits: u64) {
+        let sweep = self.members[pe].sweep(self.order(time), width_bits);
+        if self.sweeps[pe] != sweep {
+            self.set_sweep(pe, sweep, tile_bits);
+        }
+    }
+
+    /// Assert that every last use is exact; that every PE's index
+    /// holds exactly the members `node_pe` puts on it, in sweep order,
+    /// with exact block summaries; that its sweep and the held one
+    /// equal a fresh [`peak_live`] over those members; and that the
+    /// over-capacity, issue and occupancy counts are the sums over the
+    /// held sweeps. O(|V|) and allocating: for parity checks.
+    #[cfg(test)]
+    fn assert_indexed(
+        &self,
+        ctx: &EvalContext,
+        node_pe: &[u32],
+        time: &[i64],
+        machine: &MachineConfig,
+    ) {
+        let order = self.order(time);
+        let width = ctx.width_bits();
+        for (j, &lu) in self.last_use.iter().enumerate() {
+            let want = if ctx.is_output(j) {
+                FAR_FUTURE
+            } else {
+                last_use_of(ctx, time, j)
+            };
+            assert_eq!(lu, want, "node {j}: stale last use");
+        }
+        let mut on = vec![0usize; self.members.len()];
+        for &pe in node_pe {
+            on[pe as usize] += 1;
+        }
+        let (mut over_capacity, mut issue_over, mut occupied) = (0, 0, 0);
+        for (pe, index) in self.members.iter().enumerate() {
+            let ev: Vec<u32> = index.blocks.iter().flat_map(|b| b.ev.clone()).collect();
+            assert!(
+                ev.windows(2).all(|w| order.key(w[0]) < order.key(w[1])),
+                "PE {pe}: events out of sweep order"
+            );
+            for b in &index.blocks {
+                let fresh = EventBlock::new(b.ev.clone(), order);
+                assert_eq!(
+                    (b.last, b.sum, b.max, b.starts),
+                    (fresh.last, fresh.sum, fresh.max, fresh.starts),
+                    "PE {pe}: stale block summary"
+                );
+            }
+            let members: Vec<NodeId> = index.members().collect();
+            assert_eq!(members.len(), on[pe], "PE {pe}: member count");
+            assert_eq!(ev.len(), 2 * members.len(), "PE {pe}: unpaired events");
+            assert!(
+                members.iter().all(|&j| node_pe[j as usize] == pe as u32),
+                "PE {pe}: a member of another PE"
+            );
+            let (mut start, mut end): (Vec<i64>, Vec<i64>) = members
+                .iter()
+                .map(|&j| (time[j as usize], self.last_use[j as usize]))
+                .unzip();
+            let fresh = (!members.is_empty())
+                .then(|| peak_live(&mut start, &mut end, width, machine.issue_width));
+            assert_eq!(index.sweep(order, width), fresh, "PE {pe}: indexed sweep");
+            assert_eq!(self.sweeps[pe], fresh, "PE {pe}: held sweep");
+            if let Some(f) = fresh {
+                over_capacity += u64::from(f.peak > machine.tile_bits);
+                issue_over += u64::from(f.issue_over);
+                occupied += 1;
+            }
+        }
+        assert_eq!(
+            (self.over_capacity, self.issue_over, self.occupied),
+            (over_capacity, issue_over, occupied),
+            "per-PE counts"
+        );
     }
 }
 
@@ -958,9 +1491,10 @@ struct CandState {
     /// slot, duplicates counted). Only added to the violation total
     /// when `oob == 0`, exactly like the full checker.
     causality: u64,
-    /// Per-PE state; its sweeps also count the over-width issue cells
-    /// (off-grid ids included, exactly like the full checker).
-    tiles: Tiles,
+    /// Per-PE state, each PE's members in a [`LiveIndex`]; its sweeps
+    /// also count the over-width issue cells (off-grid ids included,
+    /// exactly like the full checker).
+    tiles: Tiles<LiveIndex>,
     /// Per-node costs, built the first time the candidate is legal
     /// (costing an illegal placement is meaningless); the leaves listed
     /// in `dirty` are stale, re-costed lazily at evaluation time.
@@ -987,7 +1521,7 @@ impl CandState {
         buf: &mut ScratchBuf,
     ) -> CandState {
         let machine = ev.machine();
-        let tiles = Tiles::build(ctx, &rm.place, &rm.time, machine, buf);
+        let tiles = Tiles::indexed(ctx, &rm.place, &rm.time, machine, buf);
         let mut offgrid: Vec<(i64, i64)> = buf.offgrid.iter().map(|&(p, _)| p).collect();
         offgrid.dedup();
         let mut this = CandState {
@@ -1067,37 +1601,44 @@ impl CandState {
     }
 
     /// Producers `deps` gained or lost a consumer: re-derive their last
-    /// uses, mark their leaves stale (their def→use messages changed),
-    /// and re-sweep `seed` (the PE whose members changed, if any) plus
-    /// the PEs whose lifetimes moved. `pes` is a reusable list.
+    /// uses (moving their end events), mark their leaves stale (their
+    /// def→use messages changed), and refresh the sweeps of `seed` (the
+    /// PE whose members changed, if any) and of the PEs whose lifetimes
+    /// moved. `pes` is a reusable list.
     fn touch_producers(
         &mut self,
         ctx: &EvalContext,
         ev: &Evaluator<'_>,
         deps: impl IntoIterator<Item = usize>,
         seed: Option<u32>,
-        buf: &mut ScratchBuf,
         pes: &mut Vec<u32>,
     ) {
         pes.clear();
         pes.extend(seed);
         for du in deps {
-            if self.tiles.relax_last_use(ctx, &self.time, du).is_some() {
-                pes.push(self.node_pe[du]);
+            if !ctx.is_output(du) {
+                let pe = self.node_pe[du];
+                let lu = last_use_of(ctx, &self.time, du);
+                if self.tiles.move_end(pe as usize, du, lu, &self.time) {
+                    pes.push(pe);
+                }
             }
             self.stale(du);
         }
         pes.sort_unstable();
         pes.dedup();
         for &pe in pes.iter() {
-            self.tiles
-                .refresh_peak(pe as usize, ctx, &self.time, ev.machine(), buf);
+            self.tiles.refresh(
+                pe as usize,
+                &self.time,
+                ctx.width_bits(),
+                ev.machine().tile_bits,
+            );
         }
     }
 
     /// A node was appended with the given (statically resolved) place
     /// and time. `ctx` already follows the edit.
-    #[allow(clippy::too_many_arguments)]
     fn repair_add(
         &mut self,
         ctx: &EvalContext,
@@ -1105,7 +1646,6 @@ impl CandState {
         id: usize,
         p: (i64, i64),
         t: i64,
-        buf: &mut ScratchBuf,
         pes: &mut Vec<u32>,
     ) {
         let machine = ev.machine();
@@ -1118,16 +1658,18 @@ impl CandState {
         for &d in deps {
             self.causality += self.edge_violation(ctx, machine, d as usize, id);
         }
-        // No consumers yet: the new node's value dies at birth.
-        self.tiles.last_use.push(t);
-        // Largest id: the member list stays ascending.
-        self.tiles.insert(pe as usize, id as NodeId);
+        // No consumers yet: the new node's value dies at birth, unless
+        // it is an output.
+        let lu = if ctx.is_output(id) { FAR_FUTURE } else { t };
+        self.tiles.last_use.push(lu);
+        self.tiles
+            .add(pe as usize, id as NodeId, &self.time, machine.issue_width);
         if let Some(tree) = &mut self.tree {
             tree.push(NodeCost::default());
         }
         self.stale(id);
         let deps = deps.iter().map(|&d| d as usize);
-        self.touch_producers(ctx, ev, deps, Some(pe), buf, pes);
+        self.touch_producers(ctx, ev, deps, Some(pe), pes);
     }
 
     /// Consumerless node `r` was removed; ids above it shifted down.
@@ -1138,7 +1680,6 @@ impl CandState {
         ev: &Evaluator<'_>,
         r: usize,
         removed: &Node,
-        buf: &mut ScratchBuf,
         pes: &mut Vec<u32>,
     ) {
         let machine = ev.machine();
@@ -1150,12 +1691,11 @@ impl CandState {
         for &d in &removed.deps {
             self.causality -= self.edge_violation(ctx, machine, d as usize, r);
         }
-        self.tiles.remove(pe as usize, r as NodeId);
-        // Uniform decrement keeps every list sorted.
-        for list in &mut self.tiles.members {
-            let from = list.partition_point(|&j| j <= r as NodeId);
-            for j in &mut list[from..] {
-                *j -= 1;
+        self.tiles
+            .take(pe as usize, r as NodeId, &self.time, machine.issue_width);
+        if r + 1 < self.time.len() {
+            for index in &mut self.tiles.members {
+                index.renumber_above(r as NodeId);
             }
         }
         self.time.remove(r);
@@ -1172,7 +1712,7 @@ impl CandState {
             }
         }
         let deps = removed.deps.iter().map(|&d| d as usize);
-        self.touch_producers(ctx, ev, deps, Some(pe), buf, pes);
+        self.touch_producers(ctx, ev, deps, Some(pe), pes);
     }
 
     /// Dep slot of `node` moved from `old_dep` to `new_dep`. Places and
@@ -1180,7 +1720,6 @@ impl CandState {
     /// message costs, and their last-use lifetimes can change. The
     /// edited node's own leaf is unchanged — its operand count, input
     /// reads, and produced messages do not depend on who feeds it.
-    #[allow(clippy::too_many_arguments)]
     fn repair_retarget(
         &mut self,
         ctx: &EvalContext,
@@ -1188,7 +1727,6 @@ impl CandState {
         node: usize,
         old_dep: usize,
         new_dep: usize,
-        buf: &mut ScratchBuf,
         pes: &mut Vec<u32>,
     ) {
         if old_dep == new_dep {
@@ -1197,7 +1735,7 @@ impl CandState {
         let machine = ev.machine();
         self.causality -= self.edge_violation(ctx, machine, old_dep, node);
         self.causality += self.edge_violation(ctx, machine, new_dep, node);
-        self.touch_producers(ctx, ev, [old_dep, new_dep], None, buf, pes);
+        self.touch_producers(ctx, ev, [old_dep, new_dep], None, pes);
     }
 
     /// Bring the cost tree up to date — fill it whole the first time,
@@ -1347,7 +1885,7 @@ impl DeltaCandidates {
                 // Invalidated earlier; rebuilt lazily at evaluation.
                 continue;
             };
-            let (buf, pes) = (&mut self.buf, &mut self.pes);
+            let pes = &mut self.pes;
             match edit {
                 AppliedEdit::AddNode { id } => {
                     let Mapping::Affine(am) = &self.mappings[i] else {
@@ -1357,10 +1895,10 @@ impl DeltaCandidates {
                     let n = &graph.nodes[idu];
                     let pe = am.place.eval(&n.index, ev.machine().cols);
                     let t = am.time.eval(&n.index);
-                    state.repair_add(&self.ctx, ev, idu, pe, t, buf, pes);
+                    state.repair_add(&self.ctx, ev, idu, pe, t, pes);
                 }
                 AppliedEdit::RemoveNode { id, node } => {
-                    state.repair_remove(&self.ctx, ev, *id as usize, node, buf, pes);
+                    state.repair_remove(&self.ctx, ev, *id as usize, node, pes);
                 }
                 AppliedEdit::RetargetEdge {
                     node,
@@ -1370,7 +1908,7 @@ impl DeltaCandidates {
                 } => {
                     let (node, old_dep, new_dep) =
                         (*node as usize, *old_dep as usize, *new_dep as usize);
-                    state.repair_retarget(&self.ctx, ev, node, old_dep, new_dep, buf, pes);
+                    state.repair_retarget(&self.ctx, ev, node, old_dep, new_dep, pes);
                 }
                 AppliedEdit::ResizeTile { new_bits, .. } => {
                     // Peaks are capacity-independent: only the
@@ -1384,6 +1922,35 @@ impl DeltaCandidates {
                         .count() as u64;
                 }
             }
+        }
+    }
+
+    /// Candidate `i`'s resolved mapping against the current graph and
+    /// machine, read off its cached state — the held times, and each
+    /// node's place from its interned id — exactly what
+    /// `Mapping::resolve` gives, without evaluating a place or time
+    /// expression. `None` when no state is cached (unresolvable, or
+    /// awaiting a rebuild).
+    pub fn resolved(&self, i: usize) -> Option<ResolvedMapping> {
+        let state = self.states[i].as_ref()?;
+        Some(ResolvedMapping {
+            place: state
+                .node_pe
+                .iter()
+                .map(|&pe| interned_place(&self.ctx, &state.offgrid, pe))
+                .collect(),
+            time: state.time.clone(),
+        })
+    }
+
+    /// Assert every cached candidate's per-PE index against fresh
+    /// sweeps (see `Tiles::assert_indexed`).
+    #[cfg(test)]
+    fn assert_indexed(&self, ev: &Evaluator<'_>) {
+        for state in self.states.iter().flatten() {
+            state
+                .tiles
+                .assert_indexed(&self.ctx, &state.node_pe, &state.time, ev.machine());
         }
     }
 
@@ -1817,6 +2384,7 @@ mod tests {
             "node counts differ: {ctx}"
         );
         assert_eq!(state.time, cold.time, "times differ: {ctx}");
+        assert_eq!(dc.resolved(i).as_ref(), Some(cold), "resolved: {ctx}");
     }
 
     #[test]
@@ -1838,6 +2406,7 @@ mod tests {
                 let receipt = apply_edit(&mut g, &mut m, &edit).expect("generated edits are valid");
                 let ev = Evaluator::new(&g, &m).with_multicast(multicast);
                 dc.apply(&ev, &receipt);
+                dc.assert_indexed(&ev);
                 for (i, mapping) in mappings.iter().enumerate() {
                     let warm = dc.evaluate(i, &ev, FigureOfMerit::Edp);
                     let cold = evaluate_candidate(
@@ -1855,6 +2424,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn large_pes_keep_indexed_sweeps_exact_under_edits() {
+        // About a thousand nodes on at most 4 PEs, so each PE's index
+        // spans many blocks. Candidates: affine times in and out of id
+        // order (so added members land mid-index), one with all four
+        // PEs issuing together (over the issue width), and a table whose
+        // times are a shuffle of the ids. The first 60 edits keep the
+        // length, so the table stays warm through them. Marked outputs
+        // live to the far future. Every 20 edits the tile is resized to
+        // the first candidate's current peak, so the edits after it
+        // flip PEs over capacity and back.
+        let mut g = random_dag(1000, 31);
+        for id in (0..1000).step_by(5) {
+            g.mark_output(id);
+        }
+        let mut m = MachineConfig::n5(4, 1);
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut shuffled: Vec<i64> = (0..g.len() as i64).collect();
+        for k in (1..shuffled.len()).rev() {
+            shuffled.swap(k, rng.random_range(0..=k));
+        }
+        let table = ResolvedMapping {
+            place: (0..g.len() as i64).map(|i| (i % 4, 0)).collect(),
+            time: shuffled.iter().map(|&t| 3 * t).collect(),
+        };
+        let mappings = vec![
+            Mapping::Affine(AffineMap {
+                place: PlaceExpr::row0(IdxExpr::i() % 4),
+                time: IdxExpr::i() * 4,
+            }),
+            Mapping::Affine(AffineMap {
+                place: PlaceExpr::row0(IdxExpr::i() % 2),
+                time: (IdxExpr::i() % 7) * 1000 + IdxExpr::i(),
+            }),
+            Mapping::Affine(AffineMap {
+                place: PlaceExpr::row0(IdxExpr::i() % 4),
+                time: IdxExpr::i() % 50,
+            }),
+            Mapping::Table(table),
+        ];
+        let mut dc = DeltaCandidates::new(&Evaluator::new(&g, &m), mappings.clone());
+        let mut next_idx = g.len() as i64 - 1;
+        // Edits that flipped the first candidate's over-capacity count,
+        // and edits the table candidate was repaired through.
+        let (mut flips, mut table_warm) = (0u32, 0u32);
+        for step in 0..160 {
+            let edit = if step % 20 == 0 {
+                let peak = dc.states[0].as_ref().expect("affine").tiles.global_peak();
+                GraphEdit::ResizeTile { tile_bits: peak }
+            } else {
+                loop {
+                    match random_edit(&mut rng, &g, &mut next_idx) {
+                        GraphEdit::ResizeTile { .. } => {}
+                        GraphEdit::AddNode { .. } | GraphEdit::RemoveNode { .. } if step < 60 => {}
+                        edit => break edit,
+                    }
+                }
+            };
+            let over = |dc: &DeltaCandidates| dc.states[0].as_ref().map(|s| s.tiles.over_capacity);
+            let before = over(&dc);
+            let receipt = apply_edit(&mut g, &mut m, &edit).expect("generated edits are valid");
+            let ev = Evaluator::new(&g, &m);
+            dc.apply(&ev, &receipt);
+            dc.assert_indexed(&ev);
+            flips += u32::from(step % 20 != 0 && over(&dc) != before);
+            table_warm += u32::from(dc.states[3].is_some());
+            for (i, mapping) in mappings.iter().enumerate() {
+                let warm = dc.evaluate(i, &ev, FigureOfMerit::Edp);
+                let cold = evaluate_candidate(
+                    &ev,
+                    &g,
+                    &m,
+                    &MappingCandidate::new(format!("c{i}"), mapping.clone()),
+                    FigureOfMerit::Edp,
+                );
+                let ctx = format!("step {step} cand {i}");
+                assert_same_eval(&warm, &cold, &ctx);
+                if let Ok(rm) = mapping.resolve(&g, &m) {
+                    assert_same_state(&dc, i, &rm, &ctx);
+                }
+            }
+        }
+        assert!(flips > 0, "no edit flipped a PE over its tile");
+        assert!(table_warm >= 59, "the table went cold after {table_warm}");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! the pairwise cost tree keeps its exact shape for the three `f64`
 //! fields (SoA only changes *storage*; the integer counts are plain
 //! sums), charge order within a node is unchanged, and the per-PE
-//! sweep ([`peak_live`]) merges each PE's lifetime starts and ends in
+//! sweep (`peak_live`) merges each PE's lifetime starts and ends in
 //! member order — sorting either only when it is out of order — which
 //! visits the same events in the same order as sorting the event
 //! pairs the `HashMap` version sorts. The same pass counts each PE's
@@ -257,11 +257,14 @@ impl EvalContext {
                     self.cons_remove(d as usize, *id);
                 }
                 // The removed node had no consumers: drop its empty
-                // list, then renumber the ids above it.
+                // list, then renumber the ids above it (there are none
+                // when it was the last node).
                 self.cons_off.remove(r + 1);
-                for c in &mut self.cons_data {
-                    if *c > *id {
-                        *c -= 1;
+                if r + 1 < self.len() {
+                    for c in &mut self.cons_data {
+                        if *c > *id {
+                            *c -= 1;
+                        }
                     }
                 }
                 self.base.remove(r);

@@ -85,7 +85,7 @@ pub enum LegalityError {
 /// Result of a legality check.
 #[derive(Debug, Clone, Serialize)]
 pub struct LegalityReport {
-    /// Recorded violations (at most [`MAX_RECORDED`]).
+    /// Recorded violations (at most `MAX_RECORDED` = 64).
     pub errors: Vec<LegalityError>,
     /// Exact total violation count.
     pub total_violations: u64,

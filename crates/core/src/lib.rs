@@ -92,7 +92,7 @@ pub use flat::{with_thread_scratch, BatchEvaluator, EvalContext, EvalScratch, Ra
 pub use legality::{LegalityError, LegalityReport};
 pub use machine::MachineConfig;
 pub use mapping::{InputPlacement, Mapping, Place, ResolvedMapping};
-pub use mutate::{apply_edit, AppliedEdit, GraphEdit};
+pub use mutate::{apply_edit, undo_edit, AppliedEdit, GraphEdit};
 pub use recurrence::{Boundary, Domain, Recurrence};
 pub use search::{FigureOfMerit, MappingFamily, SearchOutcome};
 pub use value::Value;

@@ -14,6 +14,10 @@
 //!   an incremental cost repairer needs (e.g. the removed node's
 //!   dependency list, the retargeted edge's old producer).
 //!
+//! * [`undo_edit`] — hands a receipt back: the graph and machine
+//!   return exactly to what they were before the edit, so a batch of
+//!   edits is made atomic by undoing its receipts in reverse.
+//!
 //! The receipt is what [`crate::delta::DeltaCandidates`] consumes to
 //! repair per-candidate legality counters and cost trees in O(cone)
 //! instead of O(V + E).
@@ -166,10 +170,39 @@ pub fn apply_edit(
     }
 }
 
+/// Revert one applied edit, given its receipt: the graph and machine
+/// return exactly to their state before [`apply_edit`] made it. Undoing
+/// a batch's receipts in reverse order reverts the batch. The receipt
+/// must be the latest edit not yet undone. Each undo touches what its
+/// edit touched: a node put back at `id` rewrites only the nodes above
+/// it (see [`DataflowGraph::insert_node`]).
+pub fn undo_edit(graph: &mut DataflowGraph, machine: &mut MachineConfig, receipt: AppliedEdit) {
+    match receipt {
+        AppliedEdit::AddNode { id } => {
+            assert_eq!(id as usize + 1, graph.len(), "undo the latest edit first");
+            graph.nodes.pop();
+        }
+        AppliedEdit::RemoveNode { id, node } => graph.insert_node(id, node),
+        AppliedEdit::RetargetEdge {
+            node,
+            slot,
+            old_dep,
+            new_dep,
+        } => {
+            let d = &mut graph.nodes[node as usize].deps[slot as usize];
+            assert_eq!(*d, new_dep, "undo the latest edit first");
+            *d = old_dep;
+        }
+        AppliedEdit::ResizeTile { old_bits, .. } => machine.tile_bits = old_bits,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::Value;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn chain(n: usize) -> DataflowGraph {
         let mut g = DataflowGraph::new("chain", 32);
@@ -236,6 +269,96 @@ mod tests {
         let bad = GraphEdit::RemoveNode { id: 0 }; // has a consumer
         assert!(apply_edit(&mut g, &mut m, &bad).is_err());
         assert_eq!(g, before);
+    }
+
+    #[test]
+    fn undo_restores_graph_and_machine_for_every_edit_kind() {
+        // A diamond under a chain, so a mid-graph node can be removed
+        // and the ids above it renumbered.
+        let mut g = chain(4);
+        g.add_node(CExpr::dep(0), vec![1], vec![4]);
+        g.add_node(CExpr::dep(0).add(CExpr::dep(1)), vec![3, 4], vec![5]);
+        g.mark_output(5);
+        let mut m = MachineConfig::n5(2, 2);
+        let edits = [
+            GraphEdit::AddNode {
+                expr: CExpr::dep(0).add(CExpr::dep(1)),
+                deps: vec![2, 5],
+                index: vec![6],
+                output: true,
+            },
+            GraphEdit::RemoveNode { id: 5 },
+            GraphEdit::RetargetEdge {
+                node: 5,
+                slot: 1,
+                new_dep: 0,
+            },
+            GraphEdit::ResizeTile { tile_bits: 96 },
+        ];
+        for edit in &edits {
+            let (g0, m0) = (g.clone(), m.clone());
+            let receipt = apply_edit(&mut g, &mut m, edit).unwrap();
+            assert!(g != g0 || m != m0, "{edit:?} changed something");
+            undo_edit(&mut g, &mut m, receipt);
+            assert_eq!((&g, &m), (&g0, &m0), "{edit:?}");
+        }
+        // Node 4 loses its consumer, then goes: node 5 becomes 4 and
+        // its deps are rewritten; the undo puts both back. As a batch:
+        // the receipts undone in reverse restore the start.
+        let (g0, m0) = (g.clone(), m.clone());
+        let batch = [
+            GraphEdit::RetargetEdge {
+                node: 5,
+                slot: 1,
+                new_dep: 2,
+            },
+            GraphEdit::RemoveNode { id: 4 },
+            GraphEdit::ResizeTile { tile_bits: 64 },
+        ];
+        let receipts: Vec<AppliedEdit> = batch
+            .iter()
+            .map(|e| apply_edit(&mut g, &mut m, e).unwrap())
+            .collect();
+        assert_eq!(g.nodes[4].deps, vec![3, 2], "ids above 4 shifted down");
+        for receipt in receipts.into_iter().rev() {
+            undo_edit(&mut g, &mut m, receipt);
+        }
+        assert_eq!((&g, &m), (&g0, &m0));
+    }
+
+    #[test]
+    fn remove_node_equals_rebuilding_without_it() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..40 {
+            let n = rng.random_range(1..40u32);
+            let mut g = DataflowGraph::new("dag", 32);
+            for i in 0..n {
+                let deps: Vec<NodeId> = (0..rng.random_range(0..=2.min(i)))
+                    .map(|_| rng.random_range(0..i))
+                    .collect();
+                let expr = match deps.len() {
+                    0 => CExpr::konst(Value::real(1.0)),
+                    1 => CExpr::dep(0),
+                    _ => CExpr::dep(0).add(CExpr::dep(1)),
+                };
+                g.add_node(expr, deps, vec![i64::from(i)]);
+            }
+            let cons = g.consumers();
+            let sinks: Vec<NodeId> = (0..n).filter(|&i| cons[i as usize].is_empty()).collect();
+            let r = sinks[rng.random_range(0..sinks.len())];
+            // The rebuild: every other node in order, deps renamed.
+            let mut want = DataflowGraph::new("dag", 32);
+            for (i, node) in g.nodes.iter().enumerate().filter(|&(i, _)| i != r as usize) {
+                let deps = node.deps.iter().map(|&d| d - u32::from(d > r)).collect();
+                let id = want.add_node(node.expr.clone(), deps, node.index.clone());
+                assert_eq!(id as usize, i - usize::from(i > r as usize));
+            }
+            let mut got = g.clone();
+            let removed = got.remove_node(r).unwrap();
+            assert_eq!(got, want, "remove {r} of {n}");
+            got.insert_node(r, removed);
+            assert_eq!(got, g, "insert {r} of {n}");
+        }
     }
 
     #[test]

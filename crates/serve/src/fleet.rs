@@ -17,7 +17,8 @@
 //!   ties), which equals `min by (score, index)` over all candidates;
 //! * a frame is merged **only** when it is verified — epoch echo and
 //!   FNV-1a checksum over the canonical body
-//!   ([`TuneShardReply::verify`] / [`TuneShardPart::verify`]), and for
+//!   ([`TuneShardReply::verify`](crate::protocol::TuneShardReply::verify) /
+//!   [`TuneShardPart::verify`](crate::protocol::TuneShardPart::verify)), and for
 //!   terminal replies `evaluated == count`; a frame that fails any
 //!   check is discarded and the uncovered suffix is retried,
 //!   reassigned, or evaluated locally, so every candidate is always
@@ -34,7 +35,7 @@
 //!
 //! **Streaming** (`stream_every = Some(k)`): shards announce each
 //! finished chunk of `k` candidates as a sealed
-//! [`TuneShardPart`] frame. The coordinator folds verified parts into
+//! [`TuneShardPart`](crate::protocol::TuneShardPart) frame. The coordinator folds verified parts into
 //! a per-range *covered watermark*; when an attempt then dies, only
 //! the uncovered suffix is re-dispatched (retry, hedge, or local
 //! fallback), and the moment a range is fully covered every other

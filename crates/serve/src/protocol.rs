@@ -662,6 +662,18 @@ impl Request {
             Request::Shutdown => "shutdown",
         }
     }
+
+    /// The dataflow graph the request carries, if it carries one.
+    pub fn graph(&self) -> Option<&DataflowGraph> {
+        match self {
+            Request::Tune(r) => Some(&r.graph),
+            Request::TuneShard(r) => Some(&r.graph),
+            Request::Evaluate(r) => Some(&r.graph),
+            Request::Simulate(r) => Some(&r.graph),
+            Request::SessionOpen(r) => Some(&r.graph),
+            _ => None,
+        }
+    }
 }
 
 /// The answer to a [`TuneRequest`]: the winner (if any mapping was
@@ -733,7 +745,10 @@ pub struct SimulateReply {
 pub struct FailReply {
     /// Machine-readable category: `"protocol"`, `"deadline"`,
     /// `"illegal"`, `"sim"`, `"session"`, `"cost-model"` (unknown or
-    /// mismatched `cost_model` name), or `"internal"`.
+    /// mismatched `cost_model` name), `"graph"` (the request's graph
+    /// breaks a construction rule, see
+    /// [`DataflowGraph::validate`](fm_core::dataflow::DataflowGraph::validate)),
+    /// or `"internal"`.
     pub kind: String,
     /// Human-readable detail.
     pub error: String,

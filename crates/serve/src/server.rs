@@ -910,31 +910,45 @@ fn worker_main(shared: &Arc<Shared>) {
             _ => Vec::new(),
         };
 
-        let response = catch_unwind(AssertUnwindSafe(|| match request {
-            Request::Tune(req) => match parse_cost_model(req.cost_model.as_deref()) {
-                Err(refusal) => Response::Failed(refusal),
-                Ok(_) => match &shared.fleet {
-                    Some(fleet) if fleet.eligible(&req) => {
-                        Response::Tuned(fleet.tune(&req, &cancel, deadline, &shared.pool))
-                    }
-                    _ => exec_tune(shared, req, &cancel, deadline),
+        // Every engine indexes by the graph's construction rules
+        // (`deps < id`, slot counts, input reads in range), so a graph
+        // that breaks one is refused here, before any of them runs.
+        let invalid = request.graph().and_then(|g| g.validate().err());
+        let response = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(error) = invalid {
+                return Response::Failed(FailReply {
+                    kind: "graph".to_string(),
+                    error: error.to_string(),
+                });
+            }
+            match request {
+                Request::Tune(req) => match parse_cost_model(req.cost_model.as_deref()) {
+                    Err(refusal) => Response::Failed(refusal),
+                    Ok(_) => match &shared.fleet {
+                        Some(fleet) if fleet.eligible(&req) => {
+                            Response::Tuned(fleet.tune(&req, &cancel, deadline, &shared.pool))
+                        }
+                        _ => exec_tune(shared, req, &cancel, deadline),
+                    },
                 },
-            },
-            Request::TuneShard(req) => exec_tune_shard(shared, req, &cancel, deadline, &reply),
-            Request::Evaluate(_) | Request::Simulate(_) if expired => Response::Failed(FailReply {
-                kind: "deadline".to_string(),
-                error: "deadline expired before execution".to_string(),
-            }),
-            Request::Evaluate(req) => exec_evaluate(req),
-            Request::Simulate(req) => exec_simulate(req),
-            Request::SessionOpen(req) => exec_session_open(shared, req),
-            Request::SessionEdit(req) => exec_session_edit(shared, req),
-            Request::SessionTune(req) => exec_session_tune(shared, req, &cancel, deadline),
-            Request::SessionClose(req) => exec_session_close(shared, req),
-            other => Response::Failed(FailReply {
-                kind: "internal".to_string(),
-                error: format!("{} is not a queued request", other.endpoint()),
-            }),
+                Request::TuneShard(req) => exec_tune_shard(shared, req, &cancel, deadline, &reply),
+                Request::Evaluate(_) | Request::Simulate(_) if expired => {
+                    Response::Failed(FailReply {
+                        kind: "deadline".to_string(),
+                        error: "deadline expired before execution".to_string(),
+                    })
+                }
+                Request::Evaluate(req) => exec_evaluate(req),
+                Request::Simulate(req) => exec_simulate(req),
+                Request::SessionOpen(req) => exec_session_open(shared, req),
+                Request::SessionEdit(req) => exec_session_edit(shared, req),
+                Request::SessionTune(req) => exec_session_tune(shared, req, &cancel, deadline),
+                Request::SessionClose(req) => exec_session_close(shared, req),
+                other => Response::Failed(FailReply {
+                    kind: "internal".to_string(),
+                    error: format!("{} is not a queued request", other.endpoint()),
+                }),
+            }
         }))
         .unwrap_or_else(|panic| {
             let msg = panic

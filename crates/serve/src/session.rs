@@ -6,12 +6,14 @@
 //! kernel, a scheduler retargeting edges as operators fuse. Re-sending
 //! the whole graph per revision and cold-evaluating every candidate
 //! is O(V + E) × candidates per keystroke; a session instead keeps a
-//! [`WarmCache`] (per-candidate legality counters and cost trees,
-//! see [`fm_core::delta::DeltaCandidates`]) that each
-//! [`GraphEdit`] repairs in O(edit cone), and
-//! [`fm_autotune::Tuner::tune_warm`] drains that state into a winner
-//! **bit-identical** to a cold tune of the current graph — asserted
-//! here in debug builds on every session tune.
+//! [`WarmCache`] (per-candidate legality counters, per-PE max-live
+//! indexes and cost trees, see [`fm_core::delta::DeltaCandidates`])
+//! that each [`GraphEdit`] repairs in work about the size of the edit,
+//! and [`fm_autotune::Tuner::tune_warm`] drains that state into a
+//! winner **bit-identical** to a cold tune of the current graph —
+//! asserted here in debug builds on every session tune. An edit batch
+//! is atomic by undo: nothing is copied to rehearse it (see
+//! [`SessionState::apply_batch`]).
 //!
 //! Concurrency model: the registry maps `session_id →
 //! Arc<Mutex<SessionState>>`. Lookups clone the `Arc` and drop the
@@ -41,7 +43,7 @@ use fm_autotune::{Budget, CancelToken, TuneReport, Tuner, WarmCache};
 use fm_core::cost::{CostReport, Evaluator};
 use fm_core::dataflow::{DataflowGraph, MutationError};
 use fm_core::machine::MachineConfig;
-use fm_core::mutate::{apply_edit, GraphEdit};
+use fm_core::mutate::{apply_edit, undo_edit, AppliedEdit, GraphEdit};
 use fm_core::search::{FigureOfMerit, MappingCandidate};
 use fm_costmodel::{CostModelKind, RooflinePoint};
 
@@ -153,11 +155,14 @@ impl SessionState {
     }
 
     /// Apply one edit batch atomically: every edit applies and the
-    /// epoch bumps by one, or none do. Atomicity is by rehearsal — the
-    /// batch first runs against throwaway clones, and only a fully
-    /// valid batch is replayed on the real state (the rehearsal is
-    /// O(V) once per batch; the per-candidate repair it guards is the
-    /// expensive part).
+    /// epoch bumps by one, or none do. Atomicity is by undo. The edits
+    /// apply to the live graph and machine, each keeping its receipt;
+    /// at a refused edit the receipts are undone in reverse, which
+    /// leaves the session exactly as it was, warm state untouched. A
+    /// valid batch is undone too and then replayed one edit at a time,
+    /// so that each edit's repair of the warm state sees the graph and
+    /// machine as of that edit. Nothing is copied: a tail edit costs
+    /// O(1) to apply or undo, and the batch costs its repairs.
     pub fn apply_batch(&mut self, epoch: u64, edits: &[GraphEdit]) -> EditOutcome {
         self.last_touch = Instant::now();
         if epoch != self.epoch {
@@ -166,17 +171,21 @@ impl SessionState {
                 expected: self.epoch,
             };
         }
-        let mut g = self.graph.clone();
-        let mut m = self.machine.clone();
+        let mut receipts = Vec::with_capacity(edits.len());
         for (index, edit) in edits.iter().enumerate() {
-            if let Err(error) = apply_edit(&mut g, &mut m, edit) {
-                return EditOutcome::Rejected { index, error };
+            match apply_edit(&mut self.graph, &mut self.machine, edit) {
+                Ok(receipt) => receipts.push(receipt),
+                Err(error) => {
+                    self.undo(receipts);
+                    return EditOutcome::Rejected { index, error };
+                }
             }
         }
+        self.undo(receipts);
         let mut cone = 0u64;
         for edit in edits {
             let receipt =
-                apply_edit(&mut self.graph, &mut self.machine, edit).expect("batch rehearsed");
+                apply_edit(&mut self.graph, &mut self.machine, edit).expect("the batch applied");
             let ev = Evaluator::new(&self.graph, &self.machine).with_cost_model(self.cost_model);
             cone += self.warm.apply_edit(&ev, &receipt);
         }
@@ -186,6 +195,13 @@ impl SessionState {
             epoch: self.epoch,
             applied: edits.len() as u64,
             cone,
+        }
+    }
+
+    /// Undo applied edits, latest first.
+    fn undo(&mut self, receipts: Vec<AppliedEdit>) {
+        for receipt in receipts.into_iter().rev() {
+            undo_edit(&mut self.graph, &mut self.machine, receipt);
         }
     }
 
@@ -369,7 +385,149 @@ mod tests {
         }
         assert_eq!(s.epoch, 0);
         assert_eq!(s.graph_len(), before_len);
-        assert_ne!(s.machine.tile_bits, 999, "rehearsal must not leak");
+        assert_ne!(s.machine.tile_bits, 999, "a refused batch is undone");
+    }
+
+    /// What a session tune decided, bit for bit (everything but the
+    /// wall clock).
+    fn decided(out: &SessionTuneOutcome) -> String {
+        let r = &out.report;
+        let best = r.best.as_ref().map(|b| {
+            (
+                &b.label,
+                b.score.to_bits(),
+                &b.resolved,
+                format!("{:?}", b.report),
+            )
+        });
+        let trajectory: Vec<(usize, u64)> = r
+            .trajectory
+            .iter()
+            .map(|&(i, s)| (i, s.to_bits()))
+            .collect();
+        format!(
+            "{:?} {} {} {} {} {} {:?} {:?} {:?} {:?} {:?} {:?}",
+            r.fom,
+            r.offered,
+            r.evaluated,
+            r.pruned,
+            r.fell_back,
+            r.cancelled,
+            trajectory,
+            r.outcome,
+            r.best_index,
+            best,
+            r.refinement,
+            (out.epoch, out.warm, out.rebuilds),
+        )
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_no_trace_at_any_position() {
+        // A session with outputs, several candidates and a length-bound
+        // table, edited once so its warm state is not the cold one.
+        fn open() -> SessionState {
+            let mut g = chain(12);
+            g.mark_output(11);
+            g.add_node(CExpr::dep(0).add(CExpr::dep(1)), vec![3, 7], vec![12]);
+            let stretch = |w: i64| {
+                Mapping::Affine(fm_core::mapping::AffineMap {
+                    place: fm_core::mapping::PlaceExpr::row0(IdxExpr::i() % w),
+                    time: IdxExpr::i() * w,
+                })
+            };
+            let cands = vec![
+                MappingCandidate::new("serial", Mapping::serial(&g)),
+                MappingCandidate::new("stretch-2", stretch(2)),
+                MappingCandidate::new("stretch-3", stretch(3)),
+            ];
+            let mut s = SessionState::open(
+                g,
+                MachineConfig::n5(3, 1),
+                FigureOfMerit::Edp,
+                cands,
+                Budget::unlimited(),
+                CostModelKind::Analytic,
+            );
+            let warmup = [GraphEdit::RetargetEdge {
+                node: 12,
+                slot: 0,
+                new_dep: 2,
+            }];
+            assert!(matches!(
+                s.apply_batch(0, &warmup),
+                EditOutcome::Applied { epoch: 1, .. }
+            ));
+            s
+        }
+        use fm_core::affine::IdxExpr;
+        let valid = [
+            // Mid-graph: the chain's tail, node 11, feeds nothing, so
+            // it goes and node 12 becomes node 11.
+            GraphEdit::RemoveNode { id: 11 },
+            GraphEdit::AddNode {
+                expr: CExpr::dep(0).add(CExpr::dep(1)),
+                deps: vec![4, 11],
+                index: vec![12],
+                output: true,
+            },
+            GraphEdit::RetargetEdge {
+                node: 5,
+                slot: 0,
+                new_dep: 2,
+            },
+            GraphEdit::ResizeTile { tile_bits: 64 },
+            GraphEdit::RemoveNode { id: 12 },
+        ];
+        let invalid = [
+            GraphEdit::RemoveNode { id: 0 },
+            GraphEdit::RetargetEdge {
+                node: 3,
+                slot: 0,
+                new_dep: 9,
+            },
+            GraphEdit::AddNode {
+                expr: CExpr::dep(1),
+                deps: vec![0],
+                index: vec![99],
+                output: false,
+            },
+        ];
+        let mut untouched = open();
+        let want = (untouched.graph.clone(), untouched.machine.clone());
+        let want_rebuilds = untouched.warm.rebuilds();
+        let want_tune = decided(&untouched.tune(None, &CancelToken::new()));
+        for at in 0..=valid.len() {
+            for bad in &invalid {
+                let mut s = open();
+                let mut batch = valid[..at].to_vec();
+                batch.push(bad.clone());
+                batch.extend_from_slice(&valid[at..]);
+                match s.apply_batch(1, &batch) {
+                    EditOutcome::Rejected { index, .. } => assert_eq!(index, at),
+                    other => panic!("{bad:?} at {at}: expected Rejected, got {other:?}"),
+                }
+                assert_eq!((&s.graph, &s.machine), (&want.0, &want.1), "at {at}");
+                assert_eq!((s.epoch, s.edits_applied), (1, 1), "at {at}");
+                assert_eq!(s.warm.rebuilds(), want_rebuilds, "at {at}");
+                let tune = s.tune(None, &CancelToken::new());
+                assert_eq!(decided(&tune), want_tune, "{bad:?} at {at}");
+            }
+        }
+        // The valid batch itself applies, and tunes as a fresh session
+        // over the same graph would.
+        let mut s = open();
+        assert!(matches!(
+            s.apply_batch(1, &valid),
+            EditOutcome::Applied {
+                epoch: 2,
+                applied: 5,
+                ..
+            }
+        ));
+        assert_eq!(s.graph_len(), 12);
+        let out = s.tune(None, &CancelToken::new());
+        assert!(out.warm && out.report.best.is_some());
     }
 
     #[test]

@@ -14,7 +14,10 @@ use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
 use fm_core::search::{FigureOfMerit, MappingCandidate};
 use fm_core::value::Value;
 use fm_serve::client::{Client, ClientError};
-use fm_serve::protocol::{EvaluateRequest, TuneRequest, WireCandidate};
+use fm_serve::protocol::{
+    EvaluateRequest, Request, Response, SessionOpenRequest, SimulateRequest, TuneRequest,
+    TuneShardRequest, WireCandidate,
+};
 use fm_serve::server::{Server, ServerConfig};
 
 fn wide(n: usize) -> DataflowGraph {
@@ -341,6 +344,105 @@ fn unknown_cost_model_is_a_typed_refusal_on_both_framings() {
     }
     let stats = handle.shutdown_and_join();
     assert_eq!(stats.tune.failed, 2, "one typed failure per framing");
+}
+
+#[test]
+fn malformed_graphs_get_a_typed_refusal_on_every_endpoint() {
+    use fm_core::dataflow::Node;
+    use fm_core::mapping::ResolvedMapping;
+    let node = |expr: CExpr, deps: Vec<u32>| Node {
+        expr,
+        deps,
+        index: vec![0],
+        output: false,
+    };
+    let konst = || node(CExpr::konst(Value::real(1.0)), vec![]);
+    // Node 0 reads node 1 (a forward dep), or a node 7 the graph does
+    // not have: both break `deps < id`, which every engine indexes by.
+    let bad = [("forward", 1u32, 2usize), ("missing", 7, 3)].map(|(name, dep, len)| {
+        let mut g = DataflowGraph::new(name, 32);
+        g.nodes.push(node(CExpr::dep(0), vec![dep]));
+        g.nodes.extend((1..len).map(|_| konst()));
+        (g, dep)
+    });
+    let machine = MachineConfig::linear(4);
+    let handle = start(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for (graph, dep) in &bad {
+        let n = graph.len() as i64;
+        let mapping = ResolvedMapping {
+            place: (0..n).map(|i| (i % 4, 0)).collect(),
+            time: (0..n).collect(),
+        };
+        let requests = [
+            Request::Tune(tune_request(graph, &machine, 4, None)),
+            Request::TuneShard(TuneShardRequest {
+                graph: graph.clone(),
+                machine: machine.clone(),
+                fom: FigureOfMerit::Time,
+                candidates: affine_candidates(4, machine.cols),
+                start_index: 0,
+                epoch: 0,
+                deadline_ms: None,
+                stream_every: None,
+                cost_model: None,
+            }),
+            Request::Evaluate(EvaluateRequest {
+                graph: graph.clone(),
+                machine: machine.clone(),
+                mapping: mapping.clone(),
+                deadline_ms: None,
+            }),
+            Request::Simulate(SimulateRequest {
+                graph: graph.clone(),
+                machine: machine.clone(),
+                mapping,
+                inputs: vec![],
+                contention: false,
+                deadline_ms: None,
+            }),
+            Request::SessionOpen(SessionOpenRequest {
+                graph: graph.clone(),
+                machine: machine.clone(),
+                fom: FigureOfMerit::Time,
+                candidates: affine_candidates(4, machine.cols),
+                max_candidates: None,
+                convergence_window: None,
+                cost_model: None,
+            }),
+        ];
+        for request in &requests {
+            let endpoint = request.endpoint();
+            match client.call(request).unwrap() {
+                Response::Failed(f) => {
+                    assert_eq!(f.kind, "graph", "{endpoint}: {}", f.error);
+                    assert_eq!(
+                        f.error,
+                        format!("node 0: dependency {dep} is not an earlier node"),
+                        "{endpoint}"
+                    );
+                }
+                other => panic!("{endpoint} answered a malformed graph with {other:?}"),
+            }
+        }
+    }
+    // The refusals are replies: the connection and the server go on.
+    let ok = client
+        .tune(tune_request(&wide(6), &machine, 4, None))
+        .unwrap();
+    assert!(ok.best.is_some());
+    let stats = handle.shutdown_and_join();
+    assert_eq!(
+        [
+            stats.tune.failed,
+            stats.tune_shard.failed,
+            stats.evaluate.failed,
+            stats.simulate.failed,
+            stats.session_open.failed,
+        ],
+        [2; 5],
+        "one typed refusal per graph per endpoint"
+    );
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! candidate evaluation in the tuner hot path must not touch the heap
 //! at all, and neither may an annealing move once its buffers are
 //! sized; a serving session's warm state must stay within its byte
-//! budget; and a steady-state session revision may allocate only its
-//! winner's mapping. This binary installs a counting global allocator
+//! budget; a steady-state session revision may allocate only its
+//! winner's mapping; and a served revision's edit batch and tune make
+//! a bounded number of allocations, whatever the graph's size. This binary installs a counting global allocator
 //! (each integration-test binary may have its own) and counts
 //! allocations, bytes allocated and bytes live across each measured
 //! step.
@@ -15,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fm_repro::autotune::{Budget, Tuner, WarmCache};
+use fm_repro::autotune::{Budget, CancelToken, Tuner, WarmCache};
 use fm_repro::core::affine::IdxExpr;
 use fm_repro::core::cost::Evaluator;
 use fm_repro::core::dataflow::{CExpr, DataflowGraph};
@@ -26,8 +27,10 @@ use fm_repro::core::mapping::{AffineMap, InputPlacement, Mapping, PlaceExpr, Res
 use fm_repro::core::mutate::{apply_edit, GraphEdit};
 use fm_repro::core::search::{FigureOfMerit, MappingCandidate};
 use fm_repro::core::value::Value;
+use fm_repro::costmodel::CostModelKind;
 use fm_repro::kernels::editdist::{edit_recurrence, skewed_mapping_2d, Scoring};
 use fm_repro::kernels::fft::{fft_graph, FftFamily, FftVariant};
+use fm_repro::serve::session::{EditOutcome, SessionState};
 
 /// Forwards to the system allocator, counting every allocation made
 /// on the calling thread and the bytes it allocates and frees.
@@ -252,18 +255,12 @@ fn session_shape() -> (DataflowGraph, MachineConfig, Vec<MappingCandidate>) {
     (g, MachineConfig::linear(SESSION_WIDTHS as u32), candidates)
 }
 
-/// One size-neutral revision: drop the tail, append an identical tail,
-/// and point `node`'s input two steps back (or restore it) — each edit
-/// applied to the graph and repaired into the warm state.
-fn revise(
-    g: &mut DataflowGraph,
-    m: &mut MachineConfig,
-    warm: &mut WarmCache,
-    node: u32,
-    restore: bool,
-) {
-    let tail = (g.len() - 1) as u32;
-    let batch = [
+/// One size-neutral revision of a `len`-node chain: drop the tail,
+/// append an identical tail, and point `node`'s input two steps back
+/// (or restore it).
+fn revision(len: usize, node: u32, restore: bool) -> [GraphEdit; 3] {
+    let tail = (len - 1) as u32;
+    [
         GraphEdit::RemoveNode { id: tail },
         GraphEdit::AddNode {
             expr: chain_step(),
@@ -276,8 +273,19 @@ fn revise(
             slot: 0,
             new_dep: if restore { node - 1 } else { node - 2 },
         },
-    ];
-    for edit in &batch {
+    ]
+}
+
+/// One revision, each edit applied to the graph and repaired into the
+/// warm state.
+fn revise(
+    g: &mut DataflowGraph,
+    m: &mut MachineConfig,
+    warm: &mut WarmCache,
+    node: u32,
+    restore: bool,
+) {
+    for edit in &revision(g.len(), node, restore) {
         let receipt = apply_edit(g, m, edit).expect("revision edits apply");
         warm.apply_edit(&Evaluator::new(g, m), &receipt);
     }
@@ -331,4 +339,50 @@ fn warm_revisions_allocate_at_most_one_winner_mapping() {
         }
     }
     assert_eq!(warm.rebuilds(), 0, "every revision was repaired warm");
+}
+
+#[test]
+fn served_revisions_make_a_bounded_number_of_allocations() {
+    // The `session` benchmark's op, through the server's calls: an edit
+    // batch, then a warm tune of all 32 candidates.
+    let (g, m, candidates) = session_shape();
+    let mut session = SessionState::open(
+        g,
+        m,
+        FigureOfMerit::Edp,
+        candidates,
+        Budget::unlimited(),
+        CostModelKind::Analytic,
+    );
+    for round in 0..8u32 {
+        let batch = revision(session.graph_len(), 1000, round % 2 == 1);
+        let (count, bytes) = (allocations(), allocated_bytes());
+        let outcome = session.apply_batch(u64::from(round), &batch);
+        assert!(
+            matches!(outcome, EditOutcome::Applied { .. }),
+            "{outcome:?}"
+        );
+        let (batch_count, batch_bytes) = (allocations() - count, allocated_bytes() - bytes);
+        let count = allocations();
+        let tuned = session.tune(None, &CancelToken::new());
+        let tune_count = allocations() - count;
+        assert!(tuned.warm && tuned.report.best.is_some());
+        drop(tuned);
+        // The first two rounds size the repair buffers.
+        if round < 2 {
+            continue;
+        }
+        assert!(
+            batch_count <= 64 && batch_bytes <= 8 << 10,
+            "revision {round}: the edit batch made {batch_count} allocations, {batch_bytes} B"
+        );
+        // Debug builds re-run every session tune cold to assert parity;
+        // the bound is the warm tune's, checked where that does not run.
+        if !cfg!(debug_assertions) {
+            assert!(
+                tune_count <= 128,
+                "revision {round}: the tune made {tune_count} allocations"
+            );
+        }
+    }
 }
