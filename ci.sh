@@ -167,6 +167,20 @@ echo "== e2e benchmark package: build + unit tests =="
 # fail locally instead of at benchmark time.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
+echo "== e2e benchmark smoke: every workload answers correctly =="
+# One short run of each workload end to end: its servers up, every
+# reply checked against its reference answer and Stats reconciled with
+# the client's counts. A served tune path that breaks reply parity
+# fails here, not first at benchmark time.
+for workload in tune session rpc fleet; do
+    last="$(cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)"
+    case "$last" in
+        '{"correct": true, '*'"failed": 0, '*) ;;
+        *) echo "bench-smoke: $workload: $last"; exit 1 ;;
+    esac
+done
+
 echo "== serve-smoke: daemon + example over the wire =="
 # Launch the real daemon on an ephemeral port, run the example against
 # it (FM_SERVE_SHUTDOWN=1 makes the example request the drain), and

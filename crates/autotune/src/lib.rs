@@ -5,8 +5,8 @@
 //! "one can systematically search the space of possible mappings to
 //! optimize a given figure of merit". `fm-core::search` does that
 //! serially and statelessly. This crate wraps the same per-candidate
-//! evaluation ([`fm_core::search::evaluate_candidate`]) in a harness
-//! that production use needs:
+//! evaluation ([`fm_core::flat::BatchEvaluator::evaluate_candidate`])
+//! in a harness that production use needs:
 //!
 //! * **parallel evaluation** — candidates fan out across an
 //!   `fm-workspan` thread pool ([`fm_workspan::par_map`]); results are

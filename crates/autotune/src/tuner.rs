@@ -480,7 +480,7 @@ impl<'a> Tuner<'a> {
         // prefixes, and off-chip totals shared by every candidate are
         // hoisted here, and each worker thread checks out a persistent
         // scratch arena — steady-state candidate evaluation allocates
-        // nothing and matches `evaluate_candidate` bit-for-bit.
+        // nothing, and `search::search` scores the same way.
         let batch = BatchEvaluator::new(self.evaluator, self.graph, self.machine, self.fom);
         let evals: Vec<CandidateEval> = match self.pool {
             Some(pool) => par_map_until_cancel(
@@ -542,7 +542,7 @@ impl<'a> Tuner<'a> {
     /// The winner is bit-identical to a cold [`Tuner::tune`] of the
     /// cache's candidate list against the current graph (with no
     /// persistent cache configured): the warm cache yields exactly the
-    /// evals [`fm_core::search::evaluate_candidate`] would, and they
+    /// evals [`BatchEvaluator::evaluate_candidate`] would, and they
     /// feed the same ordered frontier. Like the cold path, the
     /// evaluations carry reports and scores but no mappings; only the
     /// winner's mapping is resolved, once, from its candidate. What
@@ -750,15 +750,14 @@ impl<'a> Tuner<'a> {
             && check(self.graph, rm, self.machine).is_legal()
     }
 
+    /// The default mapper's mapping, when legal, with its report from
+    /// one flat verdict-and-cost pass.
     fn fallback(&self) -> Option<TunedMapping> {
         if self.graph.is_empty() {
             return None;
         }
         let rm = default_mapper(self.graph, self.machine);
-        if !check(self.graph, &rm, self.machine).is_legal() {
-            return None;
-        }
-        let report = self.evaluator.evaluate(&rm);
+        let report = self.evaluator.evaluate_checked(&rm).ok()?;
         let score = self.evaluator.score(self.fom, &report);
         Some(TunedMapping {
             label: "default-mapper (fallback)".to_string(),

@@ -6,10 +6,11 @@
 //! PE, and one dense per-PE structure (`Tiles`: members by interned PE
 //! id, each PE's last sweep — peak, latest issue cycle and over-width
 //! issue cells — the over-capacity and issue counts, and last uses) is
-//! built by one cold pass that sweeps each PE with the flat engine's
-//! `peak_live`. That sweep is the one definition of a PE's peak: the
-//! annealing engine re-runs it one PE at a time, and the session
-//! engine's per-PE index is checked against it.
+//! built by one cold pass. The flat engine's `peak_live` is the one
+//! definition of a PE's sweep: the annealing engine sweeps each PE with
+//! it, and re-runs it one PE at a time; the session engine sorts each
+//! PE's lifetimes once, into its per-PE index, reads the sweep off the
+//! index, and is checked against `peak_live`.
 //!
 //! [`DeltaEvaluator`] follows single-node placement moves — what the
 //! annealer in [`crate::search`] proposes. Re-deriving the schedule and
@@ -84,7 +85,8 @@
 //! and the cost-tree leaves are repaired in edit-cone-sized work per
 //! candidate, the tree re-folding only the paths above changed slots,
 //! and a candidate's evaluation stays bit-identical to
-//! [`crate::search::evaluate_candidate`] run cold on the edited graph.
+//! [`BatchEvaluator::evaluate_candidate`](crate::flat::BatchEvaluator::evaluate_candidate)
+//! run cold on the edited graph.
 //!
 //! An edit moves at most a few lifetimes on a PE (a member added or
 //! removed, a producer's last use moved), but a PE may hold thousands
@@ -152,11 +154,21 @@ fn last_use_of(ctx: &EvalContext, time: &[i64], id: usize) -> i64 {
         .fold(time[id], |lu, &c| lu.max(time[c as usize]))
 }
 
+/// Intern `place` by the flat engine's rule, leaving the ids in
+/// `buf.node_pe` and the off-grid pairs in `buf.offgrid`, and list each
+/// interned PE's members, ascending.
+fn member_lists(ctx: &EvalContext, place: &[(i64, i64)], buf: &mut ScratchBuf) -> Vec<Vec<NodeId>> {
+    ctx.intern_places(place, buf);
+    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); buf.ids];
+    for (id, &pe) in buf.node_pe.iter().enumerate() {
+        members[pe as usize].push(id as NodeId);
+    }
+    members
+}
+
 impl Tiles {
-    /// The cold pass: intern `place` by the flat engine's rule (leaving
-    /// the ids in `buf.node_pe` and the off-grid pairs in
-    /// `buf.offgrid`), then derive last uses, member lists, and every
-    /// occupied PE's sweep.
+    /// The anneal engine's cold pass: [`member_lists`], then last uses
+    /// and every occupied PE's sweep.
     fn build(
         ctx: &EvalContext,
         place: &[(i64, i64)],
@@ -164,12 +176,8 @@ impl Tiles {
         machine: &MachineConfig,
         buf: &mut ScratchBuf,
     ) -> Tiles {
-        ctx.intern_places(place, buf);
-        let ids = buf.ids;
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); ids];
-        for (id, &pe) in buf.node_pe.iter().enumerate() {
-            members[pe as usize].push(id as NodeId);
-        }
+        let members = member_lists(ctx, place, buf);
+        let ids = members.len();
         let mut tiles = Tiles {
             occupied: members.iter().filter(|l| !l.is_empty()).count(),
             members,
@@ -665,8 +673,10 @@ impl LiveIndex {
 }
 
 impl Tiles<LiveIndex> {
-    /// The session engine's cold pass: [`Tiles::build`], outputs' last
-    /// uses set to [`FAR_FUTURE`], and each PE's member list indexed.
+    /// The session engine's cold pass: [`member_lists`], last uses
+    /// (outputs' at [`FAR_FUTURE`]), each PE's members indexed, and its
+    /// sweep read off its index — each PE's lifetimes are sorted once,
+    /// for the index, and never swept on their own.
     fn indexed(
         ctx: &EvalContext,
         place: &[(i64, i64)],
@@ -674,40 +684,37 @@ impl Tiles<LiveIndex> {
         machine: &MachineConfig,
         buf: &mut ScratchBuf,
     ) -> Tiles<LiveIndex> {
-        let Tiles {
-            members,
-            occupied,
-            sweeps,
-            over_capacity,
-            issue_over,
-            mut last_use,
-        } = Tiles::build(ctx, place, time, machine, buf);
-        for (id, lu) in last_use.iter_mut().enumerate() {
-            if ctx.is_output(id) {
-                *lu = FAR_FUTURE;
-            }
-        }
+        let lists = member_lists(ctx, place, buf);
+        let last_use: Vec<i64> = (0..time.len())
+            .map(|id| {
+                if ctx.is_output(id) {
+                    FAR_FUTURE
+                } else {
+                    last_use_of(ctx, time, id)
+                }
+            })
+            .collect();
         let order = EventOrder {
             time,
             last_use: &last_use,
         };
         let mut events = Vec::new();
-        let members: Vec<LiveIndex> = members
+        let members: Vec<LiveIndex> = lists
             .iter()
             .map(|list| LiveIndex::build(list, order, machine.issue_width, &mut events))
             .collect();
-        debug_assert!(members
-            .iter()
-            .zip(&sweeps)
-            .all(|(index, &s)| index.sweep(order, ctx.width_bits()) == s));
-        Tiles {
+        let mut tiles = Tiles {
+            occupied: lists.iter().filter(|l| !l.is_empty()).count(),
+            sweeps: vec![None; members.len()],
             members,
-            occupied,
-            sweeps,
-            over_capacity,
-            issue_over,
+            over_capacity: 0,
+            issue_over: 0,
             last_use,
+        };
+        for pe in 0..tiles.members.len() {
+            tiles.refresh(pe, time, ctx.width_bits(), machine.tile_bits);
         }
+        tiles
     }
 
     fn order<'s>(&'s self, time: &'s [i64]) -> EventOrder<'s> {
@@ -1449,7 +1456,8 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     /// Assert bit-exact agreement with the full pipeline: times against
     /// [`crate::search::retime`], every PE's sweep against a fresh one,
     /// the report against `Evaluator::evaluate`, and the
-    /// storage-violation count against [`crate::legality::tile_peaks`].
+    /// storage-violation count against the reference sweep
+    /// (`legality::tile_peaks`).
     /// Deferred sweeps stay deferred. O(|V|+|E|) — runs automatically
     /// after every move in debug builds (see [`Self::with_paranoia`]).
     pub fn assert_parity(&self) {
@@ -1462,8 +1470,9 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         let mine = self.assemble(self.graph.name.clone(), self.checked_peak());
         assert_eq!(full, mine, "incremental report != full evaluate");
         let peaks = crate::legality::tile_peaks(self.graph, &rm, rm.makespan());
+        let over = peaks.values().filter(|&&p| p > self.machine.tile_bits);
         assert_eq!(
-            crate::legality::storage_violation_count(&peaks, self.machine.tile_bits),
+            over.count() as u64,
             self.tiles.over_capacity,
             "incremental storage-violation count != full legality sweep"
         );
@@ -1776,10 +1785,11 @@ impl CandState {
 ///
 /// Feed it every [`AppliedEdit`] receipt (in order) via [`Self::apply`];
 /// [`Self::evaluate`] then returns, for any candidate, exactly what
-/// [`crate::search::evaluate_candidate`] would return against the
-/// *current* graph and machine — same [`CandidateEval`] variant, same
-/// violation count, bit-identical report and score — without re-walking
-/// the graph when incremental repair sufficed.
+/// [`BatchEvaluator::evaluate_candidate`](crate::flat::BatchEvaluator::evaluate_candidate)
+/// would return against the *current* graph and machine — same
+/// [`CandidateEval`] variant, same violation count, bit-identical report
+/// and score — without re-walking the graph when incremental repair
+/// sufficed.
 ///
 /// The evaluator passed to [`Self::new`], [`Self::apply`], and
 /// [`Self::evaluate`] must be configured identically each time (same
@@ -2241,7 +2251,7 @@ mod tests {
     use crate::affine::IdxExpr;
     use crate::mapping::{AffineMap, InputPlacement, LinearOrder, Mapping, PlaceExpr};
     use crate::mutate::{apply_edit, GraphEdit};
-    use crate::search::{evaluate_candidate, CandidateEval, FigureOfMerit, MappingCandidate};
+    use crate::search::{evaluate_candidate_ref, CandidateEval, FigureOfMerit, MappingCandidate};
 
     fn assert_same_eval(warm: &CandidateEval, cold: &CandidateEval, ctx: &str) {
         match (warm, cold) {
@@ -2409,7 +2419,7 @@ mod tests {
                 dc.assert_indexed(&ev);
                 for (i, mapping) in mappings.iter().enumerate() {
                     let warm = dc.evaluate(i, &ev, FigureOfMerit::Edp);
-                    let cold = evaluate_candidate(
+                    let cold = evaluate_candidate_ref(
                         &ev,
                         &g,
                         &m,
@@ -2494,7 +2504,7 @@ mod tests {
             table_warm += u32::from(dc.states[3].is_some());
             for (i, mapping) in mappings.iter().enumerate() {
                 let warm = dc.evaluate(i, &ev, FigureOfMerit::Edp);
-                let cold = evaluate_candidate(
+                let cold = evaluate_candidate_ref(
                     &ev,
                     &g,
                     &m,
@@ -2545,7 +2555,7 @@ mod tests {
         let ev = Evaluator::new(&g, &m);
         dc.apply(&ev, &r);
         let warm = dc.evaluate(0, &ev, FigureOfMerit::Energy);
-        let cold = evaluate_candidate(
+        let cold = evaluate_candidate_ref(
             &ev,
             &g,
             &m,
@@ -2593,7 +2603,7 @@ mod tests {
         let ev = Evaluator::new(&g, &m);
         dc.apply(&ev, &r);
         let warm = dc.evaluate(0, &ev, FigureOfMerit::Edp);
-        let cold = evaluate_candidate(
+        let cold = evaluate_candidate_ref(
             &ev,
             &g,
             &m,
@@ -2620,7 +2630,7 @@ mod tests {
         let check_parity = |dc: &mut DeltaCandidates, g: &DataflowGraph, m: &MachineConfig, ctx| {
             let ev = Evaluator::new(g, m);
             let warm = dc.evaluate(0, &ev, FigureOfMerit::Footprint);
-            let cold = evaluate_candidate(
+            let cold = evaluate_candidate_ref(
                 &ev,
                 g,
                 m,
@@ -2737,7 +2747,7 @@ mod tests {
                 let ev = make_ev(&g, &m, &placement, multicast);
                 dc.apply(&ev, &receipt);
                 let warm = dc.evaluate(0, &ev, FigureOfMerit::Energy);
-                let cold = evaluate_candidate(
+                let cold = evaluate_candidate_ref(
                     &ev,
                     &g,
                     &m,

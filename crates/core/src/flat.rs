@@ -27,11 +27,12 @@
 //!   lifetimes, the SoA [`CostTree`]). Buffers are cleared, never
 //!   freed, so steady-state evaluation performs **zero heap
 //!   allocation**.
-//! * [`BatchEvaluator`] — the per-candidate entry point the tuner's
-//!   work-stealing loop calls: resolve into scratch, check legality
-//!   with dense per-PE arrays, cost through the context, score. Its
-//!   result is debug-asserted bit-identical to the reference
-//!   `search::evaluate_candidate_ref` path.
+//! * [`BatchEvaluator`] — the one per-candidate entry point: a
+//!   candidate list is scored through it both by `search::search` and
+//!   by the tuner's work-stealing loop. Resolve into scratch, check
+//!   legality with dense per-PE arrays, cost through the context,
+//!   score. Its result is debug-asserted bit-identical to the
+//!   reference `search::evaluate_candidate_ref` path.
 //!
 //! **Interning rule.** A place `(x, y)` on the `cols × rows` grid
 //! interns to `pe = y * cols + x` as a dense `u32`. An off-grid place
@@ -849,7 +850,7 @@ pub struct BatchEvaluator<'a> {
 
 impl<'a> BatchEvaluator<'a> {
     /// Precompute the shared context. `graph`/`machine` must be the
-    /// evaluator's own (the same contract `evaluate_candidate` has).
+    /// evaluator's own.
     pub fn new(
         ev: &'a Evaluator<'a>,
         graph: &'a DataflowGraph,
@@ -866,7 +867,7 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Evaluate one candidate with this thread's scratch arena.
-    /// Bit-identical to `search::evaluate_candidate` (debug-asserted).
+    /// Bit-identical to [`evaluate_candidate_ref`] (debug-asserted).
     pub fn evaluate_candidate(&self, candidate: &MappingCandidate) -> CandidateEval {
         with_thread_scratch(|scratch| self.evaluate_candidate_in(candidate, scratch))
     }
@@ -944,7 +945,6 @@ mod tests {
     use super::*;
     use crate::dataflow::CExpr;
     use crate::mapping::{Mapping, ResolvedMapping};
-    use crate::search::evaluate_candidate;
     use crate::value::Value;
 
     fn chain(n: usize) -> DataflowGraph {
@@ -973,7 +973,7 @@ mod tests {
         let cand = MappingCandidate::new("serial", Mapping::serial(&g));
         let batch = BatchEvaluator::new(&ev, &g, &m, FigureOfMerit::Edp);
         let flat = batch.evaluate_candidate(&cand);
-        let reference = evaluate_candidate(&ev, &g, &m, &cand, FigureOfMerit::Edp);
+        let reference = evaluate_candidate_ref(&ev, &g, &m, &cand, FigureOfMerit::Edp);
         assert_eq!(flat, reference);
     }
 
@@ -991,7 +991,7 @@ mod tests {
         let cand = MappingCandidate::new("bad", Mapping::Table(rm));
         let batch = BatchEvaluator::new(&ev, &g, &m, FigureOfMerit::Time);
         let flat = batch.evaluate_candidate(&cand);
-        let reference = evaluate_candidate(&ev, &g, &m, &cand, FigureOfMerit::Time);
+        let reference = evaluate_candidate_ref(&ev, &g, &m, &cand, FigureOfMerit::Time);
         assert_eq!(flat, reference);
     }
 
@@ -1007,7 +1007,7 @@ mod tests {
         let cand = MappingCandidate::new("oob", Mapping::Table(rm));
         let batch = BatchEvaluator::new(&ev, &g, &m, FigureOfMerit::Time);
         let flat = batch.evaluate_candidate(&cand);
-        let reference = evaluate_candidate(&ev, &g, &m, &cand, FigureOfMerit::Time);
+        let reference = evaluate_candidate_ref(&ev, &g, &m, &cand, FigureOfMerit::Time);
         assert_eq!(flat, reference);
     }
 

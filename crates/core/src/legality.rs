@@ -102,8 +102,10 @@ impl LegalityReport {
 
 /// Per-PE peak live bits. A value lives in its producer's tile from its
 /// production cycle until its last consumption; output values live until
-/// the makespan (they must survive to be drained).
-pub fn tile_peaks(
+/// the makespan (they must survive to be drained). The reference sweep
+/// behind [`check`] and `Evaluator::evaluate_ref`; production code reads
+/// peaks from the flat engine's `peak_live`.
+pub(crate) fn tile_peaks(
     graph: &DataflowGraph,
     rm: &ResolvedMapping,
     makespan: i64,
@@ -142,14 +144,6 @@ pub fn tile_peaks(
         peaks.insert(pe, peak as u64 * width);
     }
     peaks
-}
-
-/// Number of PEs whose peak live footprint exceeds `capacity_bits` —
-/// the storage-violation count [`check`] reports for the same peaks.
-/// Exposed so the annealer and the incremental evaluator can agree on
-/// storage legality without running the full checker.
-pub fn storage_violation_count(peaks: &HashMap<(i64, i64), u64>, capacity_bits: u64) -> u64 {
-    peaks.values().filter(|&&p| p > capacity_bits).count() as u64
 }
 
 /// Check a resolved mapping for legality on a machine.

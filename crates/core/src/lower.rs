@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use fm_costmodel::OpClass;
 
+use crate::cost::Evaluator;
 use crate::dataflow::DataflowGraph;
-use crate::legality::tile_peaks;
 use crate::machine::MachineConfig;
 use crate::mapping::ResolvedMapping;
 
@@ -100,11 +100,7 @@ pub fn lower(
         }
     }
     let worst_issue = issue.values().copied().max().unwrap_or(0);
-    let worst_tile = tile_peaks(graph, rm, rm.makespan())
-        .values()
-        .copied()
-        .max()
-        .unwrap_or(0);
+    let worst_tile = Evaluator::new(graph, machine).evaluate(rm).peak_tile_bits;
 
     ArchitectureDescr {
         name: {

@@ -10,7 +10,11 @@
 //!
 //! * [`search`] — exhaustive evaluation of an explicit candidate list
 //!   (a *mapping family*), keeping every legal result, the best under a
-//!   [`FigureOfMerit`], and the time/energy Pareto front;
+//!   [`FigureOfMerit`], and the time/energy Pareto front. Candidates are
+//!   scored by the flat engine's [`BatchEvaluator`], the same evaluator
+//!   the `fm-autotune` tuner fans out, so a search and a tune rank a
+//!   list identically; [`evaluate_candidate_ref`] is the reference
+//!   path it is tested against;
 //! * [`default_mapper`] — the paper's "default mapper" for programmers
 //!   who "don't want to bother with mapping": a greedy list scheduler
 //!   that places each element where it becomes ready earliest,
@@ -28,6 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::cost::{CostReport, Evaluator};
 use crate::dataflow::DataflowGraph;
 use crate::delta::DeltaEvaluator;
+use crate::flat::BatchEvaluator;
 use crate::legality::check;
 use crate::machine::MachineConfig;
 use crate::mapping::{Mapping, ResolvedMapping};
@@ -120,9 +125,10 @@ impl SearchOutcome {
 
 /// The outcome of evaluating one candidate in isolation: the pure
 /// resolve → legality-check → cost step that [`search`] runs per
-/// candidate, exposed so callers (e.g. the `fm-autotune` tuner) can fan
-/// candidates across threads and still assemble a [`SearchOutcome`]
-/// identical to the serial one via [`assemble_outcome`].
+/// candidate through [`BatchEvaluator::evaluate_candidate`], exposed so
+/// callers (e.g. the `fm-autotune` tuner) can fan candidates across
+/// threads and still assemble a [`SearchOutcome`] identical to the
+/// serial one via [`assemble_outcome`].
 ///
 /// A legal evaluation carries no mapping: a tune ranks every candidate
 /// but keeps only its winner's, which `MappingCandidate::mapping`
@@ -141,30 +147,6 @@ pub enum CandidateEval {
     Unresolvable,
     /// The mapping resolved but violated legality (violation count).
     Illegal(u64),
-}
-
-/// Evaluate a single candidate: resolve, legality-check, cost.
-///
-/// Pure in the sense that it reads only its arguments, so calls for
-/// distinct candidates may run concurrently.
-pub fn evaluate_candidate(
-    evaluator: &Evaluator<'_>,
-    graph: &DataflowGraph,
-    machine: &MachineConfig,
-    candidate: &MappingCandidate,
-    fom: FigureOfMerit,
-) -> CandidateEval {
-    let rm = match candidate.mapping.resolve(graph, machine) {
-        Ok(rm) => rm,
-        Err(_) => return CandidateEval::Unresolvable,
-    };
-    let rep = check(graph, &rm, machine);
-    if !rep.is_legal() {
-        return CandidateEval::Illegal(rep.total_violations);
-    }
-    let report = evaluator.evaluate(&rm);
-    let score = evaluator.score(fom, &report);
-    CandidateEval::Legal { report, score }
 }
 
 /// The reference (pre-flat-engine) candidate evaluation: resolve with
@@ -227,7 +209,8 @@ pub fn assemble_outcome(
     }
 }
 
-/// Exhaustively evaluate a candidate list.
+/// Exhaustively evaluate a candidate list, each candidate through one
+/// shared [`BatchEvaluator`] — the evaluator the tuner fans out.
 pub fn search(
     evaluator: &Evaluator<'_>,
     graph: &DataflowGraph,
@@ -235,11 +218,10 @@ pub fn search(
     candidates: &[MappingCandidate],
     fom: FigureOfMerit,
 ) -> SearchOutcome {
+    let batch = BatchEvaluator::new(evaluator, graph, machine, fom);
     assemble_outcome(
         candidates,
-        candidates
-            .iter()
-            .map(|c| evaluate_candidate(evaluator, graph, machine, c, fom)),
+        candidates.iter().map(|c| batch.evaluate_candidate(c)),
     )
 }
 
@@ -384,10 +366,11 @@ pub enum AnnealBackend {
 }
 
 /// Storage-violation count of a mapping, as the incremental engine
-/// tracks it: PEs whose peak live bits exceed the tile capacity.
+/// tracks it: PEs whose peak live bits exceed the tile capacity, by the
+/// reference sweep.
 fn full_violations(graph: &DataflowGraph, machine: &MachineConfig, rm: &ResolvedMapping) -> u64 {
     let peaks = crate::legality::tile_peaks(graph, rm, rm.makespan());
-    crate::legality::storage_violation_count(&peaks, machine.tile_bits)
+    peaks.values().filter(|&&p| p > machine.tile_bits).count() as u64
 }
 
 /// The annealer's evaluation engine. One enum (rather than two loops)
@@ -652,56 +635,6 @@ pub fn anneal_until(
     Some((best, best_report))
 }
 
-/// Deterministic greedy local refinement on the incremental engine.
-///
-/// Scans nodes in id order; for each, tries the four neighbor PEs and
-/// keeps the first move that strictly improves (violations, score)
-/// lexicographically. Repeats whole passes until one finds nothing or
-/// `max_rounds` passes have run. No randomness — useful as a cheap
-/// polish after [`anneal`] or as a reproducible baseline refiner.
-pub fn hill_climb(
-    evaluator: &Evaluator<'_>,
-    graph: &DataflowGraph,
-    machine: &MachineConfig,
-    init: &ResolvedMapping,
-    fom: FigureOfMerit,
-    max_rounds: u32,
-) -> (ResolvedMapping, CostReport) {
-    let mut engine = DeltaEvaluator::new(evaluator, &init.place);
-    if graph.is_empty() || machine.pe_count() == 1 {
-        return (engine.mapping(), engine.report());
-    }
-    let mut cur_score = engine.score(fom);
-    let mut cur_viol = engine.storage_violations();
-    const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        for node in 0..graph.len() {
-            let old = engine.place_of(node);
-            for (dx, dy) in DIRS {
-                let cand = (old.0 + dx, old.1 + dy);
-                if !machine.contains(cand.0, cand.1) {
-                    continue;
-                }
-                engine.apply_move(node, cand);
-                let viol = engine.storage_violations();
-                let score = engine.score(fom);
-                if viol < cur_viol || (viol == cur_viol && score < cur_score) {
-                    cur_viol = viol;
-                    cur_score = score;
-                    improved = true;
-                    break; // keep the move; on to the next node
-                }
-                engine.apply_move(node, old);
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (engine.mapping(), engine.report())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,26 +893,5 @@ mod tests {
         assert!(check(&g, &init, &m).is_legal());
         let (rm, _) = anneal(&ev, &g, &m, &init, FigureOfMerit::Energy, 300, 5);
         assert!(check(&g, &rm, &m).is_legal());
-    }
-
-    #[test]
-    fn hill_climb_improves_and_is_deterministic() {
-        let g = chain(16);
-        let m = MachineConfig::n5(4, 4);
-        let ev = Evaluator::new(&g, &m);
-        let places: Vec<(i64, i64)> = (0..16)
-            .map(|i| if i % 2 == 0 { (0, 0) } else { (3, 3) })
-            .collect();
-        let init = retime(&g, &places, &m);
-        let init_score = FigureOfMerit::Energy.score(&ev.evaluate(&init));
-        let (rm_a, rep_a) = hill_climb(&ev, &g, &m, &init, FigureOfMerit::Energy, 8);
-        let (rm_b, rep_b) = hill_climb(&ev, &g, &m, &init, FigureOfMerit::Energy, 8);
-        assert_eq!(rm_a, rm_b);
-        assert_eq!(rep_a, rep_b);
-        assert!(
-            rep_a.energy().raw() < init_score,
-            "climb should improve a bad start"
-        );
-        assert!(check(&g, &rm_a, &m).is_legal());
     }
 }

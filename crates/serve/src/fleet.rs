@@ -30,8 +30,9 @@
 //!   and never displace the earlier merge;
 //! * annealing refinement depends only on the winner and the
 //!   configured seeds, so the coordinator applying it to the merged
-//!   winner ([`Tuner::refine_winner`]) is bit-equal to a local tune
-//!   applying it to the same winner.
+//!   winner ([`Tuner::refine_winner`], in one place whatever ran the
+//!   ranges) is bit-equal to a local tune applying it to the same
+//!   winner.
 //!
 //! **Streaming** (`stream_every = Some(k)`): shards announce each
 //! finished chunk of `k` candidates as a sealed
@@ -57,8 +58,10 @@
 //! breaker (closed → open on consecutive failures → half-open probe
 //! after a cooldown), re-assignment of a failed shard's suffix to
 //! survivors, and — when every shard path is down — local evaluation
-//! of the *uncovered suffix only* on the coordinator's own pool.
-//! Degradation changes latency, never the answer.
+//! of the *uncovered suffix only* on the coordinator's own pool. A
+//! coordinator with no members takes the same path: its whole list is
+//! one range no member can take, evaluated locally, merged and refined
+//! like any other. Degradation changes latency, never the answer.
 //!
 //! The fleet path does not consult the tuning cache (requests with
 //! `use_cache` stay local, where the cache lives), and requests with a
@@ -622,47 +625,13 @@ impl Fleet {
 
         // Freeze the roster for partitioning; attempts inside each
         // range still consult the live roster, so members joining
-        // mid-tune pick up re-dispatched suffixes.
+        // mid-tune pick up re-dispatched suffixes. With no members the
+        // whole list is one range with no preferred member, which
+        // `run_range` evaluates locally: slower, same answer.
         let roster = self.membership.roster();
-        if roster.is_empty() {
-            // Churned down to zero members: coordinator-local
-            // evaluation. Slower, same answer.
-            self.metrics.degraded_tunes.fetch_add(1, Ordering::Relaxed);
-            let mut budget = Budget::unlimited();
-            if let Some(d) = deadline {
-                budget.deadline = Some(d.saturating_duration_since(Instant::now()));
-            }
-            let report = Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
-                .with_pool(pool)
-                .with_budget(budget)
-                .with_cancel(cancel.clone())
-                .tune(&local_candidates);
-            let mut best = report.best;
-            let mut cancelled = report.cancelled;
-            if let Some(b) = best.as_mut() {
-                if !cancelled {
-                    if let Some(r) = req.refinement {
-                        cancelled = Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
-                            .with_pool(pool)
-                            .with_refinement(r)
-                            .with_cancel(cancel.clone())
-                            .refine_winner(b);
-                    }
-                }
-            }
-            self.membership.persist();
-            return TuneReply {
-                best,
-                offered: offered as u64,
-                evaluated: report.evaluated as u64,
-                pruned: (offered as u64).saturating_sub(report.evaluated as u64),
-                cache: "disabled".to_string(),
-                fell_back: report.fell_back,
-                cancelled,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            };
-        }
-        let plan: Vec<(usize, usize, usize)> = if self.config.weighted {
+        let plan: Vec<(usize, usize, usize)> = if roster.is_empty() {
+            vec![(0, cap, 0)]
+        } else if self.config.weighted {
             partition_weighted(
                 cap,
                 roster.len(),
@@ -673,7 +642,7 @@ impl Fleet {
             partition(cap, roster.len(), self.config.min_shard_candidates)
                 .into_iter()
                 .enumerate()
-                .map(|(i, (lo, hi))| (lo, hi, i % roster.len().max(1)))
+                .map(|(i, (lo, hi))| (lo, hi, i))
                 .collect()
         };
         let outcomes: Vec<RangeOutcome> = std::thread::scope(|s| {
@@ -685,7 +654,7 @@ impl Fleet {
                     let req = &*req;
                     let locals = &local_candidates[lo..hi];
                     let evaluator = &evaluator;
-                    let preferred = Arc::clone(&roster[preferred_pos]);
+                    let preferred = roster.get(preferred_pos).cloned();
                     s.spawn(move || {
                         run_range(
                             &fleet,
@@ -938,7 +907,9 @@ fn backoff_with_jitter(config: &FleetConfig, epoch: u64, range: usize, wave: u32
 /// (with progress-aware hedging, throughput-cliff re-dispatch, and
 /// departure re-dispatch inside a wave, backoff between waves), each
 /// dispatching only the still-uncovered suffix, then local evaluation
-/// of whatever remains when the network is out of options.
+/// of whatever remains when the network is out of options. `preferred`
+/// is the member the partition gave the range, `None` when the roster
+/// was empty.
 #[allow(clippy::too_many_arguments)]
 fn run_range(
     fleet: &Arc<Fleet>,
@@ -948,7 +919,7 @@ fn run_range(
     lo: usize,
     hi: usize,
     range_idx: usize,
-    preferred: Arc<Member>,
+    preferred: Option<Arc<Member>>,
     preferred_pos: usize,
     epoch: u64,
     deadline: Option<Instant>,
@@ -1029,7 +1000,8 @@ fn run_range(
                     if was_hedge {
                         fleet.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
                     }
-                    return range.outcome(false, !Arc::ptr_eq(&member, &preferred), false);
+                    let reassigned = !preferred.as_ref().is_some_and(|p| Arc::ptr_eq(&member, p));
+                    return range.outcome(false, reassigned, false);
                 }
                 Ok((_, _, AttemptEnd::Failed { saved })) => {
                     if saved > 0 {
@@ -1096,14 +1068,16 @@ fn run_range(
                     // before the slow EWMA catches down to it.
                     let stalled = last_advance.elapsed();
                     let fraction = fleet.config.cliff_fraction;
-                    let in_cliff = fraction > 0.0 && stalled >= fleet.config.cliff_stall && {
-                        let m = &preferred.metrics;
-                        let (ewma, peak) = (m.ewma_rate(), m.peak_rate());
-                        let chunk = range.stream_every.unwrap_or((hi - lo) as u64).max(1);
-                        let implied = chunk as f64 / stalled.as_secs_f64();
-                        ewma > 0.0 && peak > 0.0 && ewma.min(implied) < fraction * peak
-                    };
-                    let cliff_fire = in_cliff
+                    let cliff_of = preferred.as_ref().filter(|p| {
+                        fraction > 0.0 && stalled >= fleet.config.cliff_stall && {
+                            let m = &p.metrics;
+                            let (ewma, peak) = (m.ewma_rate(), m.peak_rate());
+                            let chunk = range.stream_every.unwrap_or((hi - lo) as u64).max(1);
+                            let implied = chunk as f64 / stalled.as_secs_f64();
+                            ewma > 0.0 && peak > 0.0 && ewma.min(implied) < fraction * peak
+                        }
+                    });
+                    let cliff_fire = cliff_of.is_some()
                         && match last_hedge {
                             None => true,
                             Some(at) => {
@@ -1113,7 +1087,7 @@ fn run_range(
                         };
                     if hedge_fire || cliff_fire {
                         if let Some(buddy) = fleet.next_available(&mut rotation, Some(&primary)) {
-                            if cliff_fire && !hedge_fire {
+                            if let Some(collapsed) = cliff_of.filter(|_| !hedge_fire) {
                                 fleet
                                     .metrics
                                     .cliff_redispatches
@@ -1124,7 +1098,7 @@ fn run_range(
                                 // so the cliff count is what takes a
                                 // chronically slow shard out of
                                 // rotation.
-                                let trips = preferred
+                                let trips = collapsed
                                     .metrics
                                     .cliff_trips
                                     .fetch_add(1, Ordering::Relaxed)
@@ -1133,7 +1107,7 @@ fn run_range(
                                 if quarantine_at > 0
                                     && trips.is_multiple_of(u64::from(quarantine_at))
                                 {
-                                    fleet.quarantine(&preferred);
+                                    fleet.quarantine(collapsed);
                                 }
                             } else {
                                 fleet.metrics.hedges.fetch_add(1, Ordering::Relaxed);

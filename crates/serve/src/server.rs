@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 
-use fm_autotune::{Budget, CacheStatus, CancelToken, Tuner, TuningCache};
+use fm_autotune::{Budget, CacheStatus, CancelToken, TuneReport, Tuner, TuningCache};
 use fm_core::cost::Evaluator;
 use fm_core::search::MappingCandidate;
 use fm_costmodel::CostModelKind;
@@ -924,9 +924,12 @@ fn worker_main(shared: &Arc<Shared>) {
             match request {
                 Request::Tune(req) => match parse_cost_model(req.cost_model.as_deref()) {
                     Err(refusal) => Response::Failed(refusal),
-                    Ok(_) => match &shared.fleet {
+                    Ok(kind) => match &shared.fleet {
                         Some(fleet) if fleet.eligible(&req) => {
-                            Response::Tuned(fleet.tune(&req, &cancel, deadline, &shared.pool))
+                            let reply = fleet.tune(&req, &cancel, deadline, &shared.pool);
+                            let evaluator =
+                                Evaluator::new(&req.graph, &req.machine).with_cost_model(kind);
+                            Response::Tuned(observed(shared, &evaluator, reply))
                         }
                         _ => exec_tune(shared, req, &cancel, deadline),
                     },
@@ -1050,20 +1053,18 @@ fn exec_tune(
         }
     }
     let report = tuner.tune(&candidates);
-    if let Some(best) = &report.best {
-        let point = evaluator.roofline(&best.report);
-        shared
-            .metrics
-            .cost_models
-            .observe(cost_model, &point, &best.report);
-    }
     match report.cache {
         CacheStatus::Hit => shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Miss => shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Stale => shared.metrics.cache_stale.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Disabled => 0,
     };
-    Response::Tuned(TuneReply {
+    Response::Tuned(observed(shared, &evaluator, tune_reply(report)))
+}
+
+/// The wire reply for a tuner's report.
+fn tune_reply(report: TuneReport) -> TuneReply {
+    TuneReply {
         best: report.best,
         offered: report.offered as u64,
         evaluated: report.evaluated as u64,
@@ -1072,7 +1073,19 @@ fn exec_tune(
         fell_back: report.fell_back,
         cancelled: report.cancelled,
         wall_ms: report.wall.as_secs_f64() * 1e3,
-    })
+    }
+}
+
+/// Record a served tune's winner in the cost-model observatory, under
+/// `evaluator`'s backend. Local, fleet and session tunes all answer
+/// through here.
+fn observed(shared: &Shared, evaluator: &Evaluator<'_>, reply: TuneReply) -> TuneReply {
+    if let Some(best) = &reply.best {
+        let point = evaluator.roofline(&best.report);
+        let models = &shared.metrics.cost_models;
+        models.observe(evaluator.cost_model(), &point, &best.report);
+    }
+    reply
 }
 
 /// Open a session: build the warm cache once from the initial graph and
@@ -1223,29 +1236,12 @@ fn exec_session_tune(
         s.cold_tunes.fetch_add(1, Ordering::Relaxed);
         s.cold_rebuilds.fetch_add(out.rebuilds, Ordering::Relaxed);
     }
-    let report = out.report;
-    if let Some(best) = &report.best {
-        let point = state.roofline(&best.report);
-        shared
-            .metrics
-            .cost_models
-            .observe(state.cost_model(), &point, &best.report);
-    }
     Response::SessionTuned(Box::new(SessionTunedReply {
         session_id: req.session_id,
         epoch: out.epoch,
         warm: out.warm,
         rebuilds: out.rebuilds,
-        reply: TuneReply {
-            best: report.best,
-            offered: report.offered as u64,
-            evaluated: report.evaluated as u64,
-            pruned: report.pruned as u64,
-            cache: report.cache.to_string(),
-            fell_back: report.fell_back,
-            cancelled: report.cancelled,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
-        },
+        reply: observed(shared, &state.evaluator(), tune_reply(out.report)),
     }))
 }
 
@@ -1365,7 +1361,7 @@ fn exec_tune_shard(
     // `best_index.zip(best)` keeps only genuine in-range winners: a
     // default-mapper fallback (nothing legal) has no index and must
     // not masquerade as a candidate.
-    let slice_best = |lo: usize, report: fm_autotune::TuneReport| {
+    let slice_best = |lo: usize, report: TuneReport| {
         report.best_index.zip(report.best).map(|(i, b)| ShardBest {
             index: start_index + (lo + i) as u64,
             label: b.label,

@@ -40,12 +40,12 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use fm_autotune::{Budget, CancelToken, TuneReport, Tuner, WarmCache};
-use fm_core::cost::{CostReport, Evaluator};
+use fm_core::cost::Evaluator;
 use fm_core::dataflow::{DataflowGraph, MutationError};
 use fm_core::machine::MachineConfig;
 use fm_core::mutate::{apply_edit, undo_edit, AppliedEdit, GraphEdit};
 use fm_core::search::{FigureOfMerit, MappingCandidate};
-use fm_costmodel::{CostModelKind, RooflinePoint};
+use fm_costmodel::CostModelKind;
 
 /// One live session: the mutable (graph, machine) pair, the candidate
 /// list, and the warm per-candidate state repaired across edits.
@@ -147,11 +147,10 @@ impl SessionState {
         self.cost_model
     }
 
-    /// Where a report sits under this session's machine roofline.
-    pub fn roofline(&self, report: &CostReport) -> RooflinePoint {
-        Evaluator::new(&self.graph, &self.machine)
-            .with_cost_model(self.cost_model)
-            .roofline(report)
+    /// The evaluator this session's tunes run under: its current graph
+    /// and machine, charged under its cost backend.
+    pub fn evaluator(&self) -> Evaluator<'_> {
+        Evaluator::new(&self.graph, &self.machine).with_cost_model(self.cost_model)
     }
 
     /// Apply one edit batch atomically: every edit applies and the

@@ -9,7 +9,7 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use fm_autotune::{TunedMapping, Tuner};
+use fm_autotune::{Refinement, TunedMapping, Tuner};
 use fm_core::affine::IdxExpr;
 use fm_core::cost::Evaluator;
 use fm_core::dataflow::{CExpr, DataflowGraph};
@@ -232,6 +232,91 @@ fn full_outage_degrades_to_local_search() {
     assert_eq!(fleet.degraded_tunes, 1, "the whole tune ran locally");
 
     coord.shutdown_and_join();
+}
+
+/// A coordinator with no members takes the range path like any other:
+/// its one range runs locally, and it refines the merged winner where
+/// it refines every fleet tune. The reply is a plain server's, bit for
+/// bit.
+#[test]
+fn memberless_coordinator_answers_like_a_local_tune() {
+    let graph = wide(16);
+    let machine = MachineConfig::n5(4, 2);
+    let mut req = tune_request(&graph, &machine, 20);
+    req.refinement = Some(Refinement {
+        chains: 2,
+        iters: 60,
+        seed: 3,
+    });
+    let local = Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    let coord = start_coordinator(FleetConfig::new(vec![]));
+
+    let expected = Client::connect(local.local_addr())
+        .unwrap()
+        .tune(req.clone())
+        .unwrap();
+    let served = Client::connect(coord.local_addr())
+        .unwrap()
+        .tune(req)
+        .unwrap();
+    let (s, e) = (served.best.unwrap(), expected.best.unwrap());
+    assert_same_winner(&s, &e);
+    assert_eq!(s.report, e.report);
+    assert_eq!(
+        (served.offered, served.evaluated, served.pruned),
+        (expected.offered, expected.evaluated, expected.pruned)
+    );
+    assert_eq!(
+        (served.fell_back, served.cancelled, &served.cache),
+        (expected.fell_back, expected.cancelled, &expected.cache)
+    );
+
+    let fleet = coord.stats().fleet.unwrap();
+    assert_eq!(fleet.fleet_tunes, 1);
+    assert_eq!(fleet.degraded_tunes, 1, "the whole tune ran locally");
+    assert_eq!(fleet.local_fallback_ranges, 1, "as one local range");
+
+    coord.shutdown_and_join();
+    local.shutdown_and_join();
+}
+
+/// Every served tune records its winner in the cost-model observatory:
+/// a coordinator counts the fleet tunes it answered, each under the
+/// backend it named, and its shards count none.
+#[test]
+fn coordinator_cost_model_stats_count_its_fleet_tunes() {
+    let graph = wide(16);
+    let machine = MachineConfig::linear(8);
+    let shards = start_shards(2);
+    let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
+    let coord = start_coordinator(fleet_config(addrs));
+
+    let mut client = Client::connect(coord.local_addr()).unwrap();
+    let mut roofline = tune_request(&graph, &machine, 24);
+    roofline.cost_model = Some("roofline".to_string());
+    for req in [
+        tune_request(&graph, &machine, 20),
+        tune_request(&graph, &machine, 24),
+        roofline,
+    ] {
+        assert!(client.tune(req).unwrap().best.is_some());
+    }
+
+    let stats = coord.stats();
+    assert_eq!(stats.fleet.unwrap().fleet_tunes, 3);
+    let tunes = |model: &str| {
+        let row = stats.cost_models.iter().find(|r| r.model == model);
+        row.map_or(0, |r| r.tunes)
+    };
+    assert_eq!((tunes("analytic"), tunes("roofline")), (2, 1));
+    for s in &shards {
+        assert!(s.stats().cost_models.is_empty(), "a shard serves no tune");
+    }
+
+    coord.shutdown_and_join();
+    for s in shards {
+        s.shutdown_and_join();
+    }
 }
 
 #[test]
