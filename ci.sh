@@ -181,26 +181,52 @@ for workload in tune session rpc fleet; do
     esac
 done
 
-echo "== serve-smoke: daemon + example over the wire =="
+echo "== serve-smoke: daemon + example over the wire, then a fleet =="
 # Launch the real daemon on an ephemeral port, run the example against
 # it (FM_SERVE_SHUTDOWN=1 makes the example request the drain), and
-# check both sides exit cleanly.
+# check both sides exit cleanly. Then the same through a coordinator
+# started with `--fleet` over two shards: the example's uncached tune
+# (8 FFT candidates) is fleet-eligible, so the coordinator's exit
+# summary must count both members and the one fleet tune.
 cargo build --release -q -p fm-serve --bin fm-serve
-serve_log="$(mktemp)"
-./target/release/fm-serve --addr 127.0.0.1:0 >"$serve_log" &
-serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$serve_log"' EXIT
-serve_addr=""
-for _ in $(seq 1 50); do
-    serve_addr="$(sed -n 's/^fm-serve listening on //p' "$serve_log")"
-    [ -n "$serve_addr" ] && break
-    sleep 0.1
-done
-[ -n "$serve_addr" ] || { echo "serve-smoke: daemon never reported its address"; exit 1; }
+smoke_dir="$(mktemp -d)"
+smoke_pids=()
+trap 'kill "${smoke_pids[@]}" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
+# serve NAME [FLAGS...]: start a daemon logging to $smoke_dir/NAME.log
+# and set $serve_pid and $serve_addr.
+serve() {
+    local log="$smoke_dir/$1.log"
+    shift
+    ./target/release/fm-serve --addr 127.0.0.1:0 "$@" >"$log" &
+    serve_pid=$!
+    smoke_pids+=("$serve_pid")
+    for _ in $(seq 1 50); do
+        serve_addr="$(sed -n 's/^fm-serve listening on \([^ ]*\).*/\1/p' "$log")"
+        [ -n "$serve_addr" ] && return 0
+        sleep 0.1
+    done
+    echo "serve-smoke: $log never reported its address"
+    exit 1
+}
+serve solo
 FM_SERVE_ADDR="$serve_addr" FM_SERVE_SHUTDOWN=1 \
     cargo run --release -q --example mapping_service >/dev/null
 wait "$serve_pid" || { echo "serve-smoke: daemon exited non-zero"; exit 1; }
+serve shard-a
+shard_a="$serve_addr"
+serve shard-b
+serve coordinator --fleet "$shard_a,$serve_addr"
+FM_SERVE_ADDR="$serve_addr" FM_SERVE_UNCACHED=1 FM_SERVE_SHUTDOWN=1 \
+    cargo run --release -q --example mapping_service >/dev/null
+wait "$serve_pid" || { echo "fleet-smoke: coordinator exited non-zero"; exit 1; }
+grep -q ', 2 members (.*), 1 tunes,' "$smoke_dir/coordinator.log" || {
+    echo "fleet-smoke: the coordinator did not count 2 members and 1 tune:"
+    cat "$smoke_dir/coordinator.log"
+    exit 1
+}
+kill "${smoke_pids[@]}" 2>/dev/null || true
+wait 2>/dev/null || true
 trap - EXIT
-rm -f "$serve_log"
+rm -rf "$smoke_dir"
 
 echo "ci: all green"

@@ -7,15 +7,15 @@
 //!          [--fleet HOST:PORT,...] [--fleet-attempts N]
 //!          [--fleet-connect-ms MS] [--fleet-hedge-ms MS]
 //!          [--stream-every K] [--weighted on|off]
-//!          [--fleet-admit HOST:PORT,...] [--fleet-ledger PATH]
-//!          [--weight-decay-tunes N] [--cliff-fraction F]
+//!          [--fleet-ledger PATH] [--cliff-fraction F]
 //!          [--cliff-stall-ms MS]
 //! ```
 //!
 //! With `--fleet`, this instance becomes a coordinator: eligible
 //! `Tune` requests are partitioned across the listed backend shards
 //! and merged by `(score, index)`; everything else (and every tune
-//! when the shards are down) is served locally.
+//! when the shards are down) is served locally. Shards join and leave
+//! a running coordinator with wire `ShardJoin`/`ShardLeave` requests.
 //!
 //! The daemon runs until it receives a wire `Shutdown` request, then
 //! drains admitted work and exits, printing a final stats summary.
@@ -34,8 +34,7 @@ fn usage() -> ! {
          \x20               [--fleet HOST:PORT,...] [--fleet-attempts N]\n\
          \x20               [--fleet-connect-ms MS] [--fleet-hedge-ms MS]\n\
          \x20               [--stream-every K] [--weighted on|off]\n\
-         \x20               [--fleet-admit HOST:PORT,...] [--fleet-ledger PATH]\n\
-         \x20               [--weight-decay-tunes N] [--cliff-fraction F]\n\
+         \x20               [--fleet-ledger PATH] [--cliff-fraction F]\n\
          \x20               [--cliff-stall-ms MS]\n\
          \n\
          \x20 --addr HOST:PORT   bind address (default 127.0.0.1:7171; port 0 = ephemeral)\n\
@@ -59,17 +58,14 @@ fn usage() -> ! {
          \x20                          replies (default 16)\n\
          \x20 --weighted on|off        size shard ranges by observed per-shard EWMA\n\
          \x20                          throughput instead of equally (default on)\n\
-         \x20 --fleet-admit A,B,...    additionally admit these shards at startup\n\
-         \x20                          (same as ShardJoin requests; bumps the epoch)\n\
          \x20 --fleet-ledger PATH      persist per-shard EWMA weights + breaker state\n\
          \x20                          to this JSON file across coordinator restarts\n\
-         \x20                          (corrupt or stale ledgers fall back to cold)\n\
-         \x20 --weight-decay-tunes N   decay a shard's weight toward uniform after N\n\
-         \x20                          tunes without a fresh sample; 0 = never\n\
-         \x20                          (default 64)\n\
-         \x20 --cliff-fraction F       re-dispatch a range's suffix when its shard's\n\
-         \x20                          throughput falls below F x trailing peak while\n\
-         \x20                          the watermark stalls; 0 disables (default 0.35)\n\
+         \x20                          (corrupt or stale ledgers fall back to cold;\n\
+         \x20                          a weight decays to cold over 64 tunes unsampled)\n\
+         \x20 --cliff-fraction F       re-dispatch a range's suffix when the shard of\n\
+         \x20                          its primary attempt falls below F x its peak\n\
+         \x20                          while the watermark stalls; 0 disables\n\
+         \x20                          (default 0.35)\n\
          \x20 --cliff-stall-ms MS      watermark stall before the cliff check fires\n\
          \x20                          (default 200)"
     );
@@ -86,20 +82,60 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
+/// Parse `on|off` for `flag`.
+fn on_off(flag: &str, value: Option<String>) -> bool {
+    match value.as_deref() {
+        Some("on") => true,
+        Some("off") => false,
+        _ => {
+            eprintln!("fm-serve: {flag} needs `on` or `off`");
+            usage();
+        }
+    }
+}
+
+/// Parse coordinator knob `flag`, taking its value from `args`, into
+/// `fleet`; false when `flag` is not one.
+fn fleet_knob(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+    fleet: &mut FleetConfig,
+) -> bool {
+    let mut millis = || Duration::from_millis(parse_num::<u64>(flag, args.next()).max(1));
+    match flag {
+        "--fleet-connect-ms" => fleet.connect_timeout = millis(),
+        "--cliff-stall-ms" => fleet.cliff_stall = millis(),
+        "--fleet-attempts" => fleet.attempts = parse_num::<u32>(flag, args.next()).max(1),
+        "--fleet-hedge-ms" => {
+            let ms: u64 = parse_num(flag, args.next());
+            fleet.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
+        }
+        "--stream-every" => {
+            let k: u64 = parse_num(flag, args.next());
+            fleet.stream_every = (k > 0).then_some(k);
+        }
+        "--weighted" => fleet.weighted = on_off(flag, args.next()),
+        "--fleet-ledger" => match args.next() {
+            Some(path) => fleet.weight_ledger = Some(path.into()),
+            None => usage(),
+        },
+        "--cliff-fraction" => {
+            fleet.cliff_fraction = parse_num(flag, args.next());
+            if !(0.0..=1.0).contains(&fleet.cliff_fraction) {
+                eprintln!("fm-serve: --cliff-fraction needs a value in [0, 1]");
+                usage();
+            }
+        }
+        _ => return false,
+    }
+    true
+}
+
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7171".to_string();
     let mut config = ServerConfig::default();
-    let mut fleet_shards: Option<Vec<String>> = None;
-    let mut fleet_attempts: Option<u32> = None;
-    let mut fleet_connect_ms: Option<u64> = None;
-    let mut fleet_hedge_ms: Option<u64> = None;
-    let mut stream_every: Option<u64> = None;
-    let mut weighted: Option<bool> = None;
-    let mut fleet_admit: Option<Vec<String>> = None;
-    let mut fleet_ledger: Option<String> = None;
-    let mut weight_decay_tunes: Option<u64> = None;
-    let mut cliff_fraction: Option<f64> = None;
-    let mut cliff_stall_ms: Option<u64> = None;
+    let mut fleet = FleetConfig::new(Vec::new());
+    let mut fleet_knobs = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -123,70 +159,24 @@ fn main() -> ExitCode {
                 let secs: u64 = parse_num("--session-ttl", args.next());
                 config.session_ttl = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--dedup" => match args.next().as_deref() {
-                Some("on") => config.dedup_tunes = true,
-                Some("off") => config.dedup_tunes = false,
-                _ => {
-                    eprintln!("fm-serve: --dedup needs `on` or `off`");
-                    usage();
-                }
-            },
+            "--dedup" => config.dedup_tunes = on_off("--dedup", args.next()),
             "--fleet" => match args.next() {
                 Some(list) => {
-                    let shards: Vec<String> = list
+                    fleet.shards = list
                         .split(',')
                         .map(str::trim)
                         .filter(|s| !s.is_empty())
                         .map(str::to_string)
                         .collect();
-                    if shards.is_empty() {
+                    if fleet.shards.is_empty() {
                         eprintln!("fm-serve: --fleet needs at least one HOST:PORT");
                         usage();
                     }
-                    fleet_shards = Some(shards);
                 }
                 None => usage(),
             },
-            "--fleet-attempts" => fleet_attempts = Some(parse_num("--fleet-attempts", args.next())),
-            "--fleet-connect-ms" => {
-                fleet_connect_ms = Some(parse_num("--fleet-connect-ms", args.next()))
-            }
-            "--fleet-hedge-ms" => fleet_hedge_ms = Some(parse_num("--fleet-hedge-ms", args.next())),
-            "--stream-every" => stream_every = Some(parse_num("--stream-every", args.next())),
-            "--weighted" => match args.next().as_deref() {
-                Some("on") => weighted = Some(true),
-                Some("off") => weighted = Some(false),
-                _ => {
-                    eprintln!("fm-serve: --weighted needs `on` or `off`");
-                    usage();
-                }
-            },
-            "--fleet-admit" => match args.next() {
-                Some(list) => {
-                    let extra: Vec<String> = list
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect();
-                    if extra.is_empty() {
-                        eprintln!("fm-serve: --fleet-admit needs at least one HOST:PORT");
-                        usage();
-                    }
-                    fleet_admit = Some(extra);
-                }
-                None => usage(),
-            },
-            "--fleet-ledger" => match args.next() {
-                Some(path) => fleet_ledger = Some(path),
-                None => usage(),
-            },
-            "--weight-decay-tunes" => {
-                weight_decay_tunes = Some(parse_num("--weight-decay-tunes", args.next()))
-            }
-            "--cliff-fraction" => cliff_fraction = Some(parse_num("--cliff-fraction", args.next())),
-            "--cliff-stall-ms" => cliff_stall_ms = Some(parse_num("--cliff-stall-ms", args.next())),
             "--help" | "-h" => usage(),
+            flag if fleet_knob(flag, &mut args, &mut fleet) => fleet_knobs = true,
             other => {
                 eprintln!("fm-serve: unknown argument {other:?}");
                 usage();
@@ -194,54 +184,9 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(shards) = fleet_shards {
-        let mut fleet = FleetConfig::new(shards);
-        if let Some(n) = fleet_attempts {
-            fleet.attempts = n.max(1);
-        }
-        if let Some(ms) = fleet_connect_ms {
-            fleet.connect_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = fleet_hedge_ms {
-            fleet.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(k) = stream_every {
-            fleet.stream_every = (k > 0).then_some(k);
-        }
-        if let Some(w) = weighted {
-            fleet.weighted = w;
-        }
-        if let Some(extra) = fleet_admit {
-            fleet.admit = extra;
-        }
-        if let Some(path) = fleet_ledger {
-            fleet.weight_ledger = Some(path.into());
-        }
-        if let Some(n) = weight_decay_tunes {
-            fleet.weight_decay_tunes = n;
-        }
-        if let Some(f) = cliff_fraction {
-            if !(0.0..=1.0).contains(&f) {
-                eprintln!("fm-serve: --cliff-fraction needs a value in [0, 1]");
-                usage();
-            }
-            fleet.cliff_fraction = f;
-        }
-        if let Some(ms) = cliff_stall_ms {
-            fleet.cliff_stall = Duration::from_millis(ms.max(1));
-        }
+    if !fleet.shards.is_empty() {
         config.fleet = Some(fleet);
-    } else if fleet_attempts.is_some()
-        || fleet_connect_ms.is_some()
-        || fleet_hedge_ms.is_some()
-        || stream_every.is_some()
-        || weighted.is_some()
-        || fleet_admit.is_some()
-        || fleet_ledger.is_some()
-        || weight_decay_tunes.is_some()
-        || cliff_fraction.is_some()
-        || cliff_stall_ms.is_some()
-    {
+    } else if fleet_knobs {
         eprintln!("fm-serve: --fleet-* knobs need --fleet HOST:PORT,...");
         usage();
     }

@@ -49,16 +49,16 @@
 //! apportioned to shards by largest-remainder on those weights, so a
 //! chronically slow shard gets a proportionally small range instead of
 //! stalling the whole tune. Cold shards inherit the warm mean; an
-//! all-cold fleet deterministically degenerates to the equal split.
+//! all-cold or unweighted fleet gets the equal split.
 //!
-//! Robustness plumbing, per sub-range: bounded retries with
-//! exponential backoff and deterministic jitter, hedged duplicate
-//! requests past a straggler threshold (re-hedging is allowed once the
-//! previous hedge demonstrably made progress), a per-shard circuit
-//! breaker (closed → open on consecutive failures → half-open probe
-//! after a cooldown), re-assignment of a failed shard's suffix to
-//! survivors, and — when every shard path is down — local evaluation
-//! of the *uncovered suffix only* on the coordinator's own pool. A
+//! **One re-dispatch path.** A range builds its `TuneShard` request
+//! once; every attempt after its first — a backed-off retry wave, a
+//! hedge, a throughput cliff on the primary's member, a departed
+//! member — takes one step that sends the next breaker-available
+//! member that request's suffix from the covered watermark. A
+//! per-shard circuit breaker keeps failing shards out of the
+//! rotation, and when every shard path is down the coordinator
+//! evaluates the *uncovered suffix only* on its own pool. A
 //! coordinator with no members takes the same path: its whole list is
 //! one range no member can take, evaluated locally, merged and refined
 //! like any other. Degradation changes latency, never the answer.
@@ -79,20 +79,29 @@ use parking_lot::Mutex;
 
 use fm_autotune::{Budget, CancelToken, TunedMapping, Tuner};
 use fm_core::cost::Evaluator;
-use fm_core::dataflow::DataflowGraph;
-use fm_core::machine::MachineConfig;
-use fm_core::search::{FigureOfMerit, MappingCandidate};
-use fm_costmodel::CostModelKind;
+use fm_core::search::MappingCandidate;
 use fm_workspan::ThreadPool;
 
 use crate::fault::mix64;
 use crate::membership::{Breaker, Member, Membership};
-use crate::metrics::{breaker_state, FleetMetrics};
+use crate::metrics::FleetMetrics;
 use crate::protocol::{
-    decode_response_any, encode_request, encode_request_binary, read_frame_polled, write_frame,
-    Request, Response, ShardBest, ShardReplyFlaw, TuneReply, TuneRequest, TuneShardBody,
-    TuneShardPartBody, TuneShardRequest, WireCandidate, WireError, DEFAULT_MAX_FRAME,
+    decode_response_any, encode_tune_shard_suffix, read_frame_polled, write_frame, Response,
+    ShardBest, ShardReplyFlaw, TuneReply, TuneRequest, TuneShardBody, TuneShardPartBody,
+    TuneShardRequest, WireError, DEFAULT_MAX_FRAME,
 };
+
+/// Fewest candidates per sub-range: the partitioner never cuts a range
+/// smaller, and a list under twice this stays local.
+const MIN_RANGE: usize = 2;
+
+/// Seed of the deterministic backoff jitter (the *answer* never
+/// depends on it).
+const JITTER_SEED: u64 = 0x5EED;
+
+/// Fleet tunes without a fresh sample before a member's persisted
+/// weight decays fully back to cold.
+const WEIGHT_DECAY_TUNES: u64 = 64;
 
 /// Fleet-coordinator tunables. Defaults are production-ish; tests
 /// tighten every timeout.
@@ -126,13 +135,6 @@ pub struct FleetConfig {
     /// How long an open breaker quarantines its shard before the
     /// half-open probe.
     pub breaker_cooldown: Duration,
-    /// Minimum candidates per sub-range: below `2 ×` this a request is
-    /// not worth sharding at all, and the partitioner never cuts a
-    /// range smaller than this (weighted or not).
-    pub min_shard_candidates: usize,
-    /// Seed for deterministic backoff jitter (and nothing else — the
-    /// *answer* never depends on it).
-    pub jitter_seed: u64,
     /// Ask shards to stream a sealed part every this many evaluated
     /// candidates. `None` (or `Some(0)`) restores the blocking
     /// one-reply-per-range protocol.
@@ -146,9 +148,9 @@ pub struct FleetConfig {
     /// and retried in JSON. The merged winner is encoding-independent.
     pub binary_links: bool,
     /// Throughput-cliff threshold: speculatively re-dispatch a range's
-    /// uncovered suffix when its shard's EWMA throughput drops below
-    /// this fraction of the shard's trailing peak while the range
-    /// watermark stalls. `0.0` disables cliff detection.
+    /// uncovered suffix when its primary attempt's shard drops below
+    /// this fraction of the shard's trailing peak throughput while the
+    /// range watermark stalls. `0.0` disables cliff detection.
     pub cliff_fraction: f64,
     /// How long a range's covered watermark must sit still before the
     /// cliff detector may fire (guards against false positives on a
@@ -160,17 +162,10 @@ pub struct FleetConfig {
     /// time; quarantining routes primaries elsewhere until the
     /// half-open probe shows it recovered. `0` disables quarantine.
     pub cliff_quarantine_trips: u32,
-    /// Fleet tunes without a fresh sample before a member's persisted
-    /// weight decays fully back to cold (`0` disables decay).
-    pub weight_decay_tunes: u64,
     /// Path of the crash-persistent weight ledger (`None` disables
     /// persistence). Written after every fleet tune; read once at
     /// startup with the autotune cache's corrupt-tolerant discipline.
     pub weight_ledger: Option<PathBuf>,
-    /// Extra shard addresses admitted into the roster right after
-    /// startup (the `--fleet-admit` re-dial list) — equivalent to a
-    /// `ShardJoin` frame per address.
-    pub admit: Vec<String>,
 }
 
 impl FleetConfig {
@@ -186,17 +181,13 @@ impl FleetConfig {
             hedge_after: Some(Duration::from_millis(500)),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(2),
-            min_shard_candidates: 2,
-            jitter_seed: 0x5EED,
             stream_every: Some(16),
             weighted: true,
             binary_links: true,
             cliff_fraction: 0.35,
             cliff_stall: Duration::from_millis(200),
             cliff_quarantine_trips: 3,
-            weight_decay_tunes: 64,
             weight_ledger: None,
-            admit: Vec::new(),
         }
     }
 }
@@ -213,51 +204,49 @@ pub struct Fleet {
     metrics: Arc<FleetMetrics>,
 }
 
-/// What one sub-range dispatch produced.
-struct RangeOutcome {
-    /// Candidates scored for this range (by shards, locally, or both).
-    evaluated: u64,
-    /// The range's winner as `(absolute index, mapping)`; `None` when
-    /// nothing in the range was legal (or the range was cancelled).
-    win: Option<(u64, TunedMapping)>,
-    /// Whether cancellation cut this range short.
-    cancelled: bool,
-    /// Whether a shard other than the range's first choice answered.
-    reassigned: bool,
-    /// Whether the range (or its suffix) fell back to local
-    /// evaluation.
-    local: bool,
-}
-
-/// Shared per-range state: the request materials every attempt needs,
-/// plus the merge ledger streamed parts fold into.
-struct RangeShared {
-    graph: DataflowGraph,
-    machine: MachineConfig,
-    fom: FigureOfMerit,
-    /// The range's candidate slice; `candidates[0]` is absolute `lo`.
-    candidates: Vec<WireCandidate>,
-    lo: usize,
-    hi: usize,
+/// What every range of one fleet tune shares.
+struct TuneCtx<'a> {
+    fleet: &'a Arc<Fleet>,
+    req: &'a TuneRequest,
+    /// Charges the request's cost backend, for local fallback.
+    evaluator: &'a Evaluator<'a>,
     epoch: u64,
     deadline: Option<Instant>,
-    stream_every: Option<u64>,
-    /// Cost backend name forwarded verbatim to every shard attempt
-    /// (validated at coordinator admission).
-    cost_model: Option<String>,
+    cancel: &'a CancelToken,
+    pool: &'a ThreadPool,
+}
+
+/// Shared per-range state: the range's shard request, plus the merge
+/// ledger streamed parts fold into.
+struct RangeShared {
+    /// `TuneShard` for the whole range, built once: `start_index` is
+    /// the range's `lo`, and there is no deadline. Each attempt sends
+    /// its own suffix of it, stamped with the time left then.
+    request: TuneShardRequest,
+    hi: usize,
+    deadline: Option<Instant>,
     progress: Mutex<Progress>,
     /// Latched once `covered == hi`: every attempt still in flight
     /// abandons (dropping its socket cancels the shard's sub-search).
     done: AtomicBool,
 }
 
-/// The merge ledger for one range. `covered` is the exclusive absolute
+/// The merge ledger for one range, and what the range hands the tune's
+/// merge when it finishes. `covered` is the exclusive absolute
 /// watermark: every candidate in `[lo, covered)` has been scored and
 /// folded exactly once, by a verified frame or the local fallback.
+#[derive(Clone, Default)]
 struct Progress {
     covered: usize,
+    /// Candidates scored (by shards, locally, or both).
     evaluated: u64,
+    /// The winner so far as `(absolute index, mapping)`; `None` while
+    /// nothing legal was found.
     best: Option<(u64, TunedMapping)>,
+    /// Whether cancellation cut the range short.
+    cancelled: bool,
+    /// Whether the range (or its suffix) fell back to local evaluation.
+    local: bool,
 }
 
 /// What merging one streamed part did.
@@ -273,27 +262,59 @@ enum PartMerge {
     OutOfSync,
 }
 
+/// Fold `(index, mapping)` into `best` with the ascending-order strict
+/// `<` that reproduces a flat scan's first minimum.
+fn fold_best(best: &mut Option<(u64, TunedMapping)>, win: Option<(u64, TunedMapping)>) {
+    if let Some((idx, w)) = win {
+        if best.as_ref().is_none_or(|(_, b)| w.score < b.score) {
+            *best = Some((idx, w));
+        }
+    }
+}
+
+impl Progress {
+    fn at(lo: usize) -> Progress {
+        Progress {
+            covered: lo,
+            ..Progress::default()
+        }
+    }
+}
+
 impl RangeShared {
+    fn new(
+        req: &TuneRequest,
+        lo: usize,
+        hi: usize,
+        epoch: u64,
+        stream_every: Option<u64>,
+        deadline: Option<Instant>,
+    ) -> RangeShared {
+        RangeShared {
+            request: TuneShardRequest {
+                graph: req.graph.clone(),
+                machine: req.machine.clone(),
+                fom: req.fom,
+                candidates: req.candidates[lo..hi].to_vec(),
+                start_index: lo as u64,
+                epoch,
+                deadline_ms: None,
+                stream_every: stream_every.filter(|&k| k > 0),
+                cost_model: req.cost_model.clone(),
+            },
+            hi,
+            deadline,
+            progress: Mutex::new(Progress::at(lo)),
+            done: AtomicBool::new(false),
+        }
+    }
+
     fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
     }
 
     fn covered(&self) -> usize {
         self.progress.lock().covered
-    }
-
-    /// Fold `(index, mapping)` into `best` with the ascending-order
-    /// strict `<` that reproduces a flat scan's first minimum.
-    fn fold_best(best: &mut Option<(u64, TunedMapping)>, win: Option<(u64, TunedMapping)>) {
-        if let Some((idx, w)) = win {
-            let better = match best {
-                Some((_, b)) => w.score < b.score,
-                None => true,
-            };
-            if better {
-                *best = Some((idx, w));
-            }
-        }
     }
 
     /// Merge one verified streamed part.
@@ -307,12 +328,7 @@ impl RangeShared {
         if start != p.covered || end > self.hi {
             return PartMerge::OutOfSync;
         }
-        p.covered = end;
-        p.evaluated += body.count;
-        Self::fold_best(&mut p.best, body.best.clone().map(shard_best_to_win));
-        if p.covered >= self.hi {
-            self.done.store(true, Ordering::Release);
-        }
+        self.advance(&mut p, end, &body.best);
         PartMerge::Merged
     }
 
@@ -323,58 +339,36 @@ impl RangeShared {
     /// a no-op against chunk bests already merged (equal scores lose
     /// to the earlier entry under strict `<`).
     fn merge_terminal(&self, body: &TuneShardBody) {
-        let mut p = self.progress.lock();
         let span_end = (body.start_index + body.count) as usize;
-        if span_end > p.covered {
-            p.evaluated += (span_end - p.covered) as u64;
-            p.covered = span_end;
+        self.advance(&mut self.progress.lock(), span_end, &body.best);
+    }
+
+    /// Move the watermark up to `end`, counting what it newly covers,
+    /// and fold `best`; latch `done` once the range is covered.
+    fn advance(&self, p: &mut Progress, end: usize, best: &Option<ShardBest>) {
+        if end > p.covered {
+            p.evaluated += (end - p.covered) as u64;
+            p.covered = end;
         }
-        Self::fold_best(&mut p.best, body.best.clone().map(shard_best_to_win));
+        let win = best.clone().map(|b| {
+            let mapping = TunedMapping {
+                label: b.label,
+                resolved: b.resolved,
+                report: b.report,
+                score: b.score,
+            };
+            (b.index, mapping)
+        });
+        fold_best(&mut p.best, win);
         if p.covered >= self.hi {
             self.done.store(true, Ordering::Release);
         }
     }
 
-    /// Fold the local fallback's report over the suffix starting at
-    /// absolute index `suffix_lo`.
-    fn merge_local(&self, suffix_lo: usize, report: fm_autotune::TuneReport) {
-        let mut p = self.progress.lock();
-        p.evaluated += report.evaluated as u64;
-        p.covered = self.hi.min(suffix_lo + report.evaluated);
-        Self::fold_best(
-            &mut p.best,
-            report
-                .best_index
-                .zip(report.best)
-                .map(|(i, b)| ((suffix_lo + i) as u64, b)),
-        );
-        if p.covered >= self.hi {
-            self.done.store(true, Ordering::Release);
-        }
+    /// The ledger as it stands, for the tune's merge.
+    fn finish(&self) -> Progress {
+        self.progress.lock().clone()
     }
-
-    fn outcome(&self, cancelled: bool, reassigned: bool, local: bool) -> RangeOutcome {
-        let p = self.progress.lock();
-        RangeOutcome {
-            evaluated: p.evaluated,
-            win: p.best.clone(),
-            cancelled,
-            reassigned,
-            local,
-        }
-    }
-}
-
-fn shard_best_to_win(b: ShardBest) -> (u64, TunedMapping) {
-    (
-        b.index,
-        TunedMapping {
-            label: b.label,
-            resolved: b.resolved,
-            report: b.report,
-            score: b.score,
-        },
-    )
 }
 
 /// How one wire attempt ended.
@@ -411,21 +405,17 @@ impl From<WireError> for ReadStop {
 }
 
 impl Fleet {
-    /// Build a coordinator over `config.shards` (plus `config.admit`),
-    /// seeding weights and breaker state from the ledger when one
-    /// loads.
+    /// Build a coordinator over `config.shards`, seeding weights and
+    /// breaker state from the ledger when one loads.
     pub fn new(config: FleetConfig) -> Arc<Fleet> {
         let metrics = Arc::new(FleetMetrics::new());
         let membership = Membership::new(
             &config.shards,
             Arc::clone(&metrics),
             config.weight_ledger.clone(),
-            config.weight_decay_tunes,
+            WEIGHT_DECAY_TUNES,
             config.breaker_cooldown,
         );
-        for addr in &config.admit {
-            membership.join(addr);
-        }
         Arc::new(Fleet {
             config,
             epoch: AtomicU64::new(1),
@@ -439,28 +429,11 @@ impl Fleet {
         Arc::clone(&self.metrics)
     }
 
-    /// Admit a shard into the running fleet (`ShardJoin`). Idempotent;
-    /// returns `(membership epoch, changed)`.
-    pub fn admit(&self, addr: &str) -> (u64, bool) {
-        self.membership.join(addr)
-    }
-
-    /// Retire a shard from the running fleet (`ShardLeave`). Its
-    /// in-flight ranges are re-dispatched from their covered watermark
-    /// the moment their attempts notice. Idempotent; returns
-    /// `(membership epoch, changed)`.
-    pub fn retire(&self, addr: &str) -> (u64, bool) {
-        self.membership.leave(addr)
-    }
-
-    /// Live member addresses, in roster order.
-    pub fn members(&self) -> Vec<String> {
-        self.membership.members()
-    }
-
-    /// Current membership epoch.
-    pub fn membership_epoch(&self) -> u64 {
-        self.membership.epoch()
+    /// The living roster `ShardJoin`/`ShardLeave` change. A member that
+    /// leaves has its in-flight ranges re-dispatched from their covered
+    /// watermark the moment their attempts notice.
+    pub fn membership(&self) -> &Membership {
+        &self.membership
     }
 
     /// Should this request take the fleet path? Cache users and
@@ -469,9 +442,7 @@ impl Fleet {
     /// roster still takes the fleet path so churn down to zero members
     /// degrades to coordinator-local evaluation, not a refusal.
     pub fn eligible(&self, req: &TuneRequest) -> bool {
-        req.convergence_window.is_none()
-            && !req.use_cache
-            && req.candidates.len() >= self.config.min_shard_candidates.max(1) * 2
+        req.convergence_window.is_none() && !req.use_cache && req.candidates.len() >= MIN_RANGE * 2
     }
 
     /// May an attempt go to `member` right now? Closed passes; open
@@ -481,87 +452,66 @@ impl Fleet {
         let mut b = member.breaker.lock();
         match *b {
             Breaker::Closed { .. } => true,
-            Breaker::HalfOpen => false,
-            Breaker::Open { until } => {
-                if Instant::now() >= until {
-                    *b = Breaker::HalfOpen;
-                    member
-                        .metrics
-                        .state
-                        .store(breaker_state::HALF_OPEN, Ordering::Relaxed);
-                    true
-                } else {
-                    false
-                }
+            Breaker::Open { until } if Instant::now() >= until => {
+                member.set_breaker(&mut b, Breaker::HalfOpen);
+                true
             }
+            Breaker::Open { .. } | Breaker::HalfOpen => false,
         }
     }
 
     fn report_success(&self, member: &Member) {
         member.metrics.successes.fetch_add(1, Ordering::Relaxed);
-        let mut b = member.breaker.lock();
-        *b = Breaker::Closed {
+        let closed = Breaker::Closed {
             consecutive_failures: 0,
         };
-        member
-            .metrics
-            .state
-            .store(breaker_state::CLOSED, Ordering::Relaxed);
+        member.set_breaker(&mut member.breaker.lock(), closed);
     }
 
     fn report_failure(&self, member: &Member) {
         member.metrics.failures.fetch_add(1, Ordering::Relaxed);
         let mut b = member.breaker.lock();
-        let trip = match *b {
+        let consecutive_failures = match *b {
             Breaker::Closed {
                 consecutive_failures,
-            } => {
-                let n = consecutive_failures + 1;
-                if n >= self.config.breaker_threshold.max(1) {
-                    true
-                } else {
-                    *b = Breaker::Closed {
-                        consecutive_failures: n,
-                    };
-                    false
-                }
-            }
-            Breaker::HalfOpen => true, // failed probe: straight back open
-            Breaker::Open { .. } => false,
+            } => consecutive_failures + 1,
+            Breaker::HalfOpen => u32::MAX, // failed probe: straight back open
+            Breaker::Open { .. } => return,
         };
-        if trip {
-            *b = Breaker::Open {
-                until: Instant::now() + self.config.breaker_cooldown,
+        if consecutive_failures >= self.config.breaker_threshold.max(1) {
+            self.trip(member, &mut b);
+        } else {
+            *b = Breaker::Closed {
+                consecutive_failures,
             };
-            member
-                .metrics
-                .state
-                .store(breaker_state::OPEN, Ordering::Relaxed);
-            member.metrics.breaker_opens.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Quarantine `member`: trip its breaker open for one cooldown,
-    /// regardless of its consecutive-failure count. Fired by the cliff
-    /// detector once a shard has collapsed
-    /// [`FleetConfig::cliff_quarantine_trips`] times — its attempts
-    /// keep *succeeding* (so the failure breaker never trips) but each
-    /// collapse costs a speculative re-dispatch; opening the breaker
-    /// routes primaries elsewhere until the half-open probe shows the
-    /// shard recovered.
-    fn quarantine(&self, member: &Member) {
-        let mut b = member.breaker.lock();
-        *b = Breaker::Open {
-            until: Instant::now() + self.config.breaker_cooldown,
-        };
-        member
-            .metrics
-            .state
-            .store(breaker_state::OPEN, Ordering::Relaxed);
+    /// Trip `member`'s breaker (`b`, held locked) open for one
+    /// cooldown.
+    fn trip(&self, member: &Member, b: &mut Breaker) {
+        let until = Instant::now() + self.config.breaker_cooldown;
+        member.set_breaker(b, Breaker::Open { until });
         member.metrics.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .cliff_quarantines
-            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Charge `member` one throughput-cliff trip, and quarantine it —
+    /// trip its breaker open for one cooldown, whatever its
+    /// consecutive-failure count — every
+    /// [`FleetConfig::cliff_quarantine_trips`] trips. A collapsing
+    /// shard's attempts keep *succeeding*, so the failure breaker
+    /// never sees them, but each collapse costs a speculative
+    /// re-dispatch; quarantine routes primaries elsewhere until the
+    /// half-open probe shows the shard recovered.
+    fn charge_cliff(&self, member: &Member) {
+        let trips = member.metrics.cliff_trips.fetch_add(1, Ordering::Relaxed) + 1;
+        let every = u64::from(self.config.cliff_quarantine_trips);
+        if every > 0 && trips.is_multiple_of(every) {
+            self.trip(member, &mut member.breaker.lock());
+            self.metrics
+                .cliff_quarantines
+                .fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Next breaker-available member scanning the *live* roster from
@@ -575,9 +525,6 @@ impl Fleet {
     ) -> Option<Arc<Member>> {
         let roster = self.membership.roster();
         let n = roster.len();
-        if n == 0 {
-            return None;
-        }
         for step in 0..n {
             let idx = (*rotation + step) % n;
             if exclude.is_some_and(|e| Arc::ptr_eq(e, &roster[idx])) {
@@ -593,9 +540,13 @@ impl Fleet {
 
     /// Run one `Tune` request through the fleet. Exact same reply
     /// contract as the local path, minus cache participation.
+    /// `evaluator` charges the request's validated cost model: local
+    /// fallback and refinement must score as the shards do, or merged
+    /// winners would mix scoring rules.
     pub fn tune(
         self: &Arc<Fleet>,
         req: &TuneRequest,
+        evaluator: &Evaluator<'_>,
         cancel: &CancelToken,
         deadline: Option<Instant>,
         pool: &ThreadPool,
@@ -603,86 +554,53 @@ impl Fleet {
         let start = Instant::now();
         self.metrics.fleet_tunes.fetch_add(1, Ordering::Relaxed);
         self.membership.begin_tune();
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
 
         let offered = req.candidates.len();
         let cap = req
             .max_candidates
             .map_or(offered, |n| (n as usize).min(offered));
-        // The coordinator's model was validated at admission; local
-        // fallback evaluation must charge the same backend the shards
-        // were asked for, or merged winners would mix scoring rules.
-        let cost_model = req
-            .cost_model
-            .as_deref()
-            .and_then(CostModelKind::from_name)
-            .unwrap_or_default();
-        let evaluator = Evaluator::new(&req.graph, &req.machine).with_cost_model(cost_model);
-        let local_candidates: Vec<MappingCandidate> = req.candidates[..cap]
-            .iter()
-            .map(|c| MappingCandidate::new(c.label.clone(), c.mapping.clone()))
-            .collect();
+        let ctx = TuneCtx {
+            fleet: self,
+            req,
+            evaluator,
+            epoch: self.epoch.fetch_add(1, Ordering::Relaxed),
+            deadline,
+            cancel,
+            pool,
+        };
 
         // Freeze the roster for partitioning; attempts inside each
         // range still consult the live roster, so members joining
-        // mid-tune pick up re-dispatched suffixes. With no members the
-        // whole list is one range with no preferred member, which
-        // `run_range` evaluates locally: slower, same answer.
+        // mid-tune pick up re-dispatched suffixes. Unweighted, the
+        // partitioner sees no weights and cuts the equal split. With
+        // no members the whole list is one range with no preferred
+        // member, which `run_range` evaluates locally: slower, same
+        // answer.
         let roster = self.membership.roster();
         let plan: Vec<(usize, usize, usize)> = if roster.is_empty() {
             vec![(0, cap, 0)]
-        } else if self.config.weighted {
-            partition_weighted(
-                cap,
-                roster.len(),
-                self.config.min_shard_candidates,
-                &self.membership.live_weights(&roster),
-            )
         } else {
-            partition(cap, roster.len(), self.config.min_shard_candidates)
-                .into_iter()
-                .enumerate()
-                .map(|(i, (lo, hi))| (lo, hi, i))
-                .collect()
+            let weights = match self.config.weighted {
+                true => self.membership.live_weights(&roster),
+                false => Vec::new(),
+            };
+            partition_weighted(cap, roster.len(), MIN_RANGE, &weights)
         };
-        let outcomes: Vec<RangeOutcome> = std::thread::scope(|s| {
+        let outcomes: Vec<Progress> = std::thread::scope(|s| {
             let handles: Vec<_> = plan
                 .iter()
                 .enumerate()
-                .map(|(ri, &(lo, hi, preferred_pos))| {
-                    let fleet = Arc::clone(self);
-                    let req = &*req;
-                    let locals = &local_candidates[lo..hi];
-                    let evaluator = &evaluator;
-                    let preferred = roster.get(preferred_pos).cloned();
-                    s.spawn(move || {
-                        run_range(
-                            &fleet,
-                            req,
-                            evaluator,
-                            locals,
-                            lo,
-                            hi,
-                            ri,
-                            preferred,
-                            preferred_pos,
-                            epoch,
-                            deadline,
-                            cancel,
-                            pool,
-                        )
-                    })
+                .map(|(ri, &(lo, hi, pos))| {
+                    let (ctx, preferred) = (&ctx, roster.get(pos));
+                    s.spawn(move || run_range(ctx, ri, lo, hi, preferred, pos))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| {
-                    h.join().unwrap_or(RangeOutcome {
-                        evaluated: 0,
-                        win: None,
+                    h.join().unwrap_or_else(|_| Progress {
                         cancelled: true,
-                        reassigned: false,
-                        local: false,
+                        ..Progress::default()
                     })
                 })
                 .collect()
@@ -698,18 +616,7 @@ impl Fleet {
             evaluated += o.evaluated;
             cancelled |= o.cancelled;
             all_local &= o.local;
-            if o.reassigned {
-                self.metrics.reassignments.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some((idx, win)) = o.win {
-                let better = match &best {
-                    Some((_, b)) => win.score < b.score,
-                    None => true,
-                };
-                if better {
-                    best = Some((idx, win));
-                }
-            }
+            fold_best(&mut best, o.best);
         }
         if all_local {
             self.metrics.degraded_tunes.fetch_add(1, Ordering::Relaxed);
@@ -724,7 +631,7 @@ impl Fleet {
         let mut best_mapping = match best {
             Some((_, b)) => Some(b),
             None => {
-                let report = Tuner::new(&evaluator, &req.graph, &req.machine, req.fom).tune(&[]);
+                let report = Tuner::new(evaluator, &req.graph, &req.machine, req.fom).tune(&[]);
                 fell_back = report.fell_back;
                 report.best
             }
@@ -736,7 +643,7 @@ impl Fleet {
         if let Some(b) = best_mapping.as_mut() {
             if !cancelled {
                 if let Some(r) = req.refinement {
-                    cancelled = Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
+                    cancelled = Tuner::new(evaluator, &req.graph, &req.machine, req.fom)
                         .with_pool(pool)
                         .with_refinement(r)
                         .with_cancel(cancel.clone())
@@ -758,36 +665,18 @@ impl Fleet {
     }
 }
 
-/// Split `[0, cap)` into at most `nshards` contiguous ranges of at
-/// least `min_per` candidates each (the last takes the remainder).
-fn partition(cap: usize, nshards: usize, min_per: usize) -> Vec<(usize, usize)> {
-    if cap == 0 || nshards == 0 {
-        return Vec::new();
-    }
-    let nranges = (cap / min_per.max(1)).clamp(1, nshards);
-    let base = cap / nranges;
-    let extra = cap % nranges;
-    let mut ranges = Vec::with_capacity(nranges);
-    let mut lo = 0;
-    for i in 0..nranges {
-        let len = base + usize::from(i < extra);
-        ranges.push((lo, lo + len));
-        lo += len;
-    }
-    ranges
-}
-
 /// Latency-weighted split: `[0, cap)` into at most `nshards`
 /// contiguous ranges sized by largest-remainder apportionment over
 /// per-shard EWMA throughput `weights` (candidates/second; 0 = cold).
 /// Returns `(lo, hi, preferred_shard)` per range.
 ///
 /// Deterministic fallbacks keep cold starts exact: a cold shard's
-/// weight is the mean of the warm ones, and an all-cold (or uniform)
-/// fleet produces byte-identical sizes to [`partition`], preferring
-/// shards in index order. `min_per` is enforced after apportionment by
-/// transferring candidates from the largest range, so a near-zero
-/// weight shrinks a range to the floor, never below it.
+/// weight is the mean of the warm ones, and an all-cold, uniform or
+/// empty `weights` gives the equal split — range `i` on shard `i`,
+/// sizes differing by at most one, the longer ranges first. `min_per`
+/// is enforced after apportionment by transferring candidates from the
+/// largest range, so a near-zero weight shrinks a range to the floor,
+/// never below it.
 fn partition_weighted(
     cap: usize,
     nshards: usize,
@@ -818,8 +707,7 @@ fn partition_weighted(
         }
     }
     // Fastest `nranges` shards get the work; ties prefer lower index
-    // (which also makes the uniform case identical to the unweighted
-    // round-robin placement).
+    // (which also makes the uniform case place range i on shard i).
     let mut order: Vec<usize> = (0..nshards).collect();
     order.sort_by(|&a, &b| {
         w[b].partial_cmp(&w[a])
@@ -830,8 +718,7 @@ fn partition_weighted(
     chosen.sort_unstable();
     // Largest-remainder apportionment of `cap` over the chosen
     // weights. With uniform weights every remainder ties and the
-    // leftovers go to the lowest positions — exactly `partition`'s
-    // `i < extra` rule.
+    // leftovers go to the lowest positions: the equal split.
     let total: f64 = chosen.iter().map(|&i| w[i]).sum();
     let mut sizes: Vec<usize> = Vec::with_capacity(nranges);
     let mut rems: Vec<(f64, usize)> = Vec::with_capacity(nranges);
@@ -898,270 +785,243 @@ fn backoff_with_jitter(config: &FleetConfig, epoch: u64, range: usize, wave: u32
         .min(config.backoff_max);
     let half = exp.as_nanos().max(2) as u64 / 2;
     let jitter =
-        mix64(config.jitter_seed ^ epoch.rotate_left(17) ^ (range as u64) << 8 ^ wave as u64)
-            % half;
+        mix64(JITTER_SEED ^ epoch.rotate_left(17) ^ (range as u64) << 8 ^ wave as u64) % half;
     exp / 2 + Duration::from_nanos(half / 2 + jitter / 2) // in [exp/2, exp]
 }
 
-/// Drive one sub-range to a verified result: waves of shard attempts
-/// (with progress-aware hedging, throughput-cliff re-dispatch, and
-/// departure re-dispatch inside a wave, backoff between waves), each
-/// dispatching only the still-uncovered suffix, then local evaluation
-/// of whatever remains when the network is out of options. `preferred`
-/// is the member the partition gave the range, `None` when the roster
-/// was empty.
-#[allow(clippy::too_many_arguments)]
+/// Why a range sends an attempt after its first.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reason {
+    /// Every attempt of the last wave failed.
+    Retry,
+    /// The range has been overdue for `hedge_after`.
+    Hedge,
+    /// The primary attempt's member fell off its throughput cliff.
+    Cliff,
+    /// An attempt's member left the roster.
+    Departed,
+}
+
+/// Drive one sub-range to a verified result in one event loop. The
+/// first attempt goes to the first breaker-available member from the
+/// partition's pick; every later one takes the one re-dispatch step —
+/// a retry wave once every attempt failed (after a backoff), a hedge
+/// or cliff re-dispatch while the range stalls, a departed member's
+/// suffix at once. Whatever the network leaves uncovered is evaluated
+/// locally. `preferred` is the member the partition gave the range,
+/// `None` when the roster was empty.
 fn run_range(
-    fleet: &Arc<Fleet>,
-    req: &TuneRequest,
-    evaluator: &Evaluator,
-    locals: &[MappingCandidate],
+    ctx: &TuneCtx<'_>,
+    range_idx: usize,
     lo: usize,
     hi: usize,
-    range_idx: usize,
-    preferred: Option<Arc<Member>>,
+    preferred: Option<&Arc<Member>>,
     preferred_pos: usize,
-    epoch: u64,
-    deadline: Option<Instant>,
-    cancel: &CancelToken,
-    pool: &ThreadPool,
-) -> RangeOutcome {
-    let range = Arc::new(RangeShared {
-        graph: req.graph.clone(),
-        machine: req.machine.clone(),
-        fom: req.fom,
-        candidates: req.candidates[lo..hi].to_vec(),
+) -> Progress {
+    let (fleet, cancel, config) = (ctx.fleet, ctx.cancel, &ctx.fleet.config);
+    let mut rotation = preferred_pos;
+    let first = (!cancel.is_cancelled()).then(|| fleet.next_available(&mut rotation, None));
+    let Some(first) = first.flatten() else {
+        // No member can take the range, so it never builds a request.
+        return finish_locally(ctx, Progress::at(lo), hi);
+    };
+    let range = RangeShared::new(
+        ctx.req,
         lo,
         hi,
-        epoch,
-        deadline,
-        stream_every: fleet.config.stream_every.filter(|&k| k > 0),
-        cost_model: req.cost_model.clone(),
-        progress: Mutex::new(Progress {
-            covered: lo,
-            evaluated: 0,
-            best: None,
-        }),
-        done: AtomicBool::new(false),
-    });
-    let (tx, rx) = mpsc::channel::<(Arc<Member>, bool, AttemptEnd)>();
-
-    let spawn_attempt = |member: Arc<Member>, hedge: bool, attempt_lo: usize| {
-        let fleet = Arc::clone(fleet);
-        let range = Arc::clone(&range);
-        let cancel = cancel.clone();
-        let tx = tx.clone();
-        if attempt_lo > lo {
-            fleet
-                .metrics
-                .suffix_redispatches
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        ctx.epoch,
+        config.stream_every,
+        ctx.deadline,
+    );
+    let range = Arc::new(range);
+    let (tx, rx) = mpsc::channel();
+    // Send the range's uncovered suffix to `member` on its own thread;
+    // returns the absolute index the suffix starts at.
+    let send = |member: Arc<Member>, speculative: bool| {
+        let from = range.covered();
+        let (fleet, range) = (Arc::clone(fleet), Arc::clone(&range));
+        let (cancel, tx) = (cancel.clone(), tx.clone());
         std::thread::Builder::new()
             .name("fm-fleet-attempt".to_string())
             .spawn(move || {
-                let result = run_attempt(&fleet, &member, &range, attempt_lo, &cancel);
-                let _ = tx.send((member, hedge, result));
+                let end = run_attempt(&fleet, &member, &range, from, &cancel);
+                let _ = tx.send((member, speculative, end));
             })
             .expect("spawn fleet attempt thread");
+        from
     };
-
-    let mut rotation = preferred_pos;
-    let mut wave = 0u32;
-    'waves: while wave < fleet.config.attempts.max(1) {
-        if cancel.is_cancelled() || range.is_done() {
-            break;
-        }
-        let Some(primary) = fleet.next_available(&mut rotation, None) else {
-            break; // every breaker is open: the network has no path
+    // The one re-dispatch step: the next breaker-available member other
+    // than `replaces`, the reason's counter (a cliff also charges
+    // `replaces`, the primary's member, one trip), and the suffix from
+    // the covered watermark. `None` when no member is available.
+    let mut redispatch = |reason: Reason, replaces: Option<&Arc<Member>>| {
+        let member = fleet.next_available(&mut rotation, replaces)?;
+        let m = &fleet.metrics;
+        let counter = match reason {
+            Reason::Retry => &m.retries,
+            Reason::Hedge => &m.hedges,
+            Reason::Cliff => &m.cliff_redispatches,
+            Reason::Departed => &m.departed_redispatches,
         };
-        if wave > 0 {
-            fleet.metrics.retries.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let (Reason::Cliff, Some(sick)) = (reason, replaces) {
+            fleet.charge_cliff(sick);
         }
-        let wave_start = Instant::now();
-        spawn_attempt(Arc::clone(&primary), false, range.covered());
-        let mut in_flight = 1u32;
-        // Progress-aware hedging: the first hedge fires once the wave
-        // is overdue; a further hedge is allowed each time the covered
-        // watermark has advanced since the last one (someone is alive
-        // but slow) and another hedge interval has elapsed. Cliff and
-        // departure re-dispatches share the same gate, so one stall
-        // never sprays duplicates.
-        let mut last_hedge: Option<Instant> = None;
-        let mut covered_at_last_hedge = 0usize;
-        // Cliff detection watches how long the covered watermark has
-        // sat still.
-        let mut covered_last_seen = range.covered();
-        let mut last_advance = Instant::now();
-        while in_flight > 0 {
-            match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((member, was_hedge, AttemptEnd::Covered)) => {
-                    range.done.store(true, Ordering::Release);
-                    if was_hedge {
-                        fleet.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let reassigned = !preferred.as_ref().is_some_and(|p| Arc::ptr_eq(&member, p));
-                    return range.outcome(false, reassigned, false);
+        let from = send(Arc::clone(&member), reason != Reason::Retry);
+        if from > lo {
+            m.suffix_redispatches.fetch_add(1, Ordering::Relaxed);
+        }
+        Some((member, from))
+    };
+    send(Arc::clone(&first), false);
+    // The member running the range's primary attempt: the first one,
+    // then each attempt started while none runs.
+    let mut primary = Some(first);
+    let (mut in_flight, mut wave, mut wave_start) = (1u32, 0u32, Instant::now());
+    // The speculative reasons' shared gate: when the last one fired,
+    // and the watermark it started from. Another may fire only once
+    // the watermark has advanced past that (someone is alive but
+    // slow), so one stall never sprays duplicates.
+    let mut gate: Option<(Instant, usize)> = None;
+    // When the covered watermark last moved, for the cliff check.
+    let (mut seen, mut advanced) = (lo, Instant::now());
+    loop {
+        let started = match rx.recv_timeout(Duration::from_millis(25)) {
+            Ok((member, speculative, end)) => {
+                in_flight -= 1;
+                if primary.as_ref().is_some_and(|p| Arc::ptr_eq(p, &member)) {
+                    primary = None;
                 }
-                Ok((_, _, AttemptEnd::Failed { saved })) => {
-                    if saved > 0 {
-                        fleet
-                            .metrics
-                            .prefix_candidates_saved
+                let departed = match end {
+                    AttemptEnd::Covered => {
+                        if speculative {
+                            fleet.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                        }
+                        let reassigned = !preferred.is_some_and(|p| Arc::ptr_eq(&member, p));
+                        if reassigned {
+                            fleet.metrics.reassignments.fetch_add(1, Ordering::Relaxed);
+                        }
+                        return range.finish();
+                    }
+                    AttemptEnd::Failed { saved } => {
+                        let m = &fleet.metrics;
+                        m.prefix_candidates_saved
                             .fetch_add(saved, Ordering::Relaxed);
+                        false
                     }
-                    if range.is_done() {
-                        // The failing attempt's parts completed the
-                        // range even though its terminal never
-                        // verified.
-                        return range.outcome(false, false, false);
-                    }
-                    in_flight -= 1;
+                    AttemptEnd::Abandoned => member.metrics.is_departed(),
+                };
+                if range.is_done() {
+                    // The ending attempt's parts (or another's)
+                    // completed the range though no terminal verified.
+                    return range.finish();
                 }
-                Ok((member, _, AttemptEnd::Abandoned)) => {
-                    if range.is_done() {
-                        return range.outcome(false, false, false);
-                    }
-                    in_flight -= 1;
-                    // A member that left the roster abandons its
-                    // attempt without blame; pick its uncovered suffix
-                    // up on a healthy member right away instead of
-                    // waiting out the wave.
-                    if member.metrics.is_departed() && !cancel.is_cancelled() {
-                        if let Some(buddy) = fleet.next_available(&mut rotation, Some(&member)) {
-                            fleet
-                                .metrics
-                                .departed_redispatches
-                                .fetch_add(1, Ordering::Relaxed);
-                            let covered_now = range.covered();
-                            spawn_attempt(buddy, true, covered_now);
-                            in_flight += 1;
-                            last_hedge = Some(Instant::now());
-                            covered_at_last_hedge = covered_now;
-                        }
-                    }
+                // A member that left the roster abandons its attempt
+                // without blame; its suffix goes to a healthy member
+                // at once instead of waiting out the wave.
+                match departed && !cancel.is_cancelled() {
+                    true => redispatch(Reason::Departed, Some(&member)),
+                    false => None,
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if cancel.is_cancelled() {
-                        break 'waves;
-                    }
-                    let covered_now = range.covered();
-                    if covered_now > covered_last_seen {
-                        covered_last_seen = covered_now;
-                        last_advance = Instant::now();
-                    }
-                    let hedge_fire = match fleet.config.hedge_after {
-                        None => false,
-                        Some(hedge_after) => match last_hedge {
-                            None => wave_start.elapsed() >= hedge_after,
-                            Some(at) => {
-                                covered_now > covered_at_last_hedge && at.elapsed() >= hedge_after
-                            }
-                        },
-                    };
-                    // Speculative re-partition on throughput collapse:
-                    // the primary's EWMA fell below the configured
-                    // fraction of its trailing peak while the range
-                    // watermark stalled. The stall also *implies* a
-                    // rate bound (one chunk in `stalled` seconds), so a
-                    // shard that simply stopped streaming is caught
-                    // before the slow EWMA catches down to it.
-                    let stalled = last_advance.elapsed();
-                    let fraction = fleet.config.cliff_fraction;
-                    let cliff_of = preferred.as_ref().filter(|p| {
-                        fraction > 0.0 && stalled >= fleet.config.cliff_stall && {
-                            let m = &p.metrics;
-                            let (ewma, peak) = (m.ewma_rate(), m.peak_rate());
-                            let chunk = range.stream_every.unwrap_or((hi - lo) as u64).max(1);
-                            let implied = chunk as f64 / stalled.as_secs_f64();
-                            ewma > 0.0 && peak > 0.0 && ewma.min(implied) < fraction * peak
-                        }
-                    });
-                    let cliff_fire = cliff_of.is_some()
-                        && match last_hedge {
-                            None => true,
-                            Some(at) => {
-                                covered_now > covered_at_last_hedge
-                                    && at.elapsed() >= fleet.config.cliff_stall
-                            }
-                        };
-                    if hedge_fire || cliff_fire {
-                        if let Some(buddy) = fleet.next_available(&mut rotation, Some(&primary)) {
-                            if let Some(collapsed) = cliff_of.filter(|_| !hedge_fire) {
-                                fleet
-                                    .metrics
-                                    .cliff_redispatches
-                                    .fetch_add(1, Ordering::Relaxed);
-                                // Repeated collapse → quarantine: the
-                                // shard's attempts succeed (the
-                                // failure breaker never sees them),
-                                // so the cliff count is what takes a
-                                // chronically slow shard out of
-                                // rotation.
-                                let trips = collapsed
-                                    .metrics
-                                    .cliff_trips
-                                    .fetch_add(1, Ordering::Relaxed)
-                                    + 1;
-                                let quarantine_at = fleet.config.cliff_quarantine_trips;
-                                if quarantine_at > 0
-                                    && trips.is_multiple_of(u64::from(quarantine_at))
-                                {
-                                    fleet.quarantine(collapsed);
-                                }
-                            } else {
-                                fleet.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                            }
-                            spawn_attempt(buddy, true, covered_now);
-                            in_flight += 1;
-                            last_hedge = Some(Instant::now());
-                            covered_at_last_hedge = covered_now;
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break 'waves,
             }
+            Err(_) => {
+                if cancel.is_cancelled() {
+                    break;
+                }
+                let covered = range.covered();
+                if covered > seen {
+                    (seen, advanced) = (covered, Instant::now());
+                }
+                let open = |wait: Duration| {
+                    gate.is_none_or(|(at, from)| covered > from && at.elapsed() >= wait)
+                };
+                let hedge = config
+                    .hedge_after
+                    .is_some_and(|h| wave_start.elapsed() >= h && open(h));
+                // Throughput collapse: the watermark stalled and the
+                // primary's member runs below the configured fraction
+                // of its trailing peak. The stall also *implies* a
+                // rate (one chunk in `stalled`), so a shard that
+                // simply stopped streaming is caught before its slow
+                // EWMA catches down to it.
+                let stalled = advanced.elapsed();
+                let chunk = range.request.stream_every.unwrap_or((hi - lo) as u64);
+                let implied = chunk.max(1) as f64 / stalled.as_secs_f64();
+                let cliff = stalled >= config.cliff_stall
+                    && open(config.cliff_stall)
+                    && primary
+                        .as_ref()
+                        .is_some_and(|p| p.metrics.in_cliff(config.cliff_fraction, implied));
+                let reason = match (hedge, cliff) {
+                    (true, _) => Reason::Hedge,
+                    (false, true) => Reason::Cliff,
+                    (false, false) => continue,
+                };
+                redispatch(reason, primary.as_ref())
+            }
+        };
+        if let Some((member, from)) = started {
+            in_flight += 1;
+            primary.get_or_insert(member);
+            gate = Some((Instant::now(), from));
         }
-        // The whole wave failed: back off (cancellably), then retry.
-        wave += 1;
-        if wave < fleet.config.attempts {
-            let mut left = backoff_with_jitter(&fleet.config, epoch, range_idx, wave - 1);
+        if in_flight == 0 {
+            // The whole wave failed: back off (cancellably), then
+            // retry on the next member in the rotation.
+            wave += 1;
+            if wave >= config.attempts.max(1) {
+                break;
+            }
+            let mut left = backoff_with_jitter(config, ctx.epoch, range_idx, wave - 1);
             while left > Duration::ZERO && !cancel.is_cancelled() {
                 let step = left.min(Duration::from_millis(20));
                 std::thread::sleep(step);
                 left = left.saturating_sub(step);
             }
+            let retry = (!cancel.is_cancelled()).then(|| redispatch(Reason::Retry, None));
+            let Some((member, _)) = retry.flatten() else {
+                break; // cancelled, or every breaker is open
+            };
+            (in_flight, primary, gate) = (1, Some(member), None);
+            (wave_start, seen, advanced) = (Instant::now(), range.covered(), Instant::now());
         }
     }
     range.done.store(true, Ordering::Release); // abandon any straggler attempt
+    finish_locally(ctx, range.finish(), hi)
+}
 
-    if cancel.is_cancelled() {
-        return range.outcome(true, false, false);
+/// Finish a range the network could not: as banked when it is covered
+/// (or cancelled), else by scoring the uncovered suffix right here.
+/// Slower, never wrong — the same pure evaluation the shard would have
+/// run, minus everything streamed parts already banked.
+fn finish_locally(ctx: &TuneCtx<'_>, mut p: Progress, hi: usize) -> Progress {
+    p.cancelled = ctx.cancel.is_cancelled();
+    if p.cancelled || p.covered >= hi {
+        return p;
     }
-    if range.covered() >= hi {
-        return range.outcome(false, false, false);
-    }
-
-    // Graceful degradation: score the *uncovered suffix* right here.
-    // Slower, never wrong — the same pure evaluation the shard would
-    // have run, minus everything streamed parts already banked.
-    fleet
-        .metrics
+    let metrics = &ctx.fleet.metrics;
+    metrics
         .local_fallback_ranges
         .fetch_add(1, Ordering::Relaxed);
-    let suffix_lo = range.covered();
+    let (req, from) = (ctx.req, p.covered);
+    let locals: Vec<MappingCandidate> = req.candidates[from..hi]
+        .iter()
+        .map(|c| MappingCandidate::new(c.label.clone(), c.mapping.clone()))
+        .collect();
     let mut budget = Budget::unlimited();
-    if let Some(d) = deadline {
-        budget.deadline = Some(d.saturating_duration_since(Instant::now()));
-    }
-    let report = Tuner::new(evaluator, &req.graph, &req.machine, req.fom)
-        .with_pool(pool)
+    budget.deadline = ctx
+        .deadline
+        .map(|d| d.saturating_duration_since(Instant::now()));
+    let report = Tuner::new(ctx.evaluator, &req.graph, &req.machine, req.fom)
+        .with_pool(ctx.pool)
         .with_budget(budget)
-        .with_cancel(cancel.clone())
-        .tune(&locals[suffix_lo - lo..]);
-    let cancelled = report.cancelled;
-    range.merge_local(suffix_lo, report);
-    range.outcome(cancelled, false, true)
+        .with_cancel(ctx.cancel.clone())
+        .tune(&locals);
+    p.evaluated += report.evaluated as u64;
+    let win = report.best_index.zip(report.best);
+    fold_best(&mut p.best, win.map(|(i, b)| ((from + i) as u64, b)));
+    (p.cancelled, p.local) = (report.cancelled, true);
+    p
 }
 
 /// Dial one shard with the configured connect timeout, clamped by the
@@ -1217,28 +1077,15 @@ fn run_attempt(
     // Skipping the handshake also keeps reply-frame indices stable for
     // the frame-indexed fault scripts in the chaos suite.
     let binary = fleet.config.binary_links && !member.json_only.load(Ordering::Acquire);
-    let request = Request::TuneShard(TuneShardRequest {
-        graph: range.graph.clone(),
-        machine: range.machine.clone(),
-        fom: range.fom,
-        candidates: range.candidates[attempt_lo - range.lo..].to_vec(),
-        start_index: attempt_lo as u64,
-        epoch: range.epoch,
-        deadline_ms: range
-            .deadline
-            .map(|d| (d.saturating_duration_since(Instant::now()).as_millis() as u64).max(1)),
-        stream_every: range.stream_every,
-        cost_model: range.cost_model.clone(),
-    });
-    let payload = if binary {
-        encode_request_binary(range.epoch, &request)
-    } else {
-        encode_request(&request)
-    };
+    let deadline_ms = range
+        .deadline
+        .map(|d| (d.saturating_duration_since(Instant::now()).as_millis() as u64).max(1));
+    let payload = encode_tune_shard_suffix(&range.request, attempt_lo, deadline_ms, binary);
     if write_frame(&mut stream, &payload).is_err() {
         fleet.report_failure(member);
         return AttemptEnd::Failed { saved: 0 };
     }
+    let epoch = range.request.epoch;
 
     // Per-frame consume loop. `saved` counts candidates this attempt
     // merged; if the attempt later dies they are the streamed prefix a
@@ -1277,15 +1124,11 @@ fn run_attempt(
         match frame {
             Ok(bytes) => match decode_response_any(&bytes).map(|(_, r, _)| r) {
                 Ok(Response::TuneShardPart(part)) => {
-                    if let Err(flaw) = part.verify(range.epoch) {
-                        fleet
-                            .metrics
-                            .parts_discarded
-                            .fetch_add(1, Ordering::Relaxed);
-                        return fail(Some(&flaw), saved);
-                    }
-                    match range.merge_part(&part.body) {
-                        PartMerge::Merged => {
+                    // A part that fails its seal, or does not fit the
+                    // ledger, is discarded and fails the attempt.
+                    let flaw = part.verify(epoch).err();
+                    match flaw.is_none().then(|| range.merge_part(&part.body)) {
+                        Some(PartMerge::Merged) => {
                             fleet.metrics.parts_merged.fetch_add(1, Ordering::Relaxed);
                             m.parts.fetch_add(1, Ordering::Relaxed);
                             m.observe_rate(part.body.count, last_mark.elapsed());
@@ -1296,24 +1139,22 @@ fn run_attempt(
                                 fleet.report_success(member);
                                 return AttemptEnd::Covered;
                             }
-                            until = frame_deadline(); // progress resets the clock
                         }
-                        PartMerge::Duplicate => {
-                            // A hedge already banked this chunk; the
-                            // frame still proves the shard is alive.
-                            until = frame_deadline();
-                        }
-                        PartMerge::OutOfSync => {
+                        // A hedge already banked this chunk; the frame
+                        // still proves the shard is alive.
+                        Some(PartMerge::Duplicate) => {}
+                        Some(PartMerge::OutOfSync) | None => {
                             fleet
                                 .metrics
                                 .parts_discarded
                                 .fetch_add(1, Ordering::Relaxed);
-                            return fail(None, saved);
+                            return fail(flaw.as_ref(), saved);
                         }
                     }
+                    until = frame_deadline(); // a live stream resets the clock
                 }
                 Ok(Response::TuneSharded(reply)) => {
-                    return match reply.verify(range.epoch) {
+                    return match reply.verify(epoch) {
                         Ok(()) => {
                             // The suffix past this attempt's own
                             // streamed parts was evaluated since the
@@ -1362,30 +1203,15 @@ fn run_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_covers_exactly_and_respects_minimum() {
-        for cap in 0..40 {
-            for nshards in 1..6 {
-                let ranges = partition(cap, nshards, 3);
-                // Coverage: contiguous, exact.
-                let mut expect = 0;
-                for &(lo, hi) in &ranges {
-                    assert_eq!(lo, expect);
-                    assert!(hi > lo);
-                    expect = hi;
-                }
-                assert_eq!(expect, cap);
-                assert!(ranges.len() <= nshards);
-                // Minimum size (single-range lists may be smaller).
-                if ranges.len() > 1 {
-                    for &(lo, hi) in &ranges {
-                        assert!(hi - lo >= 3, "range {lo}..{hi} under minimum");
-                    }
-                }
-            }
-        }
-    }
+    use crate::protocol::{
+        decode_request_any, encode_request, encode_request_binary, Request, WireCandidate,
+    };
+    use fm_core::affine::IdxExpr;
+    use fm_core::dataflow::{CExpr, DataflowGraph};
+    use fm_core::machine::MachineConfig;
+    use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
+    use fm_core::search::FigureOfMerit;
+    use fm_core::value::Value;
 
     #[test]
     fn weighted_partition_covers_exactly_and_respects_minimum() {
@@ -1430,7 +1256,15 @@ mod tests {
     fn weighted_partition_degenerates_to_equal_split_when_uniform() {
         for cap in 1..60 {
             for nshards in 1..6 {
-                let equal = partition(cap, nshards, 2);
+                // The plain split: as many ranges as shards allow with
+                // at least 2 candidates each, the first `cap % n` one
+                // longer.
+                let n = (cap / 2).clamp(1, nshards);
+                let mut equal = Vec::new();
+                for i in 0..n {
+                    let lo = i * (cap / n) + i.min(cap % n);
+                    equal.push((lo, lo + cap / n + usize::from(i < cap % n)));
+                }
                 for weights in [vec![], vec![5.0; nshards], vec![0.0; nshards]] {
                     let plan = partition_weighted(cap, nshards, 2, &weights);
                     let sizes: Vec<(usize, usize)> =
@@ -1448,6 +1282,11 @@ mod tests {
                 }
             }
         }
+        assert_eq!(
+            partition_weighted(7, 3, 2, &[]),
+            vec![(0, 3, 0), (3, 5, 1), (5, 7, 2)]
+        );
+        assert_eq!(partition_weighted(5, 4, 2, &[]), vec![(0, 3, 0), (3, 5, 1)]);
     }
 
     #[test]
@@ -1473,26 +1312,78 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), 20);
     }
 
+    /// A small tune request: `n` candidates over an 8-node graph, with
+    /// a cost model so every field of the shard request is exercised.
+    fn tune_request(n: usize) -> TuneRequest {
+        let mut graph = DataflowGraph::new("suffix", 32);
+        for i in 0..8 {
+            graph.add_node(CExpr::konst(Value::real(i as f64)), vec![], vec![i]);
+        }
+        let candidates = (0..n)
+            .map(|i| WireCandidate {
+                label: format!("c{i}"),
+                mapping: Mapping::Affine(AffineMap {
+                    place: PlaceExpr::row0(IdxExpr::i()),
+                    time: IdxExpr::c(i as i64),
+                }),
+            })
+            .collect();
+        TuneRequest {
+            graph,
+            machine: MachineConfig::linear(4),
+            fom: FigureOfMerit::Energy,
+            candidates,
+            deadline_ms: None,
+            max_candidates: None,
+            convergence_window: None,
+            refinement: None,
+            use_cache: false,
+            cost_model: Some("roofline".to_string()),
+        }
+    }
+
+    #[test]
+    fn every_attempt_sends_the_request_for_its_own_suffix() {
+        let req = tune_request(12);
+        let (lo, hi, epoch) = (4, 12, 7);
+        let range = RangeShared::new(&req, lo, hi, epoch, Some(4), None);
+        for attempt_lo in [lo, lo + 3] {
+            // The attempt's request, built field by field from the tune
+            // request.
+            let expected = Request::TuneShard(TuneShardRequest {
+                graph: req.graph.clone(),
+                machine: req.machine.clone(),
+                fom: req.fom,
+                candidates: req.candidates[attempt_lo..hi].to_vec(),
+                start_index: attempt_lo as u64,
+                epoch,
+                deadline_ms: None,
+                stream_every: Some(4),
+                cost_model: req.cost_model.clone(),
+            });
+            for binary in [false, true] {
+                let payload = encode_tune_shard_suffix(&range.request, attempt_lo, None, binary);
+                let (corr, decoded, was_binary) = decode_request_any(&payload).unwrap();
+                assert_eq!(
+                    decoded, expected,
+                    "attempt at {attempt_lo}, binary {binary}"
+                );
+                assert_eq!(was_binary, binary);
+                let old = match binary {
+                    true => {
+                        assert_eq!(corr, epoch);
+                        encode_request_binary(epoch, &expected)
+                    }
+                    false => encode_request(&expected),
+                };
+                assert_eq!(payload, old, "byte-identical to the whole-request encoding");
+            }
+        }
+    }
+
     #[test]
     fn range_progress_merges_contiguous_parts_and_flags_the_rest() {
-        let range = RangeShared {
-            graph: DataflowGraph::new("progress", 32),
-            machine: MachineConfig::linear(4),
-            fom: FigureOfMerit::Time,
-            candidates: Vec::new(),
-            lo: 8,
-            hi: 16,
-            epoch: 1,
-            deadline: None,
-            stream_every: Some(4),
-            cost_model: None,
-            progress: Mutex::new(Progress {
-                covered: 8,
-                evaluated: 0,
-                best: None,
-            }),
-            done: AtomicBool::new(false),
-        };
+        let range = RangeShared::new(&tune_request(16), 8, 16, 1, Some(4), None);
         let part = |start: u64, count: u64| TuneShardPartBody {
             start_index: start,
             count,
@@ -1520,7 +1411,7 @@ mod tests {
         assert!(!range.is_done());
         assert!(matches!(range.merge_part(&part(12, 4)), PartMerge::Merged));
         assert!(range.is_done());
-        assert_eq!(range.outcome(false, false, false).evaluated, 8);
+        assert_eq!(range.finish().evaluated, 8);
     }
 
     #[test]
@@ -1573,27 +1464,26 @@ mod tests {
 
     #[test]
     fn admit_and_retire_reshape_the_roster_and_rotation() {
-        let mut config = FleetConfig::new(vec!["127.0.0.1:1".to_string()]);
-        config.admit = vec!["127.0.0.1:2".to_string()];
+        let config = FleetConfig::new(vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()]);
         let fleet = Fleet::new(config);
-        assert_eq!(fleet.members(), vec!["127.0.0.1:1", "127.0.0.1:2"]);
-        assert_eq!(fleet.membership_epoch(), 2, "the admit list counts");
+        let roster = fleet.membership();
+        assert_eq!(roster.members(), vec!["127.0.0.1:1", "127.0.0.1:2"]);
         // next_available sees joiners immediately and honors exclude.
-        let (epoch, changed) = fleet.admit("127.0.0.1:3");
+        let (epoch, changed) = roster.join("127.0.0.1:3");
         assert!(changed);
-        assert_eq!(epoch, 3);
+        assert_eq!(epoch, 2, "the first join after startup");
         let first = &fleet.membership.roster()[0];
         let mut rotation = 0usize;
         let pick = fleet.next_available(&mut rotation, Some(first)).unwrap();
         assert_ne!(pick.addr(), first.addr());
         // Retiring flags the member departed; a second retire is a
         // no-op.
-        assert!(fleet.retire("127.0.0.1:2").1);
-        assert!(!fleet.retire("127.0.0.1:2").1);
-        assert_eq!(fleet.members(), vec!["127.0.0.1:1", "127.0.0.1:3"]);
+        assert!(roster.leave("127.0.0.1:2").1);
+        assert!(!roster.leave("127.0.0.1:2").1);
+        assert_eq!(roster.members(), vec!["127.0.0.1:1", "127.0.0.1:3"]);
         let snap = fleet.metrics().snapshot();
         assert_eq!(snap.members, 2);
-        assert_eq!(snap.joins, 2);
+        assert_eq!(snap.joins, 1);
         assert_eq!(snap.leaves, 1);
         let row = snap.shards.iter().find(|s| s.addr.ends_with(":2")).unwrap();
         assert!(row.departed, "retired member's row survives, flagged");

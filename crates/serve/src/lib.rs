@@ -68,11 +68,10 @@
 //!   a single-machine tune even under dead, slow, or frame-corrupting
 //!   shards (deterministically testable via [`fault`]),
 //! * elastic membership ([`membership`]): shards join and leave the
-//!   running fleet (`ShardJoin`/`ShardLeave`, `--fleet-admit`), EWMA
-//!   throughput weights persist across coordinator restarts in a
-//!   corrupt-tolerant JSON ledger, and a shard whose throughput falls
-//!   off a cliff mid-tune has its unfinished suffix speculatively
-//!   re-dispatched to healthy members.
+//!   running fleet (`ShardJoin`/`ShardLeave`), EWMA throughput weights
+//!   persist across coordinator restarts in a corrupt-tolerant JSON
+//!   ledger, and retries, hedges, departures and throughput cliffs all
+//!   re-dispatch a range's unfinished suffix through one path.
 //!
 //! ## Quickstart
 //!

@@ -3,12 +3,11 @@
 //!
 //! The fleet coordinator used to freeze its shard pool at startup; this
 //! module makes the pool a *living roster*. Shards join and leave a
-//! running fleet (via `ShardJoin`/`ShardLeave` protocol frames or the
-//! coordinator-side `--fleet-admit` list); every change bumps a
-//! **membership epoch** surfaced in `Stats`, new members become
-//! eligible for the next partition and for suffix re-dispatch, and a
-//! departed member's in-flight ranges are re-dispatched from their
-//! covered watermark the moment its departure is noticed.
+//! running fleet via `ShardJoin`/`ShardLeave` protocol frames; every
+//! change bumps a **membership epoch** surfaced in `Stats`, new members
+//! become eligible for the next partition and for suffix re-dispatch,
+//! and a departed member's in-flight ranges are re-dispatched from
+//! their covered watermark the moment its departure is noticed.
 //!
 //! Identity is the configured address string. A member that leaves and
 //! later rejoins under the same address is **revived**, not recreated:
@@ -29,10 +28,10 @@
 //! **Staleness decay** guards the other direction: a persisted weight
 //! describes the machine as it was. Entries carry a timestamp-free
 //! *generation* counter (fleet tunes observed when the sample was
-//! taken); after `weight_decay_tunes` tunes without a fresh sample a
-//! member's weight blends linearly toward the fresh members' mean and
-//! finally reads cold, so a machine whose performance changed since the
-//! last run cannot permanently skew partitioning.
+//! taken); over `decay_after` tunes without a fresh sample (64 in the
+//! fleet) a member's weight blends linearly toward the fresh members'
+//! mean and then reads cold, so a machine whose performance changed
+//! since the last run cannot permanently skew partitioning.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -150,6 +149,18 @@ impl Member {
     pub fn addr(&self) -> &str {
         &self.addr
     }
+
+    /// Move the breaker (held locked as `b`) to `to`, and its `Stats`
+    /// gauge with it.
+    pub(crate) fn set_breaker(&self, b: &mut Breaker, to: Breaker) {
+        let gauge = match to {
+            Breaker::Closed { .. } => breaker_state::CLOSED,
+            Breaker::Open { .. } => breaker_state::OPEN,
+            Breaker::HalfOpen => breaker_state::HALF_OPEN,
+        };
+        *b = to;
+        self.metrics.state.store(gauge, Ordering::Relaxed);
+    }
 }
 
 impl std::fmt::Debug for Member {
@@ -173,12 +184,12 @@ pub struct Membership {
     /// Tunes without a fresh sample before a weight reads fully cold
     /// (0 disables decay).
     decay_after: u64,
-    breaker_cooldown: Duration,
 }
 
 impl Membership {
     /// Build the roster over the configured addresses, seeding weights
-    /// and breaker state from the ledger at `ledger` when one loads.
+    /// and breaker state from the ledger at `ledger` when one loads (a
+    /// breaker persisted open re-opens for one `breaker_cooldown`).
     pub fn new(
         addrs: &[String],
         metrics: Arc<FleetMetrics>,
@@ -205,13 +216,8 @@ impl Membership {
                     e.generation,
                 );
                 if e.breaker_open {
-                    *member.breaker.lock() = Breaker::Open {
-                        until: Instant::now() + breaker_cooldown,
-                    };
-                    member
-                        .metrics
-                        .state
-                        .store(breaker_state::OPEN, Ordering::Relaxed);
+                    let until = Instant::now() + breaker_cooldown;
+                    member.set_breaker(&mut member.breaker.lock(), Breaker::Open { until });
                 }
             }
             live.push(member);
@@ -225,7 +231,6 @@ impl Membership {
             metrics: Arc::clone(&metrics),
             ledger,
             decay_after,
-            breaker_cooldown,
         }
     }
 
@@ -242,16 +247,6 @@ impl Membership {
     /// Bump the generation at the start of a fleet tune.
     pub fn begin_tune(&self) -> u64 {
         self.generation.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Live member count.
-    pub fn len(&self) -> usize {
-        self.live.lock().len()
-    }
-
-    /// Whether the roster is empty (every tune then runs locally).
-    pub fn is_empty(&self) -> bool {
-        self.live.lock().is_empty()
     }
 
     /// A point-in-time snapshot of the live roster (cheap Arc clones).
@@ -403,12 +398,6 @@ impl Membership {
         };
         let _ = store_ledger(path, &doc);
     }
-
-    /// The configured breaker cooldown (restored breakers re-open for
-    /// exactly one of these).
-    pub fn breaker_cooldown(&self) -> Duration {
-        self.breaker_cooldown
-    }
 }
 
 #[cfg(test)]
@@ -482,7 +471,7 @@ mod tests {
     fn join_and_leave_bump_the_epoch_and_are_idempotent() {
         let (m, metrics) = fresh(&["a:1", "b:2"]);
         assert_eq!(m.epoch(), 1);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.members().len(), 2);
         // Joining a live member changes nothing.
         assert_eq!(m.join("a:1"), (1, false));
         // A real join bumps the epoch and the gauges.

@@ -649,12 +649,14 @@ impl ShardMetrics {
         f64::from_bits(self.peak_rate_bits.load(Ordering::Relaxed))
     }
 
-    /// Has this shard's throughput collapsed below `fraction` of its
-    /// trailing peak? False while cold (no peak to collapse from).
-    pub fn in_cliff(&self, fraction: f64) -> bool {
+    /// Has this shard's throughput — the lower of its EWMA and
+    /// `implied`, the rate a stalled watermark implies — collapsed below
+    /// `fraction` of its trailing peak? False while cold (no peak to
+    /// collapse from); `fraction` 0 disables the check.
+    pub fn in_cliff(&self, fraction: f64, implied: f64) -> bool {
         let ewma = self.ewma_rate();
         let peak = self.peak_rate();
-        fraction > 0.0 && ewma > 0.0 && peak > 0.0 && ewma < fraction * peak
+        fraction > 0.0 && ewma > 0.0 && peak > 0.0 && ewma.min(implied) < fraction * peak
     }
 
     /// Seed EWMA + peak from a persisted ledger entry (start-up only;
@@ -762,8 +764,8 @@ pub struct FleetMetrics {
     pub departed_redispatches: AtomicU64,
     /// Tunes routed through the fleet path.
     pub fleet_tunes: AtomicU64,
-    /// Sub-range attempts beyond each range's first (per-range retry
-    /// count, summed).
+    /// Retry waves: attempts a range sent once every attempt of its
+    /// previous wave had failed.
     pub retries: AtomicU64,
     /// Hedged duplicate requests launched for straggler shards.
     pub hedges: AtomicU64,
@@ -788,7 +790,7 @@ pub struct FleetMetrics {
     /// Streamed parts discarded (bad checksum, stale epoch, or not
     /// contiguous with the range's covered watermark).
     pub parts_discarded: AtomicU64,
-    /// Retry/hedge attempts that re-dispatched only a range's
+    /// Re-dispatches (of any reason) that sent only a range's
     /// unfinished *suffix* (streamed progress made the prefix safe).
     pub suffix_redispatches: AtomicU64,
     /// Candidates whose evaluation was **not** repeated because a
@@ -954,7 +956,7 @@ pub struct FleetStatsReply {
     pub departed_redispatches: u64,
     /// Tunes routed through the fleet path.
     pub fleet_tunes: u64,
-    /// Per-range retry attempts, summed.
+    /// Retry waves, summed over ranges.
     pub retries: u64,
     /// Hedged duplicate requests launched.
     pub hedges: u64,
@@ -976,7 +978,7 @@ pub struct FleetStatsReply {
     pub parts_merged: u64,
     /// Streamed parts discarded (corrupt, stale, or non-contiguous).
     pub parts_discarded: u64,
-    /// Retries/hedges that re-dispatched only an unfinished suffix.
+    /// Re-dispatches that sent only an unfinished suffix.
     pub suffix_redispatches: u64,
     /// Candidates saved from re-evaluation by streamed prefixes.
     pub prefix_candidates_saved: u64,
@@ -1186,11 +1188,19 @@ mod tests {
 
     #[test]
     fn peak_is_monotone_and_cliff_detector_fires_on_collapse() {
+        let no_stall = f64::INFINITY;
         let s = ShardMetrics::new("127.0.0.1:1".into());
-        assert!(!s.in_cliff(0.5), "cold shard is never in a cliff");
+        assert!(!s.in_cliff(0.5, no_stall), "cold shard is never in a cliff");
+        assert!(!s.in_cliff(0.5, 1.0), "nor is a cold shard that stalls");
         s.observe_rate(1000, Duration::from_secs(1));
         assert!((s.peak_rate() - 1000.0).abs() < 1e-9);
-        assert!(!s.in_cliff(0.5), "at peak is not a cliff");
+        assert!(!s.in_cliff(0.5, no_stall), "at peak is not a cliff");
+        // A stall at peak EWMA: the implied rate alone fires it.
+        assert!(s.in_cliff(0.5, 40.0));
+        assert!(
+            !s.in_cliff(0.5, 600.0),
+            "a stall that implies half the peak does not"
+        );
         // Collapse: repeated slow observations drag the EWMA down; the
         // peak holds, so the detector fires once past the fraction.
         for _ in 0..16 {
@@ -1198,8 +1208,9 @@ mod tests {
         }
         assert!((s.peak_rate() - 1000.0).abs() < 1e-9, "peak is monotone");
         assert!(s.ewma_rate() < 100.0);
-        assert!(s.in_cliff(0.5));
-        assert!(!s.in_cliff(0.0), "fraction 0 disables detection");
+        assert!(s.in_cliff(0.5, no_stall));
+        assert!(!s.in_cliff(0.0, no_stall), "fraction 0 disables detection");
+        assert!(!s.in_cliff(0.0, 1.0), "whatever the stall");
     }
 
     #[test]

@@ -1148,6 +1148,60 @@ pub fn encode_request_binary(corr: u64, req: &Request) -> Vec<u8> {
     encode_envelope(corr, req)
 }
 
+/// The payload of `Request::TuneShard` for the suffix of `req` from
+/// absolute index `from`, carrying `deadline_ms`: the bytes
+/// [`encode_request`] — or, with `binary`, [`encode_request_binary`]
+/// under correlation id `req.epoch` — writes for that request, built
+/// without copying the graph or the candidates.
+pub(crate) fn encode_tune_shard_suffix(
+    req: &TuneShardRequest,
+    from: usize,
+    deadline_ms: Option<u64>,
+    binary: bool,
+) -> Vec<u8> {
+    let candidates = &req.candidates[from - req.start_index as usize..];
+    let start_index = from as u64;
+    // `TuneShardRequest`'s fields, in declaration order.
+    let suffix = TuneShardFields([
+        ("graph", &req.graph),
+        ("machine", &req.machine),
+        ("fom", &req.fom),
+        ("candidates", &candidates),
+        ("start_index", &start_index),
+        ("epoch", &req.epoch),
+        ("deadline_ms", &deadline_ms),
+        ("stream_every", &req.stream_every),
+        ("cost_model", &req.cost_model),
+    ]);
+    match binary {
+        true => encode_envelope(req.epoch, &suffix),
+        false => serde_json::to_string(&suffix)
+            .expect("requests always serialize")
+            .into_bytes(),
+    }
+}
+
+/// `Request::TuneShard`, serialized from borrowed fields.
+struct TuneShardFields<'a>([(&'static str, &'a dyn Serialize); 9]);
+
+impl Serialize for TuneShardFields<'_> {
+    fn to_json(&self) -> serde::Json {
+        let body = self.0.map(|(k, v)| (k.to_string(), v.to_json()));
+        let body = serde::Json::Obj(body.into());
+        serde::Json::Obj(vec![("TuneShard".to_string(), body)])
+    }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        serde::binary::put_object(out, 1);
+        serde::binary::put_key(out, "TuneShard");
+        serde::binary::put_object(out, self.0.len());
+        for (k, v) in self.0 {
+            serde::binary::put_key(out, k);
+            v.write_binary(out);
+        }
+    }
+}
+
 /// Serialize a response to a binary envelope payload.
 pub fn encode_response_binary(corr: u64, resp: &Response) -> Vec<u8> {
     encode_envelope(corr, resp)

@@ -330,14 +330,15 @@ fn membership_change(shared: &Shared, addr: &str, join: bool) -> Response {
             error: "not a fleet coordinator (start with --fleet)".to_string(),
         });
     };
+    let roster = fleet.membership();
     let (epoch, changed) = if join {
-        fleet.admit(addr)
+        roster.join(addr)
     } else {
-        fleet.retire(addr)
+        roster.leave(addr)
     };
     Response::Membership(MembershipReply {
         epoch,
-        members: fleet.members(),
+        members: roster.members(),
         changed,
     })
 }
@@ -909,6 +910,7 @@ fn worker_main(shared: &Arc<Shared>) {
             (Some(key), false) => shared.take_matching(key),
             _ => Vec::new(),
         };
+        let replies = 1 + waiters.len();
 
         // Every engine indexes by the graph's construction rules
         // (`deps < id`, slot counts, input reads in range), so a graph
@@ -926,12 +928,13 @@ fn worker_main(shared: &Arc<Shared>) {
                     Err(refusal) => Response::Failed(refusal),
                     Ok(kind) => match &shared.fleet {
                         Some(fleet) if fleet.eligible(&req) => {
-                            let reply = fleet.tune(&req, &cancel, deadline, &shared.pool);
                             let evaluator =
                                 Evaluator::new(&req.graph, &req.machine).with_cost_model(kind);
-                            Response::Tuned(observed(shared, &evaluator, reply))
+                            let pool = &shared.pool;
+                            let reply = fleet.tune(&req, &evaluator, &cancel, deadline, pool);
+                            Response::Tuned(observed(shared, &evaluator, reply, replies))
                         }
-                        _ => exec_tune(shared, req, &cancel, deadline),
+                        _ => exec_tune(shared, req, &cancel, deadline, replies),
                     },
                 },
                 Request::TuneShard(req) => exec_tune_shard(shared, req, &cancel, deadline, &reply),
@@ -1008,6 +1011,7 @@ fn exec_tune(
     req: TuneRequest,
     cancel: &CancelToken,
     deadline: Option<Instant>,
+    replies: usize,
 ) -> Response {
     let TuneRequest {
         graph,
@@ -1059,7 +1063,7 @@ fn exec_tune(
         CacheStatus::Stale => shared.metrics.cache_stale.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Disabled => 0,
     };
-    Response::Tuned(observed(shared, &evaluator, tune_reply(report)))
+    Response::Tuned(observed(shared, &evaluator, tune_reply(report), replies))
 }
 
 /// The wire reply for a tuner's report.
@@ -1077,13 +1081,21 @@ fn tune_reply(report: TuneReport) -> TuneReply {
 }
 
 /// Record a served tune's winner in the cost-model observatory, under
-/// `evaluator`'s backend. Local, fleet and session tunes all answer
-/// through here.
-fn observed(shared: &Shared, evaluator: &Evaluator<'_>, reply: TuneReply) -> TuneReply {
+/// `evaluator`'s backend, once per reply it is sent as (a dedup batch
+/// answers every waiter with the primary's reply). Local, fleet and
+/// session tunes all answer through here.
+fn observed(
+    shared: &Shared,
+    evaluator: &Evaluator<'_>,
+    reply: TuneReply,
+    replies: usize,
+) -> TuneReply {
     if let Some(best) = &reply.best {
         let point = evaluator.roofline(&best.report);
         let models = &shared.metrics.cost_models;
-        models.observe(evaluator.cost_model(), &point, &best.report);
+        for _ in 0..replies {
+            models.observe(evaluator.cost_model(), &point, &best.report);
+        }
     }
     reply
 }
@@ -1241,7 +1253,7 @@ fn exec_session_tune(
         epoch: out.epoch,
         warm: out.warm,
         rebuilds: out.rebuilds,
-        reply: observed(shared, &state.evaluator(), tune_reply(out.report)),
+        reply: observed(shared, &state.evaluator(), tune_reply(out.report), 1),
     }))
 }
 

@@ -881,6 +881,75 @@ fn repeated_cliffs_quarantine_the_shard() {
     }
 }
 
+/// A cliff trip is charged to the member whose stream stalled. Shard 0
+/// dies inside its range's second frame, the retry wave moves the
+/// suffix to shard 1, and that attempt stalls: the cliff check must
+/// judge shard 1 — the member running the range's primary attempt —
+/// not shard 0, the member the partition preferred.
+#[test]
+fn cliff_trip_is_charged_to_the_member_whose_stream_stalled() {
+    let graph = wide(14);
+    let machine = MachineConfig::linear(8);
+    let shards = start_shards(2);
+    // Shard 0's first connection streams one part, then truncates the
+    // next frame.
+    let proxy0 = FaultProxy::start(
+        shards[0].local_addr(),
+        FaultPlan::script(vec![FaultAction::TruncateFrame(1)]),
+    )
+    .unwrap();
+    // Shard 1's first connection serves its own range cleanly; its
+    // second — the retried suffix — stalls before every frame.
+    let proxy1 = FaultProxy::start(
+        shards[1].local_addr(),
+        FaultPlan::script(vec![
+            FaultAction::Pass,
+            FaultAction::StallBetweenFrames(300),
+        ]),
+    )
+    .unwrap();
+    let addrs = vec![
+        proxy0.local_addr().to_string(),
+        proxy1.local_addr().to_string(),
+    ];
+    let mut config = fleet_config(addrs.clone());
+    config.hedge_after = None; // isolate the cliff detector
+    config.cliff_fraction = 0.5;
+    config.cliff_stall = Duration::from_millis(100);
+    config.stream_every = Some(4);
+    let coord = start_coordinator(config);
+
+    let mut client = Client::connect(coord.local_addr()).unwrap();
+    let reply = client.tune(tune_request(&graph, &machine, 32)).unwrap();
+    assert!(!reply.cancelled);
+    assert_eq!(reply.evaluated, 32, "every candidate scored exactly once");
+    assert_same_winner(
+        &reply.best.expect("fleet found a winner"),
+        &direct_winner(&graph, &machine, 32),
+    );
+
+    let fleet = coord.stats().fleet.unwrap();
+    assert!(fleet.retries >= 1, "shard 0's range should have retried");
+    assert!(fleet.cliff_redispatches >= 1, "the cliff never fired");
+    let trips = |addr: &str| {
+        let row = fleet.shards.iter().find(|s| s.addr == addr).unwrap();
+        row.cliff_trips
+    };
+    assert_eq!(
+        trips(&addrs[0]),
+        0,
+        "shard 0's attempt had already failed; it cannot be stalling"
+    );
+    assert_eq!(trips(&addrs[1]), 1, "the stalled stream was shard 1's");
+
+    coord.shutdown_and_join();
+    proxy0.stop();
+    proxy1.stop();
+    for s in shards {
+        s.shutdown_and_join();
+    }
+}
+
 /// Tentpole: retiring a shard *while it owns an in-flight range*
 /// abandons the attempt at its covered watermark and re-dispatches only
 /// the unfinished suffix to a surviving member.

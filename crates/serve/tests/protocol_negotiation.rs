@@ -345,6 +345,11 @@ fn duplicate_tunes_collapse_into_one_search() {
         "per-request accounting must survive dedup"
     );
     assert_eq!(stats.tune.completed, DUPES);
+    let observed: u64 = stats.cost_models.iter().map(|m| m.tunes).sum();
+    assert_eq!(
+        observed, stats.tune.completed,
+        "the cost-model observatory counts every answered tune"
+    );
 }
 
 /// Dedup off is a real knob: the same duplicate burst runs every
