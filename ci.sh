@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI: formatting, lints, full test suite, and a smoke run of the
-# two tuner-driven table generators. Mirrors what a hosted pipeline
-# would run; keep it green before every commit.
+# Local CI: formatting, lints, full test suite, release parity and
+# serving suites, a quick run of every experiment table with its gate,
+# and a short run of each end-to-end benchmark workload. Mirrors what a
+# hosted pipeline would run; keep it green before every commit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,48 +65,26 @@ cargo test --release -q --test alloc_regression
 cargo test --release -q -p fm-serve --test session_proptests
 cargo test --release -q -p fm-autotune -- warm
 
-echo "== table smoke runs (--quick) =="
-cargo run --release -q -p fm-bench --bin table_e4_fft_search -- --quick >/dev/null
-cargo run --release -q -p fm-bench --bin table_e8_default_mapper -- --quick >/dev/null
-cargo run --release -q -p fm-bench --bin table_e14_anneal -- --quick --no-json >/dev/null
-cargo run --release -q -p fm-bench --bin table_e15_serve -- --quick --no-json >/dev/null
-
-echo "== fleet-faults: sharded-search chaos suite + E16 smoke =="
+echo "== fleet-faults: sharded-search chaos suite =="
 # The chaos suite runs real shard servers behind deterministic
 # fault-injection proxies and checks the fleet winner stays
 # bit-identical to a single-machine tune; release mode keeps the
 # in-test tuning work fast.
 cargo test --release -q -p fm-serve --test fleet_faults
-cargo run --release -q -p fm-bench --bin table_e16_fleet -- --quick --no-json >/dev/null
-
-echo "== E17 smoke: streaming + weighted beats blocking on a scripted straggler =="
-# 2-shard topology, shard 0 scripted slow: the binary itself asserts
-# winner parity, parts_merged > 0, zero discarded parts, and the
-# speedup bar, exiting non-zero on any violation.
-cargo run --release -q -p fm-bench --bin table_e17_stream -- --quick --no-json >/dev/null
 
 echo "== session-smoke: open → edits → warm tune, parity vs cold =="
 # End-to-end session lifecycle over real TCP (open → 3 edit batches →
 # warm SessionTune after each, winner checked bit-for-bit against a
 # cold client-side tune), plus typed NoSuchSession, idle eviction, and
-# concurrent disjoint sessions. Then the E18 quick run: the binary
-# asserts per-row parity and the warm-vs-cold speedup bar, and must
-# emit its BENCH_e18.json rows (written to a scratch dir so a smoke
-# run never clobbers full-run numbers).
+# concurrent disjoint sessions.
 cargo test --release -q -p fm-serve --test session_integration
-e18_dir="$(mktemp -d)"
-cargo run --release -q -p fm-bench --bin table_e18_session -- --quick --json "$e18_dir/BENCH_e18.json" >/dev/null
-[ -s "$e18_dir/BENCH_e18.json" ] || { echo "session-smoke: E18 emitted no JSON"; exit 1; }
-rm -rf "$e18_dir"
 
-echo "== wire-smoke: protocol negotiation + E19 quick run =="
+echo "== wire-smoke: protocol negotiation and codec properties =="
 # Negotiation matrix over real TCP: new client falls back to JSON
 # against an old server, old (JSON-only) client is served by a new
 # server, pipelined replies complete out of order, and dedup-batched
 # admission collapses duplicate tunes — winners checked bit-for-bit
-# throughout. Then the E19 quick run: blocking JSON vs. pipelined
-# binary sweep plus the four-arm dedup trace, with winner parity and
-# the dedup collapse asserted by the binary itself.
+# throughout.
 cargo test --release -q -p fm-serve --test protocol_negotiation
 # The serving basics over real TCP: deadlines (one cancellation rule
 # on every connection), saturation, drain, and both framings.
@@ -116,50 +95,39 @@ cargo test --release -q -p fm-serve --test serve_integration
 # acceptance-identical to the tree path on every variant, truncation
 # and byte flip (wire_differential).
 cargo test --release -q -p fm-serve --test wire_proptests --test wire_differential
-e19_dir="$(mktemp -d)"
-cargo run --release -q -p fm-bench --bin table_e19_wire -- --quick --json "$e19_dir/BENCH_e19.json" >/dev/null
-[ -s "$e19_dir/BENCH_e19.json" ] || { echo "wire-smoke: E19 emitted no JSON"; exit 1; }
-rm -rf "$e19_dir"
 
-echo "== costmodel-smoke: backend parity proptests + E20 quick run =="
-# Parity first: cold tune, warm tune, and delta repair must agree under
-# every cost backend, and the default (analytic) backend must stay
-# bit-identical to the historical FigureOfMerit scoring — plus the
-# hand-computed roofline fixtures for one FFT and one stencil mapping.
-# Then the E20 quick run: the binary runs the sweep twice and exits
-# non-zero if winner determinism breaks, if an analytic row flips, or
-# if no backend changes any winner.
+echo "== costmodel-smoke: backend parity proptests =="
+# Cold tune, warm tune, and delta repair must agree under every cost
+# backend, and the default (analytic) backend must stay bit-identical
+# to the historical FigureOfMerit scoring — plus the hand-computed
+# roofline fixtures for one FFT and one stencil mapping.
 cargo test --release -q --test costmodel_backends
-e20_dir="$(mktemp -d)"
-cargo run --release -q -p fm-bench --bin table_e20_costmodels -- --quick --json "$e20_dir/BENCH_e20.json" >/dev/null
-[ -s "$e20_dir/BENCH_e20.json" ] || { echo "costmodel-smoke: E20 emitted no JSON"; exit 1; }
-rm -rf "$e20_dir"
 
-echo "== churn-smoke: elastic membership chaos + E21 quick run =="
+echo "== churn-smoke: elastic membership chaos =="
 # Membership chaos first: wire join/leave reshaping a live roster, the
 # throughput-cliff suffix re-dispatch, departure mid-tune, the seeded
 # churn proptest, and — explicitly — a coordinator restarted against a
 # deliberately corrupted weight ledger falling back to cold weights.
-# Then the E21 quick run: the binary asserts winner parity in both
-# arms, a fired cliff detector, persisted weights after the mid-suite
-# restart, zero discarded sealed parts, and the adaptive-vs-static
-# wall-clock bar, exiting non-zero on any violation.
 cargo test --release -q -p fm-serve --test fleet_faults -- \
     membership_join_and_leave corrupt_ledger_falls_back \
     persisted_weights_survive throughput_cliff departed_shard seeded_churn
-cargo run --release -q -p fm-bench --bin table_e21_churn -- --quick --no-json >/dev/null
 
-echo "== evalperf-smoke: flat-engine parity + E22 quick run =="
-# The E22 binary gates on bit parity before timing anything: every
-# candidate's score bits and the winner index must match between the
-# flat engine and the reference path, and its counting global
-# allocator asserts zero steady-state allocations. The quick run
-# exercises all of that end to end and must emit its BENCH_e22.json
-# rows (scratch dir so a smoke run never clobbers full-run numbers).
-e22_dir="$(mktemp -d)"
-cargo run --release -q -p fm-bench --bin table_e22_evalperf -- --quick --json "$e22_dir/BENCH_e22.json" >/dev/null
-[ -s "$e22_dir/BENCH_e22.json" ] || { echo "evalperf-smoke: E22 emitted no JSON"; exit 1; }
-rm -rf "$e22_dir"
+echo "== experiment tables: every table and its gate (--quick) =="
+# Every experiment at its smoke size, in release, where the wall-clock
+# bars mean something. `table` exits non-zero when a gate fails: E6's
+# greedy bound, parity and the speedup bars of E17–E19 and E21, E18's
+# growth check, E20's determinism and winner flips, and E22's
+# zero-allocation steady state (see each module's `gate`). The run
+# happens in a scratch dir, so every row type goes through the JSON
+# writer without a smoke run clobbering the committed full-run rows.
+cargo build --release -q -p fm-bench --bin table
+json_dir="$(mktemp -d)"
+table_bin="$PWD/target/release/table"
+(cd "$json_dir" && "$table_bin" all --quick >/dev/null)
+for n in $(seq 14 22); do
+    [ -s "$json_dir/BENCH_e$n.json" ] || { echo "tables: E$n wrote no JSON"; exit 1; }
+done
+rm -rf "$json_dir"
 
 echo "== e2e benchmark package: build + unit tests =="
 # The benchmark is its own Cargo workspace on top of fm-serve's public

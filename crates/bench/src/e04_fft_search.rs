@@ -37,20 +37,11 @@ pub struct Row {
     pub pareto: bool,
 }
 
-/// Search both FFT functions over the placement×P family.
-pub fn run(n: usize, p_values: &[u32], machine_p: u32) -> Vec<Row> {
-    run_with_cache(n, p_values, machine_p, None)
-}
-
-/// [`run`] with an optional persistent tuning cache: a warm run replays
-/// every ranked table from the cache with zero candidate re-evaluation
-/// (the cache stores the full outcome, not just the winner).
-pub fn run_with_cache(
-    n: usize,
-    p_values: &[u32],
-    machine_p: u32,
-    cache_dir: Option<&Path>,
-) -> Vec<Row> {
+/// Search the FFT functions over the placement×P family. With a
+/// persistent tuning cache, a warm run replays every ranked table from
+/// the cache with zero candidate re-evaluation (the cache stores the
+/// full outcome, not just the winner).
+pub fn run(n: usize, p_values: &[u32], machine_p: u32, cache_dir: Option<&Path>) -> Vec<Row> {
     let machine = MachineConfig::linear(machine_p);
     let family = FftFamily {
         n,
@@ -150,14 +141,14 @@ mod tests {
 
     #[test]
     fn search_covers_full_family() {
-        let rows = run(64, &[2, 4, 8], 8);
+        let rows = run(64, &[2, 4, 8], 8, None);
         // 3 functions (dit, dif, radix4 since 64 = 4³) × 2 placements × 3 P.
         assert_eq!(rows.len(), 3 * 2 * 3);
     }
 
     #[test]
     fn radix4_included_and_fastest_in_cycles() {
-        let rows = run(64, &[8], 8);
+        let rows = run(64, &[8], 8, None);
         let cycles = |label: &str| {
             rows.iter()
                 .find(|r| r.label.contains(label))
@@ -171,7 +162,7 @@ mod tests {
     fn dit_dominates_dif_at_equal_p() {
         // DIF pays the explicit gather; at the same P and placement its
         // energy must exceed DIT's.
-        let rows = run(64, &[8], 8);
+        let rows = run(64, &[8], 8, None);
         let energy = |label: &str| {
             rows.iter()
                 .find(|r| r.label.contains(label))
@@ -183,7 +174,7 @@ mod tests {
 
     #[test]
     fn pareto_front_excludes_dif() {
-        let rows = run(64, &[2, 4, 8], 8);
+        let rows = run(64, &[2, 4, 8], 8, None);
         let front: Vec<&Row> = rows.iter().filter(|r| r.pareto).collect();
         assert!(!front.is_empty());
         // DIF pays the gather on top of DIT's movement: always dominated.
@@ -197,8 +188,8 @@ mod tests {
     fn warm_cache_run_reproduces_cold_tables() {
         let dir = std::env::temp_dir().join(format!("fm-bench-e4-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cold = run_with_cache(64, &[4, 8], 8, Some(&dir));
-        let warm = run_with_cache(64, &[4, 8], 8, Some(&dir));
+        let cold = run(64, &[4, 8], 8, Some(&dir));
+        let warm = run(64, &[4, 8], 8, Some(&dir));
         assert_eq!(cold.len(), warm.len());
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(c.label, w.label);
@@ -211,7 +202,7 @@ mod tests {
 
     #[test]
     fn more_processors_fewer_cycles() {
-        let rows = run(64, &[2, 8], 8);
+        let rows = run(64, &[2, 8], 8, None);
         let cycles = |label: &str| {
             rows.iter()
                 .find(|r| r.label.contains(label))

@@ -41,15 +41,10 @@ pub struct Row {
     pub bound: String,
 }
 
-/// Run the mappers over three kernels on a `cols×rows` machine.
-pub fn run(cols: u32, rows_m: u32) -> Vec<Row> {
-    run_with_cache(cols, rows_m, None)
-}
-
-/// [`run`] with an optional persistent tuning cache for the "tuned"
-/// rows: warm runs replay the tuner's ranked outcome without
-/// re-evaluating any candidate.
-pub fn run_with_cache(cols: u32, rows_m: u32, cache_dir: Option<&Path>) -> Vec<Row> {
+/// Run the mappers over three kernels on a `cols×rows` machine. With a
+/// persistent tuning cache for the "tuned" rows, warm runs replay the
+/// tuner's ranked outcome without re-evaluating any candidate.
+pub fn run(cols: u32, rows_m: u32, cache_dir: Option<&Path>) -> Vec<Row> {
     let machine = MachineConfig::n5(cols, rows_m);
     let p = i64::from(cols * rows_m);
 
@@ -203,7 +198,7 @@ mod tests {
 
     #[test]
     fn annealed_never_worse_than_default_on_energy() {
-        let rows = run(8, 1);
+        let rows = run(8, 1, None);
         let get = |mapper: &str| {
             rows.iter()
                 .find(|r| r.kernel == "editdist48" && r.mapper == mapper)
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn default_never_slower_than_serial() {
-        let rows = run(8, 1);
+        let rows = run(8, 1, None);
         for kernel in ["editdist48", "fft64-dit", "stencil8x64"] {
             let get = |mapper: &str| {
                 rows.iter()
@@ -236,7 +231,7 @@ mod tests {
     fn tuned_never_slower_than_serial_or_default() {
         // The tuner picks over the other mappers' mappings under the
         // Time objective, so its cycle count is their minimum.
-        let rows = run(8, 1);
+        let rows = run(8, 1, None);
         for kernel in ["editdist48", "fft64-dit", "stencil8x64"] {
             let get = |mapper: &str| {
                 rows.iter()
@@ -253,8 +248,8 @@ mod tests {
     fn warm_cache_run_reproduces_cold_rows() {
         let dir = std::env::temp_dir().join(format!("fm-bench-e8-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cold = run_with_cache(4, 1, Some(&dir));
-        let warm = run_with_cache(4, 1, Some(&dir));
+        let cold = run(4, 1, Some(&dir));
+        let warm = run(4, 1, Some(&dir));
         assert_eq!(cold.len(), warm.len());
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!((&c.kernel, &c.mapper), (&w.kernel, &w.mapper));
@@ -269,7 +264,7 @@ mod tests {
         // The default mapper is "no worse than today's abstractions",
         // not optimal: the expert systolic mappings should win on at
         // least one kernel (typically all).
-        let rows = run(8, 1);
+        let rows = run(8, 1, None);
         let wins = ["editdist48", "fft64-dit", "stencil8x64"]
             .iter()
             .filter(|&&kernel| {

@@ -15,12 +15,12 @@ use fm_core::mapping::InputPlacement;
 use fm_core::search::{anneal_with, default_mapper, AnnealBackend, FigureOfMerit};
 use fm_kernels::editdist::{edit_recurrence, Scoring};
 use fm_kernels::fft::{fft_graph, FftVariant};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::table;
 
 /// One (graph, backend pair) measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
     /// Graph name.
     pub graph: String,
@@ -146,23 +146,30 @@ pub fn print(rows: &[Row]) -> String {
     out
 }
 
-/// The rows as a JSON document (`BENCH_e14.json`), the seed of the
-/// perf-trajectory record.
-pub fn to_json(rows: &[Row]) -> String {
-    serde_json::to_string_pretty(rows).expect("Row serializes")
+/// E14's acceptance gate, one line per violated condition: on a full
+/// release run the incremental engine anneals at least 5× the moves/sec
+/// of full re-evaluation on every graph. Debug builds re-verify full
+/// parity after every incremental move, which is deliberately slower,
+/// and a `quick` run's few iterations do not amortize the fixed
+/// per-run setup, so neither is gated.
+pub fn gate(rows: &[Row], full_release: bool) -> Vec<String> {
+    rows.iter()
+        .filter(|r| full_release && r.speedup < 5.0)
+        .map(|r| {
+            format!(
+                "{}: incremental speedup {:.2}x below the 5x bar",
+                r.graph, r.speedup
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Both tests here time wall-clock throughput; letting the harness
-    /// run them concurrently on a small machine distorts the ratios.
-    static TIMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn backends_agree_on_both_graphs() {
-        let _serial = TIMING.lock().unwrap();
         // `measure` asserts (mapping, report) equality internally; a
         // quick run exercising both graphs is the test.
         let rows = run(true);
@@ -174,44 +181,26 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let rows = vec![Row {
+    fn gate_holds_5x_on_full_release_runs_only() {
+        let row = Row {
             graph: "g".into(),
             nodes: 1024,
-            iters: 10,
+            iters: 2_000,
             full_moves_per_sec: 1.0,
-            inc_moves_per_sec: 8.0,
-            speedup: 8.0,
+            inc_moves_per_sec: 4.5,
+            speedup: 4.5,
             final_score: 3.5,
             cycles: 99,
-        }];
-        let j = to_json(&rows);
-        // Parses back as well-formed JSON, with the fields intact.
-        serde_json::from_str_value(&j).unwrap();
-        assert!(j.contains("\"nodes\": 1024"), "{j}");
-        assert!(j.contains("\"speedup\": 8.0"), "{j}");
-    }
-
-    // The acceptance criterion: ≥5× on the 1k-node graphs. Only
-    // meaningful in release builds — under debug-assertions the
-    // incremental engine re-verifies full parity after every move,
-    // which is deliberately *slower* than the full backend. Uses the
-    // full iteration count: at --quick sizes the fixed per-run setup
-    // is not yet amortized and the ratio is noisy. Best-of-3 because
-    // a loaded host can still starve one timing window.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn incremental_at_least_5x_faster_in_release() {
-        let _serial = TIMING.lock().unwrap();
-        let mut worst_by_attempt = Vec::new();
-        for _ in 0..3 {
-            let rows = run(false);
-            let worst = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
-            if worst >= 5.0 {
-                return;
-            }
-            worst_by_attempt.push(worst);
-        }
-        panic!("incremental never reached 5x; worst speedup per attempt: {worst_by_attempt:?}");
+        };
+        assert_eq!(
+            gate(std::slice::from_ref(&row), true),
+            ["g: incremental speedup 4.50x below the 5x bar"]
+        );
+        assert!(gate(std::slice::from_ref(&row), false).is_empty());
+        let fast = Row {
+            speedup: 15.0,
+            ..row
+        };
+        assert!(gate(&[fast], true).is_empty());
     }
 }

@@ -14,22 +14,19 @@
 
 use std::time::Instant;
 
-use fm_core::affine::IdxExpr;
-use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
-use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
-use fm_core::search::FigureOfMerit;
-use fm_core::value::Value;
+use fm_core::mapping::Mapping;
 use fm_serve::client::{Client, ClientError};
-use fm_serve::protocol::{EvaluateRequest, TuneRequest, WireCandidate};
-use fm_serve::server::{Server, ServerConfig};
-use serde::Serialize;
+use fm_serve::protocol::EvaluateRequest;
+use fm_serve::server::ServerConfig;
+use serde::{Deserialize, Serialize};
 
+use crate::serving::{quantile_ms, start, tune_request, wide};
 use crate::table;
 
 /// One endpoint's view of the load run: client-side counts and tail
 /// latency next to the server's own counters for the same endpoint.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
     /// Endpoint name (`tune` / `evaluate` / `all`).
     pub endpoint: String,
@@ -54,38 +51,6 @@ pub struct Row {
     pub server_completed: u64,
 }
 
-fn wide(n: usize) -> DataflowGraph {
-    let mut g = DataflowGraph::new("e15-wide", 32);
-    for i in 0..n {
-        g.add_node(CExpr::konst(Value::real(i as f64)), vec![], vec![i as i64]);
-    }
-    g
-}
-
-/// Legal fold-onto-`w`-PEs candidates (place `i mod w`, time `i div w`).
-fn candidates(n: usize, cols: u32) -> Vec<WireCandidate> {
-    (0..n)
-        .map(|i| {
-            let w = (i as i64 % cols as i64) + 1;
-            WireCandidate {
-                label: format!("fold-{i}-w{w}"),
-                mapping: Mapping::Affine(AffineMap {
-                    place: PlaceExpr::row0(IdxExpr::ModC(Box::new(IdxExpr::i()), w)),
-                    time: IdxExpr::i().div(w),
-                }),
-            }
-        })
-        .collect()
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 struct ThreadOutcome {
     tune_lat_ms: Vec<f64>,
     eval_lat_ms: Vec<f64>,
@@ -99,9 +64,9 @@ pub fn run(quick: bool) -> Vec<Row> {
     let threads = if quick { 2 } else { 6 };
     let per_thread = if quick { 24 } else { 200 };
 
-    let graph = wide(24);
+    let graph = wide("e15-wide", 24);
     let machine = MachineConfig::linear(8);
-    let handle = Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let handle = start(ServerConfig::default());
     let addr = handle.local_addr();
 
     let t0 = Instant::now();
@@ -127,18 +92,7 @@ pub fn run(quick: bool) -> Vec<Row> {
                         let t = Instant::now();
                         let result: Result<(), ClientError> = if is_tune {
                             client
-                                .tune(TuneRequest {
-                                    graph: graph.clone(),
-                                    machine: machine.clone(),
-                                    fom: FigureOfMerit::Time,
-                                    candidates: candidates(24, machine.cols),
-                                    deadline_ms: None,
-                                    max_candidates: None,
-                                    convergence_window: None,
-                                    refinement: None,
-                                    use_cache: false,
-                                    cost_model: None,
-                                })
+                                .tune(tune_request(&graph, &machine, 24))
                                 .map(|r| assert!(r.best.is_some()))
                         } else {
                             client
@@ -267,11 +221,6 @@ pub fn print(rows: &[Row]) -> String {
     out
 }
 
-/// The rows as a JSON document (`BENCH_e15.json`).
-pub fn to_json(rows: &[Row]) -> String {
-    serde_json::to_string_pretty(rows).expect("Row serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,34 +249,5 @@ mod tests {
         }
         // The mix is 1 tune : 3 evaluates.
         assert!(rows[1].requests >= rows[0].requests);
-    }
-
-    #[test]
-    fn quantile_picks_sorted_ranks() {
-        let lat = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile_ms(&lat, 0.50), 2.0);
-        assert_eq!(quantile_ms(&lat, 0.99), 4.0);
-        assert_eq!(quantile_ms(&lat, 1.0), 4.0);
-        assert_eq!(quantile_ms(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let rows = vec![Row {
-            endpoint: "tune".into(),
-            requests: 10,
-            busy_retries: 2,
-            throughput_rps: 100.0,
-            p50_ms: 1.0,
-            p95_ms: 2.0,
-            p99_ms: 3.0,
-            max_ms: 4.0,
-            server_received: 12,
-            server_completed: 10,
-        }];
-        let j = to_json(&rows);
-        serde_json::from_str_value(&j).unwrap();
-        assert!(j.contains("\"endpoint\": \"tune\""), "{j}");
-        assert!(j.contains("\"server_received\": 12"), "{j}");
     }
 }

@@ -13,29 +13,21 @@
 //! asserts the winner matched the single-machine reference, bit for
 //! bit.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fm_autotune::{TunedMapping, Tuner};
-use fm_core::affine::IdxExpr;
-use fm_core::cost::Evaluator;
-use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
-use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
-use fm_core::search::{FigureOfMerit, MappingCandidate};
-use fm_core::value::Value;
-use fm_serve::client::Client;
 use fm_serve::fault::{FaultPlan, FaultProxy};
 use fm_serve::fleet::FleetConfig;
 use fm_serve::metrics::FleetStatsReply;
-use fm_serve::protocol::{TuneRequest, WireCandidate};
-use fm_serve::server::{Server, ServerConfig, ServerHandle};
-use serde::Serialize;
+use fm_serve::server::{ServerConfig, ServerHandle};
+use serde::{Deserialize, Serialize};
 
+use crate::serving::{coordinator, direct_winner, drive, quantile_ms, start, wide};
 use crate::table;
 
 /// One topology's view of the run: latency quantiles plus the fleet's
 /// recovery counters, with the determinism check made explicit.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
     /// Topology (`local` / `fleet` / `fleet+faults` / `fleet-outage`).
     pub scenario: String,
@@ -63,61 +55,13 @@ pub struct Row {
     pub winner_bit_identical: bool,
 }
 
-fn wide(n: usize) -> DataflowGraph {
-    let mut g = DataflowGraph::new("e16-wide", 32);
-    for i in 0..n {
-        g.add_node(CExpr::konst(Value::real(i as f64)), vec![], vec![i as i64]);
-    }
-    g
-}
-
-/// Legal fold-onto-`w`-PEs candidates (place `i mod w`, time `i div w`).
-fn candidates(n: usize, cols: u32) -> Vec<WireCandidate> {
-    (0..n)
-        .map(|i| {
-            let w = (i as i64 % cols as i64) + 1;
-            WireCandidate {
-                label: format!("fold-{i}-w{w}"),
-                mapping: Mapping::Affine(AffineMap {
-                    place: PlaceExpr::row0(IdxExpr::ModC(Box::new(IdxExpr::i()), w)),
-                    time: IdxExpr::i().div(w),
-                }),
-            }
-        })
-        .collect()
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Recovery timeouts tightened so fault handling happens in bench
-/// time; the production defaults only stretch the same machinery.
+/// The fleet under test: the bench-time timeouts plus a 60 ms hedge
+/// and a breaker that cools down inside one run.
 fn fleet_config(shards: Vec<String>) -> FleetConfig {
-    let mut f = FleetConfig::new(shards);
-    f.connect_timeout = Duration::from_millis(200);
-    f.attempt_timeout = Duration::from_secs(3);
-    f.backoff_base = Duration::from_millis(5);
-    f.backoff_max = Duration::from_millis(40);
+    let mut f = crate::serving::fleet(shards, Duration::from_secs(3));
     f.hedge_after = Some(Duration::from_millis(60));
     f.breaker_cooldown = Duration::from_millis(400);
     f
-}
-
-fn direct_winner(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) -> TunedMapping {
-    let evaluator = Evaluator::new(graph, machine);
-    let cands: Vec<MappingCandidate> = candidates(ncand, machine.cols)
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
-    Tuner::new(&evaluator, graph, machine, FigureOfMerit::Time)
-        .tune(&cands)
-        .best
-        .expect("direct tuner found a winner")
 }
 
 /// An address that refuses connects (bound once, then released).
@@ -126,50 +70,17 @@ fn dead_addr() -> String {
     probe.local_addr().unwrap().to_string()
 }
 
-/// Issue `tunes` identical tunes at `addr`, checking each winner
-/// against `expected`; returns per-tune latencies and the parity bit.
-fn drive(
-    addr: std::net::SocketAddr,
-    graph: &DataflowGraph,
-    machine: &MachineConfig,
-    ncand: usize,
-    tunes: usize,
-    expected: &TunedMapping,
-) -> (Vec<f64>, bool) {
-    let mut client = Client::connect(addr).expect("connect");
-    let mut lat = Vec::with_capacity(tunes);
-    let mut identical = true;
-    for _ in 0..tunes {
-        let t = Instant::now();
-        let reply = client
-            .tune(TuneRequest {
-                graph: graph.clone(),
-                machine: machine.clone(),
-                fom: FigureOfMerit::Time,
-                candidates: candidates(ncand, machine.cols),
-                deadline_ms: None,
-                max_candidates: None,
-                convergence_window: None,
-                refinement: None,
-                use_cache: false,
-                cost_model: None,
-            })
-            .expect("tune");
-        lat.push(t.elapsed().as_secs_f64() * 1e3);
-        let best = reply.best.expect("a winner");
-        identical &= best.label == expected.label
-            && best.score.to_bits() == expected.score.to_bits()
-            && best.resolved == expected.resolved;
-    }
-    lat.sort_by(|a, b| a.total_cmp(b));
-    (lat, identical)
-}
-
-fn row(scenario: &str, lat: &[f64], wall: f64, fleet: Option<&FleetStatsReply>, ok: bool) -> Row {
+fn row(
+    scenario: &str,
+    lat: &[f64],
+    wall_ms: f64,
+    fleet: Option<&FleetStatsReply>,
+    ok: bool,
+) -> Row {
     Row {
         scenario: scenario.to_string(),
         tunes: lat.len() as u64,
-        throughput_rps: lat.len() as f64 / wall.max(1e-9),
+        throughput_rps: lat.len() as f64 * 1e3 / wall_ms.max(1e-6),
         p50_ms: quantile_ms(lat, 0.50),
         p95_ms: quantile_ms(lat, 0.95),
         max_ms: lat.last().copied().unwrap_or(0.0),
@@ -189,116 +100,63 @@ fn row(scenario: &str, lat: &[f64], wall: f64, fleet: Option<&FleetStatsReply>, 
 pub fn run(quick: bool) -> Vec<Row> {
     let tunes = if quick { 3 } else { 12 };
     let ncand = 40;
-    let graph = wide(20);
+    let graph = wide("e16-wide", 20);
     let machine = MachineConfig::linear(8);
     let expected = direct_winner(&graph, &machine, ncand);
-    let mut rows = Vec::new();
+    // Drive one topology through its front server, shut that down, and
+    // read the row off the latencies and (for a coordinator) the fleet
+    // counters.
+    let measure = |scenario: &str, front: ServerHandle| -> Row {
+        let (lat, wall_ms, ok) = drive(
+            front.local_addr(),
+            &graph,
+            &machine,
+            ncand,
+            tunes,
+            &expected,
+        );
+        let stats = front.shutdown_and_join();
+        row(scenario, &lat, wall_ms, stats.fleet.as_ref(), ok)
+    };
+    let start_shards =
+        || -> Vec<ServerHandle> { (0..3).map(|_| start(ServerConfig::default())).collect() };
 
     // Local baseline: one server, no fleet.
-    {
-        let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
-        let t0 = Instant::now();
-        let (lat, ok) = drive(
-            server.local_addr(),
-            &graph,
-            &machine,
-            ncand,
-            tunes,
-            &expected,
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        server.shutdown_and_join();
-        rows.push(row("local", &lat, wall, None, ok));
-    }
-
-    let start_shards = |n: usize| -> Vec<ServerHandle> {
-        (0..n)
-            .map(|_| Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind shard"))
-            .collect()
-    };
-    let coordinator = |fleet: FleetConfig| -> ServerHandle {
-        let config = ServerConfig {
-            fleet: Some(fleet),
-            ..ServerConfig::default()
-        };
-        Server::start("127.0.0.1:0", config).expect("bind coordinator")
-    };
+    let mut rows = vec![measure("local", start(ServerConfig::default()))];
 
     // Healthy 3-shard fleet.
-    {
-        let shards = start_shards(3);
-        let addrs = shards.iter().map(|s| s.local_addr().to_string()).collect();
-        let coord = coordinator(fleet_config(addrs));
-        let t0 = Instant::now();
-        let (lat, ok) = drive(
-            coord.local_addr(),
-            &graph,
-            &machine,
-            ncand,
-            tunes,
-            &expected,
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = coord.shutdown_and_join();
-        rows.push(row("fleet", &lat, wall, stats.fleet.as_ref(), ok));
-        for s in shards {
-            s.shutdown_and_join();
-        }
+    let shards = start_shards();
+    let addrs = shards.iter().map(|s| s.local_addr().to_string()).collect();
+    rows.push(measure("fleet", coordinator(fleet_config(addrs))));
+    for s in shards {
+        s.shutdown_and_join();
     }
 
     // Same fleet, every shard behind a seeded fault-injection proxy
     // (drops, delays, truncations, corruptions, mid-reply disconnects
     // — deterministic per seed, clean once the schedule is spent).
-    {
-        let shards = start_shards(3);
-        let proxies: Vec<FaultProxy> = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                FaultProxy::start(s.local_addr(), FaultPlan::seeded(0xE16 + i as u64, 4))
-                    .expect("proxy")
-            })
-            .collect();
-        let addrs = proxies.iter().map(|p| p.local_addr().to_string()).collect();
-        let coord = coordinator(fleet_config(addrs));
-        let t0 = Instant::now();
-        let (lat, ok) = drive(
-            coord.local_addr(),
-            &graph,
-            &machine,
-            ncand,
-            tunes,
-            &expected,
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = coord.shutdown_and_join();
-        rows.push(row("fleet+faults", &lat, wall, stats.fleet.as_ref(), ok));
-        for p in proxies {
-            p.stop();
-        }
-        for s in shards {
-            s.shutdown_and_join();
-        }
+    let shards = start_shards();
+    let proxies: Vec<FaultProxy> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            FaultProxy::start(s.local_addr(), FaultPlan::seeded(0xE16 + i as u64, 4))
+                .expect("proxy")
+        })
+        .collect();
+    let addrs = proxies.iter().map(|p| p.local_addr().to_string()).collect();
+    rows.push(measure("fleet+faults", coordinator(fleet_config(addrs))));
+    for p in proxies {
+        p.stop();
+    }
+    for s in shards {
+        s.shutdown_and_join();
     }
 
     // Full outage: every shard address refuses connects; the
     // coordinator must degrade to pure-local search, same winner.
-    {
-        let coord = coordinator(fleet_config(vec![dead_addr(), dead_addr(), dead_addr()]));
-        let t0 = Instant::now();
-        let (lat, ok) = drive(
-            coord.local_addr(),
-            &graph,
-            &machine,
-            ncand,
-            tunes,
-            &expected,
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = coord.shutdown_and_join();
-        rows.push(row("fleet-outage", &lat, wall, stats.fleet.as_ref(), ok));
-    }
-
+    let dead = vec![dead_addr(), dead_addr(), dead_addr()];
+    rows.push(measure("fleet-outage", coordinator(fleet_config(dead))));
     rows
 }
 
@@ -349,11 +207,6 @@ pub fn print(rows: &[Row]) -> String {
     out
 }
 
-/// The rows as a JSON document (`BENCH_e16.json`).
-pub fn to_json(rows: &[Row]) -> String {
-    serde_json::to_string_pretty(rows).expect("Row serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,27 +229,5 @@ mod tests {
             outage.local_fallback_ranges >= 1,
             "outage must have fallen back locally"
         );
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let rows = vec![Row {
-            scenario: "fleet".into(),
-            tunes: 12,
-            throughput_rps: 8.0,
-            p50_ms: 10.0,
-            p95_ms: 20.0,
-            max_ms: 30.0,
-            retries: 1,
-            hedges: 2,
-            reassignments: 1,
-            discarded: 3,
-            local_fallback_ranges: 0,
-            winner_bit_identical: true,
-        }];
-        let j = to_json(&rows);
-        serde_json::from_str_value(&j).unwrap();
-        assert!(j.contains("\"scenario\": \"fleet\""), "{j}");
-        assert!(j.contains("\"winner_bit_identical\": true"), "{j}");
     }
 }

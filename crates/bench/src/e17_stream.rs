@@ -20,27 +20,18 @@
 //! candidates discarded. The speedup is the headline; the parity bit
 //! is the contract.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fm_autotune::{TunedMapping, Tuner};
-use fm_core::affine::IdxExpr;
-use fm_core::cost::Evaluator;
-use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
-use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
-use fm_core::search::{FigureOfMerit, MappingCandidate};
-use fm_core::value::Value;
-use fm_serve::client::Client;
-use fm_serve::fleet::FleetConfig;
 use fm_serve::metrics::FleetStatsReply;
-use fm_serve::protocol::{TuneRequest, WireCandidate};
-use fm_serve::server::{Server, ServerConfig, ServerHandle};
-use serde::Serialize;
+use fm_serve::server::{ServerConfig, ServerHandle};
+use serde::{Deserialize, Serialize};
 
+use crate::serving::{coordinator, direct_winner, drive, quantile_ms, start, wide};
 use crate::table;
 
 /// One protocol's view of the straggler topology.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
     /// Protocol (`blocking` / `streaming+weighted`).
     pub scenario: String,
@@ -69,90 +60,6 @@ pub struct Row {
     pub winner_bit_identical: bool,
 }
 
-fn wide(n: usize) -> DataflowGraph {
-    let mut g = DataflowGraph::new("e17-wide", 32);
-    for i in 0..n {
-        g.add_node(CExpr::konst(Value::real(i as f64)), vec![], vec![i as i64]);
-    }
-    g
-}
-
-/// Legal fold-onto-`w`-PEs candidates (place `i mod w`, time `i div w`).
-fn candidates(n: usize, cols: u32) -> Vec<WireCandidate> {
-    (0..n)
-        .map(|i| {
-            let w = (i as i64 % cols as i64) + 1;
-            WireCandidate {
-                label: format!("fold-{i}-w{w}"),
-                mapping: Mapping::Affine(AffineMap {
-                    place: PlaceExpr::row0(IdxExpr::ModC(Box::new(IdxExpr::i()), w)),
-                    time: IdxExpr::i().div(w),
-                }),
-            }
-        })
-        .collect()
-}
-
-fn direct_winner(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) -> TunedMapping {
-    let evaluator = Evaluator::new(graph, machine);
-    let cands: Vec<MappingCandidate> = candidates(ncand, machine.cols)
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
-    Tuner::new(&evaluator, graph, machine, FigureOfMerit::Time)
-        .tune(&cands)
-        .best
-        .expect("direct tuner found a winner")
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Issue `tunes` identical tunes sequentially, checking each winner.
-fn drive(
-    addr: std::net::SocketAddr,
-    graph: &DataflowGraph,
-    machine: &MachineConfig,
-    ncand: usize,
-    tunes: usize,
-    expected: &TunedMapping,
-) -> (Vec<f64>, f64, bool) {
-    let mut client = Client::connect(addr).expect("connect");
-    let mut lat = Vec::with_capacity(tunes);
-    let mut identical = true;
-    let t0 = Instant::now();
-    for _ in 0..tunes {
-        let t = Instant::now();
-        let reply = client
-            .tune(TuneRequest {
-                graph: graph.clone(),
-                machine: machine.clone(),
-                fom: FigureOfMerit::Time,
-                candidates: candidates(ncand, machine.cols),
-                deadline_ms: None,
-                max_candidates: None,
-                convergence_window: None,
-                refinement: None,
-                use_cache: false,
-                cost_model: None,
-            })
-            .expect("tune");
-        lat.push(t.elapsed().as_secs_f64() * 1e3);
-        let best = reply.best.expect("a winner");
-        identical &= best.label == expected.label
-            && best.score.to_bits() == expected.score.to_bits()
-            && best.resolved == expected.resolved;
-    }
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
-    lat.sort_by(|a, b| a.total_cmp(b));
-    (lat, wall, identical)
-}
-
 fn row(scenario: &str, lat: &[f64], wall_ms: f64, fleet: &FleetStatsReply, ok: bool) -> Row {
     Row {
         scenario: scenario.to_string(),
@@ -176,45 +83,29 @@ pub fn run(quick: bool) -> Vec<Row> {
     let tunes = if quick { 3 } else { 8 };
     let straggle_ms = if quick { 10 } else { 15 };
     let ncand = 48;
-    let graph = wide(20);
+    let graph = wide("e17-wide", 20);
     let machine = MachineConfig::linear(8);
     let expected = direct_winner(&graph, &machine, ncand);
 
-    // Shard 0 is the scripted straggler; shard 1 is healthy. The
-    // straggle hook slows *compute*, identically for both protocols.
-    let start_shards = || -> Vec<ServerHandle> {
-        [Some(straggle_ms), None]
-            .into_iter()
-            .map(|straggle| {
-                let config = ServerConfig {
-                    straggle_ms_per_candidate: straggle,
-                    ..ServerConfig::default()
-                };
-                Server::start("127.0.0.1:0", config).expect("bind shard")
-            })
-            .collect()
-    };
-    let fleet_config = |addrs: Vec<String>, streaming: bool| -> FleetConfig {
-        let mut f = FleetConfig::new(addrs);
-        f.connect_timeout = Duration::from_millis(200);
-        f.attempt_timeout = Duration::from_secs(5);
-        f.backoff_base = Duration::from_millis(5);
-        f.backoff_max = Duration::from_millis(40);
-        f.hedge_after = Some(Duration::from_millis(250));
-        f.stream_every = streaming.then_some(4);
-        f.weighted = streaming;
-        f
-    };
-
     let mut rows = Vec::new();
     for (scenario, streaming) in [("blocking", false), ("streaming+weighted", true)] {
-        let shards = start_shards();
+        // Shard 0 is the scripted straggler; shard 1 is healthy. The
+        // straggle hook slows *compute*, identically for both protocols.
+        let shards: Vec<ServerHandle> = [Some(straggle_ms), None]
+            .into_iter()
+            .map(|straggle| {
+                start(ServerConfig {
+                    straggle_ms_per_candidate: straggle,
+                    ..ServerConfig::default()
+                })
+            })
+            .collect();
         let addrs = shards.iter().map(|s| s.local_addr().to_string()).collect();
-        let config = ServerConfig {
-            fleet: Some(fleet_config(addrs, streaming)),
-            ..ServerConfig::default()
-        };
-        let coord = Server::start("127.0.0.1:0", config).expect("bind coordinator");
+        let mut fleet = crate::serving::fleet(addrs, Duration::from_secs(5));
+        fleet.hedge_after = Some(Duration::from_millis(250));
+        fleet.stream_every = streaming.then_some(4);
+        fleet.weighted = streaming;
+        let coord = coordinator(fleet);
         let (lat, wall, ok) = drive(
             coord.local_addr(),
             &graph,
@@ -290,9 +181,41 @@ pub fn print(rows: &[Row]) -> String {
     out
 }
 
-/// The rows as a JSON document (`BENCH_e17.json`).
-pub fn to_json(rows: &[Row]) -> String {
-    serde_json::to_string_pretty(rows).expect("Row serializes")
+/// E17's acceptance gate, one line per violated condition: every
+/// row's winner is bit-identical and no streamed part was discarded;
+/// the streaming row merged parts and beats blocking by 1.5× (1.2×
+/// for a `quick` run; short runs are noisier).
+pub fn gate(rows: &[Row], quick: bool) -> Vec<String> {
+    let mut failures = Vec::new();
+    for r in rows {
+        if !r.winner_bit_identical {
+            failures.push(format!(
+                "{}: winner diverged from single-machine tune",
+                r.scenario
+            ));
+        }
+        if r.parts_discarded != 0 {
+            failures.push(format!(
+                "{}: {} streamed parts discarded (must be 0)",
+                r.scenario, r.parts_discarded
+            ));
+        }
+    }
+    let Some(streaming) = rows.iter().find(|r| r.scenario == "streaming+weighted") else {
+        failures.push("missing streaming+weighted row".to_string());
+        return failures;
+    };
+    if streaming.parts_merged == 0 {
+        failures.push("streaming+weighted: no parts merged".to_string());
+    }
+    let bar = if quick { 1.2 } else { 1.5 };
+    if streaming.speedup_vs_blocking < bar {
+        failures.push(format!(
+            "streaming+weighted: speedup {:.2}x under the {bar}x bar",
+            streaming.speedup_vs_blocking
+        ));
+    }
+    failures
 }
 
 #[cfg(test)]
@@ -315,34 +238,50 @@ mod tests {
             streaming.parts_merged > 0,
             "streaming path produced no parts"
         );
-        // The headline: even the quick run clears a comfortable margin
-        // under the full run's 1.5x acceptance bar.
-        assert!(
-            streaming.speedup_vs_blocking >= 1.2,
-            "streaming+weighted speedup {:.2}x under 1.2x",
-            streaming.speedup_vs_blocking
-        );
     }
 
-    #[test]
-    fn json_round_trips() {
-        let rows = vec![Row {
-            scenario: "streaming+weighted".into(),
+    fn passing() -> Vec<Row> {
+        let row = |scenario: &str, parts_merged, speedup_vs_blocking| Row {
+            scenario: scenario.into(),
             tunes: 8,
             total_wall_ms: 700.0,
             p50_ms: 65.0,
             max_ms: 280.0,
-            parts_merged: 40,
+            parts_merged,
             parts_discarded: 0,
             suffix_redispatches: 1,
             prefix_candidates_saved: 0,
             hedges: 1,
-            speedup_vs_blocking: 2.9,
+            speedup_vs_blocking,
             winner_bit_identical: true,
-        }];
-        let j = to_json(&rows);
-        serde_json::from_str_value(&j).unwrap();
-        assert!(j.contains("\"scenario\": \"streaming+weighted\""), "{j}");
-        assert!(j.contains("\"parts_discarded\": 0"), "{j}");
+        };
+        vec![row("blocking", 0, 1.0), row("streaming+weighted", 40, 1.6)]
+    }
+
+    /// The gate's failures for `passing()` rows after `break_it`.
+    fn failures(quick: bool, break_it: impl FnOnce(&mut Vec<Row>)) -> String {
+        let mut rows = passing();
+        break_it(&mut rows);
+        gate(&rows, quick).join("\n")
+    }
+
+    #[test]
+    fn gate_passes_good_rows_and_names_each_violation() {
+        assert_eq!(failures(false, |_| {}), "");
+        assert!(failures(false, |r| r[0].winner_bit_identical = false)
+            .contains("blocking: winner diverged"));
+        assert!(failures(false, |r| r[1].parts_discarded = 2)
+            .contains("streaming+weighted: 2 streamed parts discarded"));
+        assert!(failures(false, |r| r[1].parts_merged = 0).contains("no parts merged"));
+        assert!(failures(false, |r| r.truncate(1)).contains("missing streaming+weighted row"));
+    }
+
+    #[test]
+    fn gate_holds_the_speedup_bar_and_relaxes_it_for_quick_runs() {
+        let slow = |r: &mut Vec<Row>| r[1].speedup_vs_blocking = 1.3;
+        assert!(failures(false, slow).contains("speedup 1.30x under the 1.5x bar"));
+        assert_eq!(failures(true, slow), "");
+        let slower = |r: &mut Vec<Row>| r[1].speedup_vs_blocking = 1.1;
+        assert!(failures(true, slower).contains("speedup 1.10x under the 1.2x bar"));
     }
 }

@@ -21,25 +21,25 @@ use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use fm_autotune::TunedMapping;
-use fm_core::affine::IdxExpr;
-use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
-use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
+use fm_core::mapping::Mapping;
 use fm_core::search::FigureOfMerit;
-use fm_core::value::Value;
 use fm_serve::client::Client;
 use fm_serve::metrics::StatsReply;
 use fm_serve::protocol::{
-    read_frame, write_request, EvaluateRequest, Request, Response, SimulateRequest, TuneRequest,
-    TuneShardRequest, WireCandidate, DEFAULT_MAX_FRAME,
+    read_frame, write_request, EvaluateRequest, Request, Response, SimulateRequest,
+    TuneShardRequest, DEFAULT_MAX_FRAME,
 };
-use fm_serve::server::{Server, ServerConfig};
-use serde::Serialize;
+use fm_serve::server::ServerConfig;
+use serde::{Deserialize, Serialize};
 
+use crate::serving::{
+    candidates, direct_winner, quantile_ms, same_winner, start, tune_request, wide,
+};
 use crate::table;
 
 /// One (endpoint, size) point of the transport sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepRow {
     /// Endpoint driven (`evaluate` / `simulate`).
     pub endpoint: String,
@@ -62,7 +62,7 @@ pub struct SweepRow {
 }
 
 /// One arm of the duplicate-heavy trace.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DedupRow {
     /// `json` (one connection per duplicate) or `binary` (one
     /// pipelined connection).
@@ -86,58 +86,12 @@ pub struct DedupRow {
 }
 
 /// Both parts, serialized together as `BENCH_e19.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Results {
     /// Part A: transport sweep.
     pub sweep: Vec<SweepRow>,
     /// Part B: duplicate-heavy trace.
     pub dedup: Vec<DedupRow>,
-}
-
-fn wide(n: usize) -> DataflowGraph {
-    let mut g = DataflowGraph::new("e19-wide", 32);
-    for i in 0..n {
-        g.add_node(CExpr::konst(Value::real(i as f64)), vec![], vec![i as i64]);
-    }
-    g
-}
-
-fn candidates(n: usize, cols: u32) -> Vec<WireCandidate> {
-    (0..n)
-        .map(|i| {
-            let w = (i as i64 % cols as i64) + 1;
-            WireCandidate {
-                label: format!("fold-{i}-w{w}"),
-                mapping: Mapping::Affine(AffineMap {
-                    place: PlaceExpr::row0(IdxExpr::ModC(Box::new(IdxExpr::i()), w)),
-                    time: IdxExpr::i().div(w),
-                }),
-            }
-        })
-        .collect()
-}
-
-fn tune_request(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) -> TuneRequest {
-    TuneRequest {
-        graph: graph.clone(),
-        machine: machine.clone(),
-        fom: FigureOfMerit::Time,
-        candidates: candidates(ncand, machine.cols),
-        deadline_ms: None,
-        max_candidates: None,
-        convergence_window: None,
-        refinement: None,
-        use_cache: false,
-        cost_model: None,
-    }
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Sequential blocking arm: one JSON round trip per request, the old
@@ -216,7 +170,7 @@ fn sweep_point(
     m: usize,
     window: usize,
 ) -> SweepRow {
-    let graph = wide(nodes);
+    let graph = wide("e19-wide", nodes);
     let machine = MachineConfig::linear(8);
     let resolved = Mapping::serial(&graph).resolve(&graph, &machine).unwrap();
     let request = match endpoint {
@@ -258,19 +212,6 @@ fn winner_of(reply_best: Option<TunedMapping>) -> TunedMapping {
     reply_best.expect("every dedup arm finds a winner")
 }
 
-fn assert_same_winner(got: &TunedMapping, expected: &TunedMapping, arm: &str) {
-    assert_eq!(got.label, expected.label, "{arm}: winner label diverged");
-    assert_eq!(
-        got.score.to_bits(),
-        expected.score.to_bits(),
-        "{arm}: winner score diverged bitwise"
-    );
-    assert_eq!(
-        got.resolved, expected.resolved,
-        "{arm}: resolved mapping diverged"
-    );
-}
-
 /// Poll `Stats` until `ready` holds, and return that snapshot.
 fn await_stats(watch: &mut Client, arm: &str, ready: impl Fn(&StatsReply) -> bool) -> StatsReply {
     let t0 = Instant::now();
@@ -295,7 +236,7 @@ fn await_stats(watch: &mut Client, arm: &str, ready: impl Fn(&StatsReply) -> boo
 /// the server straggles on (a cancellable sleep) until its client hangs
 /// up.
 fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> DedupRow {
-    let graph = wide(32);
+    let graph = wide("e19-wide", 32);
     let machine = MachineConfig::linear(8);
     let config = ServerConfig {
         workers: 1,
@@ -303,7 +244,7 @@ fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> 
         straggle_ms_per_candidate: Some(600_000),
         ..ServerConfig::default()
     };
-    let server = Server::start("127.0.0.1:0", config).expect("bind");
+    let server = start(config);
     let addr = server.local_addr();
     let arm = format!(
         "{}/dedup-{}",
@@ -380,7 +321,7 @@ fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> 
     let t0 = Instant::now();
     for answer in answers {
         for winner in answer.join().expect("dupe thread") {
-            assert_same_winner(&winner, expected, &arm);
+            assert!(same_winner(&winner, expected), "{arm}: winner diverged");
         }
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -413,7 +354,7 @@ pub fn run(quick: bool) -> Results {
 
     // Part A: one resident server for the whole sweep, arms run
     // back-to-back against it.
-    let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let server = start(ServerConfig::default());
     let addr = server.local_addr();
     let mut sweep = Vec::new();
     for endpoint in ["evaluate", "simulate"] {
@@ -423,58 +364,50 @@ pub fn run(quick: bool) -> Results {
     }
     server.shutdown_and_join();
 
-    // The transport headline: on the smallest requests — where framing
-    // overhead dominates real work — pipelined binary must beat
-    // blocking JSON by >= 5x at the median. Quick smoke runs on a
-    // loaded CI box only get the direction, not the factor.
-    if !quick {
-        for r in sweep.iter().filter(|r| r.nodes == 4) {
-            assert!(
-                r.speedup_p50 >= 5.0,
-                "{} @ {} nodes: p50 speedup {:.2}x < 5x",
-                r.endpoint,
-                r.nodes,
-                r.speedup_p50
-            );
-        }
-    }
-
     // Part B: each arm gets a fresh one-worker server so the books
     // (searches executed vs. waiters served) are the arm's alone.
-    let graph = wide(32);
-    let machine = MachineConfig::linear(8);
-    let expected = {
-        use fm_core::cost::Evaluator;
-        use fm_core::search::MappingCandidate;
-        let evaluator = Evaluator::new(&graph, &machine);
-        let cands: Vec<MappingCandidate> = candidates(24, machine.cols)
-            .into_iter()
-            .map(|c| MappingCandidate::new(c.label, c.mapping))
-            .collect();
-        fm_autotune::Tuner::new(&evaluator, &graph, &machine, FigureOfMerit::Time)
-            .tune(&cands)
-            .best
-            .expect("direct winner")
-    };
-    let mut dedup = Vec::new();
-    for (binary, on) in [(false, true), (false, false), (true, true), (true, false)] {
-        dedup.push(dedup_arm(binary, on, dupes, &expected));
-    }
-
-    // The headline collapse: with dedup on, duplicates queued behind
-    // the filler are answered by far fewer real searches.
-    for row in dedup.iter().filter(|r| r.dedup) {
-        assert!(
-            row.dedup_batches >= 1 && row.waiters_served >= dupes / 2,
-            "{}/dedup-on: expected an >= {}-way collapse, got {} waiters in {} batches",
-            row.transport,
-            dupes / 2,
-            row.waiters_served,
-            row.dedup_batches
-        );
-    }
-
+    let graph = wide("e19-wide", 32);
+    let expected = direct_winner(&graph, &MachineConfig::linear(8), 24);
+    let dedup = [(false, true), (false, false), (true, true), (true, false)]
+        .into_iter()
+        .map(|(binary, on)| dedup_arm(binary, on, dupes, &expected))
+        .collect();
     Results { sweep, dedup }
+}
+
+/// E19's acceptance gate, one line per violated condition: on a full
+/// run pipelined binary beats blocking JSON 5× at the median on the
+/// smallest (4-node) requests, where framing overhead dominates real
+/// work (a `quick` run on a loaded box only has to get the direction
+/// right, on every size); and with dedup on, the duplicates queued
+/// behind the filler collapse at least two to one.
+pub fn gate(results: &Results, quick: bool) -> Vec<String> {
+    let mut failures = Vec::new();
+    for r in &results.sweep {
+        let (fails, bar) = if quick {
+            (r.speedup_p50 <= 1.0, 1.0)
+        } else {
+            (r.nodes == 4 && r.speedup_p50 < 5.0, 5.0)
+        };
+        if fails {
+            failures.push(format!(
+                "{} @ {} nodes: p50 speedup {:.2}x, under the {bar}x bar",
+                r.endpoint, r.nodes, r.speedup_p50
+            ));
+        }
+    }
+    for r in results.dedup.iter().filter(|r| r.dedup) {
+        if r.dedup_batches == 0 || r.waiters_served < r.dupes / 2 {
+            failures.push(format!(
+                "{}/dedup-on: expected an >= {}-way collapse, got {} waiters in {} batches",
+                r.transport,
+                r.dupes / 2,
+                r.waiters_served,
+                r.dedup_batches
+            ));
+        }
+    }
+    failures
 }
 
 /// Render both tables.
@@ -552,11 +485,6 @@ pub fn print(results: &Results) -> String {
     out
 }
 
-/// The results as a JSON document (`BENCH_e19.json`).
-pub fn to_json(results: &Results) -> String {
-    serde_json::to_string_pretty(results).expect("Results serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,63 +495,84 @@ mod tests {
         assert_eq!(results.sweep.len(), 6);
         for r in &results.sweep {
             assert!(r.json_p50_ms > 0.0 && r.binary_p50_ms > 0.0);
-            // Pipelined binary must never be slower than blocking
-            // JSON at the median (the full run shows >= 5x on small
-            // requests; quick runs on loaded CI get a loose floor).
-            assert!(
-                r.speedup_p50 > 1.0,
-                "{} @ {} nodes: pipelined binary slower than blocking JSON ({:.2}x)",
-                r.endpoint,
-                r.nodes,
-                r.speedup_p50
-            );
         }
         assert_eq!(results.dedup.len(), 4);
         for r in &results.dedup {
             assert_eq!(r.searches_executed + r.waiters_served, r.dupes);
-            if !r.dedup {
+            if r.dedup {
+                assert!(
+                    r.dedup_batches >= 1 && r.waiters_served >= r.dupes / 2,
+                    "{}/dedup-on: {} waiters in {} batches",
+                    r.transport,
+                    r.waiters_served,
+                    r.dedup_batches
+                );
+            } else {
                 assert_eq!(r.searches_executed, r.dupes);
             }
         }
-        // run() already asserted the collapse and winner identity.
+        // Timing-free checks only: the books balance, dedup-on collapses
+        // the queued duplicates (no clock involved, since each arm waits
+        // until every duplicate is queued behind the filler) and dedup-off
+        // runs one search per duplicate; run() itself asserted winner
+        // identity across the arms. The p50 speedups are gate()'s.
     }
 
-    #[test]
-    fn quantile_picks_sorted_ranks() {
-        let lat = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile_ms(&lat, 0.50), 2.0);
-        assert_eq!(quantile_ms(&lat, 1.0), 4.0);
-        assert_eq!(quantile_ms(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let results = Results {
-            sweep: vec![SweepRow {
-                endpoint: "evaluate".into(),
-                nodes: 4,
-                requests: 10,
-                json_p50_ms: 1.0,
-                json_mean_ms: 1.1,
-                binary_p50_ms: 0.1,
-                binary_mean_ms: 0.2,
-                speedup_p50: 10.0,
-                speedup_mean: 5.5,
-            }],
-            dedup: vec![DedupRow {
-                transport: "binary".into(),
-                dedup: true,
-                dupes: 8,
-                searches_executed: 1,
-                waiters_served: 7,
-                dedup_batches: 1,
-                wall_ms: 12.0,
-                winner: "fold-0-w1".into(),
-            }],
+    fn passing() -> Results {
+        let sweep = |nodes, speedup_p50| SweepRow {
+            endpoint: "evaluate".into(),
+            nodes,
+            requests: 10,
+            json_p50_ms: 1.0,
+            json_mean_ms: 1.1,
+            binary_p50_ms: 1.0 / speedup_p50,
+            binary_mean_ms: 0.2,
+            speedup_p50,
+            speedup_mean: 5.5,
         };
-        let j = to_json(&results);
-        serde_json::from_str_value(&j).unwrap();
-        assert!(j.contains("\"speedup_p50\": 10"), "{j}");
-        assert!(j.contains("\"waiters_served\": 7"), "{j}");
+        let dedup = |dedup, waiters_served, dedup_batches| DedupRow {
+            transport: "binary".into(),
+            dedup,
+            dupes: 8,
+            searches_executed: 8 - waiters_served,
+            waiters_served,
+            dedup_batches,
+            wall_ms: 12.0,
+            winner: "fold-0-w1".into(),
+        };
+        Results {
+            sweep: vec![sweep(4, 6.0), sweep(64, 30.0)],
+            dedup: vec![dedup(true, 7, 1), dedup(false, 0, 0)],
+        }
+    }
+
+    #[test]
+    fn gate_holds_5x_on_small_requests_and_the_direction_on_quick_runs() {
+        assert!(gate(&passing(), false).is_empty());
+        let mut results = passing();
+        results.sweep[0].speedup_p50 = 4.0;
+        assert_eq!(
+            gate(&results, false),
+            ["evaluate @ 4 nodes: p50 speedup 4.00x, under the 5x bar"]
+        );
+        assert!(gate(&results, true).is_empty());
+        results.sweep[1].speedup_p50 = 0.9;
+        assert_eq!(
+            gate(&results, true),
+            ["evaluate @ 64 nodes: p50 speedup 0.90x, under the 1x bar"]
+        );
+    }
+
+    #[test]
+    fn gate_requires_the_dedup_collapse() {
+        let mut results = passing();
+        results.dedup[0].waiters_served = 3;
+        assert_eq!(
+            gate(&results, false),
+            ["binary/dedup-on: expected an >= 4-way collapse, got 3 waiters in 1 batches"]
+        );
+        results.dedup[0].waiters_served = 7;
+        results.dedup[0].dedup_batches = 0;
+        assert_eq!(gate(&results, false).len(), 1);
     }
 }

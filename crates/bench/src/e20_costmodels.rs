@@ -13,8 +13,8 @@
 //! the analytic default (the stencil's roofline tie is the canonical
 //! case: planned compute volume is placement-blind, so the roofline
 //! clock cannot see blocking and falls back to candidate order). And
-//! backends must be *deterministic*: the driver binary runs the whole
-//! sweep twice and exits non-zero on any bit-level divergence.
+//! backends must be *deterministic*: `table e20` runs the whole sweep
+//! twice, and its [`gate`] fails on any bit-level divergence.
 
 use fm_autotune::Tuner;
 use fm_core::cost::Evaluator;
@@ -24,12 +24,12 @@ use fm_core::search::{FigureOfMerit, MappingCandidate};
 use fm_costmodel::CostModelKind;
 use fm_kernels::fft::{fft_graph, FftFamily, FftVariant};
 use fm_kernels::stencil::{blocked_mapping, stencil_recurrence};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::table;
 
 /// One `(kernel, objective, backend)` tune.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
     /// Kernel name.
     pub kernel: String,
@@ -202,14 +202,34 @@ pub fn print(rows: &[Row]) -> String {
     out
 }
 
-/// The rows as a JSON document (`BENCH_e20.json`).
-pub fn to_json(rows: &[Row]) -> String {
-    serde_json::to_string_pretty(rows).expect("Row serializes")
+/// E20's acceptance gate over a sweep and its `replay`, one line per
+/// violated condition: the two runs agree to the bit on every winner
+/// and score, no analytic row flips against itself, and some backend
+/// crowns a different winner (the experiment's whole claim).
+pub fn gate(rows: &[Row], replay: &[Row]) -> Vec<String> {
+    let mut failures = Vec::new();
+    if fingerprint(rows) != fingerprint(replay) {
+        failures.push(format!(
+            "winner determinism broke — two runs disagree\nrun 1:\n{}run 2:\n{}",
+            winner_matrix(rows),
+            winner_matrix(replay)
+        ));
+    }
+    if rows.iter().any(|r| r.model == "analytic" && r.flipped) {
+        failures.push("an analytic row flipped against itself".to_string());
+    }
+    if !rows.iter().any(|r| r.flipped) {
+        failures.push(format!(
+            "no backend changed any winner — E20's claim is gone\n{}",
+            winner_matrix(rows)
+        ));
+    }
+    failures
 }
 
-/// Bit-level fingerprint of a sweep, for the driver's determinism
+/// Bit-level fingerprint of a sweep, for the [`gate`]'s determinism
 /// check: every label and every score bit folds in.
-pub fn fingerprint(rows: &[Row]) -> u64 {
+fn fingerprint(rows: &[Row]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut fold = |bytes: &[u8]| {
         for &b in bytes {
@@ -274,5 +294,54 @@ mod tests {
     #[test]
     fn the_sweep_is_deterministic() {
         assert_eq!(fingerprint(&run(true)), fingerprint(&run(true)));
+    }
+
+    fn row(model: &str, winner: &str, flipped: bool) -> Row {
+        Row {
+            kernel: "stencil4x16".into(),
+            fom: "Time".into(),
+            model: model.into(),
+            winner: winner.into(),
+            score: 64.0,
+            bound: "compute".into(),
+            intensity_offchip: 0.5,
+            flipped,
+        }
+    }
+
+    fn passing() -> Vec<Row> {
+        vec![
+            row("analytic", "blocked P=8", false),
+            row("roofline", "serial", true),
+        ]
+    }
+
+    #[test]
+    fn gate_passes_a_deterministic_sweep_with_a_flip() {
+        assert!(gate(&passing(), &passing()).is_empty());
+    }
+
+    #[test]
+    fn gate_fails_when_a_replay_disagrees() {
+        let mut replay = passing();
+        replay[1].score = 65.0;
+        let failures = gate(&passing(), &replay);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("winner determinism broke"));
+    }
+
+    #[test]
+    fn gate_fails_when_analytic_flips_or_nothing_does() {
+        let mut rows = passing();
+        rows[0].flipped = true;
+        assert_eq!(
+            gate(&rows, &rows),
+            ["an analytic row flipped against itself"]
+        );
+        rows[0].flipped = false;
+        rows[1].flipped = false;
+        let failures = gate(&rows, &rows);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("no backend changed any winner"));
     }
 }

@@ -19,28 +19,21 @@
 //! discarded sealed parts. The wall-clock gap is the headline; the
 //! parity bit is the contract.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fm_autotune::{TunedMapping, Tuner};
-use fm_core::affine::IdxExpr;
-use fm_core::cost::Evaluator;
-use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
-use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
-use fm_core::search::{FigureOfMerit, MappingCandidate};
-use fm_core::value::Value;
 use fm_serve::client::Client;
 use fm_serve::fault::{FaultAction, FaultPlan, FaultProxy};
 use fm_serve::fleet::FleetConfig;
 use fm_serve::metrics::FleetStatsReply;
-use fm_serve::protocol::{TuneRequest, WireCandidate};
-use fm_serve::server::{Server, ServerConfig, ServerHandle};
-use serde::Serialize;
+use fm_serve::server::{ServerConfig, ServerHandle};
+use serde::{Deserialize, Serialize};
 
+use crate::serving::{coordinator, direct_winner, quantile_ms, start, timed_tune, wide};
 use crate::table;
 
 /// One arm's view of the churn schedule.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
     /// Arm (`static` / `adaptive`).
     pub scenario: String,
@@ -75,101 +68,14 @@ pub struct Row {
     pub winner_bit_identical: bool,
 }
 
-fn wide(n: usize) -> DataflowGraph {
-    let mut g = DataflowGraph::new("e21-wide", 32);
-    for i in 0..n {
-        g.add_node(CExpr::konst(Value::real(i as f64)), vec![], vec![i as i64]);
-    }
-    g
-}
-
-/// Legal fold-onto-`w`-PEs candidates (place `i mod w`, time `i div w`).
-fn candidates(n: usize, cols: u32) -> Vec<WireCandidate> {
-    (0..n)
-        .map(|i| {
-            let w = (i as i64 % cols as i64) + 1;
-            WireCandidate {
-                label: format!("fold-{i}-w{w}"),
-                mapping: Mapping::Affine(AffineMap {
-                    place: PlaceExpr::row0(IdxExpr::ModC(Box::new(IdxExpr::i()), w)),
-                    time: IdxExpr::i().div(w),
-                }),
-            }
-        })
-        .collect()
-}
-
-fn direct_winner(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) -> TunedMapping {
-    let evaluator = Evaluator::new(graph, machine);
-    let cands: Vec<MappingCandidate> = candidates(ncand, machine.cols)
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
-    Tuner::new(&evaluator, graph, machine, FigureOfMerit::Time)
-        .tune(&cands)
-        .best
-        .expect("direct tuner found a winner")
-}
-
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// One tune through `client`; returns (latency ms, winner parity).
-fn one_tune(
-    client: &mut Client,
-    graph: &DataflowGraph,
-    machine: &MachineConfig,
-    ncand: usize,
-    expected: &TunedMapping,
-) -> (f64, bool) {
-    let t = Instant::now();
-    let reply = client
-        .tune(TuneRequest {
-            graph: graph.clone(),
-            machine: machine.clone(),
-            fom: FigureOfMerit::Time,
-            candidates: candidates(ncand, machine.cols),
-            deadline_ms: None,
-            max_candidates: None,
-            convergence_window: None,
-            refinement: None,
-            use_cache: false,
-            cost_model: None,
-        })
-        .expect("tune");
-    let ms = t.elapsed().as_secs_f64() * 1e3;
-    let best = reply.best.expect("a winner");
-    let parity = best.label == expected.label
-        && best.score.to_bits() == expected.score.to_bits()
-        && best.resolved == expected.resolved;
-    (ms, parity)
-}
-
 fn base_fleet(addrs: Vec<String>) -> FleetConfig {
-    let mut f = FleetConfig::new(addrs);
-    f.connect_timeout = Duration::from_millis(200);
-    f.attempt_timeout = Duration::from_secs(10);
-    f.backoff_base = Duration::from_millis(5);
-    f.backoff_max = Duration::from_millis(40);
+    let mut f = crate::serving::fleet(addrs, Duration::from_secs(10));
     // No hedging in either arm: the race isolates the elastic
     // machinery (cliff detector, membership, ledger) from the
     // pre-existing straggler hedge.
     f.hedge_after = None;
     f.stream_every = Some(4);
     f
-}
-
-fn start_coordinator(fleet: FleetConfig) -> ServerHandle {
-    let config = ServerConfig {
-        fleet: Some(fleet),
-        ..ServerConfig::default()
-    };
-    Server::start("127.0.0.1:0", config).expect("bind coordinator")
 }
 
 /// Race the static and adaptive arms over the scripted churn. `quick`
@@ -182,7 +88,7 @@ pub fn run(quick: bool) -> Vec<Row> {
     let ms_per_candidate = if quick { 40 } else { 50 };
     let restart_after = 2; // adaptive arm: restart before this tune index
     let ncand = 48;
-    let graph = wide(20);
+    let graph = wide("e21-wide", 20);
     let machine = MachineConfig::linear(8);
     let expected = direct_winner(&graph, &machine, ncand);
     let cliff_plan = || {
@@ -200,9 +106,7 @@ pub fn run(quick: bool) -> Vec<Row> {
         // Fresh topology per arm: healthy shard A, shard B collapsing
         // behind its proxy on every connection, and (for the adaptive
         // arm) a healthy replacement C waiting outside the roster.
-        let shards: Vec<ServerHandle> = (0..3)
-            .map(|_| Server::start("127.0.0.1:0", ServerConfig::default()).expect("bind shard"))
-            .collect();
+        let shards: Vec<ServerHandle> = (0..3).map(|_| start(ServerConfig::default())).collect();
         let proxy = FaultProxy::start(shards[1].local_addr(), cliff_plan()).expect("proxy");
         let healthy = shards[0].local_addr().to_string();
         let collapsed = proxy.local_addr().to_string();
@@ -222,7 +126,7 @@ pub fn run(quick: bool) -> Vec<Row> {
         } else {
             fleet.cliff_fraction = 0.0;
         }
-        let mut coord = start_coordinator(fleet);
+        let mut coord = coordinator(fleet);
         let mut client = Client::connect(coord.local_addr()).expect("connect");
 
         let mut lat = Vec::with_capacity(tunes);
@@ -253,7 +157,7 @@ pub fn run(quick: bool) -> Vec<Row> {
                 fleet.cliff_fraction = 0.5;
                 fleet.cliff_stall = Duration::from_millis(60);
                 fleet.weight_ledger = Some(ledger.clone());
-                coord = start_coordinator(fleet);
+                coord = coordinator(fleet);
                 client = Client::connect(coord.local_addr()).expect("reconnect");
                 let reborn = coord.stats().fleet.expect("fleet stats");
                 let mut sources: Vec<&str> = reborn
@@ -264,7 +168,7 @@ pub fn run(quick: bool) -> Vec<Row> {
                 sources.dedup();
                 weight_source_after_restart = sources.join("+");
             }
-            let (ms, parity) = one_tune(&mut client, &graph, &machine, ncand, &expected);
+            let (ms, parity) = timed_tune(&mut client, &graph, &machine, ncand, &expected);
             lat.push(ms);
             identical &= parity;
         }
@@ -362,9 +266,52 @@ pub fn print(rows: &[Row]) -> String {
     out
 }
 
-/// The rows as a JSON document (`BENCH_e21.json`).
-pub fn to_json(rows: &[Row]) -> String {
-    serde_json::to_string_pretty(rows).expect("Row serializes")
+/// E21's acceptance gate, one line per violated condition: every
+/// row's winner is bit-identical and no sealed part was discarded; in
+/// the adaptive row the cliff detector fired, membership churned, the
+/// restarted coordinator came back with persisted weights, and the arm
+/// beat the static roster by 1.3× (1.1× for a `quick` run; short runs
+/// are noisier).
+pub fn gate(rows: &[Row], quick: bool) -> Vec<String> {
+    let mut failures = Vec::new();
+    for r in rows {
+        if !r.winner_bit_identical {
+            failures.push(format!(
+                "{}: winner diverged from single-machine tune",
+                r.scenario
+            ));
+        }
+        if r.parts_discarded != 0 {
+            failures.push(format!(
+                "{}: {} sealed parts discarded (must be 0)",
+                r.scenario, r.parts_discarded
+            ));
+        }
+    }
+    let Some(adaptive) = rows.iter().find(|r| r.scenario == "adaptive") else {
+        failures.push("missing adaptive row".to_string());
+        return failures;
+    };
+    if adaptive.cliff_redispatches == 0 {
+        failures.push("adaptive: cliff detector never fired".to_string());
+    }
+    if adaptive.joins == 0 || adaptive.leaves == 0 {
+        failures.push("adaptive: membership never churned".to_string());
+    }
+    if adaptive.weight_source_after_restart != "persisted" {
+        failures.push(format!(
+            "adaptive: restarted coordinator weights were {:?}, not persisted",
+            adaptive.weight_source_after_restart
+        ));
+    }
+    let bar = if quick { 1.1 } else { 1.3 };
+    if adaptive.speedup_vs_static < bar {
+        failures.push(format!(
+            "adaptive: speedup {:.2}x under the {bar}x bar",
+            adaptive.speedup_vs_static
+        ));
+    }
+    failures
 }
 
 #[cfg(test)]
@@ -392,37 +339,62 @@ mod tests {
             adaptive.weight_source_after_restart, "persisted",
             "the reborn coordinator should start from the ledger"
         );
-        assert!(
-            adaptive.speedup_vs_static >= 1.1,
-            "adaptive speedup {:.2}x under 1.1x",
-            adaptive.speedup_vs_static
-        );
     }
 
-    #[test]
-    fn json_round_trips() {
-        let rows = vec![Row {
-            scenario: "adaptive".into(),
+    fn passing() -> Vec<Row> {
+        let row = |scenario: &str, churn: u64, weights: &str, speedup_vs_static| Row {
+            scenario: scenario.into(),
             tunes: 6,
             total_wall_ms: 900.0,
             p50_ms: 90.0,
             max_ms: 300.0,
-            cliff_redispatches: 2,
-            departed_redispatches: 1,
-            joins: 1,
-            leaves: 1,
-            membership_epoch: 3,
+            cliff_redispatches: churn,
+            departed_redispatches: 0,
+            joins: churn,
+            leaves: churn,
+            membership_epoch: 1 + 2 * churn,
             parts_discarded: 0,
-            weight_source_after_restart: "persisted".into(),
-            speedup_vs_static: 2.4,
+            weight_source_after_restart: weights.into(),
+            speedup_vs_static,
             winner_bit_identical: true,
-        }];
-        let j = to_json(&rows);
-        serde_json::from_str_value(&j).unwrap();
-        assert!(j.contains("\"scenario\": \"adaptive\""), "{j}");
+        };
+        vec![
+            row("static", 0, "n/a", 1.0),
+            row("adaptive", 1, "persisted", 2.4),
+        ]
+    }
+
+    /// The gate's failures for `passing()` rows after `break_it`.
+    fn failures(quick: bool, break_it: impl FnOnce(&mut Vec<Row>)) -> String {
+        let mut rows = passing();
+        break_it(&mut rows);
+        gate(&rows, quick).join("\n")
+    }
+
+    #[test]
+    fn gate_passes_good_rows_and_names_each_violation() {
+        assert_eq!(failures(false, |_| {}), "");
+        assert!(failures(false, |r| r[0].winner_bit_identical = false)
+            .contains("static: winner diverged"));
+        assert!(failures(false, |r| r[1].parts_discarded = 1)
+            .contains("adaptive: 1 sealed parts discarded"));
         assert!(
-            j.contains("\"weight_source_after_restart\": \"persisted\""),
-            "{j}"
+            failures(false, |r| r[1].cliff_redispatches = 0).contains("cliff detector never fired")
         );
+        assert!(failures(false, |r| r[1].leaves = 0).contains("membership never churned"));
+        assert!(
+            failures(false, |r| r[1].weight_source_after_restart = "cold".into())
+                .contains("weights were \"cold\", not persisted")
+        );
+        assert!(failures(false, |r| r.truncate(1)).contains("missing adaptive row"));
+    }
+
+    #[test]
+    fn gate_holds_the_speedup_bar_and_relaxes_it_for_quick_runs() {
+        let slow = |r: &mut Vec<Row>| r[1].speedup_vs_static = 1.2;
+        assert!(failures(false, slow).contains("speedup 1.20x under the 1.3x bar"));
+        assert_eq!(failures(true, slow), "");
+        let slower = |r: &mut Vec<Row>| r[1].speedup_vs_static = 1.05;
+        assert!(failures(true, slower).contains("speedup 1.05x under the 1.1x bar"));
     }
 }

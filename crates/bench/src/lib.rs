@@ -6,22 +6,25 @@
 //! is the set of *quantitative claims* in the text (see `DESIGN.md` for
 //! the index). Each `eXX_*` module turns one claim into a reproducible
 //! experiment: a `run(…)` function that returns structured rows, a
-//! `print` that renders the table the paper never drew, and unit tests
+//! `print` that renders the table the paper never drew, for some a
+//! `gate` that names every acceptance bar the rows miss, and unit tests
 //! that assert the claim's *shape* (who wins, by roughly what factor,
 //! where the crossover falls).
 //!
-//! Regenerate any table with its binary, e.g.:
+//! One binary, `table`, runs them all from the list in [`driver`]:
 //!
 //! ```text
-//! cargo run --release -p fm-bench --bin table_e1_ratios
-//! cargo run --release -p fm-bench --bin table_e3_editdist
-//! …
+//! cargo run --release -p fm-bench --bin table -- e3
+//! cargo run --release -p fm-bench --bin table -- e17 --quick --no-json
+//! cargo run --release -p fm-bench --bin table -- all
 //! ```
 //!
 //! Criterion micro-benchmarks for the heavy machinery (elaboration,
 //! evaluation, simulation, search, the thread pool, the cache model)
 //! live in `benches/`.
 
+pub mod driver;
+mod serving;
 pub mod table;
 
 pub mod e01_ratios;
@@ -45,3 +48,9 @@ pub mod e19_wire;
 pub mod e20_costmodels;
 pub mod e21_churn;
 pub mod e22_evalperf;
+
+// The unit tests count allocations as the `table` binary does, so
+// E22's audit runs under `cargo test` too.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: driver::CountingAlloc = driver::CountingAlloc;
