@@ -155,7 +155,8 @@ echo "== serve-smoke: daemon + example over the wire, then a fleet =="
 # check both sides exit cleanly. Then the same through a coordinator
 # started with `--fleet` over two shards: the example's uncached tune
 # (8 FFT candidates) is fleet-eligible, so the coordinator's exit
-# summary must count both members and the one fleet tune.
+# summary must count both members and the one fleet tune, as the solo
+# daemon's must count the example's tune and evaluate.
 cargo build --release -q -p fm-serve --bin fm-serve
 smoke_dir="$(mktemp -d)"
 smoke_pids=()
@@ -180,6 +181,13 @@ serve solo
 FM_SERVE_ADDR="$serve_addr" FM_SERVE_SHUTDOWN=1 \
     cargo run --release -q --example mapping_service >/dev/null
 wait "$serve_pid" || { echo "serve-smoke: daemon exited non-zero"; exit 1; }
+# The example sends one tune and one evaluate; the exit summary renders
+# them from the daemon's Stats counters.
+grep -q ' 2 requests (1 tune / 0 shard / 1 evaluate / 0 simulate)' "$smoke_dir/solo.log" || {
+    echo "serve-smoke: the daemon did not count 1 tune and 1 evaluate:"
+    cat "$smoke_dir/solo.log"
+    exit 1
+}
 serve shard-a
 shard_a="$serve_addr"
 serve shard-b

@@ -424,6 +424,21 @@ impl<'a> Tuner<'a> {
 
     /// Tune over a candidate list.
     pub fn tune(&self, candidates: &[MappingCandidate]) -> TuneReport {
+        self.tune_with(candidates, true)
+    }
+
+    /// [`Tuner::tune`] over one range of a larger candidate list: the
+    /// same evaluation and report, except that when nothing in the
+    /// range is legal, `best` stays `None` instead of taking the
+    /// default-mapper fallback. A caller that merges ranges (a fleet
+    /// coordinator, a shard's streamed chunks) builds the fallback
+    /// once, for the whole list, when no range found a winner.
+    pub fn tune_range(&self, candidates: &[MappingCandidate]) -> TuneReport {
+        self.tune_with(candidates, false)
+    }
+
+    /// [`Tuner::tune`], with or without the default-mapper fallback.
+    fn tune_with(&self, candidates: &[MappingCandidate], fallback: bool) -> TuneReport {
         let start = Instant::now();
         let offered = candidates.len();
 
@@ -515,7 +530,7 @@ impl<'a> Tuner<'a> {
                 .resolve(self.graph, self.machine)
                 .expect("a legal candidate resolves")
         };
-        let mut report = self.finish(candidates, evals, frontier, cache_status, resolve);
+        let mut report = self.finish(candidates, evals, frontier, cache_status, resolve, fallback);
         if let (Some(cache), Some(best)) = (&self.cache, &report.best) {
             if !report.fell_back && !report.cancelled {
                 let _ = cache.store(&CacheEntry {
@@ -599,13 +614,21 @@ impl<'a> Tuner<'a> {
                 .resolved(i)
                 .expect("an evaluated candidate keeps its state")
         };
-        self.finish(candidates, evals, frontier, CacheStatus::Disabled, resolve)
+        self.finish(
+            candidates,
+            evals,
+            frontier,
+            CacheStatus::Disabled,
+            resolve,
+            true,
+        )
     }
 
-    /// What both tunes do after evaluation: pick the winner (the default
-    /// mapper when nothing in budget was legal), refine it, and report
-    /// over the evaluated prefix. `resolve` gives candidate `i`'s
-    /// resolved mapping against the tuned graph and machine.
+    /// What both tunes do after evaluation: pick the winner (with
+    /// `fallback`, the default mapper when nothing in budget was legal),
+    /// refine it, and report over the evaluated prefix. `resolve` gives
+    /// candidate `i`'s resolved mapping against the tuned graph and
+    /// machine.
     fn finish(
         &self,
         candidates: &[MappingCandidate],
@@ -613,6 +636,7 @@ impl<'a> Tuner<'a> {
         frontier: Frontier<'_>,
         cache: CacheStatus,
         resolve: impl Fn(usize) -> ResolvedMapping,
+        fallback: bool,
     ) -> TuneReport {
         let mut cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
         let offered = candidates.len();
@@ -635,7 +659,8 @@ impl<'a> Tuner<'a> {
             }
             // Nothing legal in budget: fall back to the default mapper,
             // which is legal by construction for any graph.
-            None => self.fallback(),
+            None if fallback => self.fallback(),
+            None => None,
         };
         let fell_back = best_idx.is_none() && best.is_some();
 
@@ -1167,12 +1192,18 @@ mod tests {
                 time: IdxExpr::c(0),
             }),
         )];
-        let report = Tuner::new(&ev, &g, &m, FigureOfMerit::Time).tune(&cands);
+        let tuner = Tuner::new(&ev, &g, &m, FigureOfMerit::Time);
+        let report = tuner.tune(&cands);
         assert!(report.fell_back);
         let best = report.best.unwrap();
         assert_eq!(best.label, "default-mapper (fallback)");
         assert!(check(&g, &best.resolved, &m).is_legal());
         assert_eq!(report.outcome.legal, 0);
+        // A range of a larger list reports no winner instead: its
+        // caller builds the fallback once, for the whole list.
+        let range = tuner.tune_range(&cands);
+        assert!(range.best.is_none() && !range.fell_back);
+        assert_eq!((range.evaluated, range.outcome.legal), (1, 0));
     }
 
     #[test]

@@ -160,11 +160,15 @@ pub(crate) const EXPERIMENTS: &[Experiment] = &[
     }),
     Experiment::table("e12", |_| {
         let (n, p_values) = (128, &[1, 2, 4, 8, 16, 32, 64, 128]);
-        let dp = e12_scaling::print(n, &e12_scaling::run(n, p_values));
-        let stencil = e12_scaling::print(n, &e12_scaling::run_stencil(16, n, p_values));
-        Outcome::text(format!(
-            "{dp}\n(stencil 16x{n} series — boundary-only communication)\n\n{stencil}"
-        ))
+        let dp = e12_scaling::print(
+            &format!("{n}x{n} edit distance"),
+            &e12_scaling::run(n, p_values),
+        );
+        let stencil = e12_scaling::print(
+            &format!("16x{n} stencil, boundary-only communication"),
+            &e12_scaling::run_stencil(16, n, p_values),
+        );
+        Outcome::text(format!("{dp}\n{stencil}"))
     }),
     Experiment::table("e13", |_| {
         let rows = e13_recompute::run(6, &[1, 10, 100, 1000, 20_000], 8);

@@ -100,11 +100,11 @@ pub fn run(n: usize, p_values: &[i64]) -> Vec<Row> {
     rows
 }
 
-/// Render.
-pub fn print(n: usize, rows: &[Row]) -> String {
-    let mut out = format!(
-        "E12 — many-core scaling, {n}x{n} edit distance (speedup x efficiency vs one OoO core)\n\n"
-    );
+/// Render one kernel's series under a heading naming it (`kernel`,
+/// e.g. `"128x128 edit distance"`).
+pub fn print(kernel: &str, rows: &[Row]) -> String {
+    let mut out =
+        format!("E12 — many-core scaling, {kernel} (speedup x efficiency vs one OoO core)\n\n");
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -45,7 +45,7 @@
 //!
 //! **Latency-weighted partitioning** (`weighted = true`): part and
 //! reply arrival times feed a per-shard EWMA throughput tracker in the
-//! metrics registry (persisted across requests); range sizes are then
+//! shard's membership record (persisted across requests); range sizes are then
 //! apportioned to shards by largest-remainder on those weights, so a
 //! chronically slow shard gets a proportionally small range instead of
 //! stalling the whole tune. Cold shards inherit the warm mean; an
@@ -84,7 +84,6 @@ use fm_workspan::ThreadPool;
 
 use crate::fault::mix64;
 use crate::membership::{Breaker, Member, Membership};
-use crate::metrics::FleetMetrics;
 use crate::protocol::{
     decode_response_any, encode_tune_shard_suffix, read_frame_polled, write_frame, Response,
     ShardBest, ShardReplyFlaw, TuneReply, TuneRequest, TuneShardBody, TuneShardPartBody,
@@ -199,9 +198,9 @@ pub struct Fleet {
     /// and echoed (under checksum) by the reply, so a frame answering
     /// an earlier tune can never merge into a later one.
     epoch: AtomicU64,
-    /// The living shard roster (elastic membership, weight ledger).
+    /// The living shard roster (elastic membership, weight ledger,
+    /// the fleet's `Stats` counters).
     membership: Membership,
-    metrics: Arc<FleetMetrics>,
 }
 
 /// What every range of one fleet tune shares.
@@ -408,10 +407,8 @@ impl Fleet {
     /// Build a coordinator over `config.shards`, seeding weights and
     /// breaker state from the ledger when one loads.
     pub fn new(config: FleetConfig) -> Arc<Fleet> {
-        let metrics = Arc::new(FleetMetrics::new());
         let membership = Membership::new(
             &config.shards,
-            Arc::clone(&metrics),
             config.weight_ledger.clone(),
             WEIGHT_DECAY_TUNES,
             config.breaker_cooldown,
@@ -420,16 +417,11 @@ impl Fleet {
             config,
             epoch: AtomicU64::new(1),
             membership,
-            metrics,
         })
     }
 
-    /// The coordinator's metrics registry (for the `Stats` endpoint).
-    pub fn metrics(&self) -> Arc<FleetMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// The living roster `ShardJoin`/`ShardLeave` change. A member that
+    /// The living roster `ShardJoin`/`ShardLeave` change, and the
+    /// fleet's `Stats` section ([`Membership::stats`]). A member that
     /// leaves has its in-flight ranges re-dispatched from their covered
     /// watermark the moment their attempts notice.
     pub fn membership(&self) -> &Membership {
@@ -453,7 +445,7 @@ impl Fleet {
         match *b {
             Breaker::Closed { .. } => true,
             Breaker::Open { until } if Instant::now() >= until => {
-                member.set_breaker(&mut b, Breaker::HalfOpen);
+                *b = Breaker::HalfOpen;
                 true
             }
             Breaker::Open { .. } | Breaker::HalfOpen => false,
@@ -461,15 +453,15 @@ impl Fleet {
     }
 
     fn report_success(&self, member: &Member) {
-        member.metrics.successes.fetch_add(1, Ordering::Relaxed);
-        let closed = Breaker::Closed {
+        self.membership
+            .count_shard(member, |row| row.successes += 1);
+        *member.breaker.lock() = Breaker::Closed {
             consecutive_failures: 0,
         };
-        member.set_breaker(&mut member.breaker.lock(), closed);
     }
 
     fn report_failure(&self, member: &Member) {
-        member.metrics.failures.fetch_add(1, Ordering::Relaxed);
+        self.membership.count_shard(member, |row| row.failures += 1);
         let mut b = member.breaker.lock();
         let consecutive_failures = match *b {
             Breaker::Closed {
@@ -490,9 +482,11 @@ impl Fleet {
     /// Trip `member`'s breaker (`b`, held locked) open for one
     /// cooldown.
     fn trip(&self, member: &Member, b: &mut Breaker) {
-        let until = Instant::now() + self.config.breaker_cooldown;
-        member.set_breaker(b, Breaker::Open { until });
-        member.metrics.breaker_opens.fetch_add(1, Ordering::Relaxed);
+        *b = Breaker::Open {
+            until: Instant::now() + self.config.breaker_cooldown,
+        };
+        self.membership
+            .count_shard(member, |row| row.breaker_opens += 1);
     }
 
     /// Charge `member` one throughput-cliff trip, and quarantine it —
@@ -504,13 +498,14 @@ impl Fleet {
     /// re-dispatch; quarantine routes primaries elsewhere until the
     /// half-open probe shows the shard recovered.
     fn charge_cliff(&self, member: &Member) {
-        let trips = member.metrics.cliff_trips.fetch_add(1, Ordering::Relaxed) + 1;
+        let trips = self.membership.count_shard(member, |row| {
+            row.cliff_trips += 1;
+            row.cliff_trips
+        });
         let every = u64::from(self.config.cliff_quarantine_trips);
         if every > 0 && trips.is_multiple_of(every) {
             self.trip(member, &mut member.breaker.lock());
-            self.metrics
-                .cliff_quarantines
-                .fetch_add(1, Ordering::Relaxed);
+            self.membership.count(|s| s.cliff_quarantines += 1);
         }
     }
 
@@ -552,7 +547,7 @@ impl Fleet {
         pool: &ThreadPool,
     ) -> TuneReply {
         let start = Instant::now();
-        self.metrics.fleet_tunes.fetch_add(1, Ordering::Relaxed);
+        self.membership.count(|s| s.fleet_tunes += 1);
         self.membership.begin_tune();
 
         let offered = req.candidates.len();
@@ -619,14 +614,12 @@ impl Fleet {
             fold_best(&mut best, o.best);
         }
         if all_local {
-            self.metrics.degraded_tunes.fetch_add(1, Ordering::Relaxed);
+            self.membership.count(|s| s.degraded_tunes += 1);
         }
-        // Bank what this tune learned about the machines: a restarted
-        // coordinator partitions its first tune weighted, not cold.
-        self.membership.persist();
 
         // Nothing legal anywhere: the same default-mapper fallback a
-        // single-machine tune produces.
+        // single-machine tune produces, built once for the whole list
+        // (ranges and shard chunks report only in-range winners).
         let mut fell_back = false;
         let mut best_mapping = match best {
             Some((_, b)) => Some(b),
@@ -856,21 +849,19 @@ fn run_range(
     // the covered watermark. `None` when no member is available.
     let mut redispatch = |reason: Reason, replaces: Option<&Arc<Member>>| {
         let member = fleet.next_available(&mut rotation, replaces)?;
-        let m = &fleet.metrics;
-        let counter = match reason {
-            Reason::Retry => &m.retries,
-            Reason::Hedge => &m.hedges,
-            Reason::Cliff => &m.cliff_redispatches,
-            Reason::Departed => &m.departed_redispatches,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
         if let (Reason::Cliff, Some(sick)) = (reason, replaces) {
             fleet.charge_cliff(sick);
         }
         let from = send(Arc::clone(&member), reason != Reason::Retry);
-        if from > lo {
-            m.suffix_redispatches.fetch_add(1, Ordering::Relaxed);
-        }
+        fleet.membership.count(|s| {
+            *match reason {
+                Reason::Retry => &mut s.retries,
+                Reason::Hedge => &mut s.hedges,
+                Reason::Cliff => &mut s.cliff_redispatches,
+                Reason::Departed => &mut s.departed_redispatches,
+            } += 1;
+            s.suffix_redispatches += u64::from(from > lo);
+        });
         Some((member, from))
     };
     send(Arc::clone(&first), false);
@@ -894,22 +885,20 @@ fn run_range(
                 }
                 let departed = match end {
                     AttemptEnd::Covered => {
-                        if speculative {
-                            fleet.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                        }
                         let reassigned = !preferred.is_some_and(|p| Arc::ptr_eq(&member, p));
-                        if reassigned {
-                            fleet.metrics.reassignments.fetch_add(1, Ordering::Relaxed);
-                        }
+                        fleet.membership.count(|s| {
+                            s.hedge_wins += u64::from(speculative);
+                            s.reassignments += u64::from(reassigned);
+                        });
                         return range.finish();
                     }
                     AttemptEnd::Failed { saved } => {
-                        let m = &fleet.metrics;
-                        m.prefix_candidates_saved
-                            .fetch_add(saved, Ordering::Relaxed);
+                        fleet
+                            .membership
+                            .count(|s| s.prefix_candidates_saved += saved);
                         false
                     }
-                    AttemptEnd::Abandoned => member.metrics.is_departed(),
+                    AttemptEnd::Abandoned => member.is_departed(),
                 };
                 if range.is_done() {
                     // The ending attempt's parts (or another's)
@@ -951,7 +940,7 @@ fn run_range(
                     && open(config.cliff_stall)
                     && primary
                         .as_ref()
-                        .is_some_and(|p| p.metrics.in_cliff(config.cliff_fraction, implied));
+                        .is_some_and(|p| p.in_cliff(config.cliff_fraction, implied));
                 let reason = match (hedge, cliff) {
                     (true, _) => Reason::Hedge,
                     (false, true) => Reason::Cliff,
@@ -999,10 +988,7 @@ fn finish_locally(ctx: &TuneCtx<'_>, mut p: Progress, hi: usize) -> Progress {
     if p.cancelled || p.covered >= hi {
         return p;
     }
-    let metrics = &ctx.fleet.metrics;
-    metrics
-        .local_fallback_ranges
-        .fetch_add(1, Ordering::Relaxed);
+    ctx.fleet.membership.count(|s| s.local_fallback_ranges += 1);
     let (req, from) = (ctx.req, p.covered);
     let locals: Vec<MappingCandidate> = req.candidates[from..hi]
         .iter()
@@ -1016,7 +1002,7 @@ fn finish_locally(ctx: &TuneCtx<'_>, mut p: Progress, hi: usize) -> Progress {
         .with_pool(ctx.pool)
         .with_budget(budget)
         .with_cancel(ctx.cancel.clone())
-        .tune(&locals);
+        .tune_range(&locals);
     p.evaluated += report.evaluated as u64;
     let win = report.best_index.zip(report.best);
     fold_best(&mut p.best, win.map(|(i, b)| ((from + i) as u64, b)));
@@ -1059,8 +1045,8 @@ fn run_attempt(
     attempt_lo: usize,
     cancel: &CancelToken,
 ) -> AttemptEnd {
-    let m = &member.metrics;
-    m.sends.fetch_add(1, Ordering::Relaxed);
+    let membership = &fleet.membership;
+    membership.count_shard(member, |row| row.sends += 1);
     let frame_deadline = || {
         let cap = Instant::now() + fleet.config.attempt_timeout;
         range.deadline.map_or(cap, |d| cap.min(d))
@@ -1094,12 +1080,13 @@ fn run_attempt(
     let mut last_mark = Instant::now();
     let fail = |flaw: Option<&ShardReplyFlaw>, saved: u64| {
         if let Some(flaw) = flaw {
-            let counter = match flaw {
-                ShardReplyFlaw::BadChecksum { .. } => &fleet.metrics.corrupt_discarded,
-                ShardReplyFlaw::StaleEpoch { .. } => &fleet.metrics.stale_discarded,
-                ShardReplyFlaw::Incomplete { .. } => &fleet.metrics.incomplete_discarded,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+            membership.count(|s| {
+                *match flaw {
+                    ShardReplyFlaw::BadChecksum { .. } => &mut s.corrupt_discarded,
+                    ShardReplyFlaw::StaleEpoch { .. } => &mut s.stale_discarded,
+                    ShardReplyFlaw::Incomplete { .. } => &mut s.incomplete_discarded,
+                } += 1;
+            });
         }
         fleet.report_failure(member);
         AttemptEnd::Failed { saved }
@@ -1112,10 +1099,7 @@ fn run_attempt(
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     loop {
         let frame = read_frame_polled(&mut stream, DEFAULT_MAX_FRAME, |_| {
-            if range.done.load(Ordering::Acquire)
-                || cancel.is_cancelled()
-                || m.departed.load(Ordering::Acquire)
-            {
+            if range.done.load(Ordering::Acquire) || cancel.is_cancelled() || member.is_departed() {
                 Some(ReadStop::Abandoned)
             } else {
                 (Instant::now() >= until).then_some(ReadStop::Failed)
@@ -1129,10 +1113,9 @@ fn run_attempt(
                     let flaw = part.verify(epoch).err();
                     match flaw.is_none().then(|| range.merge_part(&part.body)) {
                         Some(PartMerge::Merged) => {
-                            fleet.metrics.parts_merged.fetch_add(1, Ordering::Relaxed);
-                            m.parts.fetch_add(1, Ordering::Relaxed);
-                            m.observe_rate(part.body.count, last_mark.elapsed());
-                            m.mark_fresh(fleet.membership.generation());
+                            membership.count_shard(member, |row| row.parts += 1);
+                            member.observe_rate(part.body.count, last_mark.elapsed());
+                            member.mark_fresh(membership.generation());
                             last_mark = Instant::now();
                             saved += part.body.count;
                             if range.is_done() {
@@ -1144,10 +1127,7 @@ fn run_attempt(
                         // still proves the shard is alive.
                         Some(PartMerge::Duplicate) => {}
                         Some(PartMerge::OutOfSync) | None => {
-                            fleet
-                                .metrics
-                                .parts_discarded
-                                .fetch_add(1, Ordering::Relaxed);
+                            membership.count(|s| s.parts_discarded += 1);
                             return fail(flaw.as_ref(), saved);
                         }
                     }
@@ -1159,11 +1139,11 @@ fn run_attempt(
                             // The suffix past this attempt's own
                             // streamed parts was evaluated since the
                             // last mark (the whole span, if none).
-                            m.observe_rate(
+                            member.observe_rate(
                                 reply.body.count.saturating_sub(saved),
                                 last_mark.elapsed(),
                             );
-                            m.mark_fresh(fleet.membership.generation());
+                            member.mark_fresh(membership.generation());
                             range.merge_terminal(&reply.body);
                             fleet.report_success(member);
                             if range.is_done() {
@@ -1457,7 +1437,7 @@ mod tests {
         // Healed: closed again, acquires freely.
         assert!(fleet.try_acquire(member));
         assert!(fleet.try_acquire(member));
-        let snap = fleet.metrics().snapshot();
+        let snap = fleet.membership().stats();
         assert_eq!(snap.shards[0].breaker_opens, 2);
         assert_eq!(snap.shards[0].breaker, "closed");
     }
@@ -1481,7 +1461,7 @@ mod tests {
         assert!(roster.leave("127.0.0.1:2").1);
         assert!(!roster.leave("127.0.0.1:2").1);
         assert_eq!(roster.members(), vec!["127.0.0.1:1", "127.0.0.1:3"]);
-        let snap = fleet.metrics().snapshot();
+        let snap = fleet.membership().stats();
         assert_eq!(snap.members, 2);
         assert_eq!(snap.joins, 1);
         assert_eq!(snap.leaves, 1);

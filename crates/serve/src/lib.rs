@@ -59,9 +59,9 @@
 //!   [`CancelToken`](fm_autotune::CancelToken) so expired or
 //!   disconnected clients stop burning cores mid-search,
 //! * graceful drain-then-exit shutdown,
-//! * lock-free in-process metrics ([`metrics`]): per-endpoint request
-//!   counters and latency histograms (p50/p95/p99), queue depth,
-//!   cache hit rate,
+//! * in-process metrics ([`metrics`]): per-endpoint request counters
+//!   and latency histograms (p50/p95/p99), queue depth, cache hit
+//!   rate, kept in the `Stats` reply structs themselves,
 //! * fault-tolerant sharded search ([`fleet`]): a server started with
 //!   `--fleet host:port,...` partitions each eligible `Tune` across
 //!   backend shards and merges by `(score, index)` — bit-identical to

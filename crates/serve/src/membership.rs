@@ -1,5 +1,6 @@
-//! Elastic fleet membership: the live shard roster, membership epochs,
-//! and the crash-persistent weight ledger.
+//! Elastic fleet membership: one record per shard address, the live
+//! roster drawn from those records, membership epochs, the fleet's
+//! `Stats` counters, and the crash-persistent weight ledger.
 //!
 //! The fleet coordinator used to freeze its shard pool at startup; this
 //! module makes the pool a *living roster*. Shards join and leave a
@@ -9,13 +10,22 @@
 //! and a departed member's in-flight ranges are re-dispatched from
 //! their covered watermark the moment its departure is noticed.
 //!
-//! Identity is the configured address string. A member that leaves and
+//! Identity is the configured address string, and each address has
+//! one [`Member`] record, created the first time the address is seen.
+//! A member that leaves keeps its record, flagged departed; one that
 //! later rejoins under the same address is **revived**, not recreated:
-//! its [`ShardMetrics`] entry (EWMA throughput, trailing peak, breaker
-//! history) survives in the registry, so a brief departure does not
-//! reset what the coordinator learned about the machine — and the
-//! registry stays bounded under join/leave churn instead of growing a
-//! fresh entry per flap.
+//! its throughput (EWMA, trailing peak, weight source) and its `Stats`
+//! row survive, so a brief departure does not reset what the
+//! coordinator learned about the machine, and join/leave churn cannot
+//! grow the table. The live roster is the records not departed, in
+//! join order.
+//!
+//! **Counters.** The fleet's `Stats` section is one live
+//! [`FleetStatsReply`] under one leaf lock; row `i` of its shard table
+//! is record `i`'s [`ShardStats`]. Its gauges — members, the membership
+//! epoch, and each row's breaker, throughput and departed flag — are
+//! read from the table and the records when [`Membership::stats`] takes
+//! a snapshot.
 //!
 //! **The weight ledger** makes learned throughput survive coordinator
 //! *restarts* too. After every fleet tune the per-shard EWMA, trailing
@@ -34,14 +44,14 @@
 //! since the last run cannot permanently skew partitioning.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{breaker_state, FleetMetrics, ShardMetrics};
+use crate::metrics::{FleetStatsReply, ShardStats};
 
 /// Bump when the ledger layout changes; old ledgers then read as cold.
 pub const LEDGER_SCHEMA_VERSION: u32 = 1;
@@ -116,33 +126,92 @@ pub(crate) enum Breaker {
     HalfOpen,
 }
 
-/// One live fleet member: its address, its (revivable) metrics entry,
-/// and its link-health state. Attempt threads hold an `Arc<Member>`
-/// snapshot, so a member leaving mid-attempt never invalidates the
-/// handle — the attempt just notices the departed flag and abandons.
+impl Breaker {
+    /// The state's `Stats` name.
+    fn name(&self) -> &'static str {
+        match self {
+            Breaker::Closed { .. } => "closed",
+            Breaker::Open { .. } => "open",
+            Breaker::HalfOpen => "half-open",
+        }
+    }
+}
+
+/// Where a member's partitioning weight came from (surfaced as a
+/// string in [`ShardStats::weight_source`]).
+mod weight_source {
+    /// No throughput information at all.
+    pub const COLD: u8 = 0;
+    /// Seeded from the crash-persistent weight ledger — believed, not
+    /// yet re-confirmed by a live sample.
+    pub const PERSISTED: u8 = 1;
+    /// At least one live throughput sample this process lifetime.
+    pub const MEASURED: u8 = 2;
+}
+
+/// EWMA smoothing factor for per-shard throughput: each new
+/// observation contributes 30%, so one slow frame dents but does not
+/// erase a shard's history, and a genuinely slow shard converges to
+/// its true rate within a few frames.
+const EWMA_ALPHA: f64 = 0.3;
+
+/// One shard address's record: its link health and the lock-free
+/// routing state the fleet reads on every frame. Its counters are its
+/// row in the fleet's `Stats` ([`Membership::stats`]). Attempt
+/// threads hold an `Arc<Member>`, so a member leaving mid-attempt never
+/// invalidates the handle — the attempt notices the departed flag and
+/// abandons.
 pub struct Member {
     addr: String,
-    /// Counters + EWMA/peak throughput; shared with the registry so a
-    /// rejoin under the same address revives the history.
-    pub(crate) metrics: Arc<ShardMetrics>,
+    /// This record's row in the fleet's `Stats` shard table.
+    row: usize,
     pub(crate) breaker: Mutex<Breaker>,
     /// Latched when the shard rejected a binary request with a
     /// protocol failure: it predates the envelope, so every later
-    /// attempt speaks JSON. Never unlatched — a fleet member does not
-    /// upgrade mid-flight.
+    /// attempt speaks JSON. Cleared only when the shard rejoins — a
+    /// fleet member does not upgrade mid-flight.
     pub(crate) json_only: AtomicBool,
+    /// Set while the shard is out of the live roster (`ShardLeave`);
+    /// in-flight attempts watch it and abandon so the coordinator can
+    /// re-dispatch their suffix immediately. Cleared on rejoin.
+    departed: AtomicBool,
+    /// Membership epoch of the shard's latest join (0 for the
+    /// configured shards): the roster lists live records in this order.
+    joined: AtomicU64,
+    /// EWMA of this shard's observed throughput in candidates/second,
+    /// stored as `f64` bits so frame-arrival observers stay lock-free.
+    /// 0.0 means cold (no observation yet) — the weighted partitioner
+    /// then substitutes the warm shards' mean, or an equal split when
+    /// every shard is cold.
+    ewma_rate_bits: AtomicU64,
+    /// Trailing peak of the EWMA (`f64` bits, monotone via `fetch_max`
+    /// — valid because IEEE ordering equals integer ordering for
+    /// positive floats). The cliff detector compares the live EWMA
+    /// against a configured fraction of this.
+    peak_rate_bits: AtomicU64,
+    /// [`weight_source`] of the current EWMA value.
+    source: AtomicU8,
+    /// Fleet-tune generation of the last *fresh* (live) sample; drives
+    /// staleness decay of persisted weights.
+    last_sample_gen: AtomicU64,
 }
 
 impl Member {
-    fn new(addr: String, metrics: Arc<ShardMetrics>) -> Arc<Member> {
-        Arc::new(Member {
-            addr,
-            metrics,
+    fn new(addr: &str, row: usize) -> Member {
+        Member {
+            addr: addr.to_string(),
+            row,
             breaker: Mutex::new(Breaker::Closed {
                 consecutive_failures: 0,
             }),
             json_only: AtomicBool::new(false),
-        })
+            departed: AtomicBool::new(false),
+            joined: AtomicU64::new(0),
+            ewma_rate_bits: AtomicU64::new(0.0f64.to_bits()),
+            peak_rate_bits: AtomicU64::new(0.0f64.to_bits()),
+            source: AtomicU8::new(weight_source::COLD),
+            last_sample_gen: AtomicU64::new(0),
+        }
     }
 
     /// The member's address, as configured.
@@ -150,16 +219,95 @@ impl Member {
         &self.addr
     }
 
-    /// Move the breaker (held locked as `b`) to `to`, and its `Stats`
-    /// gauge with it.
-    pub(crate) fn set_breaker(&self, b: &mut Breaker, to: Breaker) {
-        let gauge = match to {
-            Breaker::Closed { .. } => breaker_state::CLOSED,
-            Breaker::Open { .. } => breaker_state::OPEN,
-            Breaker::HalfOpen => breaker_state::HALF_OPEN,
+    /// Fold one throughput observation (`candidates` evaluated in
+    /// `elapsed` of shard wall time) into the EWMA. Observations of
+    /// zero duration or zero candidates carry no rate and are ignored.
+    /// Also advances the trailing peak and marks the weight measured.
+    pub fn observe_rate(&self, candidates: u64, elapsed: Duration) {
+        let secs = elapsed.as_secs_f64();
+        if candidates == 0 || secs <= 0.0 {
+            return;
+        }
+        let rate = candidates as f64 / secs;
+        // Lossy read-modify-write: racing observers may each fold
+        // against the same prior value and one update wins. That loses
+        // an observation, never corrupts the value — fine for a
+        // load-balancing hint.
+        let prev = self.ewma_rate();
+        let next = if prev <= 0.0 {
+            rate
+        } else {
+            EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * prev
         };
-        *b = to;
-        self.metrics.state.store(gauge, Ordering::Relaxed);
+        self.ewma_rate_bits.store(next.to_bits(), Ordering::Relaxed);
+        // Positive f64 bits order like integers, so fetch_max works.
+        self.peak_rate_bits
+            .fetch_max(next.to_bits(), Ordering::Relaxed);
+        self.source
+            .store(weight_source::MEASURED, Ordering::Relaxed);
+    }
+
+    /// The current EWMA throughput in candidates/second (0.0 = cold).
+    pub fn ewma_rate(&self) -> f64 {
+        f64::from_bits(self.ewma_rate_bits.load(Ordering::Relaxed))
+    }
+
+    /// Trailing peak of the EWMA (candidates/second; 0.0 = cold).
+    pub fn peak_rate(&self) -> f64 {
+        f64::from_bits(self.peak_rate_bits.load(Ordering::Relaxed))
+    }
+
+    /// Has this shard's throughput — the lower of its EWMA and
+    /// `implied`, the rate a stalled watermark implies — collapsed below
+    /// `fraction` of its trailing peak? False while cold (no peak to
+    /// collapse from); `fraction` 0 disables the check.
+    pub fn in_cliff(&self, fraction: f64, implied: f64) -> bool {
+        let ewma = self.ewma_rate();
+        let peak = self.peak_rate();
+        fraction > 0.0 && ewma > 0.0 && peak > 0.0 && ewma.min(implied) < fraction * peak
+    }
+
+    /// Seed EWMA + peak from a persisted ledger entry (start-up only;
+    /// non-finite or non-positive rates are ignored).
+    pub fn seed_persisted(&self, ewma: f64, peak: f64, generation: u64) {
+        if !ewma.is_finite() || ewma <= 0.0 {
+            return;
+        }
+        self.ewma_rate_bits.store(ewma.to_bits(), Ordering::Relaxed);
+        let peak = if peak.is_finite() {
+            peak.max(ewma)
+        } else {
+            ewma
+        };
+        self.peak_rate_bits.store(peak.to_bits(), Ordering::Relaxed);
+        self.last_sample_gen.store(generation, Ordering::Relaxed);
+        self.source
+            .store(weight_source::PERSISTED, Ordering::Relaxed);
+    }
+
+    /// Record that a fresh (live) sample landed at fleet-tune
+    /// generation `generation`.
+    pub fn mark_fresh(&self, generation: u64) {
+        self.last_sample_gen.store(generation, Ordering::Relaxed);
+    }
+
+    /// Fleet-tune generation of the last fresh sample.
+    pub fn sample_gen(&self) -> u64 {
+        self.last_sample_gen.load(Ordering::Relaxed)
+    }
+
+    /// Whether the shard is currently out of the live roster.
+    pub fn is_departed(&self) -> bool {
+        self.departed.load(Ordering::Acquire)
+    }
+
+    /// The weight source as its wire string.
+    pub fn source_name(&self) -> &'static str {
+        match self.source.load(Ordering::Relaxed) {
+            weight_source::PERSISTED => "persisted",
+            weight_source::MEASURED => "measured",
+            _ => "cold",
+        }
     }
 }
 
@@ -169,17 +317,25 @@ impl std::fmt::Debug for Member {
     }
 }
 
+/// The record table behind the roster.
+struct Table {
+    /// Membership epoch: starts at 1, bumps on every effective join or
+    /// leave. Distinct from the per-tune epoch stamped into frames.
+    epoch: u64,
+    /// One record per address ever seen, in registration order.
+    records: Vec<Arc<Member>>,
+}
+
 /// The living roster. One per [`Fleet`](crate::fleet::Fleet), shared
 /// across worker threads.
 pub struct Membership {
-    /// Membership epoch: starts at 1, bumps on every effective join or
-    /// leave. Distinct from the per-tune epoch stamped into frames.
-    epoch: AtomicU64,
+    table: Mutex<Table>,
+    /// The fleet's `Stats` counters; row `i` of `shards` is record
+    /// `i`'s. Rows are added with their records, under the table lock.
+    stats: Mutex<FleetStatsReply>,
     /// Fleet-tune generation counter (drives weight staleness). Seeded
     /// from the ledger so staleness accrues across restarts.
     generation: AtomicU64,
-    live: Mutex<Vec<Arc<Member>>>,
-    metrics: Arc<FleetMetrics>,
     ledger: Option<PathBuf>,
     /// Tunes without a fresh sample before a weight reads fully cold
     /// (0 disables decay).
@@ -192,51 +348,74 @@ impl Membership {
     /// breaker persisted open re-opens for one `breaker_cooldown`).
     pub fn new(
         addrs: &[String],
-        metrics: Arc<FleetMetrics>,
         ledger: Option<PathBuf>,
         decay_after: u64,
         breaker_cooldown: Duration,
     ) -> Membership {
         let doc = ledger.as_deref().and_then(load_ledger);
-        let generation = doc.as_ref().map_or(0, |d| d.generation);
-        let mut live: Vec<Arc<Member>> = Vec::with_capacity(addrs.len());
+        let membership = Membership {
+            table: Mutex::new(Table {
+                epoch: 1,
+                records: Vec::new(),
+            }),
+            stats: Mutex::default(),
+            generation: AtomicU64::new(doc.as_ref().map_or(0, |d| d.generation)),
+            ledger,
+            decay_after,
+        };
+        let mut table = membership.table.lock();
         for addr in addrs {
-            if live.iter().any(|m| m.addr() == addr.as_str()) {
-                continue;
-            }
-            let sm = metrics.register(addr);
-            let member = Member::new(addr.clone(), sm);
+            let member = membership.record(&mut table, addr);
             let entry = doc
                 .as_ref()
                 .and_then(|d| d.entries.iter().find(|e| &e.addr == addr));
             if let Some(e) = entry {
-                member.metrics.seed_persisted(
-                    e.ewma_cands_per_sec,
-                    e.peak_cands_per_sec,
-                    e.generation,
-                );
+                member.seed_persisted(e.ewma_cands_per_sec, e.peak_cands_per_sec, e.generation);
                 if e.breaker_open {
                     let until = Instant::now() + breaker_cooldown;
-                    member.set_breaker(&mut member.breaker.lock(), Breaker::Open { until });
+                    *member.breaker.lock() = Breaker::Open { until };
                 }
             }
-            live.push(member);
         }
-        metrics.members.store(live.len() as u64, Ordering::Relaxed);
-        metrics.membership_epoch.store(1, Ordering::Relaxed);
-        Membership {
-            epoch: AtomicU64::new(1),
-            generation: AtomicU64::new(generation),
-            live: Mutex::new(live),
-            metrics: Arc::clone(&metrics),
-            ledger,
-            decay_after,
+        drop(table);
+        membership
+    }
+
+    /// The record for `addr`, created live (with its `Stats` row) the
+    /// first time the address is seen.
+    fn record(&self, table: &mut Table, addr: &str) -> Arc<Member> {
+        if let Some(existing) = table.records.iter().find(|m| m.addr == addr) {
+            return Arc::clone(existing);
         }
+        let member = Arc::new(Member::new(addr, table.records.len()));
+        table.records.push(Arc::clone(&member));
+        self.count(|s| {
+            s.shards.push(ShardStats {
+                addr: addr.to_string(),
+                ..ShardStats::default()
+            })
+        });
+        member
+    }
+
+    /// Bump the fleet's counters: `f` runs under the leaf lock, and
+    /// takes no other lock.
+    pub(crate) fn count<R>(&self, f: impl FnOnce(&mut FleetStatsReply) -> R) -> R {
+        f(&mut self.stats.lock())
+    }
+
+    /// Bump `member`'s row of the counters, as [`Membership::count`].
+    pub(crate) fn count_shard<R>(
+        &self,
+        member: &Member,
+        f: impl FnOnce(&mut ShardStats) -> R,
+    ) -> R {
+        f(&mut self.stats.lock().shards[member.row])
     }
 
     /// Current membership epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.table.lock().epoch
     }
 
     /// Current fleet-tune generation.
@@ -249,72 +428,96 @@ impl Membership {
         self.generation.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// A point-in-time snapshot of the live roster (cheap Arc clones).
+    /// A point-in-time snapshot of the live roster, in join order
+    /// (cheap Arc clones).
     pub fn roster(&self) -> Vec<Arc<Member>> {
-        self.live.lock().clone()
+        let table = self.table.lock();
+        let mut live: Vec<Arc<Member>> = table
+            .records
+            .iter()
+            .filter(|m| !m.is_departed())
+            .cloned()
+            .collect();
+        live.sort_by_key(|m| m.joined.load(Ordering::Relaxed));
+        live
     }
 
     /// Live member addresses, in roster order.
     pub fn members(&self) -> Vec<String> {
-        self.live
-            .lock()
-            .iter()
-            .map(|m| m.addr().to_string())
-            .collect()
+        self.roster().iter().map(|m| m.addr.clone()).collect()
     }
 
     /// Admit `addr` into the roster. Idempotent: admitting a live
     /// member changes nothing and does not bump the epoch. A returning
-    /// member revives its metrics history. Returns
+    /// member's record is revived with a closed breaker, speaking
+    /// binary again, at the end of the roster. Returns
     /// `(membership epoch, changed)`.
     pub fn join(&self, addr: &str) -> (u64, bool) {
-        let mut live = self.live.lock();
-        if live.iter().any(|m| m.addr() == addr) {
-            return (self.epoch(), false);
+        let mut table = self.table.lock();
+        if table
+            .records
+            .iter()
+            .any(|m| m.addr == addr && !m.is_departed())
+        {
+            return (table.epoch, false);
         }
-        let sm = self.metrics.register(addr);
-        sm.set_departed(false);
-        sm.state.store(breaker_state::CLOSED, Ordering::Relaxed);
-        live.push(Member::new(addr.to_string(), sm));
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.joins.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .membership_epoch
-            .store(epoch, Ordering::Relaxed);
-        self.metrics
-            .members
-            .store(live.len() as u64, Ordering::Relaxed);
-        (epoch, true)
+        table.epoch += 1;
+        let member = self.record(&mut table, addr);
+        *member.breaker.lock() = Breaker::Closed {
+            consecutive_failures: 0,
+        };
+        member.json_only.store(false, Ordering::Release);
+        member.joined.store(table.epoch, Ordering::Relaxed);
+        member.departed.store(false, Ordering::Release);
+        self.count(|s| s.joins += 1);
+        (table.epoch, true)
     }
 
     /// Retire `addr` from the roster. Idempotent: retiring an unknown
-    /// address changes nothing. The member's metrics entry stays in the
-    /// registry (flagged departed) so in-flight attempts notice and
-    /// abandon, and a later rejoin revives the history. Returns
-    /// `(membership epoch, changed)`.
+    /// or departed address changes nothing. The record stays, flagged
+    /// departed, so in-flight attempts notice and abandon, and a later
+    /// rejoin revives it. Returns `(membership epoch, changed)`.
     pub fn leave(&self, addr: &str) -> (u64, bool) {
-        let mut live = self.live.lock();
-        let before = live.len();
-        live.retain(|m| {
-            if m.addr() == addr {
-                m.metrics.set_departed(true);
-                false
-            } else {
-                true
-            }
-        });
-        if live.len() == before {
-            return (self.epoch(), false);
+        let mut table = self.table.lock();
+        let live = table
+            .records
+            .iter()
+            .find(|m| m.addr == addr && !m.is_departed());
+        let Some(member) = live else {
+            return (table.epoch, false);
+        };
+        member.departed.store(true, Ordering::Release);
+        table.epoch += 1;
+        self.count(|s| s.leaves += 1);
+        (table.epoch, true)
+    }
+
+    /// The fleet's `Stats` section. The gauges are read first: members
+    /// and the epoch from the table, each row's breaker from its record,
+    /// each row's throughput and departed flag from its record's atomics;
+    /// then the counters are copied under their lock.
+    pub fn stats(&self) -> FleetStatsReply {
+        let (epoch, records) = {
+            let table = self.table.lock();
+            (table.epoch, table.records.clone())
+        };
+        let breakers: Vec<&str> = records.iter().map(|m| m.breaker.lock().name()).collect();
+        let mut stats = self.count(|s| s.clone());
+        // Parts merged are the rows' parts: one fact, counted once.
+        stats.parts_merged = stats.shards.iter().map(|row| row.parts).sum();
+        // Records registered since the table was read wait for the next
+        // snapshot.
+        stats.shards.truncate(records.len());
+        for ((row, m), breaker) in stats.shards.iter_mut().zip(&records).zip(breakers) {
+            row.breaker = breaker.to_string();
+            row.ewma_cands_per_sec = m.ewma_rate();
+            row.peak_cands_per_sec = m.peak_rate();
+            row.weight_source = m.source_name().to_string();
+            row.departed = m.is_departed();
         }
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.leaves.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .membership_epoch
-            .store(epoch, Ordering::Relaxed);
-        self.metrics
-            .members
-            .store(live.len() as u64, Ordering::Relaxed);
-        (epoch, true)
+        stats.members = stats.shards.iter().filter(|row| !row.departed).count() as u64;
+        stats.membership_epoch = epoch;
+        stats
     }
 
     /// Effective partitioning weights for `roster`, with staleness
@@ -327,12 +530,7 @@ impl Membership {
         let generation = self.generation();
         let raw: Vec<(f64, u64)> = roster
             .iter()
-            .map(|m| {
-                (
-                    m.metrics.ewma_rate(),
-                    generation.saturating_sub(m.metrics.sample_gen()),
-                )
-            })
+            .map(|m| (m.ewma_rate(), generation.saturating_sub(m.sample_gen())))
             .collect();
         if self.decay_after == 0 {
             return raw.iter().map(|&(w, _)| w).collect();
@@ -361,33 +559,31 @@ impl Membership {
             .collect()
     }
 
-    /// Persist every registered member's weight record — live and
-    /// recently departed (a departed shard's history is exactly what a
-    /// restart wants when the shard comes back). A departed record is
-    /// aged out once it is `decay_after` generations stale: its weight
-    /// would read fully cold by then anyway, so carrying it forward
-    /// only grows the ledger without bound as the fleet churns.
-    /// `decay_after == 0` disables aging (entries live forever). A
-    /// write failure loses the ledger, never the tune.
+    /// Persist every record's weight — live and recently departed (a
+    /// departed shard's history is exactly what a restart wants when
+    /// the shard comes back). A departed record is aged out once it is
+    /// `decay_after` generations stale: its weight would read fully
+    /// cold by then anyway, so carrying it forward only grows the
+    /// ledger without bound as the fleet churns. `decay_after == 0`
+    /// disables aging (entries live forever). A write failure loses the
+    /// ledger, never the tune.
     pub fn persist(&self) {
         let Some(path) = &self.ledger else { return };
         let generation = self.generation();
-        let live = self.members();
-        let entries: Vec<LedgerEntry> = self
-            .metrics
-            .shard_metrics()
+        let records = self.table.lock().records.clone();
+        let entries: Vec<LedgerEntry> = records
             .iter()
             .filter(|m| m.ewma_rate() > 0.0)
             .filter(|m| {
                 self.decay_after == 0
-                    || live.iter().any(|a| a == &m.addr)
+                    || !m.is_departed()
                     || generation.saturating_sub(m.sample_gen()) < self.decay_after
             })
             .map(|m| LedgerEntry {
                 addr: m.addr.clone(),
                 ewma_cands_per_sec: m.ewma_rate(),
                 peak_cands_per_sec: m.peak_rate(),
-                breaker_open: m.state.load(Ordering::Relaxed) == breaker_state::OPEN,
+                breaker_open: matches!(*m.breaker.lock(), Breaker::Open { .. }),
                 generation: m.sample_gen(),
             })
             .collect();
@@ -403,7 +599,6 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::weight_source;
     use std::time::Duration;
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -432,17 +627,18 @@ mod tests {
         }
     }
 
-    fn fresh(addrs: &[&str]) -> (Membership, Arc<FleetMetrics>) {
-        let metrics = Arc::new(FleetMetrics::new());
+    fn with_ledger(addrs: &[&str], ledger: Option<PathBuf>, decay_after: u64) -> Membership {
         let addrs: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
-        let m = Membership::new(
-            &addrs,
-            Arc::clone(&metrics),
-            None,
-            8,
-            Duration::from_millis(50),
-        );
-        (m, metrics)
+        Membership::new(&addrs, ledger, decay_after, Duration::from_millis(50))
+    }
+
+    fn fresh(addrs: &[&str]) -> Membership {
+        with_ledger(addrs, None, 8)
+    }
+
+    /// The record for `addr`, created the first time it is asked for.
+    fn record(m: &Membership, addr: &str) -> Arc<Member> {
+        m.record(&mut m.table.lock(), addr)
     }
 
     #[test]
@@ -469,7 +665,7 @@ mod tests {
 
     #[test]
     fn join_and_leave_bump_the_epoch_and_are_idempotent() {
-        let (m, metrics) = fresh(&["a:1", "b:2"]);
+        let m = fresh(&["a:1", "b:2"]);
         assert_eq!(m.epoch(), 1);
         assert_eq!(m.members().len(), 2);
         // Joining a live member changes nothing.
@@ -477,19 +673,15 @@ mod tests {
         // A real join bumps the epoch and the gauges.
         assert_eq!(m.join("c:3"), (2, true));
         assert_eq!(m.members(), vec!["a:1", "b:2", "c:3"]);
-        assert_eq!(metrics.members.load(Ordering::Relaxed), 3);
-        assert_eq!(metrics.joins.load(Ordering::Relaxed), 1);
+        assert_eq!(m.stats().members, 3);
+        assert_eq!(m.stats().joins, 1);
         // Leaving an unknown address changes nothing.
         assert_eq!(m.leave("nobody:9"), (2, false));
-        // A real leave bumps the epoch and flags the metrics entry.
+        // A real leave bumps the epoch and flags the record.
         assert_eq!(m.leave("b:2"), (3, true));
         assert_eq!(m.members(), vec!["a:1", "c:3"]);
-        assert_eq!(metrics.leaves.load(Ordering::Relaxed), 1);
-        let departed = metrics
-            .shard_metrics()
-            .into_iter()
-            .find(|s| s.addr == "b:2")
-            .unwrap();
+        assert_eq!(m.stats().leaves, 1);
+        let departed = record(&m, "b:2");
         assert!(departed.is_departed());
         // Re-leaving is idempotent.
         assert_eq!(m.leave("b:2"), (3, false));
@@ -497,17 +689,109 @@ mod tests {
 
     #[test]
     fn rejoin_revives_the_departed_members_history() {
-        let (m, metrics) = fresh(&["a:1", "b:2"]);
-        let b = metrics.register("b:2");
+        let m = fresh(&["a:1", "b:2"]);
+        let b = record(&m, "b:2");
         b.observe_rate(100, Duration::from_secs(1));
         m.leave("b:2");
         assert!(b.is_departed());
         m.join("b:2");
         assert!(!b.is_departed());
-        // Same registry entry, history intact, no duplicate row.
-        let rows = metrics.shard_metrics();
+        // Same record, history intact, no duplicate row.
+        let rows = m.stats().shards;
         assert_eq!(rows.iter().filter(|s| s.addr == "b:2").count(), 1);
         assert!((b.ewma_rate() - 100.0).abs() < 1e-9);
+        // A revived member rejoins at the end of the roster, with a
+        // closed breaker, speaking binary again.
+        let a = record(&m, "a:1");
+        *a.breaker.lock() = Breaker::HalfOpen;
+        a.json_only.store(true, Ordering::Release);
+        m.leave("a:1");
+        m.join("a:1");
+        assert_eq!(m.members(), vec!["b:2", "a:1"]);
+        assert!(matches!(*a.breaker.lock(), Breaker::Closed { .. }));
+        assert!(!a.json_only.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn one_record_per_address_keeps_one_stats_row() {
+        let m = fresh(&["a:1"]);
+        assert_eq!(m.join("b:2"), (2, true));
+        let (a, b) = (record(&m, "a:1"), record(&m, "b:2"));
+        assert!(
+            Arc::ptr_eq(&a, &record(&m, "a:1")),
+            "same address, same record"
+        );
+        a.observe_rate(100, Duration::from_secs(1));
+        m.count_shard(&a, |row| (row.sends, row.parts) = (3, 2));
+        m.count_shard(&b, |row| row.parts += 1);
+        m.leave("a:1");
+        let snap = m.stats();
+        assert_eq!(snap.shards.len(), 2);
+        assert_eq!((snap.shards[0].sends, snap.shards[1].sends), (3, 0));
+        assert_eq!(snap.parts_merged, 3, "merged parts are the rows' parts");
+        assert!(snap.shards[0].departed);
+        assert_eq!(snap.shards[0].weight_source, "measured");
+        assert_eq!(snap.shards[1].weight_source, "cold");
+        assert!(snap.shards[0].peak_cands_per_sec > 0.0);
+        assert_eq!(snap.shards[0].breaker, "closed");
+        assert_eq!(snap.members, 1);
+        assert_eq!(snap.membership_epoch, 3);
+        assert_eq!((snap.joins, snap.leaves), (1, 1));
+        // Rejoining revives the row rather than adding one.
+        m.join("a:1");
+        let snap = m.stats();
+        assert_eq!(snap.shards.len(), 2);
+        assert_eq!(snap.shards[0].sends, 3);
+        assert!(!snap.shards[0].departed);
+    }
+
+    #[test]
+    fn ewma_rate_warms_up_and_tracks_observations() {
+        let s = Member::new("127.0.0.1:1", 0);
+        assert_eq!(s.ewma_rate(), 0.0, "cold shard reports 0");
+        // Degenerate observations carry no rate.
+        s.observe_rate(0, Duration::from_millis(10));
+        s.observe_rate(5, Duration::ZERO);
+        assert_eq!(s.ewma_rate(), 0.0);
+        // First real observation seeds the EWMA directly.
+        s.observe_rate(100, Duration::from_secs(1));
+        assert!((s.ewma_rate() - 100.0).abs() < 1e-9);
+        // Subsequent observations blend with weight EWMA_ALPHA.
+        s.observe_rate(200, Duration::from_secs(1));
+        let want = EWMA_ALPHA * 200.0 + (1.0 - EWMA_ALPHA) * 100.0;
+        assert!((s.ewma_rate() - want).abs() < 1e-9);
+        // Repeated identical observations converge to that rate.
+        for _ in 0..64 {
+            s.observe_rate(50, Duration::from_secs(1));
+        }
+        assert!((s.ewma_rate() - 50.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn peak_is_monotone_and_cliff_detector_fires_on_collapse() {
+        let no_stall = f64::INFINITY;
+        let s = Member::new("127.0.0.1:1", 0);
+        assert!(!s.in_cliff(0.5, no_stall), "cold shard is never in a cliff");
+        assert!(!s.in_cliff(0.5, 1.0), "nor is a cold shard that stalls");
+        s.observe_rate(1000, Duration::from_secs(1));
+        assert!((s.peak_rate() - 1000.0).abs() < 1e-9);
+        assert!(!s.in_cliff(0.5, no_stall), "at peak is not a cliff");
+        // A stall at peak EWMA: the implied rate alone fires it.
+        assert!(s.in_cliff(0.5, 40.0));
+        assert!(
+            !s.in_cliff(0.5, 600.0),
+            "a stall that implies half the peak does not"
+        );
+        // Collapse: repeated slow observations drag the EWMA down; the
+        // peak holds, so the detector fires once past the fraction.
+        for _ in 0..16 {
+            s.observe_rate(10, Duration::from_secs(1));
+        }
+        assert!((s.peak_rate() - 1000.0).abs() < 1e-9, "peak is monotone");
+        assert!(s.ewma_rate() < 100.0);
+        assert!(s.in_cliff(0.5, no_stall));
+        assert!(!s.in_cliff(0.0, no_stall), "fraction 0 disables detection");
+        assert!(!s.in_cliff(0.0, 1.0), "whatever the stall");
     }
 
     #[test]
@@ -515,18 +799,10 @@ mod tests {
         let path = tmp_path("decay");
         // Ledger: shard a sampled at generation 10, b never sampled.
         store_ledger(&path, &doc(vec![entry("a:1", 200.0, 10)], 10)).unwrap();
-        let metrics = Arc::new(FleetMetrics::new());
-        let addrs = vec!["a:1".to_string(), "b:2".to_string()];
-        let m = Membership::new(
-            &addrs,
-            Arc::clone(&metrics),
-            Some(path.clone()),
-            4,
-            Duration::from_millis(50),
-        );
+        let m = with_ledger(&["a:1", "b:2"], Some(path.clone()), 4);
         assert_eq!(m.generation(), 10, "generation resumes from the ledger");
         let roster = m.roster();
-        let a = &roster[0].metrics;
+        let a = &roster[0];
         assert_eq!(a.source_name(), "persisted");
         assert!((a.ewma_rate() - 200.0).abs() < 1e-9);
         assert!((a.peak_rate() - 400.0).abs() < 1e-9);
@@ -546,7 +822,7 @@ mod tests {
         // halfway stale, so b moves halfway toward the pool mean.
         a.observe_rate(100, Duration::from_secs(1));
         a.mark_fresh(m.generation());
-        let b = &roster[1].metrics;
+        let b = &roster[1];
         b.observe_rate(300, Duration::from_secs(1));
         b.mark_fresh(m.generation().saturating_sub(2));
         let w = m.live_weights(&roster);
@@ -562,53 +838,27 @@ mod tests {
     fn corrupt_ledger_starts_cold_and_open_breaker_restores_quarantined() {
         let path = tmp_path("corrupt");
         std::fs::write(&path, b"\x00\xffgarbage").unwrap();
-        let metrics = Arc::new(FleetMetrics::new());
-        let addrs = vec!["a:1".to_string()];
-        let m = Membership::new(
-            &addrs,
-            Arc::clone(&metrics),
-            Some(path.clone()),
-            8,
-            Duration::from_millis(50),
-        );
+        let m = with_ledger(&["a:1"], Some(path.clone()), 8);
         let roster = m.roster();
-        assert_eq!(roster[0].metrics.source_name(), "cold");
+        assert_eq!(roster[0].source_name(), "cold");
         assert_eq!(m.live_weights(&roster), vec![0.0]);
         // And a persisted open breaker comes back quarantined.
         let mut d = doc(vec![entry("a:1", 50.0, 0)], 1);
         d.entries[0].breaker_open = true;
         store_ledger(&path, &d).unwrap();
-        let metrics2 = Arc::new(FleetMetrics::new());
-        let m2 = Membership::new(
-            &addrs,
-            Arc::clone(&metrics2),
-            Some(path.clone()),
-            8,
-            Duration::from_millis(50),
-        );
+        let m2 = with_ledger(&["a:1"], Some(path.clone()), 8);
         let roster2 = m2.roster();
         assert!(matches!(*roster2[0].breaker.lock(), Breaker::Open { .. }));
-        assert_eq!(
-            roster2[0].metrics.state.load(Ordering::Relaxed),
-            breaker_state::OPEN
-        );
+        assert_eq!(m2.stats().shards[0].breaker, "open");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn persist_writes_only_sampled_members_and_round_trips() {
         let path = tmp_path("persist");
-        let metrics = Arc::new(FleetMetrics::new());
-        let addrs = vec!["a:1".to_string(), "b:2".to_string()];
-        let m = Membership::new(
-            &addrs,
-            Arc::clone(&metrics),
-            Some(path.clone()),
-            8,
-            Duration::from_millis(50),
-        );
+        let m = with_ledger(&["a:1", "b:2"], Some(path.clone()), 8);
         let gen = m.begin_tune();
-        let a = metrics.register("a:1");
+        let a = record(&m, "a:1");
         a.observe_rate(80, Duration::from_secs(1));
         a.mark_fresh(gen);
         m.persist();
@@ -624,18 +874,11 @@ mod tests {
     #[test]
     fn persist_ages_out_departed_shards_by_generation() {
         let path = tmp_path("age");
-        let metrics = Arc::new(FleetMetrics::new());
-        let addrs = vec!["a:1".to_string(), "b:2".to_string()];
-        let m = Membership::new(
-            &addrs,
-            Arc::clone(&metrics),
-            Some(path.clone()),
-            2, // decay_after: departed records age out after 2 tunes
-            Duration::from_millis(50),
-        );
+        // decay_after: departed records age out after 2 tunes
+        let m = with_ledger(&["a:1", "b:2"], Some(path.clone()), 2);
         let gen = m.begin_tune();
         for addr in ["a:1", "b:2"] {
-            let s = metrics.register(addr);
+            let s = record(&m, addr);
             s.observe_rate(80, Duration::from_secs(1));
             s.mark_fresh(gen);
         }
@@ -654,17 +897,10 @@ mod tests {
         assert_eq!(d.entries.len(), 1, "stale departed record aged out");
         assert_eq!(d.entries[0].addr, "a:1");
         // With aging disabled (decay_after == 0) nothing is dropped.
-        let metrics0 = Arc::new(FleetMetrics::new());
-        let m0 = Membership::new(
-            &addrs,
-            Arc::clone(&metrics0),
-            Some(path.clone()),
-            0,
-            Duration::from_millis(50),
-        );
+        let m0 = with_ledger(&["a:1", "b:2"], Some(path.clone()), 0);
         let gen0 = m0.begin_tune();
         for addr in ["a:1", "b:2"] {
-            let s = metrics0.register(addr);
+            let s = record(&m0, addr);
             s.observe_rate(80, Duration::from_secs(1));
             s.mark_fresh(gen0);
         }
@@ -680,8 +916,8 @@ mod tests {
 
     #[test]
     fn weight_source_marks_persisted_then_measured() {
-        let metrics = Arc::new(FleetMetrics::new());
-        let s = metrics.register("a:1");
+        let m = fresh(&["a:1"]);
+        let s = record(&m, "a:1");
         assert_eq!(s.source_name(), "cold");
         s.seed_persisted(40.0, 60.0, 2);
         assert_eq!(s.source_name(), "persisted");

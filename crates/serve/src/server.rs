@@ -198,6 +198,21 @@ struct Shared {
 }
 
 impl Shared {
+    /// The `Stats` reply. Each gauge is read from its owner first — queue
+    /// depth from the queue, open sessions from the registry, the fleet
+    /// section from its membership table and breakers — and then the
+    /// counters, so no metrics lock is held while another is taken.
+    fn stats(&self) -> StatsReply {
+        let queue_depth = self.queue.lock().jobs.len() as u64;
+        let open = self.sessions.len() as u64;
+        let fleet = self.fleet.as_ref().map(|f| f.membership().stats());
+        let mut stats = self.metrics.snapshot(self.config.queue_capacity);
+        stats.queue_depth = queue_depth;
+        stats.sessions.open = open;
+        stats.fleet = fleet;
+        stats
+    }
+
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
@@ -217,20 +232,20 @@ impl Shared {
         let _ = TcpStream::connect(self.local_addr);
     }
 
-    /// Push unless full or closed; `false` means refused (the job is
-    /// dropped — it was never buffered).
-    fn try_admit(&self, job: Job) -> bool {
+    /// Push unless full or closed, returning the depth after the push;
+    /// `None` means refused (the job is dropped — it was never
+    /// buffered).
+    fn try_admit(&self, job: Job) -> Option<usize> {
         let depth = {
             let mut q = self.queue.lock();
             if q.closed || q.jobs.len() >= self.config.queue_capacity {
-                return false;
+                return None;
             }
             q.jobs.push_back(job);
             q.jobs.len()
         };
-        self.metrics.queue_pushed(depth);
         self.queue_cv.notify_one();
-        true
+        Some(depth)
     }
 
     /// Blocking pop; `None` once the queue is closed *and* empty (the
@@ -239,9 +254,6 @@ impl Shared {
         let mut q = self.queue.lock();
         loop {
             if let Some(job) = q.jobs.pop_front() {
-                let depth = q.jobs.len();
-                drop(q);
-                self.metrics.queue_popped(depth);
                 return Some(job);
             }
             if q.closed {
@@ -257,26 +269,20 @@ impl Shared {
     /// execution.
     fn take_matching(&self, key: &(u64, Arc<Vec<u8>>)) -> Vec<Job> {
         let mut taken = Vec::new();
-        let depth = {
-            let mut q = self.queue.lock();
-            let mut kept = VecDeque::with_capacity(q.jobs.len());
-            for job in q.jobs.drain(..) {
-                let dup = job
-                    .fingerprint
-                    .as_ref()
-                    .is_some_and(|(h, b)| *h == key.0 && **b == *key.1);
-                if dup {
-                    taken.push(job);
-                } else {
-                    kept.push_back(job);
-                }
+        let mut q = self.queue.lock();
+        let mut kept = VecDeque::with_capacity(q.jobs.len());
+        for job in q.jobs.drain(..) {
+            let dup = job
+                .fingerprint
+                .as_ref()
+                .is_some_and(|(h, b)| *h == key.0 && **b == *key.1);
+            if dup {
+                taken.push(job);
+            } else {
+                kept.push_back(job);
             }
-            q.jobs = kept;
-            q.jobs.len()
-        };
-        if !taken.is_empty() {
-            self.metrics.queue_popped(depth);
         }
+        q.jobs = kept;
         taken
     }
 }
@@ -363,13 +369,9 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let cache = config.cache_dir.as_ref().and_then(TuningCache::open);
         let fleet = config.fleet.clone().map(Fleet::new);
-        let metrics = Metrics::default();
-        if let Some(f) = &fleet {
-            metrics.set_fleet(f.metrics());
-        }
         let shared = Arc::new(Shared {
             pool: ThreadPool::with_threads(config.tuner_threads.max(1)),
-            metrics,
+            metrics: Metrics::default(),
             cache,
             fleet,
             sessions: SessionRegistry::default(),
@@ -408,9 +410,7 @@ impl Server {
                             std::thread::sleep(tick);
                             let evicted = shared.sessions.evict_idle(ttl);
                             if evicted > 0 {
-                                let s = &shared.metrics.sessions;
-                                s.evicted.fetch_add(evicted, Ordering::Relaxed);
-                                s.open.fetch_sub(evicted, Ordering::Relaxed);
+                                shared.metrics.count(|s| s.sessions.evicted += evicted);
                             }
                         }
                     })
@@ -442,9 +442,7 @@ impl ServerHandle {
 
     /// Live metrics snapshot (same data as the `Stats` endpoint).
     pub fn stats(&self) -> StatsReply {
-        self.shared
-            .metrics
-            .snapshot(self.shared.config.queue_capacity)
+        self.shared.stats()
     }
 
     /// Begin the graceful drain (idempotent, non-blocking): admission
@@ -473,9 +471,7 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        self.shared
-            .metrics
-            .snapshot(self.shared.config.queue_capacity)
+        self.shared.stats()
     }
 
     /// Convenience: trigger the drain and wait it out.
@@ -492,7 +488,7 @@ fn acceptor_main(shared: &Arc<Shared>, listener: TcpListener) {
                 if shared.is_shutdown() {
                     break;
                 }
-                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.count(|s| s.connections += 1);
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("fm-serve-conn".to_string())
@@ -588,7 +584,7 @@ fn expire_deadlines(inflight: &HashMap<u64, InFlight>, metrics: &Metrics) {
 /// Cancel a request, counting it in `Stats.cancelled` the first time.
 fn cancel_once(cancel: &CancelToken, metrics: &Metrics) {
     if !cancel.is_cancelled() {
-        metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+        metrics.count(|s| s.cancelled += 1);
         cancel.cancel();
     }
 }
@@ -663,7 +659,7 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // close. A frame that did not decode has no trusted
                 // encoding, so unless the connection negotiated binary
                 // the answer is JSON, which every peer reads.
-                metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                metrics.count(|s| s.protocol_errors += 1);
                 let _ = tx.send(Outbound {
                     corr,
                     binary: pipelined,
@@ -675,11 +671,19 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 break false;
             }
         };
-        if was_binary {
-            metrics.binary_requests.fetch_add(1, Ordering::Relaxed);
-        } else {
-            metrics.json_requests.fetch_add(1, Ordering::Relaxed);
-        }
+        // One count per frame: its encoding and, for the endpoints
+        // `Stats` counts, its receipt (a ping completes as it arrives).
+        let endpoint = request.endpoint();
+        metrics.count(|s| {
+            *match was_binary {
+                true => &mut s.binary_requests,
+                false => &mut s.json_requests,
+            } += 1;
+            if let Some(e) = s.endpoint_mut(endpoint) {
+                e.received += 1;
+                e.completed += u64::from(endpoint == "ping");
+            }
+        });
         let reply = Reply {
             corr,
             binary: pipelined || was_binary,
@@ -697,26 +701,19 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 let version = h.max_version.min(PROTOCOL_BINARY_VERSION);
                 let pipeline = h.pipeline && version > 0;
                 if !pipelined && version > 0 {
-                    metrics.binary_connections.fetch_add(1, Ordering::Relaxed);
+                    metrics.count(|s| s.binary_connections += 1);
                 }
                 pipelined |= pipeline;
                 reply.send(Response::HelloAck(HelloAckReply { version, pipeline }))
             }
-            Request::Ping => {
-                let ep = &metrics.ping;
-                ep.received.fetch_add(1, Ordering::Relaxed);
-                ep.completed.fetch_add(1, Ordering::Relaxed);
-                reply.send(Response::Pong)
-            }
+            Request::Ping => reply.send(Response::Pong),
             // Stats bypasses admission entirely: it must answer even —
-            // especially — when the queue is full.
+            // especially — when the queue is full. The reply counts
+            // itself received, not yet completed.
             Request::Stats => {
                 let t0 = Instant::now();
-                let ep = &metrics.stats;
-                ep.received.fetch_add(1, Ordering::Relaxed);
-                let snap = metrics.snapshot(shared.config.queue_capacity);
-                ep.completed.fetch_add(1, Ordering::Relaxed);
-                ep.latency.record(t0.elapsed());
+                let snap = shared.stats();
+                metrics.answered(endpoint, false, [t0]);
                 reply.send(Response::Stats(Box::new(snap)))
             }
             Request::ShardJoin(j) => reply.send(membership_change(shared, &j.addr, true)),
@@ -734,8 +731,6 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             | Request::SessionEdit(_)
             | Request::SessionTune(_)
             | Request::SessionClose(_)) => {
-                let endpoint = metrics.endpoint(work.endpoint());
-                endpoint.received.fetch_add(1, Ordering::Relaxed);
                 if shared.is_shutdown() {
                     reply.send(Response::ShuttingDown);
                     break true;
@@ -769,11 +764,7 @@ fn admit(shared: &Shared, ledger: &Ledger, work: Request, reply: Reply) -> bool 
         Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
         _ => None,
     };
-    let depth = ledger.admit(reply.corr, cancel.clone(), deadline);
-    shared
-        .metrics
-        .inflight_peak
-        .fetch_max(depth, Ordering::Relaxed);
+    let inflight = ledger.admit(reply.corr, cancel.clone(), deadline);
     let job = Job {
         request: work,
         accepted,
@@ -782,14 +773,18 @@ fn admit(shared: &Shared, ledger: &Ledger, work: Request, reply: Reply) -> bool 
         fingerprint,
         reply: reply.clone(),
     };
-    if shared.try_admit(job) {
+    let queued = shared.try_admit(job);
+    shared.metrics.count(|s| {
+        s.inflight_peak = s.inflight_peak.max(inflight);
+        match queued {
+            Some(depth) => s.queue_peak = s.queue_peak.max(depth as u64),
+            None => s.busy_rejections += 1,
+        }
+    });
+    if queued.is_some() {
         return true;
     }
     ledger.retire(reply.corr);
-    shared
-        .metrics
-        .busy_rejections
-        .fetch_add(1, Ordering::Relaxed);
     reply.send(if shared.is_shutdown() {
         Response::ShuttingDown
     } else {
@@ -893,10 +888,7 @@ fn worker_main(shared: &Arc<Shared>) {
         // deadline": it still answers, with the fallback mapping.
         let expired = deadline.is_some_and(|d| Instant::now() >= d);
         if expired {
-            shared
-                .metrics
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
+            shared.metrics.count(|s| s.deadline_expired += 1);
             cancel.cancel();
         }
 
@@ -916,6 +908,9 @@ fn worker_main(shared: &Arc<Shared>) {
         // (`deps < id`, slot counts, input reads in range), so a graph
         // that breaks one is refused here, before any of them runs.
         let invalid = request.graph().and_then(|g| g.validate().err());
+        // A fleet tune banks what it learned about the machines in the
+        // weight ledger once its reply is on its way.
+        let mut fleet_tuned = None;
         let response = catch_unwind(AssertUnwindSafe(|| {
             if let Some(error) = invalid {
                 return Response::Failed(FailReply {
@@ -932,6 +927,7 @@ fn worker_main(shared: &Arc<Shared>) {
                                 Evaluator::new(&req.graph, &req.machine).with_cost_model(kind);
                             let pool = &shared.pool;
                             let reply = fleet.tune(&req, &evaluator, &cancel, deadline, pool);
+                            fleet_tuned = Some(fleet);
                             Response::Tuned(observed(shared, &evaluator, reply, replies))
                         }
                         _ => exec_tune(shared, req, &cancel, deadline, replies),
@@ -968,41 +964,32 @@ fn worker_main(shared: &Arc<Shared>) {
             })
         });
 
-        let endpoint = shared.metrics.endpoint(endpoint_name);
-        match &response {
-            Response::Failed(_) => {
-                endpoint.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                endpoint.completed.fetch_add(1, Ordering::Relaxed);
-                endpoint.latency.record(accepted.elapsed());
-            }
-        }
         // Fan the one answer out to every coalesced waiter, with full
         // per-waiter accounting (each was a real admitted request; the
         // books must reconcile exactly as if each had run).
+        let failed = matches!(response, Response::Failed(_));
+        let admitted = waiters.iter().map(|w| w.accepted);
+        shared.metrics.answered(
+            endpoint_name,
+            failed,
+            std::iter::once(accepted).chain(admitted),
+        );
         if !waiters.is_empty() {
-            shared.metrics.dedup_batches.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .dedup_waiters_served
-                .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-            for waiter in &waiters {
-                match &response {
-                    Response::Failed(_) => {
-                        endpoint.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {
-                        endpoint.completed.fetch_add(1, Ordering::Relaxed);
-                        endpoint.latency.record(waiter.accepted.elapsed());
-                    }
-                }
-                waiter.reply.send(response.clone());
-            }
+            shared.metrics.count(|s| {
+                s.dedup_batches += 1;
+                s.dedup_waiters_served += waiters.len() as u64;
+            });
+        }
+        for waiter in &waiters {
+            waiter.reply.send(response.clone());
         }
         // The connection may be gone (disconnect) — then the send
         // fails and the result is simply dropped.
         reply.send(response);
+        // Off the reply path, before this worker takes its next job.
+        if let Some(fleet) = fleet_tuned {
+            fleet.membership().persist();
+        }
     }
 }
 
@@ -1057,12 +1044,15 @@ fn exec_tune(
         }
     }
     let report = tuner.tune(&candidates);
-    match report.cache {
-        CacheStatus::Hit => shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed),
-        CacheStatus::Miss => shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed),
-        CacheStatus::Stale => shared.metrics.cache_stale.fetch_add(1, Ordering::Relaxed),
-        CacheStatus::Disabled => 0,
-    };
+    if report.cache != CacheStatus::Disabled {
+        shared.metrics.count(|s| {
+            *match report.cache {
+                CacheStatus::Hit => &mut s.cache_hits,
+                CacheStatus::Miss => &mut s.cache_misses,
+                _ => &mut s.cache_stale,
+            } += 1;
+        });
+    }
     Response::Tuned(observed(shared, &evaluator, tune_reply(report), replies))
 }
 
@@ -1092,10 +1082,8 @@ fn observed(
 ) -> TuneReply {
     if let Some(best) = &reply.best {
         let point = evaluator.roofline(&best.report);
-        let models = &shared.metrics.cost_models;
-        for _ in 0..replies {
-            models.observe(evaluator.cost_model(), &point, &best.report);
-        }
+        let kind = evaluator.cost_model();
+        shared.metrics.observe(kind, &point, &best.report, replies);
     }
     reply
 }
@@ -1132,12 +1120,7 @@ fn exec_session_open(shared: &Shared, req: SessionOpenRequest) -> Response {
     }
     let state = SessionState::open(graph, machine, fom, candidates, budget, cost_model);
     let session_id = shared.sessions.open(state);
-    shared
-        .metrics
-        .sessions
-        .opened
-        .fetch_add(1, Ordering::Relaxed);
-    shared.metrics.sessions.open.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.count(|s| s.sessions.opened += 1);
     Response::SessionOpened(SessionOpenedReply {
         session_id,
         epoch: 0,
@@ -1162,14 +1145,7 @@ fn exec_session_edit(shared: &Shared, req: SessionEditRequest) -> Response {
         });
     }
     let Some(slot) = shared.sessions.get(req.session_id) else {
-        shared
-            .metrics
-            .sessions
-            .no_such
-            .fetch_add(1, Ordering::Relaxed);
-        return Response::NoSuchSession(NoSuchSessionReply {
-            session_id: req.session_id,
-        });
+        return no_such_session(shared, req.session_id);
     };
     let mut state = slot.lock();
     match state.apply_batch(req.epoch, &req.edits) {
@@ -1178,10 +1154,7 @@ fn exec_session_edit(shared: &Shared, req: SessionEditRequest) -> Response {
             applied,
             cone,
         } => {
-            let s = &shared.metrics.sessions;
-            s.edit_batches.fetch_add(1, Ordering::Relaxed);
-            s.edits_applied.fetch_add(applied, Ordering::Relaxed);
-            s.dirty_cone_total.fetch_add(cone, Ordering::Relaxed);
+            shared.metrics.edited(applied, cone);
             Response::SessionEdited(SessionEditedReply {
                 session_id: req.session_id,
                 epoch,
@@ -1215,14 +1188,7 @@ fn exec_session_tune(
         Err(refusal) => return Response::Failed(refusal),
     };
     let Some(slot) = shared.sessions.get(req.session_id) else {
-        shared
-            .metrics
-            .sessions
-            .no_such
-            .fetch_add(1, Ordering::Relaxed);
-        return Response::NoSuchSession(NoSuchSessionReply {
-            session_id: req.session_id,
-        });
+        return no_such_session(shared, req.session_id);
     };
     let mut state = slot.lock();
     // The backend is baked at open: warm per-candidate scores are only
@@ -1241,13 +1207,13 @@ fn exec_session_tune(
         });
     }
     let out = state.tune(deadline, cancel);
-    let s = &shared.metrics.sessions;
-    if out.warm {
-        s.warm_tunes.fetch_add(1, Ordering::Relaxed);
-    } else {
-        s.cold_tunes.fetch_add(1, Ordering::Relaxed);
-        s.cold_rebuilds.fetch_add(out.rebuilds, Ordering::Relaxed);
-    }
+    shared.metrics.count(|s| match out.warm {
+        true => s.sessions.warm_tunes += 1,
+        false => {
+            s.sessions.cold_tunes += 1;
+            s.sessions.cold_rebuilds += out.rebuilds;
+        }
+    });
     Response::SessionTuned(Box::new(SessionTunedReply {
         session_id: req.session_id,
         epoch: out.epoch,
@@ -1263,9 +1229,7 @@ fn exec_session_close(shared: &Shared, req: SessionCloseRequest) -> Response {
     match shared.sessions.remove(req.session_id) {
         Some(slot) => {
             let state = slot.lock();
-            let s = &shared.metrics.sessions;
-            s.closed.fetch_add(1, Ordering::Relaxed);
-            s.open.fetch_sub(1, Ordering::Relaxed);
+            shared.metrics.count(|s| s.sessions.closed += 1);
             Response::SessionClosed(SessionClosedReply {
                 session_id: req.session_id,
                 epoch: state.epoch,
@@ -1273,17 +1237,14 @@ fn exec_session_close(shared: &Shared, req: SessionCloseRequest) -> Response {
                 tunes: state.tunes,
             })
         }
-        None => {
-            shared
-                .metrics
-                .sessions
-                .no_such
-                .fetch_add(1, Ordering::Relaxed);
-            Response::NoSuchSession(NoSuchSessionReply {
-                session_id: req.session_id,
-            })
-        }
+        None => no_such_session(shared, req.session_id),
     }
+}
+
+/// The typed miss for a request naming an unknown (or evicted) session.
+fn no_such_session(shared: &Shared, session_id: u64) -> Response {
+    shared.metrics.count(|s| s.sessions.no_such += 1);
+    Response::NoSuchSession(NoSuchSessionReply { session_id })
 }
 
 /// Cancellably sleep `n × ms` (the scripted-straggler hook), in small
@@ -1368,11 +1329,10 @@ fn exec_tune_shard(
             .with_pool(&shared.pool)
             .with_budget(budget)
             .with_cancel(cancel.clone())
-            .tune(slice)
+            .tune_range(slice)
     };
-    // `best_index.zip(best)` keeps only genuine in-range winners: a
-    // default-mapper fallback (nothing legal) has no index and must
-    // not masquerade as a candidate.
+    // A chunk's best is its in-range winner, if any: the coordinator
+    // builds the default-mapper fallback once for the whole list.
     let slice_best = |lo: usize, report: TuneReport| {
         report.best_index.zip(report.best).map(|(i, b)| ShardBest {
             index: start_index + (lo + i) as u64,
@@ -1419,10 +1379,7 @@ fn exec_tune_shard(
                     best: chunk_best,
                 },
             );
-            shared
-                .metrics
-                .tune_shard_parts
-                .fetch_add(1, Ordering::Relaxed);
+            shared.metrics.count(|s| s.tune_shard_parts += 1);
             if !reply.send(Response::TuneShardPart(part)) {
                 // The connection is gone: nobody will read further
                 // frames. Stop burning cores.

@@ -305,7 +305,7 @@ impl SessionRegistry {
         self.table.lock().remove(&id)
     }
 
-    /// Sessions currently held.
+    /// Sessions currently held: the `Stats` open-sessions gauge.
     pub fn len(&self) -> usize {
         self.table.lock().len()
     }

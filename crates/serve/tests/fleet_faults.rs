@@ -174,6 +174,62 @@ fn fleet_tune_is_bit_identical_to_direct_tuner() {
     }
 }
 
+/// When no candidate is legal anywhere, the fleet answers with the
+/// default-mapper fallback a local tune builds, bit for bit. The ranges
+/// report only in-range winners; the coordinator builds the fallback
+/// once, for the whole list.
+#[test]
+fn all_illegal_candidates_fall_back_like_a_local_tune() {
+    let graph = wide(12);
+    let machine = MachineConfig::linear(8);
+    // Every node on PE 0 at the same cycle: twelve issues in one slot.
+    let candidates: Vec<WireCandidate> = (0..10)
+        .map(|k| WireCandidate {
+            label: format!("pile-{k}"),
+            mapping: Mapping::Affine(AffineMap {
+                place: PlaceExpr::row0(IdxExpr::c(0)),
+                time: IdxExpr::c(k),
+            }),
+        })
+        .collect();
+    let shards = start_shards(2);
+    let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
+    let coord = start_coordinator(fleet_config(addrs));
+
+    let mut client = Client::connect(coord.local_addr()).unwrap();
+    let mut req = tune_request(&graph, &machine, 0);
+    req.candidates = candidates.clone();
+    let reply = client.tune(req).unwrap();
+
+    let evaluator = Evaluator::new(&graph, &machine);
+    let locals: Vec<MappingCandidate> = candidates
+        .into_iter()
+        .map(|c| MappingCandidate::new(c.label, c.mapping))
+        .collect();
+    let direct = Tuner::new(&evaluator, &graph, &machine, FigureOfMerit::Time).tune(&locals);
+    assert!(direct.fell_back && direct.best_index.is_none());
+    assert!(reply.fell_back);
+    assert!(!reply.cancelled);
+    assert_eq!((reply.offered, reply.evaluated), (10, 10));
+    let (served, expected) = (reply.best.unwrap(), direct.best.unwrap());
+    assert_same_winner(&served, &expected);
+    assert_eq!(
+        format!("{:?}", served.report),
+        format!("{:?}", expected.report),
+        "the fallback's report, bit for bit"
+    );
+    // The shards scored both ranges; nothing fell back locally.
+    let fleet = coord.stats().fleet.unwrap();
+    assert_eq!(fleet.local_fallback_ranges, 0);
+    let ranges: u64 = shards.iter().map(|s| s.stats().tune_shard.completed).sum();
+    assert_eq!(ranges, 2);
+
+    coord.shutdown_and_join();
+    for s in shards {
+        s.shutdown_and_join();
+    }
+}
+
 #[test]
 fn dead_shard_is_reassigned_without_changing_the_winner() {
     let graph = wide(14);

@@ -535,3 +535,250 @@ fn pipelined_tune_running_past_its_deadline_is_counted_cancelled() {
     let stats = handle.shutdown_and_join();
     assert_eq!(stats.cancelled, 1, "the expired tune is counted once");
 }
+
+/// What every `Stats` counter and gauge means, pinned in one scripted
+/// run through one server: ping and `Stats`; one request of each work
+/// endpoint; a `Busy` refusal, a malformed frame and a request whose
+/// deadline expires while queued; a dedup pair; a session opened,
+/// edited, tuned and closed, and one evicted by the idle TTL. Each
+/// request moves a known set of counters by a known amount.
+///
+/// The script waits on the in-process snapshot
+/// ([`fm_serve::server::ServerHandle::stats`]), which no counter sees.
+/// One worker, a three-slot queue and a scripted straggler make the
+/// busy phase deterministic: the `TuneShard` holds the worker for
+/// 1.2 s while the queue fills behind it.
+#[test]
+fn a_scripted_run_moves_every_stats_counter_by_its_meaning() {
+    use fm_core::mutate::GraphEdit;
+    use fm_serve::metrics::StatsReply;
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+
+    let graph = wide(8);
+    let machine = MachineConfig::linear(4);
+    let handle = start(ServerConfig {
+        workers: 1,
+        queue_capacity: 3,
+        straggle_ms_per_candidate: Some(150),
+        session_ttl: Some(Duration::from_millis(1500)),
+        ..ServerConfig::default()
+    });
+    let addr = handle.local_addr();
+    let wait_for = |what: &str, ok: &dyn Fn(&StatsReply) -> bool| {
+        let start = Instant::now();
+        while !ok(&handle.stats()) {
+            assert!(start.elapsed() < Duration::from_secs(60), "{what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let serial = Mapping::serial(&graph).resolve(&graph, &machine).unwrap();
+    let evaluate = |deadline_ms| {
+        Request::Evaluate(EvaluateRequest {
+            graph: graph.clone(),
+            machine: machine.clone(),
+            mapping: serial.clone(),
+            deadline_ms,
+        })
+    };
+    let simulate = Request::Simulate(SimulateRequest {
+        graph: graph.clone(),
+        machine: machine.clone(),
+        mapping: serial.clone(),
+        inputs: vec![],
+        contention: false,
+        deadline_ms: None,
+    });
+
+    // Ping, `Stats`, and the quick work endpoints on one binary
+    // connection. A `Stats` reply counts itself received, not yet
+    // completed.
+    let mut main = Client::connect(addr).unwrap();
+    main.ping().unwrap();
+    let first = main.stats().unwrap();
+    assert_eq!((first.ping.received, first.ping.completed), (1, 1));
+    assert_eq!((first.stats.received, first.stats.completed), (1, 0));
+    assert_eq!((first.connections, first.binary_connections), (1, 1));
+    assert_eq!((first.json_requests, first.binary_requests), (1, 2));
+    assert!(matches!(main.call(&evaluate(None)).unwrap(), Response::Evaluated(r) if r.legal));
+    assert!(matches!(
+        main.call(&simulate).unwrap(),
+        Response::Simulated(_)
+    ));
+
+    // The busy phase. A streamed `TuneShard` straggles 300 ms per
+    // two-candidate chunk; its first part proves it holds the worker.
+    let mut shard = Client::connect(addr).unwrap();
+    shard
+        .send_request(&Request::TuneShard(TuneShardRequest {
+            graph: graph.clone(),
+            machine: machine.clone(),
+            fom: FigureOfMerit::Time,
+            candidates: affine_candidates(8, machine.cols),
+            start_index: 0,
+            epoch: 1,
+            deadline_ms: None,
+            stream_every: Some(2),
+            cost_model: None,
+        }))
+        .unwrap();
+    wait_for("the shard request runs", &|s| s.tune_shard_parts >= 1);
+    // An `Evaluate` with a 50 ms deadline queues behind it (on a JSON
+    // connection) and expires there: its connection cancels it, and
+    // the worker later counts it expired and refuses it.
+    let mut late = Client::connect_json(addr).unwrap();
+    late.send_request(&evaluate(Some(50))).unwrap();
+    wait_for("the late evaluate queues", &|s| s.queue_depth == 1);
+    wait_for("the late evaluate expires", &|s| s.cancelled == 1);
+    // A dedup pair, pipelined on one connection: two in flight.
+    let mut pair = Client::connect(addr).unwrap();
+    let tune = Request::Tune(tune_request(&graph, &machine, 6, None));
+    pair.send_request(&tune).unwrap();
+    pair.send_request(&tune).unwrap();
+    wait_for("the pair queues", &|s| s.queue_depth == 3);
+    // The queue is full: the next request is refused, never buffered.
+    let mut refused = Client::connect(addr).unwrap();
+    match refused.call(&simulate).unwrap() {
+        Response::Busy(b) => assert_eq!((b.queue_depth, b.queue_capacity), (3, 3)),
+        other => panic!("a full queue answered {other:?}"),
+    }
+    // A frame that does not decode: answered, then the connection
+    // closes.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let garbage = b"{not json";
+    raw.write_all(&(garbage.len() as u32).to_be_bytes())
+        .unwrap();
+    raw.write_all(garbage).unwrap();
+    let mut answer = Vec::new();
+    raw.read_to_end(&mut answer).unwrap();
+    assert!(!answer.is_empty(), "a malformed frame is answered");
+
+    let mut parts = 0;
+    loop {
+        match shard.recv_response().unwrap().1 {
+            Response::TuneShardPart(_) => parts += 1,
+            Response::TuneSharded(r) => {
+                assert_eq!((r.body.evaluated, r.body.count), (8, 8));
+                break;
+            }
+            other => panic!("the shard request answered {other:?}"),
+        }
+    }
+    assert_eq!(parts, 4);
+    match late.recv_response().unwrap().1 {
+        Response::Failed(f) => assert_eq!(f.kind, "deadline"),
+        other => panic!("the late evaluate answered {other:?}"),
+    }
+    let answers: Vec<Response> = (0..2).map(|_| pair.recv_response().unwrap().1).collect();
+    let winner = match (&answers[0], &answers[1]) {
+        (Response::Tuned(a), Response::Tuned(b)) => {
+            let (a, b) = (a.best.clone().unwrap(), b.best.as_ref().unwrap());
+            assert_eq!((&a.label, a.score.to_bits()), (&b.label, b.score.to_bits()));
+            a
+        }
+        other => panic!("the dedup pair answered {other:?}"),
+    };
+
+    // Sessions: one opened, edited, tuned and closed; a second left
+    // idle until the TTL evicts it, then named by an edit.
+    let open = SessionOpenRequest {
+        graph: graph.clone(),
+        machine: machine.clone(),
+        fom: FigureOfMerit::Time,
+        candidates: affine_candidates(4, machine.cols),
+        max_candidates: None,
+        convergence_window: None,
+        cost_model: None,
+    };
+    let s1 = main.session_open(open.clone()).unwrap().session_id;
+    let second = main.stats().unwrap();
+    assert_eq!(second.sessions.open, 1);
+    assert_eq!((second.stats.received, second.stats.completed), (2, 1));
+    let add = GraphEdit::AddNode {
+        expr: CExpr::konst(Value::real(8.0)),
+        deps: vec![],
+        index: vec![8],
+        output: false,
+    };
+    let edited = main.session_edit(s1, 0, vec![add.clone()]).unwrap();
+    let tuned = main.session_tune(s1, None).unwrap();
+    assert!(tuned.warm);
+    main.session_close(s1).unwrap();
+    let s2 = main.session_open(open).unwrap().session_id;
+    wait_for("the idle session is evicted", &|s| s.sessions.evicted == 1);
+    assert!(main
+        .session_edit(s2, 0, vec![add])
+        .unwrap_err()
+        .is_no_such_session());
+
+    let s = main.stats().unwrap();
+    assert_eq!(s.connections, 6);
+    assert_eq!(s.binary_connections, 4);
+    assert_eq!(s.json_requests, 5, "four Hellos and the late evaluate");
+    assert_eq!(s.binary_requests, 16);
+    assert_eq!(s.inflight_peak, 2);
+    assert_eq!((s.queue_depth, s.queue_peak, s.queue_capacity), (0, 3, 3));
+    assert_eq!(s.busy_rejections, 1);
+    assert_eq!(s.protocol_errors, 1);
+    assert_eq!(s.deadline_expired, 1);
+    assert_eq!(s.cancelled, 1);
+    assert_eq!((s.cache_hits, s.cache_misses, s.cache_stale), (0, 0, 0));
+    assert_eq!((s.dedup_batches, s.dedup_waiters_served), (1, 1));
+    assert_eq!(s.tune_shard_parts, 4);
+    let counts = |e: &fm_serve::metrics::EndpointStats| (e.received, e.completed, e.failed);
+    assert_eq!(counts(&s.tune), (2, 2, 0));
+    assert_eq!(counts(&s.tune_shard), (1, 1, 0));
+    assert_eq!(counts(&s.evaluate), (2, 1, 1));
+    assert_eq!(
+        counts(&s.simulate),
+        (2, 1, 0),
+        "the refused simulate is received only"
+    );
+    assert_eq!(counts(&s.session_open), (2, 2, 0));
+    assert_eq!(counts(&s.session_edit), (2, 2, 0), "a typed miss completes");
+    assert_eq!(counts(&s.session_tune), (1, 1, 0));
+    assert_eq!(counts(&s.session_close), (1, 1, 0));
+    assert_eq!(counts(&s.stats), (3, 2, 0));
+    assert_eq!(counts(&s.ping), (1, 1, 0));
+    let sessions = &s.sessions;
+    assert_eq!(
+        (
+            sessions.open,
+            sessions.opened,
+            sessions.closed,
+            sessions.evicted
+        ),
+        (0, 2, 1, 1)
+    );
+    assert_eq!(sessions.no_such, 1);
+    assert_eq!((sessions.edits_applied, sessions.edit_batches), (1, 1));
+    assert_eq!(
+        (
+            sessions.warm_tunes,
+            sessions.cold_tunes,
+            sessions.cold_rebuilds
+        ),
+        (1, 0, 0)
+    );
+    assert_eq!(sessions.mean_dirty_cone, edited.cone as f64);
+    // Each tune reply's winner is observed once per reply: the pair's
+    // twice, then the session's.
+    assert_eq!(s.cost_models.len(), 1);
+    let row = &s.cost_models[0];
+    assert_eq!((row.model.as_str(), row.tunes), ("analytic", 3));
+    assert_eq!(row.compute_bound + row.onchip_bound + row.offchip_bound, 3);
+    let session_best = tuned.reply.best.unwrap();
+    let energy = [&winner, &winner, &session_best]
+        .iter()
+        .fold(0.0, |sum, b| sum + b.report.energy().raw());
+    assert_eq!(row.total_energy_fj, energy);
+    let time = [&winner, &winner, &session_best]
+        .iter()
+        .fold(0.0, |sum, b| sum + b.report.time_ps.raw());
+    assert_eq!(row.total_time_ps, time);
+    assert!(s.fleet.is_none());
+
+    let last = handle.shutdown_and_join();
+    assert_eq!((last.stats.received, last.stats.completed), (3, 3));
+    assert_eq!(last.queue_depth, 0);
+}
