@@ -93,8 +93,12 @@ cargo test --release -q -p fm-serve --test serve_integration
 # expose what debug builds hide: round trips and adversarial frames
 # (wire_proptests), and the direct writers/readers byte- and
 # acceptance-identical to the tree path on every variant, truncation
-# and byte flip (wire_differential).
+# and byte flip, on random scalars and on random key and variant names
+# (wire_differential).
 cargo test --release -q -p fm-serve --test wire_proptests --test wire_differential
+# The vendored codec's own direct-versus-tree tests, in release, where
+# the optimiser transforms the typed reads and the one-byte varint path.
+cargo test --release -q -p serde -p serde_json
 
 echo "== costmodel-smoke: backend parity proptests =="
 # Cold tune, warm tune, and delta repair must agree under every cost

@@ -57,7 +57,8 @@ pub struct Row {
     pub bit_identical: bool,
 }
 
-fn chain(n: usize) -> DataflowGraph {
+/// A chain of `n` nodes, node `i` depending on node `i - 1`.
+pub(crate) fn chain(n: usize) -> DataflowGraph {
     let mut g = DataflowGraph::new("e18-chain", 32);
     g.add_node(CExpr::konst(Value::ZERO), vec![], vec![0]);
     for i in 1..n {
@@ -70,13 +71,11 @@ fn chain(n: usize) -> DataflowGraph {
     g
 }
 
-/// The frozen candidate set: `stretch-w` schedules (place `i mod w`,
-/// time `i·w` — the stretch covers the NoC wrap gap, so every one is
-/// legal on a chain of any length) plus a serial table mapping, which
-/// the first length-changing edit makes unresolvable — exactly what
-/// happens to table mappings in a live session.
-fn frozen_candidates(g: &DataflowGraph, widths: u32) -> Vec<MappingCandidate> {
-    let mut cands: Vec<MappingCandidate> = (1..=widths as i64)
+/// `stretch-w` schedules for w = 1..=`widths` (place `i mod w`, time
+/// `i·w` — the stretch covers the NoC wrap gap, so every one is legal
+/// on a chain of any length).
+pub(crate) fn stretches(widths: u32) -> Vec<MappingCandidate> {
+    (1..=widths as i64)
         .map(|w| {
             MappingCandidate::new(
                 format!("stretch-{w}"),
@@ -86,7 +85,14 @@ fn frozen_candidates(g: &DataflowGraph, widths: u32) -> Vec<MappingCandidate> {
                 }),
             )
         })
-        .collect();
+        .collect()
+}
+
+/// The frozen candidate set: the [`stretches`] plus a serial table
+/// mapping, which the first length-changing edit makes unresolvable —
+/// exactly what happens to table mappings in a live session.
+fn frozen_candidates(g: &DataflowGraph, widths: u32) -> Vec<MappingCandidate> {
+    let mut cands = stretches(widths);
     cands.push(MappingCandidate::new("serial", Mapping::serial(g)));
     cands
 }

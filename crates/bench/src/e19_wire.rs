@@ -16,23 +16,36 @@
 //!    ran — and every one of the four arms (JSON/binary ×
 //!    dedup-on/off) hands back the **bit-identical** winner, asserted
 //!    here, not eyeballed.
+//! 3. **Codec** (part C): the binary codec alone, in process, on one
+//!    frame of each payload shape the end-to-end benchmark sends: the
+//!    576-node `Tune` request, a 512-node `Evaluate` request and the
+//!    4096-node `SessionTuned` reply. Each row times encode and decode
+//!    of the whole frame, and the gate holds the reply's decode to
+//!    2.5× its encode.
 
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-use fm_autotune::TunedMapping;
+use fm_autotune::{Budget, Refinement, TunedMapping, Tuner};
+use fm_core::cost::Evaluator;
 use fm_core::machine::MachineConfig;
 use fm_core::mapping::Mapping;
 use fm_core::search::FigureOfMerit;
+use fm_kernels::editdist::{
+    edit_recurrence, paper_literal_mapping, skewed_mapping, skewed_mapping_2d, Scoring,
+};
+use fm_kernels::stencil::{blocked_mapping, stencil_recurrence};
 use fm_serve::client::Client;
 use fm_serve::metrics::StatsReply;
 use fm_serve::protocol::{
-    read_frame, write_request, EvaluateRequest, Request, Response, SimulateRequest,
-    TuneShardRequest, DEFAULT_MAX_FRAME,
+    decode_request_any, decode_response_any, encode_request_binary, encode_response_binary,
+    read_frame, write_request, EvaluateRequest, Request, Response, SessionTunedReply,
+    SimulateRequest, TuneReply, TuneRequest, TuneShardRequest, WireCandidate, DEFAULT_MAX_FRAME,
 };
 use fm_serve::server::ServerConfig;
 use serde::{Deserialize, Serialize};
 
+use crate::e18_session::{chain, stretches};
 use crate::serving::{
     candidates, direct_winner, quantile_ms, same_winner, start, tune_request, wide,
 };
@@ -85,14 +98,40 @@ pub struct DedupRow {
     pub winner: String,
 }
 
-/// Both parts, serialized together as `BENCH_e19.json`.
+/// One payload shape through the binary codec (part C).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct CodecRow {
+    /// What the frame carries.
+    pub payload: String,
+    /// Nodes of the graph or winner mapping it carries.
+    pub nodes: usize,
+    /// Frame bytes, envelope included.
+    pub bytes: usize,
+    /// Median time to encode the frame, µs.
+    pub encode_us: f64,
+    /// Median time to decode the frame, µs.
+    pub decode_us: f64,
+    /// `decode_us / encode_us`.
+    pub decode_per_encode: f64,
+}
+
+/// All three parts, serialized together as `BENCH_e19.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Results {
     /// Part A: transport sweep.
     pub sweep: Vec<SweepRow>,
     /// Part B: duplicate-heavy trace.
     pub dedup: Vec<DedupRow>,
+    /// Part C: codec time per payload shape.
+    pub codec: Vec<CodecRow>,
 }
+
+/// Payload name of the codec row the gate bounds.
+const GATED_PAYLOAD: &str = "session-tuned reply";
+
+/// Most a `SessionTuned` reply's decode may cost, in multiples of its
+/// encode.
+const DECODE_PER_ENCODE_BAR: f64 = 2.5;
 
 /// Sequential blocking arm: one JSON round trip per request, the old
 /// client's exact behavior. Returns per-request latencies in ms.
@@ -345,8 +384,167 @@ fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> 
     }
 }
 
-/// Run both parts. `quick` shrinks request counts and the duplicate
-/// trace, not the workload shape or any correctness assertion.
+/// The end-to-end benchmark's `tune` family on an `m`-wide edit
+/// distance: skewed, skewed-2D and paper-literal mappings for P = 1..64
+/// (191 affine candidates at m = 24).
+fn tune_family(m: usize) -> Vec<WireCandidate> {
+    let mut out = Vec::new();
+    for p in 1..=64i64 {
+        let mut push = |label: String, mapping| out.push(WireCandidate { label, mapping });
+        push(format!("skewed P={p}"), skewed_mapping(p, m));
+        if p > 1 {
+            push(format!("skewed-2d P={p}"), skewed_mapping_2d(p, m));
+        }
+        push(format!("paper-literal P={p}"), paper_literal_mapping(p, m));
+    }
+    out
+}
+
+/// The 576-node `Tune` request the end-to-end benchmark's `tune`
+/// workload sends.
+fn tune_payload() -> Request {
+    let graph = edit_recurrence(24, 24, Scoring::levenshtein())
+        .elaborate()
+        .expect("edit recurrence elaborates");
+    Request::Tune(TuneRequest {
+        graph,
+        machine: MachineConfig::n5(8, 8),
+        fom: FigureOfMerit::Edp,
+        candidates: tune_family(24),
+        deadline_ms: None,
+        max_candidates: None,
+        convergence_window: None,
+        refinement: Some(Refinement {
+            chains: 2,
+            iters: 300,
+            seed: 1,
+        }),
+        use_cache: false,
+        cost_model: None,
+    })
+}
+
+/// The largest `Evaluate` request of the `rpc` workload's pool: a
+/// 16×32 stencil (512 nodes), blocked over 8 PEs.
+fn evaluate_payload() -> Request {
+    let graph = stencil_recurrence(16, 32)
+        .elaborate()
+        .expect("stencil elaborates");
+    let machine = MachineConfig::n5(8, 8);
+    let mapping = blocked_mapping(32, 8)
+        .resolve(&graph, &machine)
+        .expect("blocked mapping resolves");
+    Request::Evaluate(EvaluateRequest {
+        graph,
+        machine,
+        mapping,
+        deadline_ms: None,
+    })
+}
+
+/// A `SessionTuned` reply as the `session` workload receives it: the
+/// EDP winner of the 32 stretch schedules of a 4096-node chain.
+fn session_tuned_payload() -> Response {
+    let graph = chain(4096);
+    let machine = MachineConfig::linear(32);
+    let evaluator = Evaluator::new(&graph, &machine);
+    let report = Tuner::new(&evaluator, &graph, &machine, FigureOfMerit::Edp)
+        .with_budget(Budget::unlimited())
+        .tune(&stretches(32));
+    Response::SessionTuned(Box::new(SessionTunedReply {
+        session_id: 1,
+        epoch: 4,
+        warm: true,
+        rebuilds: 0,
+        reply: TuneReply {
+            best: report.best,
+            offered: report.offered as u64,
+            evaluated: report.evaluated as u64,
+            pruned: report.pruned as u64,
+            cache: report.cache.to_string(),
+            fell_back: report.fell_back,
+            cancelled: report.cancelled,
+            wall_ms: report.wall.as_secs_f64() * 1e3,
+        },
+    }))
+}
+
+/// µs that `f` takes; what it returns is dropped after the clock stops,
+/// as a server drops a request only after serving it.
+fn timed_us<R>(f: impl FnOnce() -> R) -> f64 {
+    let t = Instant::now();
+    let out = std::hint::black_box(f());
+    let us = t.elapsed().as_secs_f64() * 1e6;
+    drop(out);
+    us
+}
+
+fn median(mut us: Vec<f64>) -> f64 {
+    us.sort_by(|a, b| a.total_cmp(b));
+    us[us.len() / 2]
+}
+
+/// Median encode and decode times of `value`'s binary frame over `reps`
+/// alternating encodes and decodes, so that both see the same host
+/// load. The decoded value must encode back to the same bytes.
+fn codec_row<T>(
+    payload: &str,
+    nodes: usize,
+    value: &T,
+    reps: usize,
+    encode: fn(u64, &T) -> Vec<u8>,
+    decode: impl Fn(&[u8]) -> T,
+) -> CodecRow {
+    let frame = encode(7, value);
+    assert_eq!(
+        encode(7, &decode(&frame)),
+        frame,
+        "{payload}: the decoded frame encodes differently"
+    );
+    let (encodes, decodes): (Vec<f64>, Vec<f64>) = (0..reps)
+        .map(|_| {
+            (
+                timed_us(|| encode(7, std::hint::black_box(value))),
+                timed_us(|| decode(std::hint::black_box(&frame))),
+            )
+        })
+        .unzip();
+    let (encode_us, decode_us) = (median(encodes), median(decodes));
+    CodecRow {
+        payload: payload.to_string(),
+        nodes,
+        bytes: frame.len(),
+        encode_us,
+        decode_us,
+        decode_per_encode: decode_us / encode_us.max(1e-9),
+    }
+}
+
+/// Part C: one row per payload shape the end-to-end benchmark sends.
+fn codec_rows(reps: usize) -> Vec<CodecRow> {
+    let request = |payload: &str, nodes, req: Request| {
+        codec_row(payload, nodes, &req, reps, encode_request_binary, |b| {
+            decode_request_any(b).expect("request decodes").1
+        })
+    };
+    let reply = session_tuned_payload();
+    vec![
+        request("tune request", 576, tune_payload()),
+        request("evaluate request", 512, evaluate_payload()),
+        codec_row(
+            GATED_PAYLOAD,
+            4096,
+            &reply,
+            reps,
+            encode_response_binary,
+            |b| decode_response_any(b).expect("reply decodes").1,
+        ),
+    ]
+}
+
+/// Run all three parts. `quick` shrinks request counts, the duplicate
+/// trace and the codec repeats, not the workload shape or any
+/// correctness assertion.
 pub fn run(quick: bool) -> Results {
     let m = if quick { 48 } else { 256 };
     let window = if quick { 8 } else { 16 };
@@ -372,15 +570,23 @@ pub fn run(quick: bool) -> Results {
         .into_iter()
         .map(|(binary, on)| dedup_arm(binary, on, dupes, &expected))
         .collect();
-    Results { sweep, dedup }
+
+    let codec = codec_rows(if quick { 101 } else { 301 });
+    Results {
+        sweep,
+        dedup,
+        codec,
+    }
 }
 
 /// E19's acceptance gate, one line per violated condition: on a full
 /// run pipelined binary beats blocking JSON 5× at the median on the
 /// smallest (4-node) requests, where framing overhead dominates real
 /// work (a `quick` run on a loaded box only has to get the direction
-/// right, on every size); and with dedup on, the duplicates queued
-/// behind the filler collapse at least two to one.
+/// right, on every size); with dedup on, the duplicates queued
+/// behind the filler collapse at least two to one; and the
+/// `SessionTuned` reply decodes in at most 2.5× its encode time, on
+/// every run.
 pub fn gate(results: &Results, quick: bool) -> Vec<String> {
     let mut failures = Vec::new();
     for r in &results.sweep {
@@ -404,6 +610,14 @@ pub fn gate(results: &Results, quick: bool) -> Vec<String> {
                 r.dupes / 2,
                 r.waiters_served,
                 r.dedup_batches
+            ));
+        }
+    }
+    for r in results.codec.iter().filter(|r| r.payload == GATED_PAYLOAD) {
+        if r.decode_per_encode > DECODE_PER_ENCODE_BAR {
+            failures.push(format!(
+                "{}: decode {:.1} us is {:.2}x its encode {:.1} us, over the {DECODE_PER_ENCODE_BAR}x bar",
+                r.payload, r.decode_us, r.decode_per_encode, r.encode_us
             ));
         }
     }
@@ -482,6 +696,32 @@ pub fn print(results: &Results) -> String {
          direct in-process tune — encoding and batching change latency,\n\
          never answers.\n",
     );
+    out.push_str("\nPart C: binary codec per payload shape, in process (median us)\n\n");
+    let codec_rows: Vec<Vec<String>> = results
+        .codec
+        .iter()
+        .map(|r| {
+            vec![
+                r.payload.clone(),
+                r.nodes.to_string(),
+                r.bytes.to_string(),
+                table::f(r.encode_us),
+                table::f(r.decode_us),
+                table::f(r.decode_per_encode),
+            ]
+        })
+        .collect();
+    out.push_str(&table::render(
+        &[
+            "payload",
+            "nodes",
+            "bytes",
+            "encode us",
+            "decode us",
+            "dec/enc",
+        ],
+        &codec_rows,
+    ));
     out
 }
 
@@ -540,9 +780,18 @@ mod tests {
             wall_ms: 12.0,
             winner: "fold-0-w1".into(),
         };
+        let codec = |payload: &str, decode_us| CodecRow {
+            payload: payload.into(),
+            nodes: 4096,
+            bytes: 36_000,
+            encode_us: 50.0,
+            decode_us,
+            decode_per_encode: decode_us / 50.0,
+        };
         Results {
             sweep: vec![sweep(4, 6.0), sweep(64, 30.0)],
             dedup: vec![dedup(true, 7, 1), dedup(false, 0, 0)],
+            codec: vec![codec("tune request", 400.0), codec(GATED_PAYLOAD, 100.0)],
         }
     }
 
@@ -574,5 +823,17 @@ mod tests {
         results.dedup[0].waiters_served = 7;
         results.dedup[0].dedup_batches = 0;
         assert_eq!(gate(&results, false).len(), 1);
+    }
+
+    #[test]
+    fn gate_bounds_the_reply_decode_on_every_run() {
+        let mut results = passing();
+        results.codec[1].decode_us = 150.0;
+        results.codec[1].decode_per_encode = 3.0;
+        let over = [
+            "session-tuned reply: decode 150.0 us is 3.00x its encode 50.0 us, over the 2.5x bar",
+        ];
+        assert_eq!(gate(&results, false), over);
+        assert_eq!(gate(&results, true), over);
     }
 }

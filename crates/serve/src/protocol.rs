@@ -942,13 +942,16 @@ pub fn queue_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Resu
 /// disconnects holds at most one chunk beyond what it really sent.
 pub const READ_CHUNK: usize = 64 << 10;
 
-/// Read one frame's payload, enforcing `max`. Clean EOF before the
-/// first header byte is [`WireError::Closed`]; EOF anywhere later is
-/// [`WireError::Truncated`]. A length prefix over `max` is rejected
-/// before any payload byte is read or buffered, and payload memory is
-/// reserved incrementally ([`READ_CHUNK`]) as bytes arrive — never all
-/// up front on the strength of the prefix alone. A read that times out
-/// (a socket read timeout) is a [`WireError::Io`].
+/// Read one frame's payload, enforcing `max`. EOF before the first
+/// header byte is [`WireError::Closed`], and so is a connection reset
+/// or abort there (a peer that hangs up with replies unread resets the
+/// connection instead of closing it); EOF anywhere later is
+/// [`WireError::Truncated`], and a reset there is [`WireError::Io`]. A
+/// length prefix over `max` is rejected before any payload byte is read
+/// or buffered, and payload memory is reserved incrementally
+/// ([`READ_CHUNK`]) as bytes arrive — never all up front on the
+/// strength of the prefix alone. A read that times out (a socket read
+/// timeout) is a [`WireError::Io`].
 pub fn read_frame(r: &mut impl std::io::Read, max: usize) -> Result<Vec<u8>, WireError> {
     read_frame_polled(r, max, |timed_out| timed_out.map(WireError::Io))
 }
@@ -1005,6 +1008,16 @@ pub(crate) fn read_frame_polled<E: From<WireError>>(
                 continue;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if len.is_none()
+                    && got == 0
+                    && matches!(
+                        e.kind(),
+                        std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+                    ) =>
+            {
+                return Err(WireError::Closed.into())
+            }
             Err(e) => return Err(WireError::Io(e).into()),
         }
         if len.is_none() && got == header.len() {
@@ -1379,6 +1392,51 @@ mod tests {
             read_frame(&mut peer, DEFAULT_MAX_FRAME),
             Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock
         ));
+    }
+
+    /// A peer that delivers `sent`, then fails every read with `fail`.
+    struct ResettingPeer {
+        sent: std::io::Cursor<Vec<u8>>,
+        fail: std::io::ErrorKind,
+    }
+
+    impl std::io::Read for ResettingPeer {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match std::io::Read::read(&mut self.sent, buf)? {
+                0 => Err(self.fail.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn a_reset_at_a_frame_boundary_is_a_hang_up_and_mid_frame_an_error() {
+        use std::io::ErrorKind::{ConnectionAborted, ConnectionReset};
+        let mut one_frame = Vec::new();
+        write_frame(&mut one_frame, b"ping").unwrap();
+        for fail in [ConnectionReset, ConnectionAborted] {
+            // After a whole frame: the next read is a clean hang-up.
+            let mut peer = ResettingPeer {
+                sent: std::io::Cursor::new(one_frame.clone()),
+                fail,
+            };
+            assert_eq!(read_frame(&mut peer, 1024).unwrap(), b"ping");
+            assert!(matches!(
+                read_frame(&mut peer, 1024),
+                Err(WireError::Closed)
+            ));
+            // Inside the header, and inside the payload: an error.
+            for cut in [2, one_frame.len() - 1] {
+                let mut peer = ResettingPeer {
+                    sent: std::io::Cursor::new(one_frame[..cut].to_vec()),
+                    fail,
+                };
+                assert!(
+                    matches!(read_frame(&mut peer, 1024), Err(WireError::Io(e)) if e.kind() == fail),
+                    "a {fail:?} after {cut} bytes"
+                );
+            }
+        }
     }
 
     #[test]

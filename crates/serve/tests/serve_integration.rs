@@ -782,3 +782,19 @@ fn a_scripted_run_moves_every_stats_counter_by_its_meaning() {
     assert_eq!((last.stats.received, last.stats.completed), (3, 3));
     assert_eq!(last.queue_depth, 0);
 }
+
+#[test]
+fn a_peer_that_hangs_up_with_a_reply_unread_is_no_protocol_error() {
+    let handle = start(ServerConfig::default());
+    let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    fm_serve::protocol::write_request(&mut raw, &Request::Ping).unwrap();
+    // Once the Pong sits unread in the receive buffer, closing the
+    // socket resets the connection instead of closing it cleanly, and
+    // the server reader's next read returns the reset. Joining the
+    // server joins that reader, so its final books include it.
+    raw.peek(&mut [0u8; 1]).unwrap();
+    drop(raw);
+    let s = handle.shutdown_and_join();
+    assert_eq!((s.ping.received, s.ping.completed), (1, 1));
+    assert_eq!(s.protocol_errors, 0, "a reset between frames is a hang-up");
+}

@@ -10,6 +10,12 @@
 //!    single-byte flip in it, the direct reader (`decode_*_any`) and
 //!    the tree reader either both fail or both return values whose
 //!    encodings are equal byte for byte (so NaN payloads compare too).
+//! 3. **Same primitives and names**: on random short byte strings the
+//!    typed primitive readers accept what the tree path accepts, with
+//!    bit-equal values; on objects and enum values with random key and
+//!    variant-name bytes (invalid UTF-8 and duplicate keys included),
+//!    the derived readers accept the same inputs and fail with the same
+//!    error text.
 
 use proptest::prelude::*;
 
@@ -23,7 +29,8 @@ use fm_core::mapping::{AffineMap, Mapping, PlaceExpr, ResolvedMapping};
 use fm_core::mutate::GraphEdit;
 use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
-use serde::binary::{from_binary, to_binary};
+use fm_kernels::util::XorShift;
+use serde::binary::{from_binary, put_object, put_varint, to_binary};
 use serde::{Deserialize, Json, Serialize};
 
 use fm_serve::protocol::{
@@ -392,6 +399,326 @@ proptest! {
                     (c, r)
                 })
             });
+        }
+    }
+}
+
+/// A uniformly chosen item of `items`.
+fn pick<'a, T>(rng: &mut XorShift, items: &'a [T]) -> &'a T {
+    &items[rng.below(items.len() as u64) as usize]
+}
+
+/// 0–`max` random bytes.
+fn random_bytes(rng: &mut XorShift, max: u64) -> Vec<u8> {
+    (0..rng.below(max + 1))
+        .map(|_| rng.next_u64() as u8)
+        .collect()
+}
+
+/// An integer near one of the primitive types' edges, or a random one.
+fn edge_int(rng: &mut XorShift) -> i64 {
+    let edges = [
+        0,
+        1,
+        -1,
+        127,
+        128,
+        -128,
+        -129,
+        255,
+        256,
+        32_767,
+        -32_769,
+        65_535,
+        65_536,
+        i64::from(i32::MAX),
+        i64::from(i32::MIN) - 1,
+        i64::from(u32::MAX) + 1,
+        i64::MAX,
+        i64::MIN,
+    ];
+    match rng.below(3) {
+        0 => pick(rng, &edges).wrapping_add(rng.below(3) as i64 - 1),
+        1 => rng.below(400) as i64 - 200,
+        _ => rng.next_u64() as i64 >> rng.below(64),
+    }
+}
+
+/// A string of 0–4 random chars, multi-byte ones included.
+fn text(rng: &mut XorShift) -> String {
+    (0..rng.below(5))
+        .map(|_| *pick(rng, &['a', 'Z', '0', 'é', '€', '😀']))
+        .collect()
+}
+
+/// A well-formed value: mostly scalars (integral and fractional floats,
+/// NaN, U64-tagged integers of any size), sometimes a small container.
+fn any_json(rng: &mut XorShift, depth: u32) -> Json {
+    match rng.below(if depth < 2 { 10 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 1),
+        2 => Json::I64(edge_int(rng)),
+        3 => Json::U64(match rng.below(2) {
+            0 => rng.below(300),
+            _ => rng.next_u64() | 1 << 63,
+        }),
+        4 => Json::F64(edge_int(rng) as f64),
+        5 => Json::F64(*pick(
+            rng,
+            &[
+                0.5,
+                -0.0,
+                -2.5,
+                1e300,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                9_223_372_036_854_775_808.0,
+            ],
+        )),
+        6 => Json::F64(f64::from_bits(rng.next_u64())),
+        7 => Json::Str(text(rng)),
+        8 => Json::Arr(
+            (0..rng.below(3))
+                .map(|_| any_json(rng, depth + 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.below(3))
+                .map(|_| (text(rng), any_json(rng, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// A short byte string meant for one primitive read: a random tag
+/// (unknown ones included) with random payload bytes, a string of
+/// random bytes, or a well-formed value, sometimes cut short or
+/// followed by a stray byte.
+fn scalar_bytes(rng: &mut XorShift) -> Vec<u8> {
+    let mut bytes = match rng.below(4) {
+        0 => {
+            let mut b = vec![rng.below(10) as u8];
+            b.extend(random_bytes(rng, 10));
+            b
+        }
+        1 => {
+            let raw = random_bytes(rng, 4);
+            let mut b = vec![0x06];
+            put_varint(&mut b, raw.len() as u64);
+            b.extend(raw);
+            b
+        }
+        _ => to_binary(&any_json(rng, 0)),
+    };
+    match rng.below(8) {
+        0 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+        1 => bytes.push(rng.next_u64() as u8),
+        _ => {}
+    }
+    bytes
+}
+
+/// The tree path: read a `Json`, then `from_json`.
+fn via_tree<T: Deserialize>(bytes: &[u8]) -> Result<T, serde::DeError> {
+    T::from_json(&from_binary::<Json>(bytes)?)
+}
+
+/// The direct and the tree reader accept the same `bytes` as a `T`,
+/// with bit-equal values (equal encodings, so NaN payloads and `-0.0`
+/// compare too).
+fn primitive_agrees<T: Serialize + Deserialize>(bytes: &[u8]) {
+    let direct = from_binary::<T>(bytes).ok().map(|v| to_binary(&v));
+    let tree = via_tree::<T>(bytes).ok().map(|v| to_binary(&v));
+    assert_eq!(
+        direct,
+        tree,
+        "{} readers disagree on {bytes:?}",
+        std::any::type_name::<T>()
+    );
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct Keyed {
+    id: u32,
+    name: String,
+    #[serde(default)]
+    tags: Vec<i64>,
+    #[serde(skip)]
+    scratch: u8,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+enum Named {
+    Unit,
+    One(u8),
+    Pair(i16, bool),
+    Fields {
+        x: f64,
+        #[serde(default)]
+        note: Option<String>,
+    },
+}
+
+/// A key or variant name: one of `known`, a near miss, or random bytes
+/// (often not UTF-8).
+fn name_bytes(rng: &mut XorShift, known: &[&str]) -> Vec<u8> {
+    let name = pick(rng, known).as_bytes();
+    match rng.below(6) {
+        0..=2 => name.to_vec(),
+        3 => name[..rng.below(name.len() as u64) as usize].to_vec(),
+        4 => [name, &[*pick(rng, &[b'_', 0x80, 0xC3, 0xFF])]].concat(),
+        _ => random_bytes(rng, 5),
+    }
+}
+
+/// A well-typed value for the field or variant payload `name`, or any
+/// well-formed value when `name` names none (or a repeat).
+fn value_for(rng: &mut XorShift, name: &[u8]) -> Json {
+    match name {
+        b"id" | b"One" => Json::I64(rng.below(256) as i64),
+        b"name" => Json::Str(text(rng)),
+        b"tags" => Json::Arr(
+            (0..rng.below(3))
+                .map(|_| Json::I64(edge_int(rng)))
+                .collect(),
+        ),
+        b"x" => Json::F64(f64::from_bits(rng.next_u64())),
+        b"note" => match rng.below(2) {
+            0 => Json::Null,
+            _ => Json::Str(text(rng)),
+        },
+        b"Pair" => {
+            let arity = *pick(rng, &[2, 2, 2, 1, 3]);
+            let mut items = vec![Json::I64(rng.below(600) as i64 - 300), Json::Bool(true)];
+            items.resize_with(arity, || any_json(rng, 1));
+            Json::Arr(items)
+        }
+        b"Fields" => match rng.below(4) {
+            0 => any_json(rng, 1),
+            _ => Json::Obj(vec![]), // replaced by `object_bytes`
+        },
+        _ => any_json(rng, 1),
+    }
+}
+
+/// An object of 0–3 keys from `name_bytes(known)`, half the time with
+/// every known name mixed in: a key's first occurrence gets a
+/// well-typed value, a repeat any value.
+fn object_bytes(rng: &mut XorShift, known: &[&str]) -> Vec<u8> {
+    let mut keys: Vec<Vec<u8>> = (0..rng.below(4)).map(|_| name_bytes(rng, known)).collect();
+    if rng.below(2) == 0 {
+        for name in known {
+            let at = rng.below(keys.len() as u64 + 1) as usize;
+            keys.insert(at, name.as_bytes().to_vec());
+        }
+    }
+    let mut out = Vec::new();
+    put_object(&mut out, keys.len());
+    let mut seen: Vec<Vec<u8>> = Vec::new();
+    for key in keys {
+        let value = if seen.contains(&key) {
+            any_json(rng, 1)
+        } else {
+            value_for(rng, &key)
+        };
+        put_varint(&mut out, key.len() as u64);
+        out.extend_from_slice(&key);
+        out.extend(to_binary(&value));
+        seen.push(key);
+    }
+    out
+}
+
+/// An enum value: a bare name, a one-key object whose payload fits the
+/// name, or an object of the wrong size. (Its keys are known names: the
+/// direct reader refuses the size before it reads a key, the tree
+/// reader after, so a bad key would be reported by the tree path only.)
+fn variant_bytes(rng: &mut XorShift) -> Vec<u8> {
+    let known = ["Unit", "One", "Pair", "Fields"];
+    let name = name_bytes(rng, &known);
+    let mut out = Vec::new();
+    match rng.below(5) {
+        0 | 1 => {
+            out.push(0x06);
+            put_varint(&mut out, name.len() as u64);
+            out.extend_from_slice(&name);
+        }
+        2 => {
+            let n = *pick(rng, &[0, 2]);
+            put_object(&mut out, n);
+            for _ in 0..n {
+                let key = *pick(rng, &known);
+                serde::binary::put_key(&mut out, key);
+                out.extend(to_binary(&any_json(rng, 1)));
+            }
+        }
+        _ => {
+            put_object(&mut out, 1);
+            put_varint(&mut out, name.len() as u64);
+            out.extend_from_slice(&name);
+            match value_for(rng, &name) {
+                Json::Obj(empty) if empty.is_empty() && name == b"Fields" => {
+                    out.extend(object_bytes(rng, &["x", "note"]));
+                }
+                payload => out.extend(to_binary(&payload)),
+            }
+        }
+    }
+    out
+}
+
+/// The direct and the tree reader accept the same `bytes` as a `T`,
+/// with equal encodings, or fail with the same error text.
+fn derived_agrees<T: Serialize + Deserialize>(bytes: &[u8]) {
+    let direct = from_binary::<T>(bytes).map(|v| to_binary(&v));
+    let tree = via_tree::<T>(bytes).map(|v| to_binary(&v));
+    match (&direct, &tree) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "values differ on {bytes:?}"),
+        (Err(a), Err(b)) => assert_eq!(a.0, b.0, "errors differ on {bytes:?}"),
+        _ => panic!("readers disagree on {bytes:?}: {direct:?} vs {tree:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn typed_primitive_reads_match_the_tree_path(seed in any::<u64>()) {
+        let mut rng = XorShift::new(seed);
+        for _ in 0..8 {
+            let bytes = scalar_bytes(&mut rng);
+            primitive_agrees::<i8>(&bytes);
+            primitive_agrees::<i16>(&bytes);
+            primitive_agrees::<i32>(&bytes);
+            primitive_agrees::<i64>(&bytes);
+            primitive_agrees::<isize>(&bytes);
+            primitive_agrees::<u8>(&bytes);
+            primitive_agrees::<u16>(&bytes);
+            primitive_agrees::<u32>(&bytes);
+            primitive_agrees::<u64>(&bytes);
+            primitive_agrees::<usize>(&bytes);
+            primitive_agrees::<f32>(&bytes);
+            primitive_agrees::<f64>(&bytes);
+            primitive_agrees::<bool>(&bytes);
+            primitive_agrees::<char>(&bytes);
+            primitive_agrees::<String>(&bytes);
+            primitive_agrees::<Option<u8>>(&bytes);
+            primitive_agrees::<Option<f64>>(&bytes);
+            primitive_agrees::<Option<String>>(&bytes);
+        }
+    }
+
+    #[test]
+    fn raw_name_dispatch_matches_the_tree_path(seed in any::<u64>()) {
+        let mut rng = XorShift::new(seed);
+        for _ in 0..8 {
+            let keyed = object_bytes(&mut rng, &["id", "name", "tags", "scratch"]);
+            derived_agrees::<Keyed>(&keyed);
+            if let Ok(k) = from_binary::<Keyed>(&keyed) {
+                prop_assert_eq!(k.scratch, 0, "a skipped field takes its default");
+            }
+            derived_agrees::<Named>(&variant_bytes(&mut rng));
         }
     }
 }
