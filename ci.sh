@@ -46,6 +46,12 @@ echo "== flat- and incremental-engine parity in release =="
 # debug_assertions.
 cargo test --release -q -p fm-core -- flat:: delta::
 cargo test --release -q --test proptests -- flat_delta_and_reference incremental flat_verdicts
+# Column-wise affine resolution against the per-node path (random
+# expressions on random 1-3-D domains, and every per-node fallback),
+# and the annealer's backends on a PE-dense wavefront, where the
+# same-PE ripple and occupancy skips fire.
+cargo test --release -q -p fm-core -- mapping::tests::columnwise \
+    search::tests::anneal_backends_agree_on_a_pe_dense_wavefront
 # The session engine's edits where the optimiser runs: each per-PE
 # index against fresh sweeps after every edit (delta::, above), every
 # undo restoring graph and machine exactly, and a refused batch leaving

@@ -80,6 +80,62 @@ impl IdxExpr {
         }
     }
 
+    /// [`Self::eval`] at every point of a column-major index arena at
+    /// once: column `k` of `cols` (`cols[k*n..(k+1)*n]`, `n =
+    /// out.len()`) holds every point's variable `k`, and `out[p]` gets
+    /// the value at point `p`. Each operator runs once, as one loop over
+    /// the column, with the same integer operation `eval` applies per
+    /// point, so every value (and every overflow or division panic) is
+    /// `eval`'s. `spare` must hold [`Self::spare_columns`] columns.
+    ///
+    /// Panics if the expression references a variable past the arena's
+    /// columns.
+    pub(crate) fn eval_columns(&self, cols: &[i64], out: &mut [i64], spare: &mut [i64]) {
+        let n = out.len();
+        match self {
+            IdxExpr::Const(v) => out.fill(*v),
+            IdxExpr::Var(k) => out.copy_from_slice(&cols[k * n..(k + 1) * n]),
+            IdxExpr::Add(a, b) | IdxExpr::Sub(a, b) => {
+                a.eval_columns(cols, out, spare);
+                let (tmp, rest) = spare.split_at_mut(n);
+                let rhs: &[i64] = match **b {
+                    IdxExpr::Var(k) => &cols[k * n..(k + 1) * n],
+                    _ => {
+                        b.eval_columns(cols, tmp, rest);
+                        tmp
+                    }
+                };
+                if matches!(self, IdxExpr::Add(..)) {
+                    out.iter_mut().zip(rhs).for_each(|(o, &r)| *o += r);
+                } else {
+                    out.iter_mut().zip(rhs).for_each(|(o, &r)| *o -= r);
+                }
+            }
+            IdxExpr::MulC(a, c) => {
+                a.eval_columns(cols, out, spare);
+                out.iter_mut().for_each(|o| *o *= c);
+            }
+            IdxExpr::DivC(a, d) => {
+                a.eval_columns(cols, out, spare);
+                out.iter_mut().for_each(|o| *o = o.div_euclid(*d));
+            }
+            IdxExpr::ModC(a, m) => {
+                a.eval_columns(cols, out, spare);
+                out.iter_mut().for_each(|o| *o = o.rem_euclid(*m));
+            }
+        }
+    }
+
+    /// Scratch columns [`Self::eval_columns`] needs besides its output:
+    /// one per pending left operand of a nested sum or difference.
+    pub(crate) fn spare_columns(&self) -> usize {
+        match self {
+            IdxExpr::Const(_) | IdxExpr::Var(_) => 0,
+            IdxExpr::Add(a, b) | IdxExpr::Sub(a, b) => a.spare_columns().max(1 + b.spare_columns()),
+            IdxExpr::MulC(a, _) | IdxExpr::DivC(a, _) | IdxExpr::ModC(a, _) => a.spare_columns(),
+        }
+    }
+
     /// Highest variable index referenced, or `None` for constant
     /// expressions.
     pub fn max_var(&self) -> Option<usize> {

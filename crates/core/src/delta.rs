@@ -28,9 +28,13 @@
 //!   a node whose time changes re-dirties its consumers and its same-PE
 //!   successors. Every id dirtied is above the one being retimed, so
 //!   the dirty set is a bitset over node ids drained by one upward
-//!   scan. A retimed node moved one term of its own last use and of
-//!   each producer's, so a last use is re-folded over its consumers
-//!   only when the moved term held the maximum and fell.
+//!   scan. A PE's successors are scanned once per move from each lower
+//!   slot, not once per retimed member (`MoveScratch::ripple`), and a
+//!   popped node whose ready cycle and slot range the move left alone
+//!   keeps its time without a gap scan. A retimed node moved one term
+//!   of its own last use and of each producer's, so a last use is
+//!   re-folded over its consumers only when the moved term held the
+//!   maximum and fell.
 //! * **Ledger** (energy/traffic): per-node contributions
 //!   ([`NodeCost`]) are time-independent, and a move changes only the
 //!   moved node's own contribution and its producers' def→use messages
@@ -152,6 +156,24 @@ fn last_use_of(ctx: &EvalContext, time: &[i64], id: usize) -> i64 {
     ctx.consumers(id)
         .iter()
         .fold(time[id], |lu, &c| lu.max(time[c as usize]))
+}
+
+/// The earliest cycle node `i`'s operands allow at its place: each
+/// producer's time plus the wire gap from its place — the `ready` of
+/// [`crate::search::retime`]'s list schedule.
+fn ready_at(
+    graph: &DataflowGraph,
+    machine: &MachineConfig,
+    place: &[(i64, i64)],
+    time: &[i64],
+    i: usize,
+) -> i64 {
+    let to = (place[i].0 as u32, place[i].1 as u32);
+    graph.nodes[i].deps.iter().fold(0, |ready, &d| {
+        let from = place[d as usize];
+        let gap = machine.required_gap((from.0 as u32, from.1 as u32), to);
+        ready.max(time[d as usize] + gap)
+    })
 }
 
 /// Intern `place` by the flat engine's rule, leaving the ids in
@@ -860,6 +882,10 @@ enum UndoEntry {
         id: NodeId,
         t: i64,
     },
+    Ready {
+        id: NodeId,
+        t: i64,
+    },
     /// A PE's former sweep and whether its peak was deferred.
     Sweep {
         pe: u32,
@@ -872,13 +898,63 @@ enum UndoEntry {
     },
 }
 
-/// Per-PE occupancy cursor shared across the pops of one move: the
-/// sorted slot multiset of finalized smaller-id same-PE times, extended
-/// as a cursor walks up the PE's membership list.
+/// Per-PE occupancy shared across the pops of one move: the slots of
+/// finalized smaller-id same-PE members, as a bitmap over a window of
+/// cycles filled as a cursor walks up the PE's membership list, and
+/// the slots the move has vacated and taken on the PE so far.
 #[derive(Debug, Default)]
 struct Occ {
     cursor: usize,
-    slots: Vec<i64>,
+    /// The window's first cycle: bit `t − base` of `bits` marks slot
+    /// `t`. `i64::MAX` until the move's first gap search on the PE.
+    base: i64,
+    bits: Vec<u64>,
+    vacated: Vec<i64>,
+    taken: Vec<i64>,
+}
+
+impl Occ {
+    /// The list schedule's slot for member `i` of a PE (members `list`,
+    /// ascending) ready at `ready`: the first cycle from `ready` on that
+    /// no smaller-id member holds, the gap [`crate::search::retime`]'s
+    /// scan finds. Fewer than `list.len()` members hold cycles from
+    /// `ready` on, so the answer is at most `ready + list.len()`, and
+    /// the window need only span those cycles: it is at least twice the
+    /// member count wide, and is re-anchored at `ready` (and refilled
+    /// from the list's start) when they fall outside it.
+    fn first_free(&mut self, list: &[NodeId], i: NodeId, ready: i64, time: &[i64]) -> i64 {
+        let top = ready + list.len() as i64;
+        if ready < self.base || top >= self.base + 64 * self.bits.len() as i64 {
+            let words = list.len() / 32 + 2;
+            if self.bits.len() < words {
+                self.bits.resize(words, 0);
+            }
+            self.bits.fill(0);
+            self.base = ready - ready % 64;
+            self.cursor = 0;
+        }
+        let end = self.base + 64 * self.bits.len() as i64;
+        while self.cursor < list.len() && list[self.cursor] < i {
+            let t = time[list[self.cursor] as usize];
+            if (self.base..end).contains(&t) {
+                let k = (t - self.base) as usize;
+                debug_assert!(
+                    self.bits[k / 64] & 1 << (k % 64) == 0,
+                    "finalized same-PE times are pairwise distinct"
+                );
+                self.bits[k / 64] |= 1 << (k % 64);
+            }
+            self.cursor += 1;
+        }
+        let k = (ready - self.base) as usize;
+        let mut w = k / 64;
+        let mut free = !self.bits[w] & !0 << (k % 64);
+        while free == 0 {
+            w += 1;
+            free = !self.bits[w];
+        }
+        self.base + 64 * w as i64 + i64::from(free.trailing_zeros())
+    }
 }
 
 /// The retime pass's dirty set: one bit per node id. Every push
@@ -934,9 +1010,13 @@ impl Frontier {
 #[derive(Debug, Default)]
 struct MoveScratch {
     frontier: Frontier,
-    /// Dense per-PE occupancy cursors, validated by epoch stamp.
+    /// Dense per-PE occupancy records, validated by epoch stamp.
     occ: Vec<Occ>,
     occ_epoch: Vec<u64>,
+    /// Per PE, the lowest slot a same-PE ripple has started from this
+    /// move (see [`MoveScratch::ripple`]), validated by epoch stamp.
+    rippled: Vec<i64>,
+    ripple_epoch: Vec<u64>,
     epoch: u64,
     /// Interned ids of PEs whose lifetimes may have moved, each listed
     /// once: `dirty_epoch[pe]` is stamped when `pe` is listed.
@@ -947,6 +1027,55 @@ struct MoveScratch {
 }
 
 impl MoveScratch {
+    /// Push the members of PE `pe` (its ascending member list `list`)
+    /// above id `after` whose time is at or past `lo`: the same-PE
+    /// successors whose gap scan can reach a slot vacated or taken at
+    /// `lo` or later (a scan never consults slots above its node's own
+    /// time). A PE already rippled this move from `lo` or below is not
+    /// scanned again, and that is exact: pops come in increasing id
+    /// order, so every member above `after` is still unpopped, its time
+    /// unchanged since that ripple, which pushed it if it is at or past
+    /// `lo` — and it is still in the frontier.
+    #[inline]
+    fn ripple(&mut self, pe: usize, list: &[NodeId], after: NodeId, lo: i64, time: &[i64]) {
+        if self.ripple_epoch[pe] == self.epoch && self.rippled[pe] <= lo {
+            return;
+        }
+        self.ripple_epoch[pe] = self.epoch;
+        self.rippled[pe] = lo;
+        let pos = list.partition_point(|&j| j <= after);
+        for &j in &list[pos..] {
+            if time[j as usize] >= lo {
+                self.frontier.push(j as usize);
+            }
+        }
+    }
+
+    /// PE `pe`'s occupancy record for this move, reset on first use.
+    #[inline]
+    fn occ(&mut self, pe: usize) -> &mut Occ {
+        let o = &mut self.occ[pe];
+        if self.occ_epoch[pe] != self.epoch {
+            self.occ_epoch[pe] = self.epoch;
+            o.cursor = 0;
+            o.base = i64::MAX;
+            o.vacated.clear();
+            o.taken.clear();
+        }
+        o
+    }
+
+    /// Whether this move has so far left PE `pe`'s slots in `lo..hi`
+    /// and its slot `hi` as they were: no slot vacated in `lo..hi`, and
+    /// none taken in `lo..=hi`.
+    #[inline]
+    fn untouched(&self, pe: usize, lo: i64, hi: i64) -> bool {
+        let o = &self.occ[pe];
+        self.occ_epoch[pe] != self.epoch
+            || !(o.vacated.iter().any(|&v| lo <= v && v < hi)
+                || o.taken.iter().any(|&t| lo <= t && t <= hi))
+    }
+
     /// List PE `pe` as dirty, once per move.
     #[inline]
     fn dirty(&mut self, pe: usize) {
@@ -974,6 +1103,9 @@ pub struct DeltaEvaluator<'e, 'a> {
     ctx: EvalContext,
     place: Vec<(i64, i64)>,
     time: Vec<i64>,
+    /// Per node, the earliest cycle its operands allow (the list
+    /// schedule's `ready`; its time is the first free slot from there).
+    ready: Vec<i64>,
     /// Per-PE state by interned PE id (every held place is on-grid by
     /// invariant).
     tiles: Tiles,
@@ -1017,6 +1149,9 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         let mut tree = CostTree::new();
         let place = |i: usize| rm.place[i];
         ctx.fill_tree(ev, place, &mut tree, &mut buf.pes, &mut buf.dests);
+        let ready = (0..graph.len())
+            .map(|i| ready_at(graph, machine, &rm.place, &rm.time, i))
+            .collect();
         DeltaEvaluator {
             ev,
             graph,
@@ -1024,6 +1159,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             ctx,
             place: rm.place,
             time: rm.time,
+            ready,
             deferred: vec![false; tiles.members.len()],
             tiles,
             tree,
@@ -1195,6 +1331,8 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         if s.occ.len() < pe_count {
             s.occ.resize_with(pe_count, Occ::default);
             s.occ_epoch.resize(pe_count, 0);
+            s.rippled.resize(pe_count, 0);
+            s.ripple_epoch.resize(pe_count, 0);
             s.dirty_epoch.resize(pe_count, 0);
         }
         s.epoch += 1;
@@ -1204,18 +1342,17 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
 
         // Membership: the PE→nodes index drives occupancy, peaks, and
         // the pes_used count.
-        {
-            let t_old = self.time[node];
-            let pos = self.tiles.remove(old_pid, id);
-            // Later source-PE nodes may now schedule earlier — but only
-            // those at or past the vacated slot: a node's gap scan never
-            // consults slots above its own scheduled time.
-            for &j in &self.tiles.members[old_pid][pos..] {
-                if self.time[j as usize] >= t_old {
-                    s.frontier.push(j as usize);
-                }
-            }
-        }
+        // Later source-PE nodes may now schedule earlier — but only
+        // those at or past the vacated slot.
+        self.tiles.remove(old_pid, id);
+        s.ripple(
+            old_pid,
+            &self.tiles.members[old_pid],
+            id,
+            self.time[node],
+            &self.time,
+        );
+        s.occ(old_pid).vacated.push(self.time[node]);
         // Later destination-PE nodes are dirtied when the moved node
         // pops (first, by id order) and its new slot is known — seeding
         // them all here would over-approximate.
@@ -1235,76 +1372,52 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         // occupancy) is final by the time it pops, so one pass reaches
         // the list-schedule fixpoint.
         //
-        // Occupancy is shared across pops on the same PE: pops arrive
-        // in increasing id order, so each PE's slot multiset can be
-        // extended with finalized times as a cursor walks up its
-        // membership list, instead of re-collecting and re-sorting per
-        // pop. The times mostly arrive in ascending order, so a slot
-        // past the last one is appended. The cursors live in a dense
-        // per-PE array validated by epoch stamp.
+        // A popped node keeps its time without a gap scan when its
+        // ready cycle has not fallen, is still at or below its time,
+        // and the move has vacated no slot in between nor taken one
+        // there or at its time: its old scan range is still occupied
+        // and its slot still free. Otherwise, occupancy is shared
+        // across pops on the same PE: pops arrive in increasing id
+        // order, so each PE's occupied slots can be marked in a bitmap
+        // as a cursor walks up its membership list, instead of
+        // re-collecting them per pop, and the first free slot is a bit
+        // scan (`Occ::first_free`). The records live in a dense per-PE
+        // array validated by epoch stamp.
         s.dirty(old_pid);
         s.dirty(new_pid);
         while let Some(iu) = s.frontier.pop() {
             let i = iu as NodeId;
             let pid = self.pe_id(self.place[iu]);
-            let t_new = {
-                let o = &mut s.occ[pid];
-                if s.occ_epoch[pid] != s.epoch {
-                    s.occ_epoch[pid] = s.epoch;
-                    o.cursor = 0;
-                    o.slots.clear();
-                }
-                let list = &self.tiles.members[pid];
-                while o.cursor < list.len() && list[o.cursor] < i {
-                    let t = self.time[list[o.cursor] as usize];
-                    match o.slots.last() {
-                        Some(&last) if last >= t => {
-                            let p = o.slots.partition_point(|&x| x < t);
-                            debug_assert!(
-                                o.slots[p] != t,
-                                "finalized same-PE times are pairwise distinct"
-                            );
-                            o.slots.insert(p, t);
-                        }
-                        _ => o.slots.push(t),
-                    }
-                    o.cursor += 1;
-                }
-                self.schedule_time_in(iu, &o.slots)
-            };
+            let ready = ready_at(self.graph, self.machine, &self.place, &self.time, iu);
+            let was = std::mem::replace(&mut self.ready[iu], ready);
+            if ready != was {
+                self.journal.push(UndoEntry::Ready { id: i, t: was });
+            }
             let t_old = self.time[iu];
-            if iu == node {
-                // The moved node's slot is new on this PE: later nodes
-                // at or past it must reschedule around it, even when
-                // the moved node's own time did not change.
-                let list = &self.tiles.members[pid];
-                let pos = list.partition_point(|&j| j <= i);
-                for &j in &list[pos..] {
-                    if self.time[j as usize] >= t_new {
-                        s.frontier.push(j as usize);
-                    }
-                }
+            if iu != node && was <= ready && ready <= t_old && s.untouched(pid, ready, t_old) {
+                continue;
+            }
+            let t_new = s
+                .occ(pid)
+                .first_free(&self.tiles.members[pid], i, ready, &self.time);
+            // Ripple: same-PE successors at or past the perturbed slot
+            // range, here the moved node's new slot (its old one was on
+            // the source PE), even when its time did not change; for
+            // any other node, the slot range it left and took.
+            if iu == node || t_new != t_old {
+                let lo = if iu == node { t_new } else { t_old.min(t_new) };
+                s.ripple(pid, &self.tiles.members[pid], i, lo, &self.time);
+                s.occ(pid).taken.push(t_new);
             }
             if t_new == t_old {
                 continue;
             }
+            s.occ(pid).vacated.push(t_old);
             self.time[iu] = t_new;
             self.journal.push(UndoEntry::Time { id: i, t: t_old });
             s.dirty(pid);
 
-            // Ripple: same-PE successors at or past the perturbed slot
-            // range (slots above a node's own time are never consulted
-            // by its gap scan), and consumers.
-            let lo = t_old.min(t_new);
-            {
-                let list = &self.tiles.members[pid];
-                let pos = list.partition_point(|&j| j <= i);
-                for &j in &list[pos..] {
-                    if self.time[j as usize] >= lo {
-                        s.frontier.push(j as usize);
-                    }
-                }
-            }
+            // Consumers read this node's new time.
             for &c in self.ctx.consumers(iu) {
                 s.frontier.push(c as usize);
             }
@@ -1383,6 +1496,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                 }
                 UndoEntry::Time { id, t } => self.time[id as usize] = t,
                 UndoEntry::LastUse { id, t } => self.tiles.last_use[id as usize] = t,
+                UndoEntry::Ready { id, t } => self.ready[id as usize] = t,
                 UndoEntry::Sweep { pe, v, deferred } => {
                     self.tiles.set_sweep(pe as usize, v, self.machine.tile_bits);
                     self.deferred[pe as usize] = deferred;
@@ -1393,38 +1507,6 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         if cfg!(debug_assertions) && self.paranoid {
             self.assert_parity();
         }
-    }
-
-    /// The list-schedule time of `i` given current producer times and
-    /// the sorted occupied slots of smaller-id same-PE nodes — the same
-    /// rule as [`crate::search::retime`], node-at-a-time. The linear
-    /// "advance past each occupied slot" scan is replaced by a binary
-    /// search for the first gap: with pairwise-distinct slots (an
-    /// invariant of the schedule rule — every slot was itself picked as
-    /// a first gap) the dense prefix `slots[lo + j] == ready + j` is
-    /// exactly the set of slots the scan would step over.
-    fn schedule_time_in(&self, i: usize, slots: &[i64]) -> i64 {
-        let n = &self.graph.nodes[i];
-        let pe = self.place[i];
-        let pe_u = (pe.0 as u32, pe.1 as u32);
-        let mut ready = 0i64;
-        for &d in &n.deps {
-            let prod = self.place[d as usize];
-            let prod_u = (prod.0 as u32, prod.1 as u32);
-            ready = ready.max(self.time[d as usize] + self.machine.required_gap(prod_u, pe_u));
-        }
-        let lo = slots.partition_point(|&s| s < ready);
-        let m = slots.len() - lo;
-        let (mut left, mut right) = (0usize, m);
-        while left < right {
-            let mid = left + (right - left) / 2;
-            if slots[lo + mid] == ready + mid as i64 {
-                left = mid + 1;
-            } else {
-                right = mid;
-            }
-        }
-        ready + left as i64
     }
 
     /// The global peak with every PE swept afresh, asserting that each
@@ -1466,6 +1548,13 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             rm.time, self.time,
             "incremental retime departed from the full list schedule"
         );
+        for i in 0..self.graph.len() {
+            assert_eq!(
+                self.ready[i],
+                ready_at(self.graph, self.machine, &self.place, &self.time, i),
+                "node {i}: stale ready cycle"
+            );
+        }
         let full = self.ev.evaluate(&rm);
         let mine = self.assemble(self.graph.name.clone(), self.checked_peak());
         assert_eq!(full, mine, "incremental report != full evaluate");
@@ -2006,6 +2095,45 @@ mod tests {
     use crate::value::Value;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    #[test]
+    fn first_free_matches_the_gap_scan_through_every_window_shift() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut occ = Occ::default();
+        for round in 0..400 {
+            // One PE's members, ascending, with pairwise-distinct
+            // times spread well past twice the member count, so the
+            // window shifts up and back down within a move.
+            let n = rng.random_range(1..120u32);
+            let list: Vec<NodeId> = (0..n).map(|k| k * 2).collect();
+            let spread = rng.random_range(n as i64..8 * n as i64 + 64);
+            let mut slots: Vec<i64> = (0..spread).collect();
+            for k in (1..slots.len()).rev() {
+                slots.swap(k, rng.random_range(0..=k));
+            }
+            let mut time = vec![0; 2 * n as usize];
+            for (&j, &t) in list.iter().zip(&slots) {
+                time[j as usize] = t;
+            }
+            // A new move on the PE: pops in increasing id order, each
+            // ready anywhere in (or past) the spread.
+            occ.cursor = 0;
+            occ.base = i64::MAX;
+            let mut i = 0;
+            while i < 2 * n {
+                let ready = rng.random_range(0..spread + 4);
+                let held: Vec<i64> = list
+                    .iter()
+                    .filter(|&&j| j < i)
+                    .map(|&j| time[j as usize])
+                    .collect();
+                let want = (ready..).find(|t| !held.contains(t)).unwrap();
+                let got = occ.first_free(&list, i, ready, &time);
+                assert_eq!(got, want, "round {round}: member {i} ready at {ready}");
+                i += rng.random_range(1..6u32);
+            }
+        }
+    }
 
     /// A layered random DAG: `n` nodes, each depending on up to two
     /// earlier ones.

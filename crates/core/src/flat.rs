@@ -61,7 +61,7 @@ use std::collections::HashMap;
 use crate::cost::{CostReport, CostTree, Evaluator, NodeCost, OffchipTotals};
 use crate::dataflow::{DataflowGraph, Node, NodeId};
 use crate::machine::MachineConfig;
-use crate::mapping::InputPlacement;
+use crate::mapping::{IndexArena, InputPlacement};
 use crate::mutate::AppliedEdit;
 use crate::search::{evaluate_candidate_ref, CandidateEval, FigureOfMerit, MappingCandidate};
 
@@ -108,6 +108,10 @@ pub struct EvalContext {
     /// One tile access, in femtojoules (every such charge is
     /// identical).
     tile_fj: f64,
+    /// The chip's column and row pitch in mm, as
+    /// `ChipGeometry::manhattan` derives them per call.
+    col_pitch: f64,
+    row_pitch: f64,
     width: u64,
     cols: i64,
     rows: i64,
@@ -134,6 +138,8 @@ impl EvalContext {
             nonsink: 0,
             off: OffchipTotals::default(),
             tile_fj: ev.backend().tile_access_energy(&m.tech, width).raw(),
+            col_pitch: m.tech.chip.col_pitch().raw(),
+            row_pitch: m.tech.chip.row_pitch().raw(),
             width,
             cols: i64::from(m.cols),
             rows: i64::from(m.rows),
@@ -385,6 +391,14 @@ impl EvalContext {
         (x as u32, y as u32)
     }
 
+    /// Manhattan distance in mm between two PEs: the expression
+    /// `ChipGeometry::manhattan` evaluates, over the cached pitches, so
+    /// the result is its bit for bit.
+    #[inline]
+    fn distance_mm(&self, a: (u32, u32), b: (u32, u32)) -> f64 {
+        a.0.abs_diff(b.0) as f64 * self.col_pitch + a.1.abs_diff(b.1) as f64 * self.row_pitch
+    }
+
     /// The place on-grid id `pe` interns (the inverse of
     /// [`Self::pe_id`]).
     #[inline]
@@ -448,6 +462,13 @@ impl EvalContext {
             c.onchip_messages += 1;
             c.onchip_bit_mm += width as f64 * mm;
         };
+        // One point-to-point message: its distance once, for both the
+        // wire energy and the bit·mm tally.
+        let message = |a: (u32, u32), b: (u32, u32), c: &mut NodeCost| {
+            let mm = self.distance_mm(a, b);
+            let e = be.wire_energy(&m.tech, width, fm_costmodel::Millimeters::new(mm));
+            onchip(mm, e.raw(), c);
+        };
 
         for r in &self.reads[self.read_off[id] as usize..self.read_off[id + 1] as usize] {
             if r.at_use || r.home == cons {
@@ -455,9 +476,7 @@ impl EvalContext {
                 c.compute_ops += 1;
             } else {
                 let a = (r.home.0 as u32, r.home.1 as u32);
-                let b = (cons.0 as u32, cons.1 as u32);
-                let e = be.wire_energy(&m.tech, width, m.tech.chip.manhattan(a, b));
-                onchip(m.distance_mm(a, b), e.raw(), &mut c);
+                message(a, (cons.0 as u32, cons.1 as u32), &mut c);
             }
         }
 
@@ -482,9 +501,7 @@ impl EvalContext {
             }
         } else {
             for &pe in pes.iter() {
-                let b = (pe.0 as u32, pe.1 as u32);
-                let e = be.wire_energy(&m.tech, width, m.tech.chip.manhattan(a, b));
-                onchip(m.distance_mm(a, b), e.raw(), &mut c);
+                message(a, (pe.0 as u32, pe.1 as u32), &mut c);
             }
         }
         c
@@ -754,6 +771,8 @@ pub struct EvalScratch {
     pub(crate) place: Vec<(i64, i64)>,
     /// Resolved times.
     pub(crate) time: Vec<i64>,
+    /// Expression columns for column-wise affine resolution.
+    columns: Vec<i64>,
     /// Everything else (split out so place/time can be borrowed
     /// alongside the working buffers).
     pub(crate) buf: ScratchBuf,
@@ -846,6 +865,9 @@ pub struct BatchEvaluator<'a> {
     machine: &'a MachineConfig,
     fom: FigureOfMerit,
     ctx: EvalContext,
+    /// The graph's domain indices, column-major, when an affine
+    /// candidate can resolve a column at a time.
+    index: Option<IndexArena>,
 }
 
 impl<'a> BatchEvaluator<'a> {
@@ -863,6 +885,7 @@ impl<'a> BatchEvaluator<'a> {
             machine,
             fom,
             ctx: EvalContext::new(ev),
+            index: IndexArena::new(graph),
         }
     }
 
@@ -897,9 +920,10 @@ impl<'a> BatchEvaluator<'a> {
         eval
     }
 
-    /// The allocation-free core: resolve into scratch, flat legality,
-    /// flat cost, score — nothing heap-allocated in steady state,
-    /// off-grid candidates included. On success
+    /// The allocation-free core: resolve into scratch (an affine
+    /// candidate a column at a time over the graph's index arena), flat
+    /// legality, flat cost, score — nothing heap-allocated in steady
+    /// state, off-grid candidates included. On success
     /// `scratch.place`/`scratch.time` hold the resolved mapping.
     pub fn evaluate_raw_in(
         &self,
@@ -926,12 +950,21 @@ impl<'a> BatchEvaluator<'a> {
         candidate: &MappingCandidate,
         scratch: &mut EvalScratch,
     ) -> Result<CostReport, RawEval> {
-        let EvalScratch { place, time, buf } = scratch;
-        if candidate
-            .mapping
-            .resolve_into(self.graph, self.machine, place, time)
-            .is_err()
-        {
+        let EvalScratch {
+            place,
+            time,
+            columns,
+            buf,
+        } = scratch;
+        let resolved = candidate.mapping.resolve_columns_into(
+            self.graph,
+            self.machine,
+            self.index.as_ref(),
+            place,
+            time,
+            columns,
+        );
+        if resolved.is_err() {
             return Err(RawEval::Unresolvable);
         }
         self.ctx

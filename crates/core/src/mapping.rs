@@ -272,6 +272,114 @@ impl Mapping {
             }
         }
     }
+
+    /// [`Self::resolve_into`], with an affine mapping resolved a column
+    /// at a time over `index` (the graph's [`IndexArena`], if it has
+    /// one) when every variable it names is in the arena. Table
+    /// mappings, graphs without an arena and expressions naming a
+    /// variable past the index length take the per-node path, so the
+    /// result, every error and every panic are `resolve_into`'s.
+    /// `work` holds the expression columns; it only grows.
+    pub(crate) fn resolve_columns_into(
+        &self,
+        graph: &DataflowGraph,
+        machine: &MachineConfig,
+        index: Option<&IndexArena>,
+        place: &mut Vec<(i64, i64)>,
+        time: &mut Vec<i64>,
+        work: &mut Vec<i64>,
+    ) -> Result<(), MappingError> {
+        match (self, index) {
+            (Mapping::Affine(am), Some(index)) if index.covers(am) => {
+                am.resolve_columns(index, machine.cols, place, time, work);
+                Ok(())
+            }
+            _ => self.resolve_into(graph, machine, place, time),
+        }
+    }
+}
+
+/// A graph's domain indices, column-major: column `k` holds every
+/// node's index `k`, in node order. Exists only for a non-empty graph
+/// whose nodes all carry the same number (at least one) of indices,
+/// the graphs on which an affine mapping resolves a column at a time.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexArena {
+    dims: usize,
+    nodes: usize,
+    cols: Vec<i64>,
+}
+
+impl IndexArena {
+    /// The arena of `graph`'s indices; `None` when the graph is empty
+    /// or its nodes' index lengths are ragged or zero.
+    pub(crate) fn new(graph: &DataflowGraph) -> Option<IndexArena> {
+        let dims = graph.nodes.first()?.index.len();
+        if dims == 0 || graph.nodes.iter().any(|n| n.index.len() != dims) {
+            return None;
+        }
+        let nodes = graph.len();
+        let mut cols = vec![0; dims * nodes];
+        for (id, n) in graph.nodes.iter().enumerate() {
+            for (k, &v) in n.index.iter().enumerate() {
+                cols[k * nodes + id] = v;
+            }
+        }
+        Some(IndexArena { dims, nodes, cols })
+    }
+
+    /// Whether every variable `am` names is one of the arena's columns.
+    fn covers(&self, am: &AffineMap) -> bool {
+        let has = |e: &IdxExpr| e.max_var().is_none_or(|k| k < self.dims);
+        has(&am.time)
+            && match &am.place {
+                PlaceExpr::Grid { x, y } => has(x) && has(y),
+                PlaceExpr::Linear { id, .. } => has(id),
+            }
+    }
+}
+
+impl AffineMap {
+    /// Resolve at every node of `index` at once: each place expression
+    /// into a column of `work`, then zipped (or laid out) into `place`,
+    /// and the time expression straight into `time`. Requires
+    /// `index.covers(self)`.
+    fn resolve_columns(
+        &self,
+        index: &IndexArena,
+        grid_cols: u32,
+        place: &mut Vec<(i64, i64)>,
+        time: &mut Vec<i64>,
+        work: &mut Vec<i64>,
+    ) {
+        let n = index.nodes;
+        let (exprs, spare) = match &self.place {
+            PlaceExpr::Grid { x, y } => (2, x.spare_columns().max(y.spare_columns())),
+            PlaceExpr::Linear { id, .. } => (1, id.spare_columns()),
+        };
+        let need = (exprs + spare.max(self.time.spare_columns())) * n;
+        if work.len() < need {
+            work.resize(need, 0);
+        }
+        let (out, spare) = work.split_at_mut(exprs * n);
+        let cols = &index.cols;
+        place.clear();
+        match &self.place {
+            PlaceExpr::Grid { x, y } => {
+                let (xs, ys) = out.split_at_mut(n);
+                x.eval_columns(cols, xs, spare);
+                y.eval_columns(cols, ys, spare);
+                place.extend(xs.iter().copied().zip(ys.iter().copied()));
+            }
+            PlaceExpr::Linear { id, order } => {
+                id.eval_columns(cols, out, spare);
+                place.extend(out.iter().map(|&id| order.coords(id, grid_cols)));
+            }
+        }
+        time.clear();
+        time.resize(n, 0);
+        self.time.eval_columns(cols, time, spare);
+    }
 }
 
 #[cfg(test)]
@@ -279,6 +387,8 @@ mod tests {
     use super::*;
     use crate::dataflow::CExpr;
     use crate::value::Value;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn chain(n: usize) -> DataflowGraph {
         let mut g = DataflowGraph::new("chain", 32);
@@ -378,6 +488,151 @@ mod tests {
             order: LinearOrder::Serpentine,
         };
         assert_eq!(p.eval(&[6], 4), (1, 1)); // row 1 reversed: 4→(3,1), 5→(2,1), 6→(1,1)
+    }
+
+    /// A random index expression over `dims` variables, every variant
+    /// reachable, division and modulus by constants of either sign.
+    fn random_expr(rng: &mut StdRng, dims: usize, depth: u32) -> IdxExpr {
+        let nonzero = |rng: &mut StdRng| {
+            let c = rng.random_range(1..8i64);
+            if rng.random_bool(0.5) {
+                -c
+            } else {
+                c
+            }
+        };
+        let leaf = depth == 0 || rng.random_bool(0.3);
+        match rng.random_range(if leaf { 0..2 } else { 0..7u8 }) {
+            0 => IdxExpr::Const(rng.random_range(-9..10i64)),
+            1 => IdxExpr::Var(rng.random_range(0..dims)),
+            k => {
+                let a = Box::new(random_expr(rng, dims, depth - 1));
+                match k {
+                    2 => IdxExpr::Add(a, Box::new(random_expr(rng, dims, depth - 1))),
+                    3 => IdxExpr::Sub(a, Box::new(random_expr(rng, dims, depth - 1))),
+                    4 => IdxExpr::MulC(a, rng.random_range(-5..6i64)),
+                    5 => IdxExpr::DivC(a, nonzero(rng)),
+                    _ => IdxExpr::ModC(a, nonzero(rng)),
+                }
+            }
+        }
+    }
+
+    /// `n` unconnected nodes with `dims` random (often negative)
+    /// indices each.
+    fn random_domain(rng: &mut StdRng, n: usize, dims: usize) -> DataflowGraph {
+        let mut g = DataflowGraph::new("domain", 32);
+        for _ in 0..n {
+            let index = (0..dims).map(|_| rng.random_range(-40..41i64)).collect();
+            g.add_node(CExpr::konst(Value::ZERO), vec![], index);
+        }
+        g
+    }
+
+    #[test]
+    fn columnwise_resolution_matches_the_per_node_path() {
+        let mut rng = StdRng::seed_from_u64(25);
+        // One work buffer for every round: it only grows, as in scratch.
+        let mut work = Vec::new();
+        let (mut place, mut time) = (Vec::new(), Vec::new());
+        for round in 0..3000 {
+            let dims = rng.random_range(1..4usize);
+            let n = rng.random_range(1..50usize);
+            let g = random_domain(&mut rng, n, dims);
+            let m = MachineConfig::n5(rng.random_range(1..9u32), rng.random_range(1..9u32));
+            let depth = rng.random_range(0..5u32);
+            let place_expr = match rng.random_range(0..3u8) {
+                0 => PlaceExpr::Grid {
+                    x: random_expr(&mut rng, dims, depth),
+                    y: random_expr(&mut rng, dims, depth),
+                },
+                k => PlaceExpr::Linear {
+                    id: random_expr(&mut rng, dims, depth),
+                    order: if k == 1 {
+                        LinearOrder::RowMajor
+                    } else {
+                        LinearOrder::Serpentine
+                    },
+                },
+            };
+            let am = AffineMap {
+                place: place_expr,
+                time: random_expr(&mut rng, dims, depth),
+            };
+            let arena = IndexArena::new(&g).expect("uniform, non-empty indices");
+            assert!(arena.covers(&am));
+            am.resolve_columns(&arena, m.cols, &mut place, &mut time, &mut work);
+            let want = Mapping::Affine(am.clone()).resolve(&g, &m).unwrap();
+            assert_eq!(place, want.place, "round {round}: places of {am:?}");
+            assert_eq!(time, want.time, "round {round}: times of {am:?}");
+        }
+    }
+
+    /// The outcome of resolving `map` on `g`, a panic included.
+    fn outcome(
+        resolve: impl FnOnce() -> Result<ResolvedMapping, MappingError>,
+    ) -> Option<Result<ResolvedMapping, MappingError>> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(resolve)).ok()
+    }
+
+    /// [`Mapping::resolve_columns_into`] with the graph's own arena.
+    fn resolve_columns(
+        map: &Mapping,
+        g: &DataflowGraph,
+        m: &MachineConfig,
+    ) -> Result<ResolvedMapping, MappingError> {
+        let (mut place, mut time) = (Vec::new(), Vec::new());
+        let arena = IndexArena::new(g);
+        map.resolve_columns_into(g, m, arena.as_ref(), &mut place, &mut time, &mut Vec::new())?;
+        Ok(ResolvedMapping { place, time })
+    }
+
+    #[test]
+    fn columnwise_resolution_keeps_the_per_node_outcome_off_the_arena() {
+        let m = MachineConfig::linear(4);
+        let by_i = Mapping::Affine(AffineMap {
+            place: PlaceExpr::row0(IdxExpr::i() % 4),
+            time: IdxExpr::i(),
+        });
+        let by_j = Mapping::Affine(AffineMap {
+            place: PlaceExpr::row0(IdxExpr::i() % 4),
+            time: IdxExpr::j(),
+        });
+        let node = |g: &mut DataflowGraph, index: Vec<i64>| {
+            g.add_node(CExpr::konst(Value::ZERO), vec![], index);
+        };
+        // Ragged: no arena. Naming only `i` resolves; naming `j` panics
+        // at the first one-index node, as per node.
+        let mut ragged = DataflowGraph::new("ragged", 32);
+        node(&mut ragged, vec![0, 1]);
+        node(&mut ragged, vec![1]);
+        assert!(IndexArena::new(&ragged).is_none());
+        // An empty index: `MissingIndex` for that node.
+        let mut empty = ragged.clone();
+        node(&mut empty, vec![]);
+        // Uniform one-index nodes have an arena, but `j` is past it.
+        let mut one = DataflowGraph::new("one", 32);
+        node(&mut one, vec![0]);
+        node(&mut one, vec![1]);
+        assert!(IndexArena::new(&one).is_some());
+        for (g, map) in [
+            (&ragged, &by_i),
+            (&ragged, &by_j),
+            (&empty, &by_i),
+            (&empty, &by_j),
+            (&one, &by_i),
+            (&one, &by_j),
+        ] {
+            let per_node = outcome(|| map.resolve(g, &m));
+            let columnwise = outcome(|| resolve_columns(map, g, &m));
+            assert_eq!(columnwise, per_node, "{} under {map:?}", g.name);
+        }
+        assert_eq!(
+            outcome(|| resolve_columns(&by_i, &empty, &m)),
+            Some(Err(MappingError::MissingIndex { node: 2 }))
+        );
+        assert_eq!(outcome(|| resolve_columns(&by_j, &one, &m)), None);
+        assert!(outcome(|| resolve_columns(&by_i, &ragged, &m)).is_some_and(|r| r.is_ok()));
     }
 
     #[test]

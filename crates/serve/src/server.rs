@@ -287,11 +287,12 @@ impl Shared {
     }
 }
 
-/// Dedup key for a queued `Tune`: FNV-1a over the binary encoding of
-/// everything that determines the search result — the same components
-/// the tuning cache fingerprints — plus the admission knobs that shape
-/// the reply. Deadlines are deliberately excluded: two callers asking
-/// the same question with different patience still share one search.
+/// Dedup key for a queued `Tune`: [`word_hash`] over the binary
+/// encoding of everything that determines the search result — the same
+/// components the tuning cache fingerprints — plus the admission knobs
+/// that shape the reply. Deadlines are deliberately excluded: two
+/// callers asking the same question with different patience still share
+/// one search.
 /// Each component's encoding is self-delimiting, so their
 /// concatenation needs no separator, and it keeps every float's bits:
 /// two requests share a key only if every component is bit-identical.
@@ -306,7 +307,29 @@ fn tune_dedup_key(req: &TuneRequest) -> (u64, Arc<Vec<u8>>) {
     req.refinement.write_binary(&mut bytes);
     req.use_cache.write_binary(&mut bytes);
     req.cost_model.write_binary(&mut bytes);
-    (crate::protocol::fnv1a64(&bytes), Arc::new(bytes))
+    (word_hash(&bytes), Arc::new(bytes))
+}
+
+/// A hash of `bytes` that takes eight of them per step (a
+/// multiply-rotate mix over little-endian words, the length folded in
+/// first). It keys the admission queue's dedup matches only: it is
+/// never stored or sent, and a match on it is confirmed byte for byte,
+/// so it need agree with no other hash.
+fn word_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    for w in &mut words {
+        h = mix(
+            h,
+            u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")),
+        );
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = mix(h, u64::from_le_bytes(tail));
+    h ^ (h >> 32)
 }
 
 /// Resolve a request's optional `cost_model` name. Unknown names are a
@@ -1507,6 +1530,24 @@ mod tests {
         }
         g.mark_output(prev);
         g
+    }
+
+    #[test]
+    fn word_hash_separates_lengths_and_every_tail_byte() {
+        let bytes: Vec<u8> = (0..=40u8).collect();
+        let hashes: Vec<u64> = (0..=bytes.len()).map(|n| word_hash(&bytes[..n])).collect();
+        let mut distinct = hashes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), hashes.len(), "prefixes collide: {hashes:?}");
+        // Zero padding of the tail word is not mistaken for data.
+        assert_ne!(word_hash(&[1]), word_hash(&[1, 0]));
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x80;
+            assert_ne!(word_hash(&flipped), word_hash(&bytes), "byte {at}");
+        }
+        assert_eq!(word_hash(&bytes), word_hash(&bytes.clone()));
     }
 
     #[test]

@@ -631,14 +631,15 @@ fn object_bytes(rng: &mut XorShift, known: &[&str]) -> Vec<u8> {
 }
 
 /// An enum value: a bare name, a one-key object whose payload fits the
-/// name, or an object of the wrong size. (Its keys are known names: the
-/// direct reader refuses the size before it reads a key, the tree
-/// reader after, so a bad key would be reported by the tree path only.)
+/// name, an object of the wrong size (its keys any name bytes, invalid
+/// UTF-8 included, sometimes cut short), or a value of another kind
+/// (malformed ones included). Both readers read a refused value through
+/// before refusing it, so a bad key or payload reports itself first.
 fn variant_bytes(rng: &mut XorShift) -> Vec<u8> {
     let known = ["Unit", "One", "Pair", "Fields"];
     let name = name_bytes(rng, &known);
     let mut out = Vec::new();
-    match rng.below(5) {
+    match rng.below(6) {
         0 | 1 => {
             out.push(0x06);
             put_varint(&mut out, name.len() as u64);
@@ -648,9 +649,22 @@ fn variant_bytes(rng: &mut XorShift) -> Vec<u8> {
             let n = *pick(rng, &[0, 2]);
             put_object(&mut out, n);
             for _ in 0..n {
-                let key = *pick(rng, &known);
-                serde::binary::put_key(&mut out, key);
+                let key = name_bytes(rng, &known);
+                put_varint(&mut out, key.len() as u64);
+                out.extend_from_slice(&key);
                 out.extend(to_binary(&any_json(rng, 1)));
+            }
+            if rng.below(4) == 0 {
+                out.truncate(rng.below(out.len() as u64) as usize);
+            }
+        }
+        3 => {
+            out = match rng.below(4) {
+                0 => vec![*pick(rng, &[0x09, 0x7f, 0xff])],
+                _ => to_binary(&any_json(rng, 1)),
+            };
+            if rng.below(4) == 0 {
+                out.truncate(rng.below(out.len() as u64) as usize);
             }
         }
         _ => {

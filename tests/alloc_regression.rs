@@ -23,7 +23,9 @@ use fm_repro::core::dataflow::{CExpr, DataflowGraph};
 use fm_repro::core::delta::DeltaEvaluator;
 use fm_repro::core::flat::{BatchEvaluator, EvalScratch, RawEval};
 use fm_repro::core::machine::MachineConfig;
-use fm_repro::core::mapping::{AffineMap, InputPlacement, Mapping, PlaceExpr, ResolvedMapping};
+use fm_repro::core::mapping::{
+    AffineMap, InputPlacement, LinearOrder, Mapping, PlaceExpr, ResolvedMapping,
+};
 use fm_repro::core::mutate::{apply_edit, GraphEdit};
 use fm_repro::core::search::{FigureOfMerit, MappingCandidate};
 use fm_repro::core::value::Value;
@@ -103,6 +105,22 @@ fn flat_candidate_evaluation_is_zero_alloc_in_steady_state() {
     };
     let mut candidates = family.candidates_for(&graph, &machine);
     assert!(!candidates.is_empty());
+    // Affine candidates resolve a column at a time over the graph's
+    // (stage, lane) index arena, nested sums included.
+    for (label, place) in [
+        ("lanes", PlaceExpr::row0(IdxExpr::j() % 8)),
+        (
+            "lanes-serpentine",
+            PlaceExpr::Linear {
+                id: (IdxExpr::j() + IdxExpr::i() * 3) % 8,
+                order: LinearOrder::Serpentine,
+            },
+        ),
+    ] {
+        let time = IdxExpr::i() * 64 + (IdxExpr::j() - IdxExpr::i().div(2));
+        let mapping = Mapping::Affine(AffineMap { place, time });
+        candidates.push(MappingCandidate::new(label, mapping));
+    }
     // Off-grid candidates take the flat path too: one spilling past
     // both ends of the row (with negative times), one placing every
     // node on its own column.
